@@ -39,7 +39,12 @@ from ..compression.base import (
 )
 from .bitpack import pack_uint_array, unpack_uint_array
 from .config import SketchMLConfig
-from .delta_encoding import decode_keys, encode_key_groups_flat, encode_keys
+from .delta_encoding import (
+    decode_key_groups_flat,
+    decode_keys,
+    encode_key_groups_flat,
+    encode_keys,
+)
 from .minmax_sketch import GroupedMinMaxSketch
 from .quantizer import QuantileBucketQuantizer, SignedBuckets
 
@@ -255,16 +260,11 @@ class SketchMLCompressor(GradientCompressor):
                 decoded_values.append(part_values)
                 continue
             sorted_keys, counts = part_group_keys
-            bounds = np.zeros(counts.size + 1, dtype=np.int64)
-            np.cumsum(counts, out=bounds[1:])
-            index_chunks = [
-                part.sketch.query_group(group, sorted_keys[bounds[group]:bounds[group + 1]])
-                for group in range(counts.size)
-                if counts[group]
-            ]
-            if not index_chunks:
+            if sorted_keys.size == 0:
                 continue
-            decoded_values.append(part.buckets.decode(np.concatenate(index_chunks)))
+            decoded_values.append(
+                part.buckets.decode(part.sketch.query_flat(sorted_keys, counts))
+            )
         decoded = np.concatenate(decoded_values) if decoded_values else values
         decoded_mean = float(np.abs(decoded).mean()) if decoded.size else 0.0
         if decoded_mean <= 0.0:
@@ -396,16 +396,9 @@ class SketchMLCompressor(GradientCompressor):
         decode (§3.3).
         """
         counts = np.asarray(counts, dtype=np.int64)
-        bounds = np.zeros(counts.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=bounds[1:])
-        decoded_chunks = [
-            sketch.query_group(g, sorted_keys[bounds[g]:bounds[g + 1]])
-            for g in range(counts.size)
-            if counts[g]
-        ]
-        if not decoded_chunks:
+        if sorted_keys.size == 0:
             return
-        decoded = np.concatenate(decoded_chunks)
+        decoded = sketch.query_flat(sorted_keys, counts)
         group_ids = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
         true_global = (
             np.asarray(sorted_offsets, dtype=np.int64)
@@ -483,47 +476,34 @@ class SketchMLCompressor(GradientCompressor):
             raise ValueError("quantized part is missing its bucket metadata")
 
         if part.sketch is not None:
-            # Stage 1: recover every group's key list from its delta
-            # blob; stage 2: query the group sketches.  Two passes so
-            # each codec stage gets its own span — outputs are
-            # identical to an interleaved walk.
-            group_key_arrays: List[Tuple[int, np.ndarray]] = []
+            # Stage 1: recover the group-concatenated key list from the
+            # per-group delta blobs; stage 2: query the group sketches.
+            # One flat kernel per stage, each under its own span.
             with telemetry.span("codec.delta_decode"):
-                for group, blob in enumerate(part.group_key_blobs or []):
-                    group_keys = decode_keys(blob)
-                    if group_keys.size == 0:
-                        continue
-                    group_key_arrays.append((group, group_keys))
+                keys, counts = decode_key_groups_flat(part.group_key_blobs or [])
+            if keys.size == 0:
+                return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
             if sanitize_active:
-                for group, group_keys in group_key_arrays:
+                bounds = np.zeros(counts.size + 1, dtype=np.int64)
+                np.cumsum(counts, out=bounds[1:])
+                for group in range(counts.size):
                     sanitize.check_ascending_keys(
-                        group_keys, part=part.sign, group=group
+                        keys[bounds[group]:bounds[group + 1]],
+                        part=part.sign, group=group,
                     )
-            keys_chunks: List[np.ndarray] = []
-            index_chunks: List[np.ndarray] = []
             with telemetry.span("codec.minmax_query"):
-                for group, group_keys in group_key_arrays:
-                    keys_chunks.append(group_keys)
-                    index_chunks.append(
-                        part.sketch.query_group(
-                            group, group_keys, strict=sanitize_active
-                        )
-                    )
+                indexes = part.sketch.query_flat(
+                    keys, counts, strict=sanitize_active
+                )
             if sanitize_active:
-                for (group, _), group_indexes in zip(
-                    group_key_arrays, index_chunks
-                ):
+                for group in range(counts.size):
                     sanitize.check_bucket_indexes(
-                        group_indexes,
+                        indexes[bounds[group]:bounds[group + 1]],
                         part.sketch.index_range,
                         group=group,
                         group_width=part.sketch.group_width,
                         part=part.sign,
                     )
-            if not keys_chunks:
-                return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-            keys = np.concatenate(keys_chunks)
-            indexes = np.concatenate(index_chunks)
         else:
             if part.key_blob is not None:
                 with telemetry.span("codec.delta_decode"):

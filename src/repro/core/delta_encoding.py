@@ -23,7 +23,7 @@ Wire layout::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -34,6 +34,7 @@ __all__ = [
     "encode_key_groups",
     "encode_key_groups_flat",
     "decode_keys",
+    "decode_key_groups_flat",
     "delta_key_stats",
     "DeltaKeyStats",
     "FLAG_BITS_PER_KEY",
@@ -44,6 +45,18 @@ FLAG_BITS_PER_KEY = 2
 
 _HEADER_BYTES = 4
 _MAX_KEY = 2**32 - 1
+# Flag byte -> the four byte widths it packs (little-end first), stored
+# as one 4-byte word so a single take expands a whole flag section.
+_FLAG_BYTE_WIDTHS = (
+    (
+        (
+            np.arange(256, dtype=np.uint8)[:, None]
+            >> np.asarray([0, 2, 4, 6], dtype=np.uint8)
+        )
+        & np.uint8(0x3)
+    )
+    + np.uint8(1)
+).view("<u4").ravel()
 
 
 @dataclass(frozen=True)
@@ -290,6 +303,99 @@ def decode_keys(blob: bytes) -> np.ndarray:
         )
     keys = np.cumsum(deltas.astype(np.int64))
     return keys
+
+
+def _decode_key_groups_scalar(blobs: Sequence[bytes]) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-blob :func:`decode_keys` walk: the reference for the flat decoder."""
+    arrays = [decode_keys(blob) for blob in blobs]
+    counts = np.asarray([arr.size for arr in arrays], dtype=np.int64)
+    if not arrays:
+        return np.empty(0, dtype=np.int64), counts
+    return np.concatenate(arrays), counts
+
+
+def decode_key_groups_flat(blobs: Sequence[bytes]) -> Tuple[np.ndarray, np.ndarray]:
+    """Decode one blob per group into group-concatenated keys.
+
+    The inverse of :func:`encode_key_groups_flat`: returns
+    ``(concat, sizes)`` with ``concat`` equal to
+    ``np.concatenate([decode_keys(b) for b in blobs])`` and ``sizes[g]``
+    the key count of blob ``g`` — but the flag expansion, the payload
+    gather and the running sum (restarted at every group) each run once
+    over all blobs instead of once per blob.
+
+    Raises:
+        ValueError: exactly what :func:`decode_keys` raises for the
+            first truncated or malformed blob.
+    """
+    if not kernels.vectorised_enabled():
+        return _decode_key_groups_scalar(blobs)
+    # Per-group bookkeeping stays in Python ints: a handful of groups,
+    # far cheaper than tiny array ops.
+    sizes: List[int] = []
+    flag_sections: List[bytes] = []
+    payloads: List[bytes] = []
+    flag_slots: List[Tuple[int, int]] = []  # per nonempty group: first flag slot, key count
+    last_keys: List[int] = []  # ... index of its last key
+    payload_ends: List[int] = []  # ... and where its payload ends
+    total = payload_bytes = flag_bytes_seen = 0
+    for blob in blobs:  # repro: noqa[hot-loop] — O(num_groups) header checks, not per-element work
+        n = int.from_bytes(blob[:_HEADER_BYTES], "little")
+        flags_end = _HEADER_BYTES + (n + 3) // 4
+        if len(blob) < flags_end or (n == 0 and len(blob) != _HEADER_BYTES):
+            # Short header, truncated flags or bytes after an empty
+            # block: the per-blob walk names the first bad blob.
+            return _decode_key_groups_scalar(blobs)
+        sizes.append(n)
+        if n:
+            flag_sections.append(blob[_HEADER_BYTES:flags_end])
+            payloads.append(blob[flags_end:])
+            flag_slots.append((4 * flag_bytes_seen, n))
+            flag_bytes_seen += flags_end - _HEADER_BYTES
+            total += n
+            payload_bytes += len(blob) - flags_end
+            last_keys.append(total - 1)
+            payload_ends.append(payload_bytes)
+    counts = np.asarray(sizes, dtype=np.int64)
+    if total == 0:
+        return np.empty(0, dtype=np.int64), counts
+
+    # Four 2-bit flags per byte, little-end first.  A group's flag
+    # section is padded to a whole byte; the slots past its last key
+    # are dropped when the runs are stitched together.
+    flag_bytes = np.frombuffer(b"".join(flag_sections), dtype=np.uint8)
+    widths = _FLAG_BYTE_WIDTHS.take(flag_bytes).view(np.uint8)
+    if widths.size != total:
+        widths = np.concatenate(
+            [widths[slot:slot + n] for slot, n in flag_slots]
+        )
+
+    # Group payloads sit back to back in the joined buffer, so global
+    # cumulative widths address it directly — provided every group's
+    # payload is exactly as long as its flags say.
+    ends = widths.astype(np.int64)
+    np.cumsum(ends, out=ends)
+    if ends.take(last_keys).tolist() != payload_ends:
+        return _decode_key_groups_scalar(blobs)  # payload length mismatch
+    payload = np.frombuffer(b"".join(payloads), dtype=np.uint8)
+    offsets = ends - widths
+    deltas = payload.take(offsets).astype(np.int64)
+    for byte_pos in range(1, 4):
+        idx = np.flatnonzero(widths > byte_pos)
+        if idx.size == 0:
+            break
+        deltas[idx] |= payload.take(offsets.take(idx) + byte_pos).astype(
+            np.int64
+        ) << (8 * byte_pos)
+
+    # One running sum over everything: rewind each later group's first
+    # delta by the previous group's total (= its last key), so the sum
+    # restarts at every group boundary.
+    if len(last_keys) > 1:
+        starts = np.asarray([0] + [k + 1 for k in last_keys[:-1]], dtype=np.int64)
+        group_sums = np.add.reduceat(deltas, starts)
+        deltas[starts[1:]] -= group_sums[:-1]
+    return np.cumsum(deltas), counts
 
 
 def delta_key_stats(keys: np.ndarray) -> DeltaKeyStats:

@@ -25,7 +25,7 @@ lists, matching the space analysis in §A.3).
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,6 +54,9 @@ class MinMaxSketch:
             bin dtype and the empty-bin sentinel.
         seed: hash family seed (encoder and decoder must agree).
         hash_family: see :func:`repro.sketch.hashing.build_hash_family`.
+        table: an already-filled ``(num_rows, num_bins)`` bin table to
+            adopt as is (the wire decoder's path) instead of starting
+            from an all-empty one.
     """
 
     def __init__(
@@ -63,6 +66,7 @@ class MinMaxSketch:
         index_range: int = 256,
         seed: int = 0,
         hash_family: str = "multiply_shift",
+        table: Optional[np.ndarray] = None,
     ) -> None:
         if num_rows <= 0 or num_bins <= 0:
             raise ValueError("num_rows and num_bins must be positive")
@@ -82,7 +86,13 @@ class MinMaxSketch:
         self._master_seed = int(seed)
         self._hash_family_name = hash_family
         self._hashes = build_hash_family(num_rows, num_bins, seed, hash_family)
-        self._table = np.full((num_rows, num_bins), self._sentinel, dtype=self._dtype)
+        if table is None:
+            table = np.full((num_rows, num_bins), self._sentinel, dtype=self._dtype)
+        elif table.shape != (self.num_rows, self.num_bins):
+            raise ValueError(
+                f"table shape {table.shape} is not {num_rows}x{num_bins}"
+            )
+        self._table = table
         self._inserted = 0
 
     # ------------------------------------------------------------------
@@ -453,7 +463,7 @@ class GroupedMinMaxSketch:
                 sk._inserted += int(counts[g])
         group_ids = np.repeat(np.arange(num, dtype=np.int64), counts)
         hashed = hash_all_grouped(
-            [sk._hashes for sk in sketches], keys_cat, counts, group_ids
+            [sk._hashes for sk in sketches], keys_cat, counts
         )  # (rows, n)
         # Offset every entry into its group's slice of one flat scratch
         # table laid out as num_groups x num_rows x num_bins.
@@ -495,6 +505,91 @@ class GroupedMinMaxSketch:
         return np.minimum(
             offsets + group * self.group_width, self.index_range - 1
         )
+
+    def _fusable(self) -> bool:
+        """True when one gather over the stacked tables can serve every group.
+
+        Read off the sketches themselves (a deserialized part carries no
+        config): the group sketches must agree on rows, bins, index
+        range, cell dtype and hash family.  Every encoder emits this
+        shape; a hand-built or forged part may not.
+        """
+        return len(
+            {
+                (
+                    sk.num_rows, sk.num_bins, sk.index_range,
+                    sk._table.dtype, sk._hash_family_name,
+                )
+                for sk in self._sketches
+            }
+        ) == 1
+
+    def query_flat(
+        self, keys_cat: np.ndarray, counts: np.ndarray, strict: bool = False
+    ) -> np.ndarray:
+        """Recover global bucket indexes for group-concatenated keys.
+
+        ``keys_cat`` holds every group's keys back to back (``counts[g]``
+        of them for group ``g``) and the result equals
+        ``np.concatenate([query_group(g, keys_g, strict) ...])`` — this
+        is the hot decode path.  When the group sketches agree on shape
+        and hash family all groups are hashed as one grid and read with
+        one gather over the stacked tables; otherwise the groups are
+        walked one by one.  ``strict`` raises the same
+        :class:`~repro.sanitize.SanitizerError` (first offending group,
+        offset within that group) :meth:`query_group` would.
+        """
+        keys_cat = np.asarray(keys_cat, dtype=np.int64)
+        counts = np.asarray(counts, dtype=np.int64)
+        if counts.size != self.num_groups:
+            raise ValueError(
+                f"expected {self.num_groups} group counts, got {counts.size}"
+            )
+        if keys_cat.size != int(counts.sum()):
+            raise ValueError("counts must sum to keys_cat.size")
+        if keys_cat.size == 0:
+            return np.empty(0, dtype=np.int64)
+        if not (kernels.vectorised_enabled() and self._fusable()):
+            bounds = np.zeros(counts.size + 1, dtype=np.int64)
+            np.cumsum(counts, out=bounds[1:])
+            return np.concatenate(
+                [
+                    self.query_group(g, keys_cat[bounds[g]:bounds[g + 1]], strict=strict)
+                    for g in range(counts.size)
+                    if counts[g]
+                ]
+            )
+        sketches = self._sketches
+        ref = sketches[0]
+        group_range = np.arange(self.num_groups, dtype=np.int64)
+        cells = hash_all_grouped(
+            [sk._hashes for sk in sketches], keys_cat, counts
+        )  # (rows, n)
+        # Address one flat groups x rows x bins table.
+        cells += np.repeat(group_range * (ref.num_rows * ref.num_bins), counts)
+        cells += (np.arange(ref.num_rows, dtype=np.int64) * ref.num_bins)[:, None]
+        stacked = np.concatenate([sk._table.reshape(-1) for sk in sketches])
+        result = stacked.take(cells).max(axis=0).astype(np.int64)
+        if strict:
+            bad = result >= ref.index_range
+            if bad.any():
+                first = int(np.flatnonzero(bad)[0])
+                group_start = np.cumsum(counts) - counts
+                group = int(np.searchsorted(group_start, first, side="right")) - 1
+                raise sanitize.SanitizerError(
+                    sanitize.INVARIANT_INDEX_RANGE,
+                    f"stored bin value {int(result[first])} at or above "
+                    f"index_range {ref.index_range} (never-inserted key "
+                    "or corrupted table)",
+                    offset=first - int(group_start[group]),
+                )
+        # query_group clips to the group sketch's range, shifts into the
+        # group band, then clips to the global range; folded here into
+        # one per-group cap.
+        base = group_range * self.group_width
+        cap = np.minimum(base + (ref.index_range - 1), self.index_range - 1)
+        result += np.repeat(base, counts)
+        return np.minimum(result, np.repeat(cap, counts), out=result)
 
     # ------------------------------------------------------------------
     @property

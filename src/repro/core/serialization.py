@@ -108,6 +108,18 @@ _ENTROPY_ORIGIN_PACKED = 1
 
 _HASH_FAMILIES = ("multiply_shift", "tabulation")
 
+# Every fixed-width field of the layout, compiled once (little-endian).
+_U8 = struct.Struct("<B")
+_I8 = struct.Struct("<b")
+_U16 = struct.Struct("<H")
+_U64 = struct.Struct("<Q")
+_F64 = struct.Struct("<d")
+_VERSION_FLAGS = struct.Struct("<BB")
+_DIMENSION_NNZ = struct.Struct("<QQ")
+# rows, bins, index_range, seed, hash family id, bytes per cell
+_SKETCH_HEADER = struct.Struct("<BIIqBB")
+_GROUPED_HEADER = struct.Struct("<BI")  # num_groups, index_range
+
 
 class SerializationError(ValueError):
     """Raised when a byte string cannot be decoded as a SketchML message."""
@@ -120,11 +132,11 @@ class _Writer:
     def raw(self, data: bytes) -> None:
         self._chunks.append(data)
 
-    def pack(self, fmt: str, *values) -> None:
-        self._chunks.append(struct.pack("<" + fmt, *values))
+    def pack(self, field: struct.Struct, *values) -> None:
+        self._chunks.append(field.pack(*values))
 
     def blob(self, data: bytes) -> None:
-        self.pack("Q", len(data))
+        self.pack(_U64, len(data))
         self.raw(data)
 
     def array(self, arr: np.ndarray) -> None:
@@ -194,13 +206,12 @@ class _Reader:
         self._consumed += n
         return out
 
-    def unpack(self, fmt: str):
-        size = struct.calcsize("<" + fmt)
-        values = struct.unpack("<" + fmt, self.raw(size))
+    def unpack(self, field: struct.Struct):
+        values = field.unpack(self.raw(field.size))
         return values if len(values) > 1 else values[0]
 
     def blob(self) -> bytes:
-        return self.raw(self.unpack("Q"))
+        return self.raw(self.unpack(_U64))
 
     def array(self, dtype) -> np.ndarray:
         data = self.blob()
@@ -233,15 +244,15 @@ class _Reader:
 # buckets
 # ----------------------------------------------------------------------
 def _write_buckets(w: _Writer, buckets: SignedBuckets) -> None:
-    w.pack("H", buckets.num_buckets)
-    w.pack("b", 1 if buckets.sign > 0 else -1)
+    w.pack(_U16, buckets.num_buckets)
+    w.pack(_I8, 1 if buckets.sign > 0 else -1)
     w.array(np.asarray(buckets.splits, dtype="<f8"))
     w.array(np.asarray(buckets.means, dtype="<f8"))
 
 
 def _read_buckets(r: _Reader) -> SignedBuckets:
-    num_buckets = r.unpack("H")
-    sign = float(r.unpack("b"))
+    num_buckets = r.unpack(_U16)
+    sign = float(r.unpack(_I8))
     splits = r.array("<f8")
     means = r.array("<f8")
     if means.size != num_buckets or splits.size != num_buckets + 1:
@@ -255,21 +266,20 @@ def _read_buckets(r: _Reader) -> SignedBuckets:
 def _write_minmax(w: _Writer, sketch: MinMaxSketch) -> None:
     # Row hash functions derive deterministically from the master seed,
     # so shipping (rows, bins, seed, family) reconstructs them exactly.
-    w.pack("BIIq", sketch.num_rows, sketch.num_bins, sketch.index_range,
-           sketch._master_seed)
-    w.pack("B", _HASH_FAMILIES.index(sketch._hash_family_name))
     itemsize = sketch._table.dtype.itemsize
-    w.pack("B", itemsize)
+    w.pack(_SKETCH_HEADER, sketch.num_rows, sketch.num_bins, sketch.index_range,
+           sketch._master_seed, _HASH_FAMILIES.index(sketch._hash_family_name),
+           itemsize)
     w.array(np.asarray(sketch._table, dtype=f"<u{itemsize}"))
 
 
 def _read_minmax(r: _Reader) -> MinMaxSketch:
-    rows, bins, index_range, master_seed = r.unpack("BIIq")
-    family_id = r.unpack("B")
+    rows, bins, index_range, master_seed, family_id, itemsize = r.unpack(
+        _SKETCH_HEADER
+    )
     if family_id >= len(_HASH_FAMILIES):
         raise SerializationError(f"unknown hash family id {family_id}")
     family = _HASH_FAMILIES[family_id]
-    itemsize = r.unpack("B")
     dtype = {1: "u1", 2: "<u2", 4: "<u4"}.get(itemsize)
     if dtype is None:
         raise SerializationError(f"unknown sketch cell width {itemsize}")
@@ -288,24 +298,25 @@ def _read_minmax(r: _Reader) -> MinMaxSketch:
     if table.size != rows * bins:
         raise SerializationError("sketch table size mismatch")
     try:
-        sketch = MinMaxSketch(
+        # The sketch adopts the wire table (one writable copy) instead
+        # of filling a sentinel table only to throw it away.
+        return MinMaxSketch(
             num_rows=rows, num_bins=bins, index_range=index_range,
             seed=master_seed, hash_family=family,
+            table=table.reshape(rows, bins).copy(),
         )
     except ValueError as exc:
         raise SerializationError(f"invalid sketch header: {exc}") from None
-    sketch._table = table.reshape(rows, bins).copy()
-    return sketch
 
 
 def _write_grouped(w: _Writer, grouped: GroupedMinMaxSketch) -> None:
-    w.pack("BI", grouped.num_groups, grouped.index_range)
+    w.pack(_GROUPED_HEADER, grouped.num_groups, grouped.index_range)
     for sketch in grouped.sketches:
         _write_minmax(w, sketch)
 
 
 def _read_grouped(r: _Reader) -> GroupedMinMaxSketch:
-    num_groups, index_range = r.unpack("BI")
+    num_groups, index_range = r.unpack(_GROUPED_HEADER)
     if num_groups < 1 or index_range < 1:
         raise SerializationError(
             f"invalid grouped sketch header ({num_groups} groups, "
@@ -364,18 +375,18 @@ def _write_index_stream(w: _Writer, part: SignPart, entropy: bool) -> None:
             itemsize = 1 if part.index_bits <= 8 else 2
             block = _entropy_block(symbols, itemsize, packed_len)
         if block is None:
-            w.pack("B", _MARKER_PACKED)
-            w.pack("B", part.index_bits)
+            w.pack(_U8, _MARKER_PACKED)
+            w.pack(_U8, part.index_bits)
             w.blob(part.packed_indexes)
         else:
             freqs, coded = block
             # Origin 1 (bit-packed) + the pack width, so decoding
             # restores the exact fallback representation and
             # re-encoding the message reproduces the wire bytes.
-            w.pack("B", _MARKER_ENTROPY)
-            w.pack("B", _ENTROPY_ORIGIN_PACKED)
-            w.pack("B", part.index_bits)
-            w.pack("H", freqs.size)
+            w.pack(_U8, _MARKER_ENTROPY)
+            w.pack(_U8, _ENTROPY_ORIGIN_PACKED)
+            w.pack(_U8, part.index_bits)
+            w.pack(_U16, freqs.size)
             w.raw(freqs.astype("<u2").tobytes())
             w.blob(coded)
     else:
@@ -384,23 +395,23 @@ def _write_index_stream(w: _Writer, part: SignPart, entropy: bool) -> None:
         plain_len = 1 + 8 + idx.size * itemsize
         block = _entropy_block(idx, itemsize, plain_len) if entropy else None
         if block is None:
-            w.pack("B", itemsize)
+            w.pack(_U8, itemsize)
             w.array(np.asarray(idx, dtype=f"<u{itemsize}"))
         else:
             freqs, coded = block
-            w.pack("B", _MARKER_ENTROPY)
-            w.pack("B", _ENTROPY_ORIGIN_PLAIN)
-            w.pack("B", itemsize)
-            w.pack("H", freqs.size)
+            w.pack(_U8, _MARKER_ENTROPY)
+            w.pack(_U8, _ENTROPY_ORIGIN_PLAIN)
+            w.pack(_U8, itemsize)
+            w.pack(_U16, freqs.size)
             w.raw(freqs.astype("<u2").tobytes())
             w.blob(coded)
 
 
 def _read_entropy_indexes(r: _Reader, part: SignPart, message_nnz: int) -> None:
-    origin = r.unpack("B")
+    origin = r.unpack(_U8)
     if origin not in (_ENTROPY_ORIGIN_PLAIN, _ENTROPY_ORIGIN_PACKED):
         raise SerializationError(f"unknown entropy origin {origin}")
-    width = r.unpack("B")
+    width = r.unpack(_U8)
     if origin == _ENTROPY_ORIGIN_PACKED:
         if not 1 <= width <= 16:
             raise SerializationError(
@@ -412,7 +423,7 @@ def _read_entropy_indexes(r: _Reader, part: SignPart, message_nnz: int) -> None:
     dtype = {1: "u1", 2: "<u2"}.get(itemsize)
     if dtype is None:
         raise SerializationError(f"unknown index width {itemsize}")
-    num_symbols = r.unpack("H")
+    num_symbols = r.unpack(_U16)
     if num_symbols < 1:
         raise SerializationError("empty entropy model")
     table = r.raw(num_symbols * 2)
@@ -480,22 +491,22 @@ def _read_entropy_indexes(r: _Reader, part: SignPart, message_nnz: int) -> None:
 # parts
 # ----------------------------------------------------------------------
 def _write_part(w: _Writer, part: SignPart, entropy: bool = False) -> None:
-    w.pack("b", part.sign)
-    w.pack("Q", part.nnz)
+    w.pack(_I8, part.sign)
+    w.pack(_U64, part.nnz)
     if part.raw_values is not None:
-        w.pack("B", _KIND_RAW)
+        w.pack(_U8, _KIND_RAW)
         _write_keys(w, part)
         w.array(np.asarray(part.raw_values, dtype="<f8"))
     elif part.sketch is not None:
-        w.pack("B", _KIND_SKETCH)
+        w.pack(_U8, _KIND_SKETCH)
         _write_buckets(w, part.buckets)
         blobs = part.group_key_blobs or []
-        w.pack("B", len(blobs))
+        w.pack(_U8, len(blobs))
         for blob in blobs:
             w.blob(blob)
         _write_grouped(w, part.sketch)
     else:
-        w.pack("B", _KIND_INDEXES)
+        w.pack(_U8, _KIND_INDEXES)
         _write_keys(w, part)
         _write_buckets(w, part.buckets)
         _write_index_stream(w, part, entropy)
@@ -503,15 +514,15 @@ def _write_part(w: _Writer, part: SignPart, entropy: bool = False) -> None:
 
 def _write_keys(w: _Writer, part: SignPart) -> None:
     if part.key_blob is not None:
-        w.pack("B", _KEY_KIND_DELTA)
+        w.pack(_U8, _KEY_KIND_DELTA)
         w.blob(part.key_blob)
     else:
-        w.pack("B", _KEY_KIND_RAW)
+        w.pack(_U8, _KEY_KIND_RAW)
         w.array(np.asarray(part.raw_keys, dtype="<u4"))
 
 
 def _read_keys(r: _Reader, part: SignPart) -> None:
-    key_kind = r.unpack("B")
+    key_kind = r.unpack(_U8)
     if key_kind == _KEY_KIND_DELTA:
         part.key_blob = r.blob()
     elif key_kind == _KEY_KIND_RAW:
@@ -521,9 +532,9 @@ def _read_keys(r: _Reader, part: SignPart) -> None:
 
 
 def _read_part(r: _Reader, version: int, message_nnz: int) -> SignPart:
-    sign = r.unpack("b")
-    nnz = r.unpack("Q")
-    kind = r.unpack("B")
+    sign = r.unpack(_I8)
+    nnz = r.unpack(_U64)
+    kind = r.unpack(_U8)
     if nnz > r._budget:
         raise SerializationError(
             f"part nnz {nnz} exceeds the message budget"
@@ -534,15 +545,22 @@ def _read_part(r: _Reader, version: int, message_nnz: int) -> SignPart:
         part.raw_values = r.array("<f8").copy()
     elif kind == _KIND_SKETCH:
         part.buckets = _read_buckets(r)
-        num_blobs = r.unpack("B")
+        num_blobs = r.unpack(_U8)
         part.group_key_blobs = [r.blob() for _ in range(num_blobs)]
         part.sketch = _read_grouped(r)
+        if num_blobs != part.sketch.num_groups:
+            # One key blob per group sketch: a surplus blob has no
+            # sketch to query, a missing one drops that group's keys.
+            raise SerializationError(
+                f"{num_blobs} group key blobs for "
+                f"{part.sketch.num_groups} group sketches"
+            )
     elif kind == _KIND_INDEXES:
         _read_keys(r, part)
         part.buckets = _read_buckets(r)
-        marker = r.unpack("B")
+        marker = r.unpack(_U8)
         if marker == _MARKER_PACKED:
-            part.index_bits = r.unpack("B")
+            part.index_bits = r.unpack(_U8)
             if not 1 <= part.index_bits <= 16:
                 raise SerializationError(
                     f"invalid packed index width {part.index_bits}"
@@ -582,11 +600,11 @@ def _build_message(
     flags = _FLAG_DECAY if payload.decay_scale != 1.0 else 0
     if entropy:
         flags |= _FLAG_ENTROPY
-    w.pack("BB", version, flags)
-    w.pack("QQ", message.dimension, message.nnz)
+    w.pack(_VERSION_FLAGS, version, flags)
+    w.pack(_DIMENSION_NNZ, message.dimension, message.nnz)
     if flags & _FLAG_DECAY:
-        w.pack("d", payload.decay_scale)
-    w.pack("B", len(payload.parts))
+        w.pack(_F64, payload.decay_scale)
+    w.pack(_U8, len(payload.parts))
     for part in payload.parts:
         _write_part(w, part, entropy=entropy)
     return w
@@ -650,7 +668,7 @@ def _read_message(
 ) -> Tuple[SketchMLPayload, int, int]:
     if r.raw(4) != _MAGIC:
         raise SerializationError("bad magic; not a SketchML message")
-    version, flags = r.unpack("BB")
+    version, flags = r.unpack(_VERSION_FLAGS)
     if version not in SUPPORTED_PAYLOAD_VERSIONS:
         raise SerializationError(f"unsupported version {version}")
     known = _FLAG_DECAY
@@ -660,15 +678,15 @@ def _read_message(
         raise SerializationError(
             f"unknown flags 0x{flags:02x} for version {version}"
         )
-    dimension, nnz = r.unpack("QQ")
+    dimension, nnz = r.unpack(_DIMENSION_NNZ)
     if nnz > r._budget:
         raise SerializationError(f"message nnz {nnz} exceeds the byte budget")
     decay_scale = 1.0
     if flags & _FLAG_DECAY:
-        decay_scale = float(r.unpack("d"))
+        decay_scale = float(r.unpack(_F64))
         if not np.isfinite(decay_scale) or decay_scale <= 0.0:
             raise SerializationError(f"invalid decay scale {decay_scale}")
-    num_parts = r.unpack("B")
+    num_parts = r.unpack(_U8)
     payload = SketchMLPayload(
         parts=[_read_part(r, version, int(nnz)) for _ in range(num_parts)],
         decay_scale=decay_scale,

@@ -164,18 +164,18 @@ class Adam(Optimizer):
     def step(self, theta: np.ndarray, keys: np.ndarray, values: np.ndarray) -> None:
         if self._m is None:
             self.prepare(theta.size)
-        m, v = self._m, self._v
-        m[keys] = self.beta1 * m[keys] + (1.0 - self.beta1) * values
-        v[keys] = self.beta2 * v[keys] + (1.0 - self.beta2) * values**2
+        # Keys are unique on every call path, so each state row is
+        # gathered once, updated in locals and scattered back once.
+        m = self.beta1 * self._m[keys] + (1.0 - self.beta1) * values
+        v = self.beta2 * self._v[keys] + (1.0 - self.beta2) * values**2
+        self._m[keys] = m
+        self._v[keys] = v
         if self.bias_correction:
-            self._steps[keys] += 1
-            t = self._steps[keys]
-            m_hat = m[keys] / (1.0 - self.beta1**t)
-            v_hat = v[keys] / (1.0 - self.beta2**t)
-        else:
-            m_hat = m[keys]
-            v_hat = v[keys]
-        theta[keys] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            t = self._steps[keys] + 1
+            self._steps[keys] = t
+            m = m / (1.0 - self.beta1**t)
+            v = v / (1.0 - self.beta2**t)
+        theta[keys] -= self.learning_rate * m / (np.sqrt(v) + self.epsilon)
 
 
 def make_optimizer(name: str, learning_rate: float = 0.1, **kwargs) -> Optimizer:

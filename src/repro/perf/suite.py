@@ -17,7 +17,7 @@ import numpy as np
 
 from ..core.compressor import SketchMLCompressor
 from ..core.config import SketchMLConfig
-from ..core.delta_encoding import decode_keys, encode_keys
+from ..core.delta_encoding import decode_key_groups_flat, encode_keys
 from ..core.minmax_sketch import GroupedMinMaxSketch
 from ..core.quantizer import QuantileBucketQuantizer
 from .harness import BenchResult, time_kernel
@@ -131,33 +131,36 @@ def _bench_minmax_insert(
     )
 
 
+def _decode_operands(nnz: int, cfg: SketchMLConfig):
+    """The sketch parts of one real message: what ``decompress`` walks.
+
+    With the default config that is 2 signs x 8 groups — per part, eight
+    delta-key blobs and eight group sketches.
+    """
+    keys, values, dimension = _synthetic_gradient(nnz)
+    message = SketchMLCompressor(cfg).compress(keys, values, dimension)
+    return [part for part in message.payload.parts if part.sketch is not None]
+
+
 def _bench_minmax_query(
     nnz: int, cfg: SketchMLConfig, warmup: int, repeats: int
 ) -> BenchResult:
-    sign_keys, sign_enc, make_sketch = _minmax_operands(nnz, cfg)
-    sketch = make_sketch()
-    sorted_keys, sorted_offsets, counts = sketch.partition_flat(
-        sign_keys, sign_enc
-    )
-    sketch.insert_flat(sorted_keys, sorted_offsets, counts)
-    bounds = np.zeros(counts.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=bounds[1:])
-    group_keys = [
-        sorted_keys[bounds[g]:bounds[g + 1]] for g in range(counts.size)
+    operands = [
+        (part.sketch, *decode_key_groups_flat(part.group_key_blobs))
+        for part in _decode_operands(nnz, cfg)
     ]
 
     def kernel():
         return [
-            sketch.query_group(g, chunk)
-            for g, chunk in enumerate(group_keys)
-            if chunk.size
+            sketch.query_flat(keys_cat, counts)
+            for sketch, keys_cat, counts in operands
         ]
 
     return time_kernel(
         f"minmax_query/{nnz}",
         kernel,
-        elements=sign_keys.size,
-        bytes_processed=sign_keys.size * _KEY_BYTES,
+        elements=nnz,
+        bytes_processed=nnz * _KEY_BYTES,
         warmup=warmup,
         repeats=repeats,
     )
@@ -180,11 +183,10 @@ def _bench_delta_encode(
 def _bench_delta_decode(
     nnz: int, cfg: SketchMLConfig, warmup: int, repeats: int
 ) -> BenchResult:
-    keys, _, _ = _synthetic_gradient(nnz)
-    blob = encode_keys(keys)
+    blob_lists = [part.group_key_blobs for part in _decode_operands(nnz, cfg)]
     return time_kernel(
         f"delta_decode/{nnz}",
-        lambda: decode_keys(blob),
+        lambda: [decode_key_groups_flat(blobs) for blobs in blob_lists],
         elements=nnz,
         bytes_processed=nnz * _KEY_BYTES,
         warmup=warmup,

@@ -304,19 +304,21 @@ def verify_sketch_roundtrip(
     inside the group band, and never above the true index.
     """
     counts = np.asarray(counts, dtype=np.int64)
+    if int(counts.sum()) == 0:
+        return
     width = int(sketch.group_width)
     q = int(sketch.index_range)
+    decoded_all = sketch.query_flat(sorted_keys, counts, strict=True)
     bounds = np.zeros(counts.size + 1, dtype=np.int64)
     np.cumsum(counts, out=bounds[1:])
     for g in range(counts.size):
         if not counts[g]:
             continue
-        keys_g = sorted_keys[bounds[g]:bounds[g + 1]]
         true_global = (
             np.asarray(sorted_offsets[bounds[g]:bounds[g + 1]], dtype=np.int64)
             + g * width
         )
-        decoded = sketch.query_group(g, keys_g, strict=True)
+        decoded = decoded_all[bounds[g]:bounds[g + 1]]
         check_bucket_indexes(
             decoded, q, group=g, group_width=width, part=part
         )

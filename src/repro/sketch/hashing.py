@@ -210,8 +210,11 @@ class HashFamily(Sequence):
         if keys.max() >= (1 << _MAX_KEY_BITS):
             raise ValueError("keys must fit in 32 bits")
         if self._kind == "multiply_shift":
-            return _multiply_shift_grid(
-                keys, self._a_hi_shifted, self._a_lo, self._b, self.num_bins
+            return _reduce_to_bins(
+                keys[None, :] * self._a_hi_shifted,
+                keys[None, :] * self._a_lo,
+                self._b,
+                self.num_bins,
             )
         out = np.zeros((len(self), keys.size), dtype=np.uint64)
         for byte in range(4):
@@ -220,37 +223,38 @@ class HashFamily(Sequence):
         return (out % np.uint64(self.num_bins)).view(np.int64)
 
 
-def _multiply_shift_grid(
-    keys: np.ndarray,
-    a_hi_shifted: np.ndarray,
-    a_lo: np.ndarray,
-    b: np.ndarray,
-    num_bins,
-) -> np.ndarray:
-    """Evaluate ``((a*x + b) mod p) mod t`` over a ``(rows, keys)`` grid.
+def _reduce_to_bins(hi: np.ndarray, lo: np.ndarray, b, num_bins) -> np.ndarray:
+    """``((hi + lo + b) mod p) mod t`` in place on the ``hi`` product grid.
 
-    Identical bits to the scalar :class:`MultiplyShiftHash` arithmetic;
-    the fold/reduce chain runs in place so the grid allocates three
-    ``(rows, n)`` buffers instead of one per ufunc.  ``num_bins`` is a
-    scalar or a per-key uint64 vector (mixed-width grouped hashing).
+    ``hi`` and ``lo`` are the two ``(rows, keys)`` half-products of
+    ``a * x`` (``hi`` is overwritten), giving identical bits to the
+    scalar :class:`MultiplyShiftHash` arithmetic.  The fold/reduce chain
+    runs in place, so a grid costs one buffer beyond the two products.
+    ``lo`` is below ``2**62`` (32-bit key times 30-bit multiplier), so
+    it joins the sum unfolded: with the folded ``hi`` and ``b < 2**61``
+    the total stays under ``2**64`` and the one exact reduction at the
+    end lands on the same residue the fully-reduced arithmetic would.
+    ``num_bins`` is a scalar or a per-key uint64 vector (mixed-width
+    grouped hashing); the scalar case takes the remainder as
+    ``x - (x // t) * t`` because numpy divides by a scalar without a
+    hardware divide per element.
     """
-    hi = keys[None, :] * a_hi_shifted
-    lo = keys[None, :] * a_lo
     tmp = hi >> np.uint64(61)
     np.bitwise_and(hi, _P64, out=hi)
     np.add(hi, tmp, out=hi)
-    np.right_shift(lo, np.uint64(61), out=tmp)
-    np.bitwise_and(lo, _P64, out=lo)
-    np.add(lo, tmp, out=lo)
     np.add(hi, lo, out=hi)
     np.add(hi, b, out=hi)
     np.right_shift(hi, np.uint64(61), out=tmp)
     np.bitwise_and(hi, _P64, out=hi)
     np.add(hi, tmp, out=hi)
     np.subtract(hi, _P64, out=hi, where=hi >= _P64)
-    if np.ndim(num_bins) == 0:
+    if isinstance(num_bins, np.ndarray):
+        np.remainder(hi, num_bins, out=hi)
+    else:
         num_bins = np.uint64(num_bins)
-    np.remainder(hi, num_bins, out=hi)
+        np.floor_divide(hi, num_bins, out=tmp)
+        np.multiply(tmp, num_bins, out=tmp)
+        np.subtract(hi, tmp, out=hi)
     return hi.view(np.int64)
 
 
@@ -268,22 +272,16 @@ def hash_all_grouped(
     families: Sequence["HashFamily"],
     keys: np.ndarray,
     counts: np.ndarray,
-    group_ids: np.ndarray = None,
 ) -> np.ndarray:
     """Hash concatenated per-group keys through per-group families at once.
 
     ``keys`` holds every group's keys back to back (``counts[g]`` of
     them belonging to group ``g``); the result equals
     ``np.concatenate([families[g].hash_all(keys_g)], axis=1)`` exactly.
-    For all-multiply-shift families the per-row parameters are gathered
-    through one element-level group-id vector and the whole grid is
-    hashed in a single fused evaluation — the GroupedMinMaxSketch insert
-    path calls this once per sign instead of once per group.
-
-    ``group_ids`` optionally supplies the precomputed
-    ``np.repeat(np.arange(len(families)), counts)`` vector so callers
-    that already materialised it (the insert scatter does) avoid a
-    second expansion.
+    For all-multiply-shift families the per-row parameters are repeated
+    out to element level and the whole grid is hashed in a single fused
+    evaluation — the GroupedMinMaxSketch insert and query paths call
+    this once per sign instead of once per group.
     """
     counts = np.asarray(counts, dtype=np.int64)
     if len(families) != counts.size:
@@ -311,22 +309,18 @@ def hash_all_grouped(
     if keys.max() >= (1 << _MAX_KEY_BITS):
         raise ValueError("keys must fit in 32 bits")
     a_hi, a_lo, b = _stacked_multiply_shift_params(tuple(families))
-    if group_ids is None:
-        group_ids = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
     bins = np.asarray([f.num_bins for f in families], dtype=np.uint64)
     num_bins = (
-        # Per-family bin counts: gather to element level so the final
+        # Per-family bin counts: repeat to element level so the final
         # remainder still runs as one broadcast pass.
-        int(bins[0]) if counts.size and (bins == bins[0]).all()
-        else bins.take(group_ids)
+        int(bins[0]) if (bins == bins[0]).all() else np.repeat(bins, counts)
     )
-    return _multiply_shift_grid(
-        keys,
-        a_hi.take(group_ids, axis=1),
-        a_lo.take(group_ids, axis=1),
-        b.take(group_ids, axis=1),
-        num_bins,
-    )
+    # The element-level multipliers double as the product buffers.
+    hi = np.repeat(a_hi, counts, axis=1)
+    np.multiply(hi, keys, out=hi)
+    lo = np.repeat(a_lo, counts, axis=1)
+    np.multiply(lo, keys, out=lo)
+    return _reduce_to_bins(hi, lo, np.repeat(b, counts, axis=1), num_bins)
 
 
 _FAMILIES = {

@@ -135,6 +135,47 @@ class TestSparseUpdates:
         assert adam._steps[1] == 1
 
 
+def _reference_adam_step(adam, m, v, steps, theta, keys, values):
+    """Adam.step as first written: every state row re-gathered per use."""
+    m[keys] = adam.beta1 * m[keys] + (1.0 - adam.beta1) * values
+    v[keys] = adam.beta2 * v[keys] + (1.0 - adam.beta2) * values**2
+    if adam.bias_correction:
+        steps[keys] += 1
+        t = steps[keys]
+        m_hat = m[keys] / (1.0 - adam.beta1**t)
+        v_hat = v[keys] / (1.0 - adam.beta2**t)
+    else:
+        m_hat = m[keys]
+        v_hat = v[keys]
+    theta[keys] -= adam.learning_rate * m_hat / (np.sqrt(v_hat) + adam.epsilon)
+
+
+@pytest.mark.parametrize("bias_correction", [True, False])
+def test_adam_gather_once_is_bit_identical(bias_correction):
+    """Gathering m/v/steps once per step must not move a single bit of
+    theta or the optimizer state (keys are unique on every call path)."""
+    dim = 5_000
+    rng = np.random.default_rng(42)
+    adam = Adam(learning_rate=0.01, bias_correction=bias_correction)
+    adam.prepare(dim)
+    theta = rng.normal(size=dim)
+    ref_theta = theta.copy()
+    ref_m, ref_v = np.zeros(dim), np.zeros(dim)
+    ref_steps = np.zeros(dim, dtype=np.int64)
+    for _ in range(40):
+        nnz = int(rng.integers(1, 800))
+        keys = np.sort(rng.choice(dim, size=nnz, replace=False))
+        values = rng.laplace(scale=0.05, size=nnz)
+        adam.step(theta, keys, values)
+        _reference_adam_step(
+            adam, ref_m, ref_v, ref_steps, ref_theta, keys, values
+        )
+    np.testing.assert_array_equal(theta, ref_theta)
+    np.testing.assert_array_equal(adam._m, ref_m)
+    np.testing.assert_array_equal(adam._v, ref_v)
+    np.testing.assert_array_equal(adam._steps, ref_steps)
+
+
 class TestSchedules:
     def test_constant(self):
         s = ConstantLR()

@@ -146,10 +146,10 @@ class _OverEstimatingSketch:
     group_width = 4
     index_range = 8
 
-    def query_group(self, group, keys, strict=False):
+    def query_flat(self, keys_cat, counts, strict=False):
         # True offsets are 0..n-1; report them all as the band maximum.
-        base = group * self.group_width
-        return np.full(len(keys), base + self.group_width - 1, dtype=np.int64)
+        groups = np.repeat(np.arange(len(counts)), counts)
+        return groups * self.group_width + self.group_width - 1
 
 
 class TestEncoderSideVerify:

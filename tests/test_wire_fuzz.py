@@ -288,7 +288,31 @@ def _length_lie_cases():
     return cases
 
 
-MUST_FAIL_CASES = _truncation_cases() + _length_lie_cases()
+def _blob_count_cases():
+    """A sketch part re-serialized with a group key blob too many or
+    too few: the u8 blob count and the grouped-sketch group count are
+    separate wire fields, and the decoder must not trust them to agree
+    (9 blobs used to escape as a bare IndexError from decompress, 7
+    silently dropped a group's keys)."""
+    cases = []
+    for label, forge in (
+        ("9-blobs", lambda blobs: blobs + [blobs[-1]]),
+        ("7-blobs", lambda blobs: blobs[:-1]),
+    ):
+        message = _compress(1234, 2000, 40000, "mixed", 0)
+        part = message.payload.parts[0]
+        assert part.sketch.num_groups == len(part.group_key_blobs) == 8
+        part.group_key_blobs = forge(list(part.group_key_blobs))
+        for version in (1, 2):
+            cases.append(
+                (f"sketch-v{version}-{label}", _serialize_at(message, version))
+            )
+    return cases
+
+
+MUST_FAIL_CASES = (
+    _truncation_cases() + _length_lie_cases() + _blob_count_cases()
+)
 MAY_ACCEPT_CASES = _bitflip_cases()
 
 
