@@ -123,9 +123,9 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--fault-seed", type=int, default=0,
                        help="fault injection RNG seed")
     train.add_argument("--entropy-coding", action="store_true",
-                       help="wire v2: entropy-code bucket payloads on "
-                            "frame-v2 connections (real backends; "
-                            "negotiated per peer)")
+                       help="wire v2: dense radix-code bucket-index "
+                            "streams on frame-v2 connections (real "
+                            "backends; negotiated per peer)")
     train.add_argument("--chunk-bytes", type=int, default=None, metavar="N",
                        help="wire v2: stream frames larger than N bytes as "
                             "chunks (default: runtime default; real "

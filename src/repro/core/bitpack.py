@@ -4,7 +4,8 @@
 exactly one byte, but any smaller bucket count wastes bits in byte
 alignment (q = 128 needs only 7 bits, q = 16 only 4).  This module
 packs an array of values < 2**bits into ``ceil(n * bits / 8)`` bytes
-and back, vectorised via numpy's unpackbits/packbits.
+and back, vectorised (packbits to pack, a 3-byte window gather to
+unpack).
 
 Used by the ``pack_index_bits`` option of
 :class:`~repro.core.config.SketchMLConfig` (the Adam+Key+Quan path) and
@@ -79,9 +80,17 @@ def unpack_uint_array(blob: bytes, count: int, bits: int) -> np.ndarray:
             f"blob holds {len(blob)} bytes; {needed} needed for "
             f"{count} x {bits}-bit values"
         )
-    bit_array = np.unpackbits(
-        np.frombuffer(blob[:needed], dtype=np.uint8), count=count * bits
+    # bits <= 16 and a value starts at most 7 bits into a byte, so each
+    # value lies inside the 3-byte big-endian window that opens at the
+    # byte holding its first bit: gather the window, shift, mask.
+    data = np.zeros(needed + 2, dtype=np.uint8)
+    data[:needed] = np.frombuffer(blob, dtype=np.uint8, count=needed)
+    first_bit = np.arange(count, dtype=np.int64) * bits
+    byte = first_bit >> 3
+    window = (
+        (data[byte].astype(np.uint32) << 16)
+        | (data[byte + 1].astype(np.uint32) << 8)
+        | data[byte + 2]
     )
-    bit_matrix = bit_array.reshape(count, bits).astype(np.int64)
-    shifts = np.arange(bits - 1, -1, -1, dtype=np.int64)
-    return (bit_matrix << shifts[None, :]).sum(axis=1)
+    # uint32 >> int64 promotes to int64, the documented return dtype.
+    return (window >> ((24 - bits) - (first_bit & 7))) & ((1 << bits) - 1)

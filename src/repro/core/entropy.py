@@ -1,212 +1,182 @@
-"""rANS entropy coder for the bucket-index stream.
+"""Dense fixed-radix code for the bucket-index stream.
 
-The quantizer's equi-depth buckets make the index stream *near*
-uniform, but never exactly: MinMaxSketch decay skews the effective
-distribution (§3.4 compensation shifts mass toward the low buckets),
-refit intervals lag the gradient distribution, and real gradients are
-heavy-tailed between refits.  That residual skew is free compression —
-the payload already ships the bucket table, so the decoder can rebuild
-the exact probability model from the same CDF the encoder used.
+A kind-1 part (the ``Adam+Key+Quan`` path; sketch parts carry no index
+stream) ships one bucket index per key.  The quantizer's buckets are
+equi-depth by construction (§3.2), so the stream is near-uniform over
+an alphabet of ``b`` symbols: on the benchmark's ``entropy_aio``
+traffic ``b`` is 57–71, every symbol count is 32 or 64, and the
+empirical entropy (5.77–6.09 bits) sits within 0.06 bits of
+``log2(b)``.  A frequency model is worth less than the table it has to
+ship; what *is* worth taking is ``b < 256`` — a plain ``u1`` spends 8
+bits on a ~6-bit symbol — and that needs no model at all.
 
-This module implements a byte-renormalised range asymmetric numeral
-system (rANS) with a static frequency table quantised to
-``PROB_SCALE`` (:func:`quantize_freqs`).  Properties the wire format
-relies on:
+So the code is positional: the stream is cut into words of ``k``
+digits, each word is the base-``b`` integer of its digits (Horner,
+most significant first) and is written as ``wb`` little-endian bytes.
+``(k, wb)`` is the pair with ``b**k <= 2**64`` that minimises ``wb/k``
+(:func:`radix_params`; e.g. ``b = 57 → (4, 3)``: 6.00 bits/symbol).
+Properties the wire format relies on:
 
-* **Deterministic** — no randomness, no floating point in the coder
-  itself; the same symbol stream and table always produce the same
-  bytes, on every platform (the cross-version golden fixtures pin
-  this).
-* **Self-checking** — the encoder starts from a known state and the
-  decoder must land back on it with every byte consumed, so truncation
-  and most corruptions raise :class:`EntropyError` instead of decoding
-  silently-wrong symbols.
-* **Bounded** — decode performs exactly ``count`` iterations with
-  bounds-checked byte reads; a hostile stream can make it *fail*, never
-  hang or over-allocate.
-
-The per-symbol loops are deliberate: this is the opt-in v2 payload
-path, not a dual-path kernel (see docs/static_analysis.md), and the
-state recurrence is sequential by construction.
+* **Deterministic** — integer arithmetic only; ``(b, symbols)`` fixes
+  the bytes on every platform (the golden fixtures pin this).
+* **Self-checking** — the coded length is exactly ``ceil(n/k) * wb``,
+  every word must be below ``b**k`` and the unused digits of the last
+  word must be zero, so there is one canonical encoding and truncated,
+  padded or out-of-range streams raise :class:`EntropyError`.
+* **Bounded and vectorised** — encode is ``k - 1`` multiply-adds and
+  decode ``k - 1`` divmods over ``ceil(n/k)`` uint64 lanes; every
+  iteration count is fixed by ``(b, n)``, nothing by the data.  For
+  ``b > 1`` the exact-length check bounds ``n`` by the bytes present
+  before anything of size ``n`` is allocated; ``b = 1`` codes to zero
+  bytes, so its ``n`` must be bounded by the caller.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from functools import lru_cache
+from typing import Tuple, Union
 
 import numpy as np
 
 __all__ = [
     "EntropyError",
-    "PROB_BITS",
-    "PROB_SCALE",
-    "quantize_freqs",
+    "MAX_RADIX",
+    "radix_params",
+    "coded_size",
     "encode_indexes",
     "decode_indexes",
+    "quantize_freqs",
 ]
 
-#: Probability resolution: every frequency table sums to ``2**PROB_BITS``.
-PROB_BITS = 12
-PROB_SCALE = 1 << PROB_BITS
+#: Largest alphabet the coder accepts — the widest index the wire
+#: carries is a ``u2``.
+MAX_RADIX = 1 << 16
 
-#: Lower bound of the normalised state interval ``[L, 256*L)``.
-_RANS_L = 1 << 16
-#: Serialized width of the final coder state.
-_STATE_BYTES = 4
+_WORD_BYTES = 8
 
 
 class EntropyError(ValueError):
-    """Raised when a symbol stream cannot be entropy coded or decoded."""
+    """Raised when a symbol stream cannot be coded or decoded."""
+
+
+@lru_cache(maxsize=None)
+def radix_params(radix: int) -> Tuple[int, int]:
+    """``(k, wb)``: digits per word and bytes per word for base ``radix``.
+
+    Among all ``k`` with ``radix**k <= 2**64`` picks the one minimising
+    ``wb / k`` where ``wb = ceil(bits(radix**k - 1) / 8)``; ties go to
+    the smaller ``k``.  ``radix = 1`` gives ``(1, 0)``: zero bytes.
+    """
+    if not 1 <= radix <= MAX_RADIX:
+        raise EntropyError(f"radix {radix} outside [1, {MAX_RADIX}]")
+    best_k, best_wb = 0, 0
+    power = 1
+    for k in range(1, 8 * _WORD_BYTES + 1):
+        power *= radix
+        if power > 1 << (8 * _WORD_BYTES):
+            break
+        wb = ((power - 1).bit_length() + 7) // 8
+        if best_k == 0 or wb * best_k < best_wb * k:
+            best_k, best_wb = k, wb
+    return best_k, best_wb
+
+
+def coded_size(radix: int, count: int) -> int:
+    """Exact byte length of ``count`` symbols coded in base ``radix``."""
+    k, wb = radix_params(radix)
+    return -(-count // k) * wb
+
+
+def _radix_of(model: Union[int, np.ndarray]) -> int:
+    # A 1-d table is read for its length only (see quantize_freqs).
+    return int(model) if np.ndim(model) == 0 else len(model)
+
+
+def encode_indexes(symbols: np.ndarray, radix: Union[int, np.ndarray]) -> bytes:
+    """Code symbols in ``[0, radix)`` into :func:`coded_size` bytes.
+
+    Raises:
+        EntropyError: if a symbol falls outside ``[0, radix)``.
+    """
+    radix = _radix_of(radix)
+    k, wb = radix_params(radix)
+    if not (
+        isinstance(symbols, np.ndarray)
+        and symbols.ndim == 1
+        and symbols.dtype.kind in "ui"
+    ):
+        raise EntropyError("symbols must be a 1-d integer array")
+    count = symbols.size
+    num_words = -(-count // k)
+    digits = np.zeros(num_words * k, dtype=np.uint64)
+    digits[:count] = symbols
+    # A negative symbol wraps to >= 2**63, so one check covers both ends.
+    if count and int(digits.max()) >= radix:
+        raise EntropyError(f"symbol outside the {radix}-symbol alphabet")
+    digits = digits.reshape(num_words, k)
+    # Horner: no intermediate exceeds radix**k - 1 < 2**64.
+    words = digits[:, 0].copy()
+    base = np.uint64(radix)
+    for j in range(1, k):
+        words *= base
+        words += digits[:, j]
+    lanes = words.astype("<u8", copy=False).view(np.uint8)
+    return lanes.reshape(num_words, _WORD_BYTES)[:, :wb].tobytes()
+
+
+def decode_indexes(
+    blob: bytes, radix: Union[int, np.ndarray], count: int
+) -> np.ndarray:
+    """Decode exactly ``count`` symbols; the inverse of :func:`encode_indexes`.
+
+    Raises:
+        EntropyError: if the blob is not exactly :func:`coded_size`
+            bytes, a word is ``>= radix**k``, or the padding digits of
+            the last word are not zero.
+    """
+    radix = _radix_of(radix)
+    k, wb = radix_params(radix)
+    if count < 0:
+        raise EntropyError(f"cannot decode {count} symbols")
+    num_words = -(-count // k)
+    if len(blob) != num_words * wb:
+        raise EntropyError(
+            f"{count} base-{radix} symbols code to {num_words * wb} bytes, "
+            f"got {len(blob)}"
+        )
+    lanes = np.zeros((num_words, _WORD_BYTES), dtype=np.uint8)
+    lanes[:, :wb] = np.frombuffer(blob, dtype=np.uint8).reshape(num_words, wb)
+    words = lanes.view("<u8").ravel().astype(np.uint64, copy=False)
+    digits = np.empty((num_words, k), dtype=np.uint64)
+    base = np.uint64(radix)
+    for j in range(k - 1, 0, -1):
+        np.divmod(words, base, out=(words, digits[:, j]))
+    digits[:, 0] = words
+    # After k-1 divisions the quotient is the top digit iff the word
+    # was below radix**k.
+    if num_words and int(words.max()) >= radix:
+        raise EntropyError(f"coded word is not below {radix}**{k}")
+    flat = digits.ravel()
+    if flat[count:].any():
+        raise EntropyError("non-zero padding digits in the last word")
+    return flat[:count].view(np.int64)
 
 
 def quantize_freqs(counts: np.ndarray) -> np.ndarray:
-    """Quantise raw symbol counts to a table summing to ``PROB_SCALE``.
+    """Compatibility shim for ``benchmarks/e2e/probes.py`` — nothing else.
 
-    Every symbol with a nonzero count keeps a frequency of at least 1
-    (a zero frequency would make that symbol unencodable); the rounding
-    remainder is settled against the most frequent symbol so the result
-    is deterministic.  Returns a little-endian ``uint16`` array.
+    The probe still builds a "model" from a histogram and passes it to
+    :func:`encode_indexes` / :func:`decode_indexes`.  The radix code
+    has no probability model: the only thing read from the returned
+    table is its length, which is the radix.  Goes away with the probe
+    in the next benchmark PR.
 
     Raises:
-        EntropyError: if the counts are empty, all zero, or there are
-            more distinct symbols than ``PROB_SCALE`` can resolve.
+        EntropyError: if the histogram is empty, negative or all zero.
     """
     counts = np.asarray(counts, dtype=np.int64)
     if counts.ndim != 1 or counts.size == 0:
-        raise EntropyError("frequency table must be a non-empty 1-d array")
-    if counts.size > PROB_SCALE:
-        raise EntropyError(
-            f"{counts.size} symbols exceed the {PROB_SCALE}-slot model"
-        )
-    if np.any(counts < 0):
-        raise EntropyError("negative symbol count")
-    total = int(counts.sum())
-    if total <= 0:
-        raise EntropyError("cannot build a model from all-zero counts")
-    freqs = (counts * PROB_SCALE) // total
-    freqs[(counts > 0) & (freqs == 0)] = 1
-    diff = PROB_SCALE - int(freqs.sum())
-    while diff != 0:
-        # Settle the remainder against the largest entry; argmax is
-        # deterministic (first occurrence) so the table is reproducible.
-        slot = int(np.argmax(freqs))
-        if diff > 0:
-            freqs[slot] += diff
-            diff = 0
-        else:
-            take = min(-diff, int(freqs[slot]) - 1)
-            if take <= 0:
-                raise EntropyError("frequency table cannot be normalised")
-            freqs[slot] -= take
-            diff += take
-    return freqs.astype("<u2")
-
-
-def _validate_freqs(freqs: np.ndarray) -> List[int]:
-    freqs = np.asarray(freqs)
-    if freqs.ndim != 1 or freqs.size == 0 or freqs.size > PROB_SCALE:
-        raise EntropyError(f"invalid frequency table of {freqs.size} entries")
-    table: List[int] = [int(f) for f in freqs]
-    if any(f < 0 for f in table) or sum(table) != PROB_SCALE:
-        raise EntropyError(
-            f"frequency table sums to {sum(table)}, expected {PROB_SCALE}"
-        )
-    return table
-
-
-def _cumulative(table: List[int]) -> List[int]:
-    cum = [0] * len(table)
-    run = 0
-    for i, f in enumerate(table):
-        cum[i] = run
-        run += f
-    return cum
-
-
-def encode_indexes(symbols: np.ndarray, freqs: np.ndarray) -> bytes:
-    """Encode a symbol stream against a :func:`quantize_freqs` table.
-
-    Returns the coded byte string: 4 bytes of final coder state
-    followed by the renormalisation stream in decode order.
-
-    Raises:
-        EntropyError: if a symbol falls outside the table or has a zero
-            quantised frequency.
-    """
-    table = _validate_freqs(freqs)
-    cum = _cumulative(table)
-    num_symbols = len(table)
-    x = _RANS_L
-    out = bytearray()
-    # Encode runs the recurrence backwards so decode streams forwards.
-    for s in reversed(np.asarray(symbols).tolist()):
-        s = int(s)
-        if not 0 <= s < num_symbols:
-            raise EntropyError(f"symbol {s} outside {num_symbols}-entry model")
-        f = table[s]
-        if f == 0:
-            raise EntropyError(f"symbol {s} has zero modelled frequency")
-        x_max = ((_RANS_L >> PROB_BITS) << 8) * f
-        while x >= x_max:
-            out.append(x & 0xFF)
-            x >>= 8
-        x = (x // f) * PROB_SCALE + cum[s] + (x % f)
-    out.reverse()
-    return x.to_bytes(_STATE_BYTES, "little") + bytes(out)
-
-
-def decode_indexes(blob: bytes, freqs: np.ndarray, count: int) -> np.ndarray:
-    """Decode exactly ``count`` symbols; the inverse of :func:`encode_indexes`.
-
-    The decoder re-derives the slot-to-symbol map from the frequency
-    table and checks that the stream lands back on the encoder's start
-    state with no bytes left over — truncated, padded, or corrupted
-    streams raise :class:`EntropyError` rather than returning wrong
-    symbols undetected.
-    """
-    if count < 0:
-        raise EntropyError(f"cannot decode {count} symbols")
-    table = _validate_freqs(freqs)
-    cum = _cumulative(table)
-    if len(blob) < _STATE_BYTES:
-        raise EntropyError(f"coded stream of {len(blob)} bytes is too short")
-    x = int.from_bytes(blob[:_STATE_BYTES], "little")
-    if not _RANS_L <= x < (_RANS_L << 8):
-        raise EntropyError(f"coder state {x} outside the normalised interval")
-    lookup = np.repeat(
-        np.arange(len(table), dtype=np.int64), np.asarray(table, dtype=np.int64)
-    ).tolist()
-    mask = PROB_SCALE - 1
-    pos = _STATE_BYTES
-    end = len(blob)
-    out: List[int] = []
-    for _ in range(count):
-        slot = x & mask
-        s = lookup[slot]
-        x = table[s] * (x >> PROB_BITS) + slot - cum[s]
-        while x < _RANS_L:
-            if pos >= end:
-                raise EntropyError("truncated coded stream")
-            x = (x << 8) | blob[pos]
-            pos += 1
-        out.append(s)
-    if x != _RANS_L:
-        raise EntropyError("corrupt coded stream: final state mismatch")
-    if pos != end:
-        raise EntropyError(
-            f"{end - pos} trailing bytes after the coded stream"
-        )
-    return np.asarray(out, dtype=np.int64)
-
-
-def coded_size_bound(freqs: np.ndarray, counts: np.ndarray) -> Tuple[float, int]:
-    """(entropy bits/symbol, table bytes) — sizing hint for callers."""
-    table = np.asarray(freqs, dtype=np.float64)
-    counts = np.asarray(counts, dtype=np.float64)
-    total = counts.sum()
-    if total <= 0:
-        return 0.0, int(table.size * 2)
-    probs = table / PROB_SCALE
-    used = counts > 0
-    bits = float(-(counts[used] / total * np.log2(probs[used])).sum())
-    return bits, int(table.size * 2)
+        raise EntropyError("histogram must be a non-empty 1-d array")
+    if counts.min() < 0 or not counts.any():
+        raise EntropyError("histogram must be non-negative and not all zero")
+    return np.minimum(counts, 0xFFFF).astype("<u2")

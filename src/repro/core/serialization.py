@@ -26,11 +26,12 @@ Two payload versions share one layout (all integers little-endian)::
 
 Version 1 is frozen (the committed golden fixtures pin it byte for
 byte).  Version 2 keeps the identical layout and adds one optional
-encoding: index marker 3 is an rANS entropy-coded bucket-index stream
-(:mod:`repro.core.entropy`) modelled by the stream's own quantised
-histogram — the same CDF shape the quantile sketch shipped — chosen
-per part only when it beats the plain/bit-packed encoding, so v2 is
-never larger than v1.  See ``docs/wire.md`` for the full spec.
+encoding: index marker 4 is a dense fixed-radix coding of the
+bucket-index stream (:mod:`repro.core.entropy`: base ``num_symbols``
+digits packed ``k`` to a ``wb``-byte word, no model on the wire),
+chosen per part only when it beats the plain/bit-packed encoding, so
+v2 is never larger than v1.  Marker 3 (the rANS block it replaced) is
+retired and rejected by name.  See ``docs/wire.md`` for the full spec.
 
 Both directions stream: :func:`iter_serialize_message` yields the wire
 bytes in bounded chunks and :func:`deserialize_message_chunks` parses
@@ -102,7 +103,8 @@ _KEY_KIND_DELTA = 1
 #: Index markers inside a kind-1 part.  1 and 2 double as the array
 #: itemsize, a v1 layout quirk kept for compatibility.
 _MARKER_PACKED = 0
-_MARKER_ENTROPY = 3
+_MARKER_RANS_RETIRED = 3  # the v2 rANS block; rejected by name
+_MARKER_ENTROPY = 4
 _ENTROPY_ORIGIN_PLAIN = 0
 _ENTROPY_ORIGIN_PACKED = 1
 
@@ -119,6 +121,7 @@ _DIMENSION_NNZ = struct.Struct("<QQ")
 # rows, bins, index_range, seed, hash family id, bytes per cell
 _SKETCH_HEADER = struct.Struct("<BIIqBB")
 _GROUPED_HEADER = struct.Struct("<BI")  # num_groups, index_range
+_ENTROPY_FIELDS = struct.Struct("<BBH")  # origin, width, num_symbols
 
 
 class SerializationError(ValueError):
@@ -331,36 +334,44 @@ def _read_grouped(r: _Reader) -> GroupedMinMaxSketch:
 
 
 # ----------------------------------------------------------------------
-# entropy-coded indexes (payload v2 only)
+# dense-coded indexes (payload v2 only)
 # ----------------------------------------------------------------------
 def _entropy_block(
     symbols: np.ndarray, itemsize: int, fallback_len: int
-) -> Optional[Tuple[np.ndarray, bytes]]:
-    """Try to entropy-code an index stream; ``None`` keeps the fallback.
+) -> Optional[Tuple[int, bytes]]:
+    """Try to dense-code an index stream; ``None`` keeps the fallback.
 
     ``fallback_len`` is the byte length of the encoding the part would
     otherwise use (plain array or bit-packed).  The choice is
     deterministic, so re-encoding a decoded message reproduces the
-    exact wire bytes.
+    exact wire bytes.  Returns ``(num_symbols, coded)``.
     """
     if symbols.size == 0 or itemsize not in (1, 2):
         return None
-    try:
-        counts = np.bincount(np.asarray(symbols, dtype=np.int64))
-        freqs = _entropy.quantize_freqs(counts)
-        coded = _entropy.encode_indexes(symbols, freqs)
-    except (_entropy.EntropyError, ValueError):
+    num_symbols = int(symbols.max()) + 1
+    if num_symbols > 0xFFFF:
         return None
-    if freqs.size > 0xFFFF:
-        return None
-    # marker + origin + width + num_symbols + table + prefixed stream
-    block_len = 1 + 1 + 1 + 2 + freqs.size * 2 + 8 + len(coded)
+    # marker + origin + width + num_symbols + prefixed stream; the
+    # coded length is a function of (alphabet, count) alone, so a
+    # stream that cannot win is never coded.
+    block_len = 1 + 1 + 1 + 2 + 8 + _entropy.coded_size(num_symbols, symbols.size)
     if telemetry.enabled():
         telemetry.counter("codec.entropy.plain_bytes", fallback_len)
         telemetry.counter("codec.entropy.coded_bytes", min(block_len, fallback_len))
     if block_len >= fallback_len:
         return None
-    return freqs, coded
+    return num_symbols, _entropy.encode_indexes(symbols, num_symbols)
+
+
+def _write_entropy_block(
+    w: _Writer, origin: int, width: int, block: Tuple[int, bytes]
+) -> None:
+    # The origin byte + width restore the exact fallback representation
+    # on decode, so re-encoding the message reproduces the wire bytes.
+    num_symbols, coded = block
+    w.pack(_U8, _MARKER_ENTROPY)
+    w.pack(_ENTROPY_FIELDS, origin, width, num_symbols)
+    w.blob(coded)
 
 
 def _write_index_stream(w: _Writer, part: SignPart, entropy: bool) -> None:
@@ -379,16 +390,9 @@ def _write_index_stream(w: _Writer, part: SignPart, entropy: bool) -> None:
             w.pack(_U8, part.index_bits)
             w.blob(part.packed_indexes)
         else:
-            freqs, coded = block
-            # Origin 1 (bit-packed) + the pack width, so decoding
-            # restores the exact fallback representation and
-            # re-encoding the message reproduces the wire bytes.
-            w.pack(_U8, _MARKER_ENTROPY)
-            w.pack(_U8, _ENTROPY_ORIGIN_PACKED)
-            w.pack(_U8, part.index_bits)
-            w.pack(_U16, freqs.size)
-            w.raw(freqs.astype("<u2").tobytes())
-            w.blob(coded)
+            _write_entropy_block(
+                w, _ENTROPY_ORIGIN_PACKED, part.index_bits, block
+            )
     else:
         idx = np.asarray(part.indexes)
         itemsize = idx.dtype.itemsize
@@ -398,20 +402,13 @@ def _write_index_stream(w: _Writer, part: SignPart, entropy: bool) -> None:
             w.pack(_U8, itemsize)
             w.array(np.asarray(idx, dtype=f"<u{itemsize}"))
         else:
-            freqs, coded = block
-            w.pack(_U8, _MARKER_ENTROPY)
-            w.pack(_U8, _ENTROPY_ORIGIN_PLAIN)
-            w.pack(_U8, itemsize)
-            w.pack(_U16, freqs.size)
-            w.raw(freqs.astype("<u2").tobytes())
-            w.blob(coded)
+            _write_entropy_block(w, _ENTROPY_ORIGIN_PLAIN, itemsize, block)
 
 
 def _read_entropy_indexes(r: _Reader, part: SignPart, message_nnz: int) -> None:
-    origin = r.unpack(_U8)
+    origin, width, num_symbols = r.unpack(_ENTROPY_FIELDS)
     if origin not in (_ENTROPY_ORIGIN_PLAIN, _ENTROPY_ORIGIN_PACKED):
         raise SerializationError(f"unknown entropy origin {origin}")
-    width = r.unpack(_U8)
     if origin == _ENTROPY_ORIGIN_PACKED:
         if not 1 <= width <= 16:
             raise SerializationError(
@@ -423,29 +420,29 @@ def _read_entropy_indexes(r: _Reader, part: SignPart, message_nnz: int) -> None:
     dtype = {1: "u1", 2: "<u2"}.get(itemsize)
     if dtype is None:
         raise SerializationError(f"unknown index width {itemsize}")
-    num_symbols = r.unpack(_U16)
     if num_symbols < 1:
-        raise SerializationError("empty entropy model")
-    table = r.raw(num_symbols * 2)
-    try:
-        freqs = np.frombuffer(table, dtype="<u2")
-    except ValueError as exc:  # pragma: no cover - size is exact by construction
-        raise SerializationError(f"malformed entropy table: {exc}") from None
-    # The symbol count drives the decode loop; clamp it against the
-    # message-level nnz (itself budget-checked) so a lying part header
-    # cannot turn decode into an unbounded loop.
+        raise SerializationError("empty index alphabet")
+    if num_symbols > (1 << (8 * itemsize)):
+        raise SerializationError(
+            f"{num_symbols}-symbol alphabet does not fit index width {itemsize}"
+        )
+    if origin == _ENTROPY_ORIGIN_PACKED and num_symbols > (1 << width):
+        raise SerializationError(
+            f"{num_symbols}-symbol alphabet does not fit pack width {width}"
+        )
+    # Clamp the symbol count against the message-level nnz (itself
+    # budget-checked) so a lying part header cannot size the decode.
     if part.nnz > message_nnz:
         raise SerializationError(
             f"part nnz {part.nnz} exceeds message nnz {message_nnz}"
         )
-    # A zero-entropy model (one symbol at full probability) consumes no
-    # coded bytes per symbol, so the coded length alone cannot bound
-    # the loop.  The part's key stream can: an index part carries one
-    # key per index, and the keys were already read as physically
-    # present bytes — raw keys at 4 bytes each, delta-coded keys at
-    # ≥ 1 payload byte plus a quarter flag byte each after the u4
-    # count header.  Reject any nnz those bytes cannot justify before
-    # spinning the decode loop.
+    # A one-symbol alphabet codes to zero bytes per symbol, so the
+    # coded length alone cannot bound the count.  The part's key
+    # stream can: an index part carries one key per index, and the
+    # keys were already read as physically present bytes — raw keys at
+    # 4 bytes each, delta-coded keys at ≥ 1 payload byte plus a
+    # quarter flag byte each after the u4 count header.  Reject any
+    # nnz those bytes cannot justify before decoding.
     if part.raw_keys is not None:
         if part.raw_keys.size != part.nnz:
             raise SerializationError(
@@ -467,22 +464,19 @@ def _read_entropy_indexes(r: _Reader, part: SignPart, message_nnz: int) -> None:
         )
     coded = r.blob()
     try:
-        symbols = _entropy.decode_indexes(coded, freqs, part.nnz)
+        symbols = _entropy.decode_indexes(coded, num_symbols, part.nnz)
     except _entropy.EntropyError as exc:
-        raise SerializationError(f"corrupt entropy-coded indexes: {exc}") from None
-    if num_symbols > (1 << (8 * itemsize)):
+        raise SerializationError(f"corrupt dense-coded indexes: {exc}") from None
+    # The encoder never codes an empty stream and its radix is max + 1;
+    # anything looser would decode but not re-encode to the same bytes.
+    if part.nnz == 0 or int(symbols.max()) != num_symbols - 1:
         raise SerializationError(
-            f"{num_symbols}-symbol model does not fit index width {itemsize}"
+            f"{num_symbols}-symbol alphabet is wider than the stream's "
+            f"largest index"
         )
     if origin == _ENTROPY_ORIGIN_PACKED:
-        if num_symbols > (1 << width):
-            raise SerializationError(
-                f"{num_symbols}-symbol model does not fit pack width {width}"
-            )
         part.index_bits = width
-        part.packed_indexes = pack_uint_array(
-            symbols.astype(np.uint64), width
-        )
+        part.packed_indexes = pack_uint_array(symbols, width)
     else:
         part.indexes = symbols.astype(dtype)
 
@@ -566,10 +560,15 @@ def _read_part(r: _Reader, version: int, message_nnz: int) -> SignPart:
                     f"invalid packed index width {part.index_bits}"
                 )
             part.packed_indexes = r.blob()
-        elif marker == _MARKER_ENTROPY:
+        elif marker in (_MARKER_ENTROPY, _MARKER_RANS_RETIRED):
             if version < PAYLOAD_VERSION_V2:
                 raise SerializationError(
                     "entropy-coded indexes are not valid in a v1 message"
+                )
+            if marker == _MARKER_RANS_RETIRED:
+                raise SerializationError(
+                    "index marker 3 (rANS-coded indexes) is retired; "
+                    "the peer must send marker 4 (dense radix)"
                 )
             _read_entropy_indexes(r, part, message_nnz)
         else:
@@ -621,7 +620,8 @@ def serialize_message(
     ``version`` selects the payload version negotiated for the
     connection; the default (v1) byte stream is frozen by the golden
     fixtures.  ``entropy`` (v2 only) lets each part swap its
-    bucket-index stream for an rANS-coded one when that is smaller.
+    bucket-index stream for a dense radix-coded one when that is
+    smaller.
 
     Raises:
         TypeError: if the message was not produced by

@@ -112,8 +112,8 @@ def case_payloads(case: Dict) -> Dict[int, bytes]:
 
     Version 1 is the frozen legacy encoding; version 2 is serialized
     with entropy coding *requested* (the encoder falls back to the
-    plain block deterministically when rANS does not win, so the bytes
-    are still unique per case).
+    plain block deterministically when the dense radix block does not
+    win, so the bytes are still unique per case).
     """
     message = case_message(case)
     return {

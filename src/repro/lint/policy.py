@@ -44,7 +44,7 @@ DUAL_PATH_MODULES = frozenset(
 
 #: Modules whose non-scalar paths must stay free of Python-level loops
 #: over array elements (``hot-loop`` rule).
-VECTORISED_MODULES = DUAL_PATH_MODULES | {"core/bitpack.py"}
+VECTORISED_MODULES = DUAL_PATH_MODULES | {"core/bitpack.py", "core/entropy.py"}
 
 #: Modules where every array constructor must pin its dtype — the
 #: uint64 hash grid and the wire codecs, where a silent float64/object

@@ -1,22 +1,22 @@
-"""Wire serialization bench: payload v1 vs v2 entropy coding.
+"""Wire serialization bench: payload v1 vs v2 dense index coding.
 
 Times ``serialize_message``/``deserialize_message`` at payload version
-1 (the frozen legacy encoding) and at version 2 with entropy coding of
-the bucket-index streams, over the suite's gradient sizes, and records
-the measured bytes-on-wire of each version so the v2 entropy reduction
-is a number in ``BENCH_codec.json`` rather than a claim.
+1 (the frozen legacy encoding) and at version 2 with ``entropy=True``
+(dense fixed-radix coding of the bucket-index streams), over the
+suite's gradient sizes, and records the measured bytes-on-wire of each
+version so the v2 reduction is a number in ``BENCH_codec.json`` rather
+than a claim.
 
 The byte accounting comes from the codec's own telemetry counters
 (``codec.entropy.plain_bytes`` / ``codec.entropy.coded_bytes``,
-emitted inside the rANS block writer): the bench installs a summing
-probe recorder around one v2 serialize per size, so the JSON reflects
-exactly what the encoder metered on the wire path.
+emitted where the serializer chooses the index block): the bench
+installs a summing probe recorder around one v2 serialize per size, so
+the JSON reflects exactly what the encoder metered on the wire path.
 
 The gradient uses the quantization-only configuration
-(``enable_minmax=False``) — the bucket-index stream dominates that
-payload, which is where entropy coding is designed to win; the sketch
-rows of the full configuration are high-entropy and fall back to the
-plain block.
+(``enable_minmax=False``) — the only payload kind with a bucket-index
+stream; sketch parts of the full configuration carry none and are
+byte-identical at both versions.
 """
 
 from __future__ import annotations

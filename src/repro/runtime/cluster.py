@@ -104,7 +104,7 @@ class RuntimeConfig:
         worker_caps: per-worker capability overrides — the conformance
             tier pins mixed v1/v2 fleets with this (``None`` → every
             worker advertises everything).
-        entropy_coding: request rANS entropy coding of bucket-index
+        entropy_coding: request dense radix coding of bucket-index
             streams on payload-v2 connections (``docs/wire.md``);
             v1-pinned peers are unaffected.
         chunk_bytes: data bytes per ``CHUNK`` frame when a body larger

@@ -121,7 +121,7 @@ class WorkerBootstrap:
             runs, where only the pre-cut shard ships.
         shard_rows: row indices of the initial shard into
             ``full_dataset`` (required iff ``full_dataset`` is set).
-        entropy_coding: request rANS entropy coding of the bucket-index
+        entropy_coding: request dense radix coding of the bucket-index
             stream (``docs/wire.md``).  Only takes effect when the
             connection negotiated payload v2; a v1-pinned worker
             silently serialises plain v1 bytes.

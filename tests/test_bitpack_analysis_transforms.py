@@ -69,6 +69,40 @@ class TestBitPack:
         blob = pack_uint_array(values, bits)
         np.testing.assert_array_equal(unpack_uint_array(blob, n, bits), values)
 
+    @staticmethod
+    def _unpack_reference(blob, count, bits):
+        """The pre-rewrite expression: an ``n x bits`` int64 bit matrix,
+        shifted and summed.  Kept as the executable spec."""
+        needed = packed_size_bytes(count, bits)
+        bit_array = np.unpackbits(
+            np.frombuffer(blob[:needed], dtype=np.uint8),  # repro: noqa[wire-format] — the reference unpack reads the packed bytes exactly as the old implementation did
+            count=count * bits,
+        )
+        bit_matrix = bit_array.reshape(count, bits).astype(np.int64)
+        shifts = np.arange(bits - 1, -1, -1, dtype=np.int64)
+        return (bit_matrix << shifts[None, :]).sum(axis=1)
+
+    @given(
+        bits=st.integers(min_value=1, max_value=16),
+        count=st.integers(min_value=0, max_value=600),
+        slack=st.integers(min_value=0, max_value=3),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_unpack_matches_bit_matrix_reference(self, bits, count, slack, seed):
+        """Arbitrary bytes (not only ``pack`` output), every width,
+        trailing slack bytes: same values, same dtype, same error."""
+        needed = packed_size_bytes(count, bits)
+        data = np.random.default_rng(seed).bytes(needed + slack)
+        got = unpack_uint_array(data, count, bits)
+        assert got.dtype == np.int64 and got.shape == (count,)
+        if count:
+            np.testing.assert_array_equal(
+                got, self._unpack_reference(data, count, bits)
+            )
+            with pytest.raises(ValueError, match="needed"):
+                unpack_uint_array(data[:needed - 1], count, bits)
+
 
 class TestGradientProfile:
     def make(self, seed=0, scale=0.01, nnz=5_000, dimension=100_000):

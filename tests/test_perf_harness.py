@@ -133,7 +133,7 @@ class TestWireBench:
             f"{k}/2048" for k in WIRE_KERNELS
         }
         row = section["sizes"]["2048"]
-        # The encoder only swaps in the rANS block when it is strictly
+        # The encoder only swaps in the dense block when it is strictly
         # smaller, so v2 can never be larger than v1 — and the
         # telemetry counters must agree with that choice.
         assert 0 < row["v2_bytes"] <= row["v1_bytes"]

@@ -35,6 +35,7 @@ from hypothesis import strategies as st
 from repro import kernels
 from repro.core.compressor import SketchMLCompressor
 from repro.core.config import SketchMLConfig
+from repro.core.entropy import encode_indexes, radix_params
 from repro.core.serialization import (
     MAX_MESSAGE_BYTES,
     SerializationError,
@@ -216,7 +217,7 @@ class TestRoundTripProperties:
 def _base_messages():
     """Two fixed, deterministic wire payloads to mutate: the packed
     quantization config at v1 and at v2 (the v2 bytes exercise the
-    entropy-coded index block)."""
+    dense-coded index block, marker 4)."""
     message = _compress(1234, 900, 40000, "mixed", 2)
     return {
         1: _serialize_at(message, 1),
@@ -310,8 +311,90 @@ def _blob_count_cases():
     return cases
 
 
+def _forge_index_message(
+    block, nnz, *, version=2, flags=2, num_keys=None, message_nnz=None
+):
+    """A one-part kind-1 message around a hand-built index block:
+    ``num_keys`` raw keys (default: one per index), a one-bucket table,
+    then ``block`` verbatim where the index marker goes."""
+    num_keys = nnz if num_keys is None else num_keys
+    message_nnz = nnz if message_nnz is None else message_nnz
+    w = bytearray()
+    w += b"SKML" + struct.pack("<BB", version, flags)  # repro: noqa[wire-format] — forging adversarial index blocks is the point of this corpus
+    w += struct.pack("<QQB", 1 << 31, message_nnz, 1)  # repro: noqa[wire-format] — dimension, message nnz, one part
+    w += struct.pack("<bQB", 1, nnz, 1)  # repro: noqa[wire-format] — sign, part nnz, kind=indexes
+    w += struct.pack("<BQ", 0, 4 * num_keys)  # repro: noqa[wire-format] — raw key stream
+    w += np.arange(num_keys, dtype="<u4").tobytes()  # repro: noqa[wire-format] — the keys
+    w += struct.pack("<Hb", 1, 1)  # repro: noqa[wire-format] — bucket count + sign
+    w += struct.pack("<Qdd", 16, 0.0, 1.0)  # repro: noqa[wire-format] — splits
+    w += struct.pack("<Qd", 8, 0.5)  # repro: noqa[wire-format] — means
+    return bytes(w + block)
+
+
+def _dense_block(origin, width, num_symbols, blob, marker=4):
+    return (
+        struct.pack("<BBBH", marker, origin, width, num_symbols)  # repro: noqa[wire-format] — marker, origin, width, alphabet
+        + struct.pack("<Q", len(blob)) + blob  # repro: noqa[wire-format] — length-prefixed coded words
+    )
+
+
+#: 9 symbols over a 57-symbol alphabet: (k, wb) = (4, 3), so three
+#: words, the last one holding one digit and three padding digits.
+_DENSE_RADIX = 57
+_DENSE_SYMBOLS = np.array([56, 0, 13, 55, 1, 2, 3, 4, 9], dtype=np.uint8)
+_DENSE_BLOB = encode_indexes(_DENSE_SYMBOLS, _DENSE_RADIX)
+
+
+def _dense_word(digits):
+    value = 0
+    for d in digits:
+        value = value * _DENSE_RADIX + d
+    return value.to_bytes(3, "little")
+
+
+def _dense_block_cases():
+    """Forged marker-4 parts: every decode check of the dense radix
+    block, one mutation each (the unmutated block decodes — see
+    ``test_forged_dense_baseline_decodes``)."""
+    assert radix_params(_DENSE_RADIX) == (4, 3)
+    n = _DENSE_SYMBOLS.size
+    blob = _DENSE_BLOB
+
+    def forge(coded=blob, *, origin=0, width=1, num_symbols=_DENSE_RADIX,
+              marker=4, nnz=n, **message):
+        return _forge_index_message(
+            _dense_block(origin, width, num_symbols, coded, marker=marker),
+            nnz, **message,
+        )
+
+    return [
+        ("dense-blob-short", forge(blob[:-1])),
+        ("dense-blob-long", forge(blob + b"\x00")),
+        ("dense-word-out-of-range",
+         forge(blob[:3] + (_DENSE_RADIX ** 4).to_bytes(3, "little") + blob[6:])),
+        ("dense-nonzero-padding", forge(blob[:6] + _dense_word([9, 0, 0, 1]))),
+        ("dense-alphabet-empty", forge(num_symbols=0)),
+        # Valid words for base 58, but no symbol reaches 57.
+        ("dense-alphabet-loose",
+         forge(encode_indexes(_DENSE_SYMBOLS, _DENSE_RADIX + 1),
+               num_symbols=_DENSE_RADIX + 1)),
+        ("dense-alphabet-over-u1", forge(num_symbols=300)),
+        ("dense-alphabet-over-pack-width", forge(origin=1, width=5)),
+        ("dense-bad-origin", forge(origin=2)),
+        # The keys justify nnz + 4, the coded words do not.
+        ("dense-nnz-lie", forge(nnz=n + 4)),
+        ("dense-empty-stream", forge(b"", nnz=0)),
+        ("dense-part-nnz-over-message", forge(message_nnz=n - 1)),
+        ("rans-marker-retired", forge(marker=3)),
+        ("dense-marker-in-v1", forge(version=1, flags=0)),
+    ]
+
+
+_DENSE_CASES = _dense_block_cases()
+
 MUST_FAIL_CASES = (
     _truncation_cases() + _length_lie_cases() + _blob_count_cases()
+    + _DENSE_CASES
 )
 MAY_ACCEPT_CASES = _bitflip_cases()
 
@@ -355,6 +438,41 @@ def test_bit_flips_never_decode_silently_wrong(data, mode):
             assert serialize_message(
                 message, version=version, entropy=entropy
             ) == data
+
+
+def test_forged_dense_baseline_decodes():
+    """The unmutated forged block decodes to its symbols — the cases
+    above fail for the mutation, not because the forgery is broken."""
+    data = _forge_index_message(
+        _dense_block(0, 1, _DENSE_RADIX, _DENSE_BLOB), _DENSE_SYMBOLS.size
+    )
+    message = deserialize_message(data)
+    part = message.payload.parts[0]
+    assert np.array_equal(part.indexes, _DENSE_SYMBOLS)
+    assert part.indexes.dtype == np.uint8
+
+
+@pytest.mark.parametrize(
+    "case, pattern",
+    [
+        ("dense-blob-short", "code to"),
+        ("dense-blob-long", "code to"),
+        ("dense-word-out-of-range", "not below"),
+        ("dense-nonzero-padding", "padding"),
+        ("dense-alphabet-empty", "empty index alphabet"),
+        ("dense-alphabet-loose", "wider than"),
+        ("dense-alphabet-over-u1", "index width"),
+        ("dense-alphabet-over-pack-width", "pack width"),
+        ("dense-nnz-lie", "code to"),
+        ("dense-empty-stream", "wider than"),
+        ("rans-marker-retired", "marker 3.*retired"),
+        ("dense-marker-in-v1", "not valid in a v1 message"),
+    ],
+)
+def test_forged_dense_blocks_fail_on_the_intended_check(case, pattern):
+    data = dict(_DENSE_CASES)[case]
+    with pytest.raises(SerializationError, match=pattern):
+        deserialize_message(data)
 
 
 # ----------------------------------------------------------------------
@@ -586,28 +704,22 @@ class TestLengthBudgetRegressions:
         with pytest.raises(SerializationError):
             deserialize_message_chunks(pieces, max_message_bytes=64)
 
-    def test_entropy_decode_count_is_bounded_by_key_bytes(self):
-        """A zero-entropy rANS model consumes no coded bytes per symbol,
-        so a forged nnz must be rejected against the part's key stream
-        before the decode loop runs — not after 2**30 iterations."""
+    @pytest.mark.parametrize("mode", ["scalar", "vectorised"])
+    def test_entropy_decode_count_is_bounded_by_key_bytes(self, mode):
+        """A one-symbol alphabet codes to zero bytes per symbol, so the
+        exact-length check cannot bound nnz; a forged nnz must be
+        rejected against the part's key stream before decode allocates
+        2**30 symbols."""
         nnz_lie = 1 << 30
-        w = bytearray()
-        w += b"SKML" + struct.pack("<BB", 2, 2)  # repro: noqa[wire-format] — forging an adversarial v2 entropy message is the point
-        w += struct.pack("<QQ", 1 << 31, nnz_lie)  # repro: noqa[wire-format] — dimension + lying message nnz
-        w += struct.pack("<B", 1)  # repro: noqa[wire-format] — one part
-        w += struct.pack("<bQB", 1, nnz_lie, 1)  # repro: noqa[wire-format] — sign, lying part nnz, kind=indexes
-        # Raw key stream holding exactly ONE key (4 bytes).
-        w += struct.pack("<BQI", 0, 4, 7)  # repro: noqa[wire-format] — key kind, blob length, the key
-        # Minimal bucket table: 1 bucket.
-        w += struct.pack("<Hb", 1, 1)  # repro: noqa[wire-format] — bucket count + sign
-        w += struct.pack("<Qdd", 16, 0.0, 1.0)  # repro: noqa[wire-format] — splits
-        w += struct.pack("<Qd", 8, 0.5)  # repro: noqa[wire-format] — means
-        # Entropy block: single-symbol table at full probability, and
-        # a 4-byte coded stream that is just the rANS start state.
-        w += struct.pack("<BBBHH", 3, 0, 1, 1, 4096)  # repro: noqa[wire-format] — marker, origin, width, model
-        w += struct.pack("<Q", 4) + (1 << 16).to_bytes(4, "little")  # repro: noqa[wire-format] — coded stream
-        with pytest.raises(SerializationError, match="raw keys"):
-            deserialize_message(bytes(w))
+        data = _forge_index_message(
+            _dense_block(0, 1, 1, b""), nnz_lie, num_keys=1
+        )
+        forced = (
+            kernels.scalar_kernels() if mode == "scalar"
+            else kernels.vectorised_kernels()
+        )
+        with forced, pytest.raises(SerializationError, match="raw keys"):
+            deserialize_message(data)
 
 
 def test_corpus_is_large_enough():
