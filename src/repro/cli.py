@@ -751,6 +751,11 @@ def _run_perf(args: argparse.Namespace) -> int:
             f"coded {row['entropy']['coded_bytes']} of "
             f"{row['entropy']['plain_bytes']} plain index bytes)"
         )
+        sketch = row["sketch"]
+        print(
+            f"wire v2 sketch @nnz={nnz}: {sketch['v1_bytes']} -> "
+            f"{sketch['v2_bytes']} bytes ({sketch['reduction_pct']}% smaller)"
+        )
     out = args.out or BENCH_FILENAME
     if out != "-":
         try:

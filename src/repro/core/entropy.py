@@ -1,4 +1,4 @@
-"""Dense fixed-radix code for the bucket-index stream.
+"""Dense fixed-radix code for bucket indexes and sketch cells.
 
 A kind-1 part (the ``Adam+Key+Quan`` path; sketch parts carry no index
 stream) ships one bucket index per key.  The quantizer's buckets are
@@ -15,7 +15,10 @@ digits, each word is the base-``b`` integer of its digits (Horner,
 most significant first) and is written as ``wb`` little-endian bytes.
 ``(k, wb)`` is the pair with ``b**k <= 2**64`` that minimises ``wb/k``
 (:func:`radix_params`; e.g. ``b = 57 → (4, 3)``: 6.00 bits/symbol).
-Properties the wire format relies on:
+Payload v2 uses the same code for a grouped sketch's cells, whose
+alphabet is an in-group offset or the empty sentinel (9 symbols at the
+default ``q = 128, r = 8``: ``(5, 2)``, 3.2 bits/cell).  Properties the
+wire format relies on:
 
 * **Deterministic** — integer arithmetic only; ``(b, symbols)`` fixes
   the bytes on every platform (the golden fixtures pin this).

@@ -32,7 +32,13 @@ import numpy as np
 from .. import kernels, sanitize
 from ..sketch.hashing import build_hash_family, hash_all_grouped
 
-__all__ = ["MinMaxSketch", "GroupedMinMaxSketch"]
+__all__ = ["MinMaxSketch", "GroupedMinMaxSketch", "GROUP_SEED_STRIDE"]
+
+#: Group ``g`` of a :class:`GroupedMinMaxSketch` hashes with seed
+#: ``seed + GROUP_SEED_STRIDE * g``.  Payload v2 ships only the group-0
+#: seed and rebuilds the others with this stride, so it is part of the
+#: wire format.
+GROUP_SEED_STRIDE = 1009
 
 
 def _dtype_for_range(index_range: int) -> np.dtype:
@@ -255,7 +261,7 @@ class GroupedMinMaxSketch:
         total_bins: total bin budget ``t`` spread across the ``r`` group
             sketches in proportion to nothing — equally, matching the
             paper's fixed ``s × t / r`` per-group sizing.
-        seed: base seed; group ``g`` uses ``seed + g``.
+        seed: base seed; group ``g`` uses ``seed + GROUP_SEED_STRIDE * g``.
     """
 
     def __init__(
@@ -280,7 +286,7 @@ class GroupedMinMaxSketch:
                 num_rows=num_rows,
                 num_bins=bins_per_group,
                 index_range=self.group_width,
-                seed=seed + 1009 * g,
+                seed=seed + GROUP_SEED_STRIDE * g,
                 hash_family=hash_family,
             )
             for g in range(self.num_groups)

@@ -41,11 +41,13 @@ class SignedBuckets:
     Attributes:
         splits: ``num_buckets + 1`` ascending split values covering the
             magnitude range (always non-negative; these are magnitudes).
+            Only the encoder reads them; ``None`` on a table decoded
+            from payload v2, which does not ship them.
         means: per-bucket mean magnitude, ``(splits[i] + splits[i+1])/2``.
         sign: ``+1.0`` or ``-1.0``; decoded values are ``sign * means``.
     """
 
-    splits: np.ndarray
+    splits: Optional[np.ndarray]
     means: np.ndarray
     sign: float
 
@@ -55,6 +57,11 @@ class SignedBuckets:
 
     def encode(self, magnitudes: np.ndarray) -> np.ndarray:
         """Map magnitudes to bucket indexes (0 = closest to zero)."""
+        if self.splits is None:
+            raise ValueError(
+                "these buckets carry no splits (decoded from payload v2); "
+                "only a fitted quantizer can encode"
+            )
         if self.num_buckets == 0:
             raise ValueError("cannot encode with zero buckets")
         # searchsorted against interior splits; values at or below the

@@ -9,7 +9,7 @@ self-describing byte string and back, bit-for-bit:
 ``serialize_message`` → ``bytes`` → ``deserialize_message`` →
 decompresses to exactly the same keys/values as the in-memory message.
 
-Two payload versions share one layout (all integers little-endian)::
+The version 1 layout (all integers little-endian)::
 
     header:   magic "SKML" | version u8 | flags u8 | dimension u64 | nnz u64
               | num_parts u8
@@ -17,21 +17,33 @@ Two payload versions share one layout (all integers little-endian)::
       kind 0 (raw values):      key_kind u8, keys, values f64[]
       kind 1 (indexes):         key_kind u8, keys, bucket block, index
                                 marker u8, indexes
-      kind 2 (grouped sketch):  bucket block, num_groups u8, per group:
-                                key blob (delta-binary, length-prefixed) +
-                                sketch block
+      kind 2 (grouped sketch):  bucket block, num_blobs u8 + one key blob
+                                per group (delta-binary, length-prefixed),
+                                num_groups u8 | index_range u32, then one
+                                sketch block per group
     bucket block:  num_buckets u16 | sign i8 | splits f64[q+1] | means f64[q]
-    sketch block:  rows u8 | bins u32 | index_range u32 | seed u64 |
-                   hash_family u8 | table bytes
+    sketch block:  rows u8 | bins u32 | index_range u32 | seed i64 |
+                   hash_family u8 | cell_width u8 | table bytes
 
 Version 1 is frozen (the committed golden fixtures pin it byte for
-byte).  Version 2 keeps the identical layout and adds one optional
-encoding: index marker 4 is a dense fixed-radix coding of the
-bucket-index stream (:mod:`repro.core.entropy`: base ``num_symbols``
-digits packed ``k`` to a ``wb``-byte word, no model on the wire),
-chosen per part only when it beats the plain/bit-packed encoding, so
-v2 is never larger than v1.  Marker 3 (the rANS block it replaced) is
-retired and rejected by name.  See ``docs/wire.md`` for the full spec.
+byte).  Version 2 keeps the layout, drops what no decoder reads and
+codes what is left densely, so it is never larger than v1:
+
+* the bucket block loses ``splits`` (``num_buckets u16 | sign i8 |
+  means f64[q]``); decoded v2 buckets have ``splits=None``;
+* a kind-2 part ships one shared sketch header (group 0's seed; group
+  ``g`` hashes with ``seed + GROUP_SEED_STRIDE * g``) and then every
+  group's cells as one dense radix stream over the ``gir + 1`` symbols
+  ``0 … gir - 1`` plus ``gir`` for the empty sentinel, where ``gir`` is
+  the per-group index range;
+* optionally (flag ``ENTROPY``) index marker 4 dense-codes a kind-1
+  part's bucket-index stream, chosen per part only when it beats the
+  plain/bit-packed encoding.  Marker 3 (the rANS block it replaced) is
+  retired and rejected by name.
+
+The dense radix code is :mod:`repro.core.entropy` (base-``b`` digits
+packed ``k`` to a ``wb``-byte word, no model on the wire).  See
+``docs/wire.md`` for the full spec.
 
 Both directions stream: :func:`iter_serialize_message` yields the wire
 bytes in bounded chunks and :func:`deserialize_message_chunks` parses
@@ -58,7 +70,12 @@ from ..compression.base import CompressedGradient
 from . import entropy as _entropy
 from .bitpack import pack_uint_array, unpack_uint_array
 from .compressor import SketchMLPayload, SignPart
-from .minmax_sketch import GroupedMinMaxSketch, MinMaxSketch
+from .minmax_sketch import (
+    GROUP_SEED_STRIDE,
+    GroupedMinMaxSketch,
+    MinMaxSketch,
+    _dtype_for_range,
+)
 from .quantizer import SignedBuckets
 
 __all__ = [
@@ -246,21 +263,36 @@ class _Reader:
 # ----------------------------------------------------------------------
 # buckets
 # ----------------------------------------------------------------------
-def _write_buckets(w: _Writer, buckets: SignedBuckets) -> None:
+def _write_buckets(w: _Writer, buckets: SignedBuckets, version: int) -> None:
     w.pack(_U16, buckets.num_buckets)
     w.pack(_I8, 1 if buckets.sign > 0 else -1)
-    w.array(np.asarray(buckets.splits, dtype="<f8"))
+    if version < PAYLOAD_VERSION_V2:
+        # Only v1 ships the splits; no decoder reads them.
+        if buckets.splits is None:
+            raise SerializationError(
+                "payload v1 ships bucket splits, but these buckets were "
+                "decoded from payload v2 and have none; serialize at v2"
+            )
+        w.array(np.asarray(buckets.splits, dtype="<f8"))
     w.array(np.asarray(buckets.means, dtype="<f8"))
 
 
-def _read_buckets(r: _Reader) -> SignedBuckets:
+def _read_buckets(r: _Reader, version: int) -> SignedBuckets:
     num_buckets = r.unpack(_U16)
     sign = float(r.unpack(_I8))
-    splits = r.array("<f8")
+    splits = None
+    if version < PAYLOAD_VERSION_V2:
+        splits = r.array("<f8").copy()
+        if splits.size != num_buckets + 1:
+            raise SerializationError("bucket table sizes are inconsistent")
     means = r.array("<f8")
-    if means.size != num_buckets or splits.size != num_buckets + 1:
-        raise SerializationError("bucket table sizes are inconsistent")
-    return SignedBuckets(splits=splits.copy(), means=means.copy(), sign=sign)
+    if means.size != num_buckets:
+        # At v2 this is also what a v1-style block (splits first) hits.
+        raise SerializationError(
+            f"bucket block declares {num_buckets} buckets but carries "
+            f"{means.size} means"
+        )
+    return SignedBuckets(splits=splits, means=means.copy(), sign=sign)
 
 
 # ----------------------------------------------------------------------
@@ -318,7 +350,39 @@ def _write_grouped(w: _Writer, grouped: GroupedMinMaxSketch) -> None:
         _write_minmax(w, sketch)
 
 
-def _read_grouped(r: _Reader) -> GroupedMinMaxSketch:
+def _write_grouped_v2(w: _Writer, grouped: GroupedMinMaxSketch) -> None:
+    # One shared header, then every group's cells (group-major, then
+    # row-major) as one dense radix stream: a cell is an in-group
+    # offset below ``gir`` or the empty sentinel, coded as ``gir``.
+    if not grouped._fusable():
+        raise SerializationError(
+            "group sketches differ in shape; payload v2 ships one header "
+            "per grouped sketch (use v1)"
+        )
+    sketches = grouped.sketches
+    ref = sketches[0]
+    seeds = [sk._master_seed for sk in sketches]
+    if seeds != [seeds[0] + GROUP_SEED_STRIDE * g for g in range(len(seeds))]:
+        raise SerializationError(
+            f"group seeds {seeds} are off the {GROUP_SEED_STRIDE} stride; "
+            "payload v2 rebuilds them from group 0's (use v1)"
+        )
+    gir = ref.index_range
+    cells = np.concatenate([sk._table.reshape(-1) for sk in sketches])
+    empty = cells == ref._sentinel
+    if not np.all(empty | (cells < gir)):
+        raise SerializationError(
+            f"sketch cell outside [0, {gir}) and not the empty sentinel"
+        )
+    w.pack(_GROUPED_HEADER, grouped.num_groups, grouped.index_range)
+    w.pack(_SKETCH_HEADER, ref.num_rows, ref.num_bins, gir, ref._master_seed,
+           _HASH_FAMILIES.index(ref._hash_family_name), cells.dtype.itemsize)
+    w.raw(_entropy.encode_indexes(
+        np.minimum(cells, cells.dtype.type(gir)), gir + 1
+    ))
+
+
+def _read_grouped_header(r: _Reader) -> GroupedMinMaxSketch:
     num_groups, index_range = r.unpack(_GROUPED_HEADER)
     if num_groups < 1 or index_range < 1:
         raise SerializationError(
@@ -329,7 +393,58 @@ def _read_grouped(r: _Reader) -> GroupedMinMaxSketch:
     grouped.num_groups = num_groups
     grouped.index_range = index_range
     grouped.group_width = -(-index_range // num_groups)
-    grouped._sketches = [_read_minmax(r) for _ in range(num_groups)]
+    return grouped
+
+
+def _read_grouped(r: _Reader) -> GroupedMinMaxSketch:
+    grouped = _read_grouped_header(r)
+    grouped._sketches = [_read_minmax(r) for _ in range(grouped.num_groups)]
+    return grouped
+
+
+def _read_grouped_v2(r: _Reader) -> GroupedMinMaxSketch:
+    grouped = _read_grouped_header(r)
+    rows, bins, gir, seed, family_id, cell_width = r.unpack(_SKETCH_HEADER)
+    if family_id >= len(_HASH_FAMILIES):
+        raise SerializationError(f"unknown hash family id {family_id}")
+    if rows < 1 or bins < 1:
+        raise SerializationError(f"invalid sketch shape {rows}x{bins}")
+    if not 1 <= gir < _entropy.MAX_RADIX:
+        raise SerializationError(f"invalid group index range {gir}")
+    dtype = _dtype_for_range(gir)
+    if cell_width != dtype.itemsize:
+        raise SerializationError(
+            f"cell width {cell_width} disagrees with group index range "
+            f"{gir} (expects {dtype.itemsize})"
+        )
+    # The cell count and radix fix the coded length exactly; check it
+    # against what can still follow before anything is allocated.
+    count = grouped.num_groups * rows * bins
+    coded_len = _entropy.coded_size(gir + 1, count)
+    if coded_len > r.remaining_bound():
+        raise SerializationError(
+            f"declared sketch cells ({grouped.num_groups}x{rows}x{bins}) "
+            f"larger than the remaining message"
+        )
+    try:
+        symbols = _entropy.decode_indexes(r.raw(coded_len), gir + 1, count)
+    except _entropy.EntropyError as exc:
+        raise SerializationError(f"corrupt sketch cells: {exc}") from None
+    sentinel = np.iinfo(dtype).max
+    tables = np.where(symbols == gir, sentinel, symbols).astype(dtype)
+    tables = tables.reshape(grouped.num_groups, rows, bins)
+    family = _HASH_FAMILIES[family_id]
+    try:
+        grouped._sketches = [
+            MinMaxSketch(
+                num_rows=rows, num_bins=bins, index_range=gir,
+                seed=seed + GROUP_SEED_STRIDE * g, hash_family=family,
+                table=tables[g],
+            )
+            for g in range(grouped.num_groups)
+        ]
+    except ValueError as exc:
+        raise SerializationError(f"invalid sketch header: {exc}") from None
     return grouped
 
 
@@ -484,7 +599,7 @@ def _read_entropy_indexes(r: _Reader, part: SignPart, message_nnz: int) -> None:
 # ----------------------------------------------------------------------
 # parts
 # ----------------------------------------------------------------------
-def _write_part(w: _Writer, part: SignPart, entropy: bool = False) -> None:
+def _write_part(w: _Writer, part: SignPart, version: int, entropy: bool) -> None:
     w.pack(_I8, part.sign)
     w.pack(_U64, part.nnz)
     if part.raw_values is not None:
@@ -493,16 +608,19 @@ def _write_part(w: _Writer, part: SignPart, entropy: bool = False) -> None:
         w.array(np.asarray(part.raw_values, dtype="<f8"))
     elif part.sketch is not None:
         w.pack(_U8, _KIND_SKETCH)
-        _write_buckets(w, part.buckets)
+        _write_buckets(w, part.buckets, version)
         blobs = part.group_key_blobs or []
         w.pack(_U8, len(blobs))
         for blob in blobs:
             w.blob(blob)
-        _write_grouped(w, part.sketch)
+        if version < PAYLOAD_VERSION_V2:
+            _write_grouped(w, part.sketch)
+        else:
+            _write_grouped_v2(w, part.sketch)
     else:
         w.pack(_U8, _KIND_INDEXES)
         _write_keys(w, part)
-        _write_buckets(w, part.buckets)
+        _write_buckets(w, part.buckets, version)
         _write_index_stream(w, part, entropy)
 
 
@@ -538,10 +656,13 @@ def _read_part(r: _Reader, version: int, message_nnz: int) -> SignPart:
         _read_keys(r, part)
         part.raw_values = r.array("<f8").copy()
     elif kind == _KIND_SKETCH:
-        part.buckets = _read_buckets(r)
+        part.buckets = _read_buckets(r, version)
         num_blobs = r.unpack(_U8)
         part.group_key_blobs = [r.blob() for _ in range(num_blobs)]
-        part.sketch = _read_grouped(r)
+        part.sketch = (
+            _read_grouped(r) if version < PAYLOAD_VERSION_V2
+            else _read_grouped_v2(r)
+        )
         if num_blobs != part.sketch.num_groups:
             # One key blob per group sketch: a surplus blob has no
             # sketch to query, a missing one drops that group's keys.
@@ -551,7 +672,7 @@ def _read_part(r: _Reader, version: int, message_nnz: int) -> SignPart:
             )
     elif kind == _KIND_INDEXES:
         _read_keys(r, part)
-        part.buckets = _read_buckets(r)
+        part.buckets = _read_buckets(r, version)
         marker = r.unpack(_U8)
         if marker == _MARKER_PACKED:
             part.index_bits = r.unpack(_U8)
@@ -605,7 +726,7 @@ def _build_message(
         w.pack(_F64, payload.decay_scale)
     w.pack(_U8, len(payload.parts))
     for part in payload.parts:
-        _write_part(w, part, entropy=entropy)
+        _write_part(w, part, version, entropy)
     return w
 
 
@@ -627,6 +748,10 @@ def serialize_message(
         TypeError: if the message was not produced by
             :class:`~repro.core.compressor.SketchMLCompressor`.
         ValueError: for an unsupported version/flag combination.
+        SerializationError: at v1, for buckets decoded from v2 (they
+            carry no splits); at v2, for a grouped sketch whose groups
+            differ in shape or seed stride, or that holds a cell
+            outside ``[0, index_range)`` other than the empty sentinel.
     """
     return _build_message(message, version, entropy).getvalue()
 

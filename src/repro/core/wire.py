@@ -2,8 +2,10 @@
 
 :class:`WireSketchMLCompressor` runs the normal SketchML pipeline and
 then *actually serialises* every message with
-:mod:`repro.core.serialization`: the payload handed to the network is a
-byte string, ``num_bytes`` is its true length (framing included), and
+:mod:`repro.core.serialization` at payload version 2 — the version
+every runtime backend negotiates by default, so the size is what the
+runtime ships: the payload handed to the network is a byte string,
+``num_bytes`` is its true length (framing included), and
 decompression starts from those bytes.  Using it in the distributed
 trainer makes the whole simulation's byte accounting exact rather than
 modelled — the honest-mode variant used to validate that the accounting
@@ -25,7 +27,11 @@ from ..compression.base import (
 )
 from .compressor import SketchMLCompressor
 from .config import SketchMLConfig
-from .serialization import deserialize_message, serialize_message
+from .serialization import (
+    PAYLOAD_VERSION_V2,
+    deserialize_message,
+    serialize_message,
+)
 
 __all__ = ["WireSketchMLCompressor"]
 
@@ -54,7 +60,7 @@ class WireSketchMLCompressor(GradientCompressor):
         self, keys: np.ndarray, values: np.ndarray, dimension: int
     ) -> CompressedGradient:
         message = self._inner.compress(keys, values, dimension)
-        wire = serialize_message(message)
+        wire = serialize_message(message, version=PAYLOAD_VERSION_V2)
         return CompressedGradient(
             payload=wire,
             num_bytes=len(wire),

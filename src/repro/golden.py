@@ -12,10 +12,13 @@ digests of the decoded key/value arrays.
 {payload version x kernel path} matrix from the committed case
 parameters and fails closed on any drift: a missing file, a digest
 mismatch, an encoder that no longer reproduces the committed bytes
-under either kernel path, or a v2 payload that decodes to a different
-message than the v1 bytes.  :func:`write_goldens` regenerates the
-fixture files and manifest deliberately — the only sanctioned way to
-change them (bump the payload version; never mutate v1 bytes).
+under either kernel path, a fixture of either version that decodes to
+other keys/values than the manifest records, or a decode that does not
+re-serialize to the committed bytes (v1 → v1, v2 → v2, v1 → v2; not
+v2 → v1, since v2 drops the bucket splits that v1 ships).
+:func:`write_goldens` regenerates the fixture files and manifest
+deliberately — the only sanctioned way to change them (bump the
+payload version; never mutate v1 bytes).
 """
 
 from __future__ import annotations
@@ -76,6 +79,10 @@ CASE_SPECS: Tuple[Dict, ...] = (
 
 _KERNEL_MODES = ("scalar", "vectorised")
 
+#: (decoded from, re-serialized at) pairs that must reproduce the
+#: committed bytes.  v2 → v1 is not one: v2 drops the bucket splits.
+_REENCODE_IDENTITIES = ((1, 1), (2, 2), (1, 2))
+
 
 def default_wire_dir() -> str:
     """``tests/golden/wire`` under the current working directory."""
@@ -116,10 +123,13 @@ def case_payloads(case: Dict) -> Dict[int, bytes]:
     win, so the bytes are still unique per case).
     """
     message = case_message(case)
-    return {
-        1: serialize_message(message),
-        2: serialize_message(message, version=2, entropy=True),
-    }
+    return {version: _serialize_at(message, version) for version in (1, 2)}
+
+
+def _serialize_at(message, version: int) -> bytes:
+    if version == 1:
+        return serialize_message(message)
+    return serialize_message(message, version=2, entropy=True)
 
 
 def _sha256(data: bytes) -> str:
@@ -247,31 +257,43 @@ def check_goldens(wire_dir: Optional[str] = None) -> List[str]:
                         f"under the {mode} kernels drifted from the "
                         "committed bytes"
                     )
-        if 1 in committed and 2 in committed:
-            # The v2 payload must carry the identical message: decoding
-            # it and re-serializing at v1 must reproduce the v1 bytes.
+        # Both versions carry the same message: each decodes to the
+        # recorded key/value digests, and re-serializing a decode is the
+        # identity except v2 → v1 (v2 does not ship the bucket splits).
+        for source, target in _REENCODE_IDENTITIES:
+            if source not in committed or target not in committed:
+                continue
             try:
-                rederived = serialize_message(
-                    deserialize_message(committed[2])
+                rederived = _serialize_at(
+                    deserialize_message(committed[source]), target
                 )
             except Exception as exc:  # noqa: BLE001 - report, don't crash
                 problems.append(
-                    f"{case['name']}: v2 fixture failed to decode: {exc!r}"
+                    f"{case['name']}: v{source} fixture failed to "
+                    f"re-serialize at v{target}: {exc!r}"
                 )
-            else:
-                if rederived != committed[1]:
-                    problems.append(
-                        f"{case['name']}: v2 fixture decodes to a "
-                        "different message than the v1 bytes"
-                    )
-            keys_digest, values_digest = _decoded_digests(
-                case, committed[1]
-            )
-            if (
-                keys_digest != entry.get("decoded_keys_sha256")
-                or values_digest != entry.get("decoded_values_sha256")
-            ):
+                continue
+            if rederived != committed[target]:
                 problems.append(
-                    f"{case['name']}: decoded key/value digests drifted"
+                    f"{case['name']}: v{source} fixture re-serialized at "
+                    f"v{target} differs from the committed v{target} bytes"
+                )
+        expected_digests = (
+            entry.get("decoded_keys_sha256"),
+            entry.get("decoded_values_sha256"),
+        )
+        for version, data in sorted(committed.items()):
+            try:
+                digests = _decoded_digests(case, data)
+            except Exception as exc:  # noqa: BLE001 - report, don't crash
+                problems.append(
+                    f"{case['name']}: v{version} fixture failed to decode: "
+                    f"{exc!r}"
+                )
+                continue
+            if digests != expected_digests:
+                problems.append(
+                    f"{case['name']}: v{version} fixture decodes to drifted "
+                    "key/value digests"
                 )
     return problems

@@ -13,10 +13,12 @@ emitted where the serializer chooses the index block): the bench
 installs a summing probe recorder around one v2 serialize per size, so
 the JSON reflects exactly what the encoder metered on the wire path.
 
-The gradient uses the quantization-only configuration
+The main rows use the quantization-only configuration
 (``enable_minmax=False``) — the only payload kind with a bucket-index
-stream; sketch parts of the full configuration carry none and are
-byte-identical at both versions.
+stream.  The ``_sketch`` rows time the full configuration, whose v2
+sketch parts drop the bucket splits and radix-code every group's cells
+as one stream; its bytes at both versions are recorded under
+``sketch`` in the summary section.
 """
 
 from __future__ import annotations
@@ -97,10 +99,46 @@ def _entropy_counters(message) -> Dict[str, int]:
     }
 
 
-def _wire_message(nnz: int):
+def _wire_message(nnz: int, enable_minmax: bool = False):
     keys, values, dimension = _synthetic_gradient(nnz)
-    cfg = SketchMLConfig.full(seed=0, enable_minmax=False)
+    cfg = SketchMLConfig.full(seed=0, enable_minmax=enable_minmax)
     return SketchMLCompressor(cfg).compress(keys, values, dimension)
+
+
+def _sketch_rows(
+    nnz: int, warmup: int, repeats: int
+) -> Tuple[List[BenchResult], Dict[str, Any]]:
+    """Encode/decode of a full-SketchML message at both versions."""
+    message = _wire_message(nnz, enable_minmax=True)
+    wires = {
+        "v1": serialize_message(message),
+        "v2": serialize_message(message, version=2),
+    }
+    results = []
+    for tag, wire in wires.items():
+        version = int(tag[1])
+        results.append(time_kernel(
+            f"wire_encode_{tag}_sketch/{nnz}",
+            lambda v=version: serialize_message(message, version=v),
+            elements=nnz,
+            bytes_processed=len(wire),
+            warmup=warmup,
+            repeats=repeats,
+        ))
+        results.append(time_kernel(
+            f"wire_decode_{tag}_sketch/{nnz}",
+            lambda d=wire: deserialize_message(d),
+            elements=nnz,
+            bytes_processed=len(wire),
+            warmup=warmup,
+            repeats=repeats,
+        ))
+    v1_len, v2_len = len(wires["v1"]), len(wires["v2"])
+    return results, {
+        "v1_bytes": v1_len,
+        "v2_bytes": v2_len,
+        "reduction_pct": round(100.0 * (1.0 - v2_len / v1_len), 2),
+    }
 
 
 def run_wire_bench(
@@ -114,8 +152,9 @@ def run_wire_bench(
 
     Returns the timed results (merged into the main kernel table) and
     the ``wire`` summary section: per size, the measured serialized
-    bytes at v1 and at v2-with-entropy, the percentage reduction, and
-    the encoder's own plain/coded telemetry byte counters.
+    bytes at v1 and at v2-with-entropy, the percentage reduction, the
+    encoder's own plain/coded telemetry byte counters, and the same
+    v1/v2 byte comparison for a full-SketchML message (``sketch``).
     """
     if sizes is None:
         sizes = QUICK_SIZES if quick else FULL_SIZES
@@ -178,6 +217,8 @@ def run_wire_bench(
             warmup=warmup,
             repeats=repeats,
         ))
+        sketch_results, sketch_bytes = _sketch_rows(nnz, warmup, repeats)
+        results.extend(sketch_results)
         reduction = (1.0 - len(v2) / len(v1)) if len(v1) else 0.0
         per_size[str(nnz)] = {
             "v1_bytes": len(v1),
@@ -190,10 +231,14 @@ def run_wire_bench(
                     counters["plain_bytes"] - counters["coded_bytes"]
                 ),
             },
+            "sketch": sketch_bytes,
         }
     section = {
         "schema": WIRE_SCHEMA,
-        "config": "quantization-only (enable_minmax=False)",
+        "config": (
+            "quantization-only (enable_minmax=False); "
+            "sketch: full SketchML"
+        ),
         "sizes": per_size,
     }
     return results, section

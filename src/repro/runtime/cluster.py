@@ -558,13 +558,16 @@ class RuntimeCluster:
 
         ``message_bytes`` is the legacy pre-serialized v1 payload and
         is valid on every peer.  When ``message`` (the
-        :class:`~repro.core.messages.SketchMLMessage`) is also given,
-        workers whose negotiated payload version is >= 2 get a payload
-        serialized at that version (entropy-coded when the runtime
-        config enables it); serialization happens at most once per
-        distinct ``(version, entropy)`` pair.  Frame-v2 connections
-        receive updates larger than ``config.chunk_bytes`` as a
-        ``CHUNK``/``END`` stream.
+        :class:`~repro.compression.base.CompressedGradient` from
+        :class:`~repro.core.compressor.SketchMLCompressor`) is also
+        given, workers whose negotiated payload version is >= 2 get a
+        payload serialized at that version (entropy-coded when the
+        runtime config enables it); without ``message_bytes``, v1 peers
+        get ``message`` serialized at v1, which needs a message that
+        was not decoded from payload v2.  Serialization happens at
+        most once per distinct ``(version, entropy)`` pair.  Frame-v2
+        connections receive updates larger than ``config.chunk_bytes``
+        as a ``CHUNK``/``END`` stream.
 
         Returns the worker ids that acknowledged applying the update.
         """

@@ -26,6 +26,10 @@ WIRE_KERNELS = {
     "wire_decode_v1",
     "wire_decode_v2",
     "wire_stream_v2",
+    "wire_encode_v1_sketch",
+    "wire_encode_v2_sketch",
+    "wire_decode_v1_sketch",
+    "wire_decode_v2_sketch",
 }
 
 
@@ -142,6 +146,8 @@ class TestWireBench:
         assert row["entropy"]["saved_bytes"] == (
             row["entropy"]["plain_bytes"] - row["entropy"]["coded_bytes"]
         )
+        # Full SketchML: v2 drops the splits and radix-codes the cells.
+        assert 0 < row["sketch"]["v2_bytes"] < row["sketch"]["v1_bytes"]
 
     def test_probe_does_not_leak_recorder(self):
         from repro import telemetry

@@ -312,8 +312,13 @@ class TestNegotiatedTraining:
                 update = next(
                     r.message for r in first.values() if r.has_batch
                 )
-                update_bytes = serialize_message(update)
-                acked = cluster.broadcast(0, 0.1, update_bytes, message=update)
+                # The update was decoded from the worker's negotiated
+                # payload version; a v2 decode carries no bucket splits,
+                # so let broadcast serialize it per peer version.
+                update_bytes = serialize_message(
+                    update, version=2, entropy=True
+                )
+                acked = cluster.broadcast(0, 0.1, message=update)
                 second = cluster.step(1, 0.1)
             losses = [
                 (w, r.local_loss, r.gradient_nnz)

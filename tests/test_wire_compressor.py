@@ -45,13 +45,18 @@ class TestWireCompressor:
         np.testing.assert_allclose(wire_values, mem_values)
 
     def test_accounting_model_tracks_reality(self):
-        """The in-memory num_bytes must approximate true wire length."""
+        """The in-memory num_bytes must approximate true wire length.
+
+        At payload v2 the model errs both ways: it prices a sketch cell
+        at a whole byte (the wire codes it in ~0.4) and leaves out the
+        headers and length prefixes; at 10k nnz the wire is ~0.89x.
+        """
         keys, values, dim = make_gradient(nnz=10_000, seed=3)
         config = SketchMLConfig.full()
         modelled = SketchMLCompressor(config).compress(keys, values, dim)
         actual = WireSketchMLCompressor(config).compress(keys, values, dim)
-        assert actual.num_bytes < modelled.num_bytes * 1.35 + 512
-        assert actual.num_bytes > modelled.num_bytes * 0.7
+        assert actual.num_bytes < modelled.num_bytes * 1.05
+        assert actual.num_bytes > modelled.num_bytes * 0.8
 
     def test_rejects_foreign_payload(self):
         comp = WireSketchMLCompressor()

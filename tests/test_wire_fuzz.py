@@ -26,6 +26,7 @@ kernel-independent by design and this pins that claim.
 
 import os
 import struct  # repro: noqa[wire-format] — fuzzing the framing layer requires crafting raw adversarial headers
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,9 +34,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import kernels
-from repro.core.compressor import SketchMLCompressor
+from repro.compression.base import CompressedGradient
+from repro.core.compressor import SignPart, SketchMLCompressor, SketchMLPayload
 from repro.core.config import SketchMLConfig
+from repro.core.delta_encoding import encode_keys
 from repro.core.entropy import encode_indexes, radix_params
+from repro.core.minmax_sketch import GroupedMinMaxSketch, MinMaxSketch
+from repro.core.quantizer import SignedBuckets
 from repro.core.serialization import (
     MAX_MESSAGE_BYTES,
     SerializationError,
@@ -98,6 +103,43 @@ def _serialize_at(message, version):
     return serialize_message(message, version=2, entropy=True)
 
 
+def _forced(mode):
+    return (
+        kernels.scalar_kernels() if mode == "scalar"
+        else kernels.vectorised_kernels()
+    )
+
+
+#: The configurations the v2-against-v1 property sweeps.
+_V2_CONFIGS = {
+    "full": {},
+    "decay": {"compensate_decay": True},
+    "tabulation": {"hash_family": "tabulation"},
+    "g4": {"num_groups": 4, "num_buckets": 64},
+    "quan": {"enable_minmax": False},
+    "quan_packed": {"enable_minmax": False, "pack_index_bits": True},
+    "keys_only": {"enable_quantization": False, "enable_minmax": False},
+}
+
+
+def _break_group_uniformity(grouped, how):
+    """Swap the last group sketch for an empty one off the shared
+    shape (``"shape"``) or seed stride (``"seed"``)."""
+    last = grouped.sketches[-1]
+    grouped._sketches[-1] = MinMaxSketch(
+        num_rows=last.num_rows,
+        num_bins=last.num_bins + (how == "shape"),
+        index_range=last.index_range,
+        seed=last._master_seed + (how == "seed"),
+        hash_family=last._hash_family_name,
+    )
+
+
+def _bits(array):
+    # Bit-for-bit comparison of 8-byte arrays (keys i8, values f8).
+    return np.ascontiguousarray(array).view(np.uint64)
+
+
 # ----------------------------------------------------------------------
 # property tier
 # ----------------------------------------------------------------------
@@ -127,11 +169,54 @@ class TestRoundTripProperties:
         # Kernel paths agree byte-for-byte at each payload version.
         assert encoded["scalar"] == encoded["vectorised"]
         v1, v2 = encoded["scalar"][1], encoded["scalar"][2]
-        # deserialize → serialize is the identity at both versions,
-        # and both versions carry the identical message.
+        # deserialize → serialize is the identity at both versions, and
+        # a v1 decode carries everything v2 ships (not the reverse: v2
+        # drops the bucket splits).
         assert _serialize_at(deserialize_message(v1), 1) == v1
         assert _serialize_at(deserialize_message(v2), 2) == v2
-        assert _serialize_at(deserialize_message(v2), 1) == v1
+        assert _serialize_at(deserialize_message(v1), 2) == v2
+
+    @FUZZ
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        nnz=st.integers(1, 20_000),
+        config=st.sampled_from(sorted(_V2_CONFIGS)),
+    )
+    def test_v2_is_never_larger_and_decodes_like_v1(self, seed, nnz, config):
+        dimension = max(nnz * 40, 64)
+        keys, values = _gradient(seed, nnz, dimension, "mixed")
+        cfg = SketchMLConfig.full(seed=seed, **_V2_CONFIGS[config])
+        wires = {}
+        for mode in ("scalar", "vectorised"):
+            with _forced(mode):
+                comp = SketchMLCompressor(cfg)
+                message = comp.compress(keys, values, dimension)
+                v1, v2 = (_serialize_at(message, v) for v in (1, 2))
+                assert len(v2) <= len(v1)
+                assert _serialize_at(deserialize_message(v2), 2) == v2
+                from_v1 = comp.decompress(deserialize_message(v1))
+                from_v2 = comp.decompress(deserialize_message(v2))
+                for a, b in zip(from_v1, from_v2):
+                    assert np.array_equal(_bits(a), _bits(b))
+            wires[mode] = (v1, v2)
+        assert wires["scalar"] == wires["vectorised"]
+        # A grouped sketch off the shared shape or seed stride has no v2
+        # layout: it must raise at v2 and still round-trip at v1.
+        grouped = next(
+            (p.sketch for p in message.payload.parts
+             if p.sketch is not None and p.sketch.num_groups > 1),
+            None,
+        )
+        if grouped is None:
+            return
+        uniform = list(grouped.sketches)
+        for how in ("shape", "seed"):
+            _break_group_uniformity(grouped, how)
+            with pytest.raises(SerializationError, match=how):
+                _serialize_at(message, 2)
+            v1 = _serialize_at(message, 1)
+            assert _serialize_at(deserialize_message(v1), 1) == v1
+            grouped._sketches[:] = uniform
 
     @FUZZ
     @given(
@@ -217,11 +302,16 @@ class TestRoundTripProperties:
 def _base_messages():
     """Two fixed, deterministic wire payloads to mutate: the packed
     quantization config at v1 and at v2 (the v2 bytes exercise the
-    dense-coded index block, marker 4)."""
-    message = _compress(1234, 900, 40000, "mixed", 2)
+    dense-coded index block, marker 4).
+
+    The v2 base is a larger gradient than the v1 base: 1 304 nnz over
+    41 000 keys code to exactly the 3 794 bytes the 900-nnz base took at
+    v2 before v2 dropped the bucket splits, so the seeded truncation and
+    bit-flip positions drawn below, and the case ids they name, stay
+    where they were."""
     return {
-        1: _serialize_at(message, 1),
-        2: _serialize_at(message, 2),
+        1: _serialize_at(_compress(1234, 900, 40000, "mixed", 2), 1),
+        2: _serialize_at(_compress(1234, 1304, 41000, "mixed", 2), 2),
     }
 
 
@@ -326,7 +416,8 @@ def _forge_index_message(
     w += struct.pack("<BQ", 0, 4 * num_keys)  # repro: noqa[wire-format] — raw key stream
     w += np.arange(num_keys, dtype="<u4").tobytes()  # repro: noqa[wire-format] — the keys
     w += struct.pack("<Hb", 1, 1)  # repro: noqa[wire-format] — bucket count + sign
-    w += struct.pack("<Qdd", 16, 0.0, 1.0)  # repro: noqa[wire-format] — splits
+    if version == 1:
+        w += struct.pack("<Qdd", 16, 0.0, 1.0)  # repro: noqa[wire-format] — splits (v1 only)
     w += struct.pack("<Qd", 8, 0.5)  # repro: noqa[wire-format] — means
     return bytes(w + block)
 
@@ -345,11 +436,11 @@ _DENSE_SYMBOLS = np.array([56, 0, 13, 55, 1, 2, 3, 4, 9], dtype=np.uint8)
 _DENSE_BLOB = encode_indexes(_DENSE_SYMBOLS, _DENSE_RADIX)
 
 
-def _dense_word(digits):
+def _dense_word(digits, radix=_DENSE_RADIX, width=3):
     value = 0
     for d in digits:
-        value = value * _DENSE_RADIX + d
-    return value.to_bytes(3, "little")
+        value = value * radix + d
+    return value.to_bytes(width, "little")
 
 
 def _dense_block_cases():
@@ -392,9 +483,104 @@ def _dense_block_cases():
 
 _DENSE_CASES = _dense_block_cases()
 
+
+#: A two-group sketch part small enough to forge by hand: 16 buckets
+#: over 2 groups gives a group index range of 8, so a cell is one of 9
+#: symbols (offsets 0…7, 8 = empty).  2 rows x 3 bins per group make 12
+#: cells, coded by radix_params(9) = (5, 2) into three 2-byte words,
+#: the last holding two cells and three padding digits.
+_SKETCH_GIR = 8
+_SKETCH_KEYS = ((3, 17, 40), (5, 21))
+_SKETCH_OFFSETS = ((0, 7, 2), (4, 1))
+_SKETCH_MEANS = np.linspace(0.05, 1.55, 16)
+
+
+def _sketch_message():
+    grouped = GroupedMinMaxSketch(
+        num_groups=2, index_range=16, num_rows=2, total_bins=6, seed=5
+    )
+    for g, (keys, offsets) in enumerate(zip(_SKETCH_KEYS, _SKETCH_OFFSETS)):
+        grouped.insert_group(g, np.asarray(keys), np.asarray(offsets))
+    part = SignPart(
+        sign=1,
+        nnz=5,
+        buckets=SignedBuckets(
+            splits=np.linspace(0.0, 1.6, 17), means=_SKETCH_MEANS, sign=1.0
+        ),
+        group_key_blobs=[encode_keys(np.asarray(k)) for k in _SKETCH_KEYS],
+        sketch=grouped,
+    )
+    return CompressedGradient(
+        payload=SketchMLPayload(parts=[part]), num_bytes=0, dimension=64,
+        nnz=5,
+    )
+
+
+#: The coded cell stream (three 2-byte words) the v2 writer emits for
+#: ``_sketch_message``; it ends the message.
+_SKETCH_CELLS = serialize_message(_sketch_message(), version=2)[-6:]
+
+_V1_BUCKETS = (
+    struct.pack("<HbQ", 16, 1, 17 * 8)  # repro: noqa[wire-format] — forging a v1 bucket block: count, sign, splits length
+    + np.linspace(0.0, 1.6, 17).astype("<f8").tobytes()  # repro: noqa[wire-format] — the splits v2 no longer ships
+    + struct.pack("<Q", 16 * 8)  # repro: noqa[wire-format] — means length
+    + _SKETCH_MEANS.astype("<f8").tobytes()  # repro: noqa[wire-format] — the means
+)
+
+
+def _forge_sketch_message(cells=_SKETCH_CELLS, *, num_groups=2, rows=2,
+                          bins=3, gir=_SKETCH_GIR, family=0, cell_width=1,
+                          buckets=None):
+    """A one-part v2 kind-2 message around a hand-built sketch block;
+    unmutated it is byte-identical to the writer's output for
+    ``_sketch_message`` (``test_forged_sketch_baseline_decodes``)."""
+    if buckets is None:
+        buckets = (
+            struct.pack("<HbQ", 16, 1, 16 * 8)  # repro: noqa[wire-format] — v2 bucket block: count, sign, means length
+            + _SKETCH_MEANS.astype("<f8").tobytes()  # repro: noqa[wire-format] — the means
+        )
+    w = bytearray(b"SKML" + struct.pack("<BB", 2, 0))  # repro: noqa[wire-format] — forging adversarial sketch blocks is the point of this corpus
+    w += struct.pack("<QQB", 64, 5, 1)  # repro: noqa[wire-format] — dimension, message nnz, one part
+    w += struct.pack("<bQB", 1, 5, 2)  # repro: noqa[wire-format] — sign, part nnz, kind=sketch
+    w += buckets
+    w += struct.pack("<B", len(_SKETCH_KEYS))  # repro: noqa[wire-format] — key blob count
+    for keys in _SKETCH_KEYS:
+        blob = encode_keys(np.asarray(keys))
+        w += struct.pack("<Q", len(blob)) + blob  # repro: noqa[wire-format] — length-prefixed group key blob
+    w += struct.pack("<BI", num_groups, 16)  # repro: noqa[wire-format] — groups, bucket range
+    w += struct.pack("<BIIqBB", rows, bins, gir, 5, family, cell_width)  # repro: noqa[wire-format] — the shared sketch header
+    return bytes(w + cells)
+
+
+def _sketch_block_cases():
+    """Forged v2 kind-2 parts: every decode check of the shared sketch
+    header and its cell stream, one mutation each."""
+    assert radix_params(_SKETCH_GIR + 1) == (5, 2)
+    cells = _SKETCH_CELLS
+    forge = _forge_sketch_message
+    return [
+        ("sketch-v2-cells-short", forge(cells[:-1])),
+        ("sketch-v2-cells-long", forge(cells + b"\x00")),
+        ("sketch-v2-word-out-of-range",
+         forge((9 ** 5).to_bytes(2, "little") + cells[2:])),
+        ("sketch-v2-nonzero-padding",
+         forge(cells[:4] + _dense_word([8, 8, 0, 0, 1], radix=9, width=2))),
+        # 255 x 255 x (2**32 - 1) cells: a petabyte-scale table if the
+        # header were trusted before it is checked against the bytes.
+        ("sketch-v2-cells-over-remaining",
+         forge(num_groups=255, rows=255, bins=2 ** 32 - 1)),
+        ("sketch-v2-cell-width-mismatch", forge(cell_width=2)),
+        ("sketch-v2-group-range-empty", forge(gir=0)),
+        ("sketch-v2-unknown-family", forge(family=2)),
+        ("sketch-v2-splits-in-bucket-block", forge(buckets=_V1_BUCKETS)),
+    ]
+
+
+_SKETCH_CASES = _sketch_block_cases()
+
 MUST_FAIL_CASES = (
     _truncation_cases() + _length_lie_cases() + _blob_count_cases()
-    + _DENSE_CASES
+    + _DENSE_CASES + _SKETCH_CASES
 )
 MAY_ACCEPT_CASES = _bitflip_cases()
 
@@ -473,6 +659,59 @@ def test_forged_dense_blocks_fail_on_the_intended_check(case, pattern):
     data = dict(_DENSE_CASES)[case]
     with pytest.raises(SerializationError, match=pattern):
         deserialize_message(data)
+
+
+def test_forged_sketch_baseline_decodes():
+    """The unmutated forged sketch block is exactly what the writer
+    emits, decodes to the inserted tables and decompresses to the
+    inserted bucket means — the cases below fail for the mutation, not
+    because the forgery is broken."""
+    original = _sketch_message()
+    data = _forge_sketch_message()
+    assert data == serialize_message(original, version=2)
+    message = deserialize_message(data)
+    decoded = message.payload.parts[0].sketch
+    assert message.payload.parts[0].buckets.splits is None
+    for ours, theirs in zip(decoded.sketches, original.payload.parts[0].sketch.sketches):
+        assert np.array_equal(ours._table, theirs._table)
+        assert ours._master_seed == theirs._master_seed
+    keys, values = SketchMLCompressor().decompress(message)
+    expected_keys, expected_values = SketchMLCompressor().decompress(original)
+    assert np.array_equal(keys, expected_keys)
+    assert np.array_equal(values, expected_values)
+    assert serialize_message(message, version=2) == data
+
+
+@pytest.mark.parametrize(
+    "case, pattern",
+    [
+        ("sketch-v2-cells-short", "larger than the remaining message"),
+        ("sketch-v2-cells-long", "trailing bytes"),
+        ("sketch-v2-word-out-of-range", "not below"),
+        ("sketch-v2-nonzero-padding", "padding"),
+        ("sketch-v2-cells-over-remaining", "larger than the remaining message"),
+        ("sketch-v2-cell-width-mismatch", "disagrees with group index range"),
+        ("sketch-v2-group-range-empty", "invalid group index range"),
+        ("sketch-v2-unknown-family", "unknown hash family"),
+        ("sketch-v2-splits-in-bucket-block", "16 buckets but carries 17 means"),
+    ],
+)
+def test_forged_sketch_blocks_fail_on_the_intended_check(case, pattern):
+    data = dict(_SKETCH_CASES)[case]
+    with pytest.raises(SerializationError, match=pattern):
+        deserialize_message(data)
+
+
+def test_v2_writer_rejects_a_cell_outside_the_group_range():
+    """A cell that is neither an in-group offset nor the empty sentinel
+    has no v2 symbol; v1 still ships the raw table."""
+    message = _compress(1234, 2000, 40000, "mixed", 0)
+    sketch = message.payload.parts[0].sketch.sketches[0]
+    sketch._table[0, 0] = sketch.index_range
+    with pytest.raises(SerializationError, match="outside"):
+        _serialize_at(message, 2)
+    v1 = _serialize_at(message, 1)
+    assert _serialize_at(deserialize_message(v1), 1) == v1
 
 
 # ----------------------------------------------------------------------
@@ -703,6 +942,19 @@ class TestLengthBudgetRegressions:
         pieces = list(iter_serialize_message(message, chunk_bytes=128))
         with pytest.raises(SerializationError):
             deserialize_message_chunks(pieces, max_message_bytes=64)
+
+    def test_sketch_cell_count_is_bounded_before_allocation(self):
+        """A v2 sketch header declaring ~2.8e14 cells is checked against
+        the bytes that follow before a table or decode buffer exists."""
+        data = dict(_SKETCH_CASES)["sketch-v2-cells-over-remaining"]
+        tracemalloc.start()
+        try:
+            with pytest.raises(SerializationError, match="remaining"):
+                deserialize_message(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("mode", ["scalar", "vectorised"])
     def test_entropy_decode_count_is_bounded_by_key_bytes(self, mode):
