@@ -7,16 +7,15 @@ it, and pushes it to the driver; the driver aggregates, re-compresses,
 and broadcasts; every replica applies the decompressed aggregate with
 the shared optimizer.  Compute and codec times are measured on this
 machine; wire times come from the :class:`~repro.distributed.network.
-NetworkModel`.  Per-epoch records accumulate into a
+NetworkModel`; the real backends run the same round over worker
+processes through :mod:`repro.distributed.rounds`.  Per-epoch records
+accumulate into a
 :class:`~repro.distributed.metrics.TrainingHistory`, from which every
 end-to-end figure of the paper is derived.
 """
 
 from __future__ import annotations
 
-import copy
-import dataclasses
-import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -32,6 +31,13 @@ from ..telemetry.epoch import EpochAccumulator
 from .driver import Driver
 from .metrics import EpochRecord, TrainingHistory
 from .network import NetworkModel
+from .rounds import (
+    aggregate,
+    apply_update,
+    make_bootstraps,
+    prepare_runtime,
+    run_sync_rounds,
+)
 from .worker import Worker
 
 __all__ = ["TrainerConfig", "DistributedTrainer"]
@@ -105,7 +111,8 @@ class DistributedTrainer:
         compressor_factory: zero-arg callable building one compressor
             per worker plus one for the driver (compressors may carry
             state such as error feedback, so instances are not shared).
-        network: wire cost model.
+        network: wire cost model of the ``sim`` loop (the real backends
+            measure wall time instead).
         config: run configuration.
         schedule: optional learning-rate schedule over rounds.
         runtime: optional :class:`repro.runtime.RuntimeConfig` with
@@ -154,34 +161,65 @@ class DistributedTrainer:
         self.runtime = runtime
 
     # ------------------------------------------------------------------
+    def _partitions(self, train_dataset):
+        """Each worker's row partition and mini-batch size, by worker id."""
+        cfg = self.config
+        for rows in partition_rows(
+            train_dataset.num_rows, cfg.num_workers, seed=cfg.seed
+        ):
+            partition = train_dataset.subset(rows)
+            yield partition, max(
+                1, int(round(partition.num_rows * cfg.batch_fraction))
+            )
+
     def _build_workers(self, train_dataset) -> "list[Worker]":
         cfg = self.config
-        partitions = partition_rows(
-            train_dataset.num_rows, cfg.num_workers, seed=cfg.seed
-        )
-        workers = []
-        for worker_id, rows in enumerate(partitions):
-            partition = train_dataset.subset(rows)
-            batch_size = max(1, int(round(partition.num_rows * cfg.batch_fraction)))
-            workers.append(
-                Worker(
-                    worker_id=worker_id,
-                    dataset=partition,
-                    model=self.model,
-                    compressor=self.compressor_factory(),
-                    batch_size=batch_size,
-                    seed=cfg.seed,
-                    compute_seconds_per_nnz=cfg.compute_seconds_per_nnz,
-                )
+        return [
+            Worker(
+                worker_id=worker_id,
+                dataset=partition,
+                model=self.model,
+                compressor=self.compressor_factory(),
+                batch_size=batch_size,
+                seed=cfg.seed,
+                compute_seconds_per_nnz=cfg.compute_seconds_per_nnz,
             )
-        return workers
+            for worker_id, (partition, batch_size) in enumerate(
+                self._partitions(train_dataset)
+            )
+        ]
 
     def train(self, train_dataset, test_dataset=None) -> TrainingHistory:
-        """Run the configured number of epochs; returns the history."""
+        """Run the configured number of epochs; returns the history.
+
+        ``sim`` runs the simulated loop (:meth:`_run_epoch`).  The real
+        backends run the same semantics over a worker cluster through
+        :func:`~repro.distributed.rounds.run_sync_rounds`: same
+        partitioning, batch shuffling, aggregation order, and
+        learning-rate schedule indexing, so a fixed seed produces
+        bit-identical model updates on every backend; only the time
+        accounting differs (wall-clock instead of the network cost
+        model — see ``docs/runtime.md``).
+        """
         cfg = self.config
-        if cfg.backend != "sim":
-            return self._train_runtime(train_dataset, test_dataset)
-        workers = self._build_workers(train_dataset)
+        if cfg.backend == "sim":
+            workers = self._build_workers(train_dataset)
+        else:
+            runtime_cfg = prepare_runtime(
+                self.runtime, cfg.backend, self.compressor_factory,
+                self.model.num_parameters,
+            )
+            bootstraps = make_bootstraps(
+                runtime_cfg, self.model, self.optimizer,
+                self.compressor_factory, cfg.compute_seconds_per_nnz,
+                [
+                    dict(dataset=partition, batch_size=batch_size,
+                         seed=cfg.seed)
+                    for partition, batch_size in self._partitions(
+                        train_dataset
+                    )
+                ],
+            )
         driver = Driver(self.compressor_factory(), self.model.num_parameters)
         theta = self.model.init_theta()
         self.optimizer.prepare(self.model.num_parameters)
@@ -192,16 +230,29 @@ class DistributedTrainer:
             method=method, model=self.model.name, num_workers=cfg.num_workers
         )
         base_lr = self.optimizer.learning_rate
-        round_counter = 0
+        test = test_dataset if cfg.evaluate_test else None
         try:
-            for epoch in range(cfg.epochs):
-                record = self._run_epoch(
-                    epoch, workers, driver, theta, base_lr, round_counter
-                )
-                round_counter += max(w.batches_per_epoch for w in workers)
-                if cfg.evaluate_test and test_dataset is not None:
-                    record.test_loss = self.model.full_loss(test_dataset, theta)
-                history.append(record)
+            if cfg.backend == "sim":
+                round_counter = 0
+                for epoch in range(cfg.epochs):
+                    record = self._run_epoch(
+                        epoch, workers, driver, theta, base_lr, round_counter
+                    )
+                    round_counter += max(w.batches_per_epoch for w in workers)
+                    if test is not None:
+                        record.test_loss = self.model.full_loss(test, theta)
+                    history.append(record)
+            else:
+                from ..runtime import RuntimeCluster
+
+                with RuntimeCluster(bootstraps, runtime_cfg) as cluster:
+                    run_sync_rounds(
+                        cluster, driver, self.optimizer, theta, history,
+                        model=self.model, test_dataset=test,
+                        epochs=cfg.epochs, base_lr=base_lr,
+                        lr_schedule=self.schedule,
+                        weights=None, before_round=None,
+                    )
         finally:
             self.optimizer.learning_rate = base_lr
         self._theta = theta
@@ -213,228 +264,6 @@ class DistributedTrainer:
         if not hasattr(self, "_theta"):
             raise RuntimeError("train() has not been run yet")
         return self._theta
-
-    # ------------------------------------------------------------------
-    # real execution backends (mp / tcp) via repro.runtime
-    # ------------------------------------------------------------------
-    def _check_wire_serializable(self) -> None:
-        """Real backends ship gradients as wire bytes — probe that the
-        configured compressor produces serializable messages before
-        spawning processes, so the failure is immediate and named."""
-        from ..core.serialization import serialize_message
-
-        probe = self.compressor_factory()
-        message = probe.compress(
-            np.array([0], dtype=np.int64),
-            np.array([1e-3], dtype=np.float64),
-            self.model.num_parameters,
-        )
-        try:
-            serialize_message(message)
-        except TypeError as exc:
-            raise ValueError(
-                f"backend {self.config.backend!r} requires a compressor "
-                f"with a wire format (SketchML family); "
-                f"{type(probe).__name__} messages cannot be serialized"
-            ) from exc
-
-    def _build_bootstraps(
-        self,
-        train_dataset,
-        heartbeat_interval: float,
-        heartbeat_jitter: float,
-    ):
-        from .. import sanitize
-        from ..runtime import WorkerBootstrap
-
-        cfg = self.config
-        partitions = partition_rows(
-            train_dataset.num_rows, cfg.num_workers, seed=cfg.seed
-        )
-        bootstraps = []
-        for worker_id, rows in enumerate(partitions):
-            partition = train_dataset.subset(rows)
-            batch_size = max(1, int(round(partition.num_rows * cfg.batch_fraction)))
-            bootstraps.append(
-                WorkerBootstrap(
-                    worker_id=worker_id,
-                    dataset=partition,
-                    model=self.model,
-                    optimizer=copy.deepcopy(self.optimizer),
-                    compressor=self.compressor_factory(),
-                    batch_size=batch_size,
-                    seed=cfg.seed,
-                    compute_seconds_per_nnz=cfg.compute_seconds_per_nnz,
-                    heartbeat_interval=heartbeat_interval,
-                    heartbeat_jitter=heartbeat_jitter,
-                    sanitize=bool(sanitize.enabled()),
-                    trace_dir=telemetry.worker_trace_dir(),
-                    run_id=telemetry.active_run_id(),
-                )
-            )
-        return bootstraps
-
-    def _train_runtime(self, train_dataset, test_dataset) -> TrainingHistory:
-        """The simulated loop's semantics over a real worker cluster.
-
-        Same partitioning, batch shuffling, aggregation order, and
-        learning-rate schedule indexing as :meth:`_run_epoch`, so a
-        fixed seed produces bit-identical model updates on every
-        backend; only the time accounting differs (wall-clock instead
-        of the network cost model — see ``docs/runtime.md``).
-        """
-        from ..core.serialization import serialize_message
-        from ..runtime import RuntimeCluster, RuntimeConfig
-
-        cfg = self.config
-        runtime_cfg = self.runtime or RuntimeConfig()
-        if runtime_cfg.backend != cfg.backend:
-            runtime_cfg = dataclasses.replace(runtime_cfg, backend=cfg.backend)
-        self._check_wire_serializable()
-        bootstraps = self._build_bootstraps(
-            train_dataset,
-            runtime_cfg.supervision.heartbeat_interval,
-            runtime_cfg.supervision.heartbeat_jitter,
-        )
-        driver = Driver(self.compressor_factory(), self.model.num_parameters)
-        theta = self.model.init_theta()
-        self.optimizer.prepare(self.model.num_parameters)
-        method = cfg.method_label or getattr(
-            driver.compressor, "name", type(driver.compressor).__name__
-        )
-        history = TrainingHistory(
-            method=method, model=self.model.name, num_workers=cfg.num_workers
-        )
-        base_lr = self.optimizer.learning_rate
-        round_counter = 0  # schedule index: counts aggregated rounds only
-        protocol_round = 0  # wire round id: unique per STEP, never reused
-        try:
-            with RuntimeCluster(
-                bootstraps, runtime_cfg, network=self.network
-            ) as cluster:
-                for epoch in range(cfg.epochs):
-                    record, rounds, protocol_round = self._run_runtime_epoch(
-                        epoch, cluster, driver, theta, base_lr,
-                        round_counter, protocol_round, serialize_message,
-                    )
-                    round_counter += rounds
-                    if cfg.evaluate_test and test_dataset is not None:
-                        record.test_loss = self.model.full_loss(
-                            test_dataset, theta
-                        )
-                    record.dropped_workers = dict(cluster.dropped_workers)
-                    history.append(record)
-        finally:
-            self.optimizer.learning_rate = base_lr
-        self._theta = theta
-        return history
-
-    def _run_runtime_epoch(
-        self,
-        epoch: int,
-        cluster,
-        driver: Driver,
-        theta: np.ndarray,
-        base_lr: float,
-        round_counter: int,
-        protocol_round: int,
-        serialize_message,
-    ):
-        acc = EpochAccumulator(epoch)
-        rounds = 0
-
-        with telemetry.context(epoch=epoch), telemetry.span("trainer.epoch"):
-            cluster.start_epoch(epoch)
-            while True:
-                wire_round = protocol_round
-                protocol_round += 1
-                with telemetry.context(round=wire_round), \
-                        telemetry.span("trainer.round"):
-                    t0 = time.perf_counter()
-                    results = cluster.step(wire_round, base_lr)
-                    t1 = time.perf_counter()
-                    active = [r for r in results.values() if r.has_batch]
-                    if not active:
-                        break
-
-                    # Workers genuinely run in parallel here; the
-                    # gather wire cost is the measured round trip minus
-                    # the slowest worker's own compute + encode (an
-                    # approximation — see docs/runtime.md — where the
-                    # sim backend instead uses the NetworkModel
-                    # formulas).
-                    worker_busy = max(
-                        r.compute_seconds + r.encode_seconds for r in active
-                    )
-                    acc.add_seconds("compute", worker_busy)
-                    acc.add_seconds(
-                        "network", max(0.0, (t1 - t0) - worker_busy)
-                    )
-                    acc.add_seconds(
-                        "encode", sum(r.encode_seconds for r in active)
-                    )
-                    messages = [r.message for r in active]
-                    acc.add_counts(
-                        bytes_sent=sum(r.message_bytes for r in active),
-                        raw_bytes=sum(m.raw_bytes for m in messages),
-                        num_messages=len(messages),
-                        gradient_nnz=sum(r.gradient_nnz for r in active),
-                    )
-                    acc.add_loss(
-                        sum(r.local_loss for r in active), len(active)
-                    )
-
-                    # Glue spans tile the round for critical-path
-                    # attribution: aggregate (decode + merge + encode,
-                    # including the broadcast serialization), then the
-                    # broadcast fanout/gather (inside the cluster),
-                    # then the driver-side apply.
-                    with telemetry.span("trainer.aggregate") as agg_span:
-                        driver_result = driver.aggregate(messages)
-                        agg_span.set_attrs(
-                            decode_s=driver_result.decode_seconds,
-                            aggregate_s=driver_result.aggregate_seconds,
-                            encode_s=driver_result.encode_seconds,
-                        )
-                        acc.add_seconds(
-                            "compute",
-                            driver_result.decode_seconds
-                            + driver_result.aggregate_seconds
-                            + driver_result.encode_seconds,
-                        )
-                        acc.add_seconds(
-                            "decode", driver_result.decode_seconds
-                        )
-                        acc.add_seconds(
-                            "encode", driver_result.encode_seconds
-                        )
-                        lr = base_lr * self.schedule(round_counter + rounds)
-                        update_bytes = serialize_message(
-                            driver_result.broadcast_message
-                        )
-                    t2 = time.perf_counter()
-                    cluster.broadcast(
-                        wire_round, lr, update_bytes,
-                        message=driver_result.broadcast_message,
-                    )
-                    acc.add_seconds("network", time.perf_counter() - t2)
-
-                    with telemetry.span("trainer.apply"):
-                        self.optimizer.learning_rate = lr
-                        t3 = time.perf_counter()
-                        if driver_result.keys.size:
-                            self.optimizer.step(
-                                theta,
-                                driver_result.keys,
-                                driver_result.values,
-                            )
-                        acc.add_seconds(
-                            "compute", time.perf_counter() - t3
-                        )
-                    rounds += 1
-
-        record = EpochRecord(test_loss=None, **acc.record_fields())
-        return record, rounds, protocol_round
 
     # ------------------------------------------------------------------
     def _run_epoch(
@@ -499,45 +328,17 @@ class DistributedTrainer:
                         len(step_results),
                     )
 
-                    with telemetry.span("trainer.aggregate") as agg_span:
-                        driver_result = driver.aggregate(messages)
-                        agg_span.set_attrs(
-                            decode_s=driver_result.decode_seconds,
-                            aggregate_s=driver_result.aggregate_seconds,
-                            encode_s=driver_result.encode_seconds,
-                        )
-                        acc.add_seconds(
-                            "compute",
-                            driver_result.decode_seconds
-                            + driver_result.aggregate_seconds
-                            + driver_result.encode_seconds,
-                        )
-                        acc.add_seconds(
-                            "decode", driver_result.decode_seconds
-                        )
-                        acc.add_seconds(
-                            "encode", driver_result.encode_seconds
-                        )
+                    with aggregate(driver, acc, messages, None) as result:
                         acc.add_seconds(
                             "network", self.network.broadcast_time(
-                                driver_result.broadcast_message.num_bytes,
+                                result.broadcast_message.num_bytes,
                                 len(step_results),
                             )
                         )
-                        self.optimizer.learning_rate = (
-                            base_lr * self.schedule(round_counter)
-                        )
-                    with telemetry.span("trainer.apply"):
-                        t0 = time.perf_counter()
-                        if driver_result.keys.size:
-                            self.optimizer.step(
-                                theta,
-                                driver_result.keys,
-                                driver_result.values,
-                            )
-                        acc.add_seconds(
-                            "compute", time.perf_counter() - t0
-                        )
+                    apply_update(
+                        self.optimizer, theta, result,
+                        base_lr * self.schedule(round_counter), acc,
+                    )
                     round_counter += 1
 
         return EpochRecord(test_loss=None, **acc.record_fields())

@@ -1,8 +1,10 @@
 """Elastic + bounded-staleness training over the real runtime backends.
 
-The :class:`FleetTrainer` generalises the synchronous runtime loop of
-:class:`~repro.distributed.trainer.DistributedTrainer` along the two
-axes the paper's fixed healthy cluster never exercises:
+The :class:`FleetTrainer` runs the synchronous round loop of
+:mod:`repro.distributed.rounds` — the one
+:class:`~repro.distributed.trainer.DistributedTrainer` runs on the real
+backends — and generalises it along the two axes the paper's fixed
+healthy cluster never exercises:
 
 * **Elastic membership** — the full worker universe is booted once,
   and a :class:`~repro.fleet.membership.MembershipSchedule` detaches /
@@ -31,7 +33,7 @@ staleness bound.  See ``docs/fleet.md`` for semantics and caveats.
 from __future__ import annotations
 
 import copy
-import dataclasses
+import functools
 import heapq
 import pickle
 import time
@@ -44,7 +46,16 @@ from .. import telemetry
 from ..compression.base import GradientCompressor
 from ..data.splits import partition_rows
 from ..distributed.driver import Driver
-from ..distributed.metrics import EpochRecord, TrainingHistory
+from ..distributed.metrics import TrainingHistory
+from ..distributed.rounds import (
+    account_results,
+    aggregate,
+    apply_update,
+    finish_epoch,
+    make_bootstraps,
+    prepare_runtime,
+    run_sync_rounds,
+)
 from ..models.base import Model
 from ..optim.optimizers import Optimizer
 from ..optim.schedules import ConstantLR, LRSchedule
@@ -122,7 +133,9 @@ class FleetTrainer:
             the same decompressed updates).
         compressor_factory: one compressor per worker + one for the
             driver.
-        network: wire cost model, charged by the ``sim`` transport.
+        network: wire cost model; accepted for signature parity with
+            :class:`~repro.distributed.trainer.DistributedTrainer` and
+            unused — every fleet backend measures wall time.
         schedule: the elastic membership timeline (its ``num_workers``
             is the booted universe size).
         config: fleet knobs.
@@ -190,51 +203,38 @@ class FleetTrainer:
         they are detached before the first round and always resharded
         (SYNC + RESHARD) before their first step.
         """
-        from .. import sanitize
-        from ..runtime import WorkerBootstrap
-
-        cfg = self.config
-        active0 = self.schedule.start
-        shards = self._partition(train_dataset.num_rows, active0, 0)
+        shards = self._partition(
+            train_dataset.num_rows, self.schedule.start, 0
+        )
         placeholder = np.array([0], dtype=np.int64)
-        bootstraps = []
+        per_worker = []
         for worker_id in range(self.schedule.num_workers):
             rows = shards.get(worker_id, placeholder)
-            bootstraps.append(
-                WorkerBootstrap(
-                    worker_id=worker_id,
+            per_worker.append(
+                dict(
                     dataset=None,
-                    model=self.model,
-                    optimizer=copy.deepcopy(self.optimizer),
-                    compressor=self.compressor_factory(),
                     batch_size=self._batch_size(rows.size),
                     seed=self._shard_seed(0),
-                    compute_seconds_per_nnz=cfg.compute_seconds_per_nnz,
-                    heartbeat_interval=(
-                        runtime_cfg.supervision.heartbeat_interval
-                    ),
-                    heartbeat_jitter=runtime_cfg.supervision.heartbeat_jitter,
-                    sanitize=bool(sanitize.enabled()),
-                    trace_dir=telemetry.worker_trace_dir(),
-                    run_id=telemetry.active_run_id(),
                     full_dataset=train_dataset,
                     shard_rows=rows,
                 )
             )
         self._shard_sizes = {w: int(r.size) for w, r in shards.items()}
-        return bootstraps
+        return make_bootstraps(
+            runtime_cfg, self.model, self.optimizer, self.compressor_factory,
+            self.config.compute_seconds_per_nnz, per_worker,
+        )
 
     # ------------------------------------------------------------------
     def train(self, train_dataset, test_dataset=None) -> TrainingHistory:
         """Run the configured epochs; returns the training history."""
-        from ..runtime import RuntimeCluster, RuntimeConfig
+        from ..runtime import RuntimeCluster
 
         cfg = self.config
-        runtime_cfg = self.runtime or RuntimeConfig()
-        if runtime_cfg.backend != cfg.backend:
-            runtime_cfg = dataclasses.replace(
-                runtime_cfg, backend=cfg.backend
-            )
+        runtime_cfg = prepare_runtime(
+            self.runtime, cfg.backend, self.compressor_factory,
+            self.model.num_parameters,
+        )
         driver = Driver(self.compressor_factory(), self.model.num_parameters)
         method = cfg.method_label or getattr(
             driver.compressor, "name", type(driver.compressor).__name__
@@ -253,10 +253,9 @@ class FleetTrainer:
         self._applied_event_rounds: set = set()
         self._generation = 0
         self._num_rows = train_dataset.num_rows
+        test = test_dataset if cfg.evaluate_test else None
         try:
-            with RuntimeCluster(
-                bootstraps, runtime_cfg, network=self.network
-            ) as cluster:
+            with RuntimeCluster(bootstraps, runtime_cfg) as cluster:
                 for worker_id in range(self.schedule.num_workers):
                     if worker_id not in self.schedule.start:
                         cluster.detach_worker(worker_id)
@@ -264,14 +263,19 @@ class FleetTrainer:
                     "fleet.active_workers", len(self.schedule.start)
                 )
                 if cfg.staleness is None:
-                    self._train_sync(
-                        cluster, driver, theta, base_lr, history,
-                        test_dataset,
+                    run_sync_rounds(
+                        cluster, driver, self.optimizer, theta, history,
+                        model=self.model, test_dataset=test,
+                        epochs=cfg.epochs, base_lr=base_lr,
+                        lr_schedule=self.lr_schedule,
+                        weights=self._weights_for,
+                        before_round=functools.partial(
+                            self._sync_membership, cluster, theta
+                        ),
                     )
                 else:
                     self._train_stale(
-                        cluster, driver, theta, base_lr, history,
-                        test_dataset,
+                        cluster, driver, theta, base_lr, history, test
                     )
         finally:
             self.optimizer.learning_rate = base_lr
@@ -334,135 +338,21 @@ class FleetTrainer:
         self._apply_event(cluster, event, theta, round_index)
         return True
 
-    def _weights_for(self, worker_ids: List[int]) -> Dict[int, float]:
-        """Aggregation weights over this round's contributors."""
-        sizes = {w: self._shard_sizes[w] for w in worker_ids}
-        return shard_weights(sizes)
-
-    # ------------------------------------------------------------------
-    # synchronous elastic rounds
-    # ------------------------------------------------------------------
-    def _train_sync(
-        self, cluster, driver, theta, base_lr, history, test_dataset
+    def _sync_membership(
+        self, cluster, theta: np.ndarray, epoch: int, round_index: int
     ) -> None:
-        from ..core.serialization import serialize_message
+        """Sync-mode round hook: apply a due membership event.  Fresh
+        shards restart batch iteration, aligned to this epoch's shuffle
+        stream."""
+        if self._maybe_apply_event(cluster, theta, round_index):
+            cluster.start_epoch(epoch)
 
-        cfg = self.config
-        agg_round = 0  # global aggregated-round index (schedule key)
-        protocol_round = 0  # wire round id: unique per STEP
-        for epoch in range(cfg.epochs):
-            acc = EpochAccumulator(epoch)
-            with telemetry.context(epoch=epoch), \
-                    telemetry.span("trainer.epoch"):
-                cluster.start_epoch(epoch)
-                while True:
-                    if self._maybe_apply_event(cluster, theta, agg_round):
-                        # Fresh shards restart batch iteration; align
-                        # them to this epoch's shuffle stream.
-                        cluster.start_epoch(epoch)
-                    wire_round = protocol_round
-                    protocol_round += 1
-                    with telemetry.context(round=wire_round), \
-                            telemetry.span("trainer.round"):
-                        t0 = time.perf_counter()
-                        results = cluster.step(wire_round, base_lr)
-                        t1 = time.perf_counter()
-                        active = [
-                            r for r in results.values() if r.has_batch
-                        ]
-                        if not active:
-                            break
-                        worker_busy = max(
-                            r.compute_seconds + r.encode_seconds
-                            for r in active
-                        )
-                        acc.add_seconds("compute", worker_busy)
-                        acc.add_seconds(
-                            "network", max(0.0, (t1 - t0) - worker_busy)
-                        )
-                        acc.add_seconds(
-                            "encode",
-                            sum(r.encode_seconds for r in active),
-                        )
-                        messages = [r.message for r in active]
-                        acc.add_counts(
-                            bytes_sent=sum(r.message_bytes for r in active),
-                            raw_bytes=sum(m.raw_bytes for m in messages),
-                            num_messages=len(messages),
-                            gradient_nnz=sum(
-                                r.gradient_nnz for r in active
-                            ),
-                        )
-                        acc.add_loss(
-                            sum(r.local_loss for r in active), len(active)
-                        )
-
-                        # Glue spans tile the round for critical-path
-                        # attribution (see docs/observability.md).
-                        weights = self._weights_for(
-                            [r.worker_id for r in active]
-                        )
-                        self.round_weights.append(weights)
-                        with telemetry.span(
-                            "trainer.aggregate"
-                        ) as agg_span:
-                            driver_result = driver.aggregate(
-                                messages,
-                                [weights[r.worker_id] for r in active],
-                            )
-                            agg_span.set_attrs(
-                                decode_s=driver_result.decode_seconds,
-                                aggregate_s=(
-                                    driver_result.aggregate_seconds
-                                ),
-                                encode_s=driver_result.encode_seconds,
-                            )
-                            acc.add_seconds(
-                                "compute",
-                                driver_result.decode_seconds
-                                + driver_result.aggregate_seconds
-                                + driver_result.encode_seconds,
-                            )
-                            acc.add_seconds(
-                                "decode", driver_result.decode_seconds
-                            )
-                            acc.add_seconds(
-                                "encode", driver_result.encode_seconds
-                            )
-                            lr = base_lr * self.lr_schedule(agg_round)
-                            update_bytes = serialize_message(
-                                driver_result.broadcast_message
-                            )
-                        t2 = time.perf_counter()
-                        cluster.broadcast(
-                            wire_round, lr, update_bytes,
-                            message=driver_result.broadcast_message,
-                        )
-                        acc.add_seconds(
-                            "network", time.perf_counter() - t2
-                        )
-
-                        with telemetry.span("trainer.apply"):
-                            self.optimizer.learning_rate = lr
-                            t3 = time.perf_counter()
-                            if driver_result.keys.size:
-                                self.optimizer.step(
-                                    theta,
-                                    driver_result.keys,
-                                    driver_result.values,
-                                )
-                            acc.add_seconds(
-                                "compute", time.perf_counter() - t3
-                            )
-                        agg_round += 1
-
-            record = EpochRecord(test_loss=None, **acc.record_fields())
-            if cfg.evaluate_test and test_dataset is not None:
-                record.test_loss = self.model.full_loss(
-                    test_dataset, theta
-                )
-            record.dropped_workers = dict(cluster.dropped_workers)
-            history.append(record)
+    def _weights_for(self, worker_ids: List[int]) -> List[float]:
+        """Shard-size aggregation weights over a round's contributors,
+        in ``worker_ids`` order (also logged in :attr:`round_weights`)."""
+        weights = shard_weights({w: self._shard_sizes[w] for w in worker_ids})
+        self.round_weights.append(weights)
+        return [weights[w] for w in worker_ids]
 
     # ------------------------------------------------------------------
     # bounded-staleness rounds (SSP over the real backends)
@@ -612,71 +502,20 @@ class FleetTrainer:
                         steps_done[worker_id] += 1
                         progress[worker_id] += 1
                         if result is not None and result.has_batch:
-                            busy = (
-                                result.compute_seconds
-                                + result.encode_seconds
-                            )
-                            acc.add_seconds("compute", busy)
-                            acc.add_seconds(
-                                "network", max(0.0, (t1 - t0) - busy)
-                            )
-                            acc.add_seconds(
-                                "encode", result.encode_seconds
-                            )
-                            acc.add_counts(
-                                bytes_sent=result.message_bytes,
-                                raw_bytes=result.message.raw_bytes,
-                                num_messages=1,
-                                gradient_nnz=result.gradient_nnz,
-                            )
-                            acc.add_loss(result.local_loss, 1)
+                            account_results(acc, [result], t1 - t0)
                             # SSP semantics: each gradient is applied
                             # in full as it lands (weight 1), exactly
                             # like the simulated ssp_trainer.
-                            with telemetry.span(
-                                "trainer.aggregate"
-                            ) as agg_span:
-                                driver_result = driver.aggregate(
-                                    [result.message], [1.0]
-                                )
-                                agg_span.set_attrs(
-                                    decode_s=driver_result.decode_seconds,
-                                    aggregate_s=(
-                                        driver_result.aggregate_seconds
-                                    ),
-                                    encode_s=(
-                                        driver_result.encode_seconds
-                                    ),
-                                )
-                                acc.add_seconds(
-                                    "compute",
-                                    driver_result.decode_seconds
-                                    + driver_result.aggregate_seconds
-                                    + driver_result.encode_seconds,
-                                )
-                                acc.add_seconds(
-                                    "decode",
-                                    driver_result.decode_seconds,
-                                )
-                                acc.add_seconds(
-                                    "encode",
-                                    driver_result.encode_seconds,
-                                )
+                            with aggregate(
+                                driver, acc, [result.message], [1.0]
+                            ) as driver_result:
                                 lr = base_lr * self.lr_schedule(
                                     applied_updates
                                 )
-                            with telemetry.span("trainer.apply"):
-                                self.optimizer.learning_rate = lr
-                                t2 = time.perf_counter()
-                                if driver_result.keys.size:
-                                    self.optimizer.step(
-                                        theta,
-                                        driver_result.keys,
-                                        driver_result.values,
-                                    )
-                                acc.add_seconds(
-                                    "compute", time.perf_counter() - t2
-                                )
+                            apply_update(
+                                self.optimizer, theta, driver_result, lr,
+                                acc,
+                            )
                             update_log.append(
                                 (
                                     wire_round,
@@ -717,13 +556,9 @@ class FleetTrainer:
                                 still.append(blocked_id)
                         blocked = still
 
-            record = EpochRecord(test_loss=None, **acc.record_fields())
-            if cfg.evaluate_test and test_dataset is not None:
-                record.test_loss = self.model.full_loss(
-                    test_dataset, theta
-                )
-            record.dropped_workers = dict(cluster.dropped_workers)
-            history.append(record)
+            finish_epoch(
+                history, acc, cluster, self.model, test_dataset, theta
+            )
 
         # Converge the replicas: every member receives the tail of the
         # update journal, so worker state ends consistent with the

@@ -35,12 +35,9 @@ from .framing import (
     DEFAULT_CHUNK_BYTES,
     GRAD_HEADER_SIZE,
     KIND_ACK,
-    KIND_CHUNK,
     KIND_ECHO,
-    KIND_END,
     KIND_EPOCH,
     KIND_GRAD,
-    KIND_HEARTBEAT,
     KIND_INIT,
     KIND_READY,
     KIND_RESHARD,
@@ -48,7 +45,6 @@ from .framing import (
     KIND_STOP,
     KIND_SYNC,
     KIND_UPDATE,
-    ChunkReassembler,
     FrameError,
     ProtocolCaps,
     iter_chunk_frames,
@@ -60,7 +56,6 @@ from .framing import (
     split_chunk_prefix,
     split_ops_prefix_chunks,
     unpack_ack,
-    unpack_frame,
     unpack_grad,
     unpack_ops_prefix,
 )
@@ -153,44 +148,17 @@ class RoundResult:
     metrics: Dict[str, int] = field(default_factory=dict)
 
 
-def _sim_handler(
-    runtime: WorkerRuntime, worker_id: int
-) -> Callable[[bytes], List[bytes]]:
-    """In-process equivalent of the spawned worker's serve loop.
+def _ack_decoder(phase: str, want: int) -> Callable[[bytes], int]:
+    """Supervised decode of an ``ACK`` that must echo ``want``; a stale
+    ack raises, so the supervisor rejects the reply and retries."""
 
-    Mirrors ``serve()``'s frame dispatch including CHUNK/END
-    reassembly: the sim transport negotiates frame v2 by default, so
-    a broadcast UPDATE larger than ``chunk_bytes`` arrives here as a
-    chunk stream.  Reassembly protocol errors drop the stream and
-    leave the retry to supervision, exactly like the spawned worker.
-    """
-    reassembler = ChunkReassembler()
+    def decode(payload: bytes) -> int:
+        acked = unpack_ack(payload)
+        if acked != want:
+            raise FrameError(f"stale {phase} ack {acked} (want {want})")
+        return acked
 
-    def handle(frame: bytes) -> List[bytes]:
-        kind, _, payload = unpack_frame(frame)
-        if kind == KIND_ECHO:
-            return [pack_frame(KIND_ECHO, worker_id, payload)]
-        if kind in (KIND_STOP, KIND_HEARTBEAT):
-            return []
-        if kind == KIND_CHUNK:
-            try:
-                reassembler.feed_tolerant(payload)
-            except FrameError:
-                reassembler.reset()
-            return []
-        if kind == KIND_END:
-            try:
-                stream = reassembler.finish_tolerant(payload)
-            except FrameError:
-                reassembler.reset()
-                return []
-            if stream is None:
-                return []
-            inner_kind, chunks = stream
-            return runtime.handle_chunks(inner_kind, chunks)
-        return runtime.handle(kind, payload)
-
-    return handle
+    return decode
 
 
 class RuntimeCluster:
@@ -200,17 +168,12 @@ class RuntimeCluster:
         bootstraps: one :class:`WorkerBootstrap` per worker, in worker
             id order (ids must be ``0..W-1``).
         config: backend + supervision + fault selection.
-        network: optional :class:`~repro.distributed.network.
-            NetworkModel`, attached to the ``sim`` transport to charge
-            simulated wire time per frame.
     """
 
     def __init__(
         self,
         bootstraps: List[WorkerBootstrap],
         config: Optional[RuntimeConfig] = None,
-        *,
-        network=None,
     ) -> None:
         if not bootstraps:
             raise ValueError("at least one worker bootstrap is required")
@@ -231,11 +194,8 @@ class RuntimeCluster:
             spec.chunk_bytes = int(self.config.chunk_bytes)
         if backend == "sim":
             runtimes = [WorkerRuntime(spec) for spec in bootstraps]
-            handlers = [
-                _sim_handler(rt, i) for i, rt in enumerate(runtimes)
-            ]
             transport: Transport = SimTransport(
-                handlers, network=network,
+                [runtime.handle_frame for runtime in runtimes],
                 driver_caps=self.config.driver_caps,
                 worker_caps=self.config.worker_caps,
             )
@@ -416,14 +376,6 @@ class RuntimeCluster:
     def dropped_workers(self) -> Dict[int, str]:
         return {w: str(e) for w, e in sorted(self.supervisor.dead.items())}
 
-    @property
-    def charged_seconds(self) -> float:
-        """Simulated wire seconds (``sim`` backend only, else 0)."""
-        inner = self.transport
-        if isinstance(inner, FaultyTransport):
-            inner = inner.inner
-        return getattr(inner, "charged_seconds", 0.0)
-
     # ------------------------------------------------------------------
     def start_epoch(
         self, epoch: int, workers: Optional[Iterable[int]] = None
@@ -439,15 +391,9 @@ class RuntimeCluster:
         frames = [frame] * self.num_workers
         sent = self._send_all(frames, targets)
 
-        def decode(payload: bytes) -> int:
-            acked = unpack_ack(payload)
-            if acked != epoch:
-                raise FrameError(f"stale epoch ack {acked} (want {epoch})")
-            return acked
-
         self._collect(
             frames, sent, phase="epoch", expect_kind=KIND_ACK,
-            decode=decode, workers=targets,
+            decode=_ack_decoder("epoch", epoch), workers=targets,
         )
         self._require_workers("epoch")
 
@@ -625,17 +571,9 @@ class RuntimeCluster:
         with telemetry.span("runtime.fanout", phase="update"):
             sent = self._send_all(frames, targets)
 
-        def decode(payload: bytes) -> int:
-            acked = unpack_ack(payload)
-            if acked != round_id:
-                raise FrameError(
-                    f"stale update ack {acked} (want {round_id})"
-                )
-            return acked
-
         collected = self._collect(
             frames, sent, phase="update", expect_kind=KIND_ACK,
-            decode=decode, workers=targets,
+            decode=_ack_decoder("update", round_id), workers=targets,
         )
         acked = [w for w, result in collected.items() if result is not None]
         self._require_workers("update")
@@ -681,20 +619,12 @@ class RuntimeCluster:
         """
         frame = pack_frame(KIND_SYNC, DRIVER_SENDER, state_bytes)
 
-        def decode(payload: bytes) -> int:
-            acked = unpack_ack(payload)
-            if acked != round_id:
-                raise FrameError(
-                    f"stale sync ack {acked} (want {round_id})"
-                )
-            return acked
-
         result = self.supervisor.request(
             worker_id,
             frame,
             phase="sync",
             expect_kind=KIND_ACK,
-            decode=decode,
+            decode=_ack_decoder("sync", round_id),
             timeout=self.config.supervision.init_timeout,
         )
         if result is None:
@@ -720,17 +650,9 @@ class RuntimeCluster:
         targets = sorted(assignments)
         sent = self._send_all(frames, targets)
 
-        def decode(payload: bytes) -> int:
-            acked = unpack_ack(payload)
-            if acked != generation:
-                raise FrameError(
-                    f"stale reshard ack {acked} (want {generation})"
-                )
-            return acked
-
         self._collect(
             frames, sent, phase="reshard", expect_kind=KIND_ACK,
-            decode=decode, workers=targets,
+            decode=_ack_decoder("reshard", generation), workers=targets,
         )
         self._require_workers("reshard")
         telemetry.event(

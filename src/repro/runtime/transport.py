@@ -8,11 +8,8 @@ policies live one layer up in :mod:`repro.runtime.supervision`.
 Four backends:
 
 * :class:`SimTransport` — in-process loopback.  Workers are plain
-  callables serviced synchronously; a :class:`~repro.distributed.
-  network.NetworkModel` can be attached to charge simulated wire time
-  per frame, so the cost model of the figure benchmarks is preserved
-  while the byte path (serialize → frame → deserialize) is identical
-  to the real backends.
+  callables serviced synchronously; the byte path (serialize → frame →
+  deserialize) is identical to the real backends.
 * :class:`MultiprocessTransport` — one spawned OS process per worker,
   frames over :func:`multiprocessing.Pipe`.
 * :class:`TcpTransport` — one spawned OS process per worker, frames as
@@ -181,10 +178,10 @@ def _chosen_caps(
 
 
 # ----------------------------------------------------------------------
-# sim: in-process loopback over the NetworkModel cost model
+# sim: in-process loopback
 # ----------------------------------------------------------------------
 class SimTransport(Transport):
-    """Synchronous in-process transport with simulated wire costs.
+    """Synchronous in-process transport.
 
     Each worker is a handler ``fn(frame_bytes) -> iterable of reply
     frames`` run *synchronously* inside :meth:`send`; replies queue in
@@ -193,11 +190,9 @@ class SimTransport(Transport):
     here, so supervision retry paths are exercised without real sleeps.
 
     Args:
-        handlers: one handler per worker.
-        network: optional cost model; every frame in either direction
-            accrues ``transfer_time(len(frame))`` into
-            :attr:`charged_seconds` (the simulated wall clock the
-            trainer reports as network time).
+        handlers: one handler per worker (the cluster passes each
+            in-process worker's
+            :meth:`~repro.runtime.worker_runtime.WorkerRuntime.handle_frame`).
     """
 
     name = "sim"
@@ -205,7 +200,6 @@ class SimTransport(Transport):
     def __init__(
         self,
         handlers: Sequence[Callable[[bytes], Iterable[bytes]]],
-        network=None,
         *,
         driver_caps: Optional[ProtocolCaps] = None,
         worker_caps: Optional[Dict[int, ProtocolCaps]] = None,
@@ -221,17 +215,11 @@ class SimTransport(Transport):
             self.negotiated[worker_id] = pinned
             self.ops[worker_id] = negotiate_ops(ours, theirs, pinned[0])
         self._handlers = list(handlers)
-        self._network = network
         self._inboxes: List[Deque[bytes]] = [
             collections.deque() for _ in handlers
         ]
         self._dead = set()
         self._closed = False
-        self.charged_seconds = 0.0
-
-    def _charge(self, frame: bytes) -> None:
-        if self._network is not None:
-            self.charged_seconds += self._network.transfer_time(len(frame))
 
     def send(self, worker_id: int, frame: bytes) -> None:
         self._check_worker(worker_id)
@@ -239,10 +227,8 @@ class SimTransport(Transport):
             raise TransportClosed("transport is closed")
         if worker_id in self._dead:
             raise TransportClosed(f"worker {worker_id} was terminated")
-        self._charge(frame)
         telemetry.counter("transport.bytes_sent", len(frame), worker=worker_id)
         for reply in self._handlers[worker_id](bytes(frame)):
-            self._charge(reply)
             self._inboxes[worker_id].append(bytes(reply))
 
     def recv(self, worker_id: int, timeout: float) -> bytes:
@@ -751,7 +737,6 @@ def make_transport(
     num_workers: int,
     *,
     handlers: Optional[Sequence[Callable[[bytes], Iterable[bytes]]]] = None,
-    network=None,
     tcp_host: str = "127.0.0.1",
     driver_caps: Optional[ProtocolCaps] = None,
     worker_caps: Optional[Dict[int, ProtocolCaps]] = None,
@@ -769,8 +754,7 @@ def make_transport(
         if handlers is None:
             raise ValueError("sim backend requires in-process handlers")
         return SimTransport(
-            handlers, network=network,
-            driver_caps=driver_caps, worker_caps=worker_caps,
+            handlers, driver_caps=driver_caps, worker_caps=worker_caps
         )
     if backend == "mp":
         return MultiprocessTransport(

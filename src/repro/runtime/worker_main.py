@@ -35,9 +35,7 @@ import numpy as np
 
 from .. import telemetry
 from .framing import (
-    KIND_CHUNK,
     KIND_ECHO,
-    KIND_END,
     KIND_ERROR,
     KIND_HEARTBEAT,
     KIND_HELLO,
@@ -45,7 +43,6 @@ from .framing import (
     KIND_READY,
     KIND_STOP,
     KIND_ACK,
-    ChunkReassembler,
     FrameError,
     ProtocolCaps,
     negotiate_ops,
@@ -56,6 +53,7 @@ from .framing import (
     pack_metrics,
     pack_ops,
     unpack_frame,
+    unpack_header,
     unpack_hello,
 )
 from .transport import PipeEndpoint, SocketEndpoint
@@ -205,34 +203,29 @@ def serve(
     payload_version: int = 1,
     ops: bool = False,
 ) -> None:
-    """Frame-dispatch loop of one worker process.
+    """Receive loop of one worker process.
 
     Runs until a ``STOP`` frame, driver hang-up, or a fatal error
-    (reported back as an ``ERROR`` frame before exiting).  The
-    negotiated ``frame_version`` / ``payload_version`` / ``ops``
-    capability are handed to the :class:`WorkerRuntime` at ``INIT``;
-    on a frame-v2 connection incoming ``CHUNK``/``END`` streams (a
-    chunked ``UPDATE``) are reassembled here with bounded accounting.
-    On a live-ops connection the heartbeat thread piggybacks drained
-    metric deltas on every beat.
+    (reported back as an ``ERROR`` frame before exiting).  ``INIT``
+    builds the :class:`WorkerRuntime` with the negotiated
+    ``frame_version`` / ``payload_version`` / ``ops`` capability; every
+    later frame goes to :meth:`WorkerRuntime.handle_frame`, the same
+    dispatch the in-process ``sim`` transport calls (``CHUNK``/``END``
+    reassembly included).  On a live-ops connection the heartbeat
+    thread piggybacks drained metric deltas on every beat.
     """
     runtime: Optional[WorkerRuntime] = None
     heartbeat: Optional[_Heartbeat] = None
-    reassembler = ChunkReassembler()
     try:
         while True:
             frame = endpoint.recv()
             if frame is None:
                 return  # driver hung up
-            kind, _, payload = unpack_frame(frame)
+            kind, _, _ = unpack_header(frame)
             if kind == KIND_STOP:
                 return
-            if kind == KIND_ECHO:
-                endpoint.send(pack_frame(KIND_ECHO, worker_id, payload))
-                continue
-            if kind == KIND_HEARTBEAT:
-                continue  # driver-side probes need no reply
             if kind == KIND_INIT:
+                _, _, payload = unpack_frame(frame)
                 bootstrap = WorkerBootstrap.from_bytes(payload)
                 if bootstrap.trace_dir:
                     telemetry.enable_worker_recorder(
@@ -259,32 +252,18 @@ def serve(
                 heartbeat.start()
                 endpoint.send(pack_frame(KIND_READY, worker_id))
                 continue
-            if runtime is None:
+            if runtime is not None:
+                replies = runtime.handle_frame(frame)
+            elif kind == KIND_ECHO:
+                # Transport benchmarks echo without paying for INIT.
+                _, _, payload = unpack_frame(frame)
+                replies = [pack_frame(KIND_ECHO, worker_id, payload)]
+            elif kind == KIND_HEARTBEAT:
+                continue  # driver-side probes need no reply
+            else:
                 raise RuntimeError(
                     f"frame kind {kind} arrived before INIT"
                 )
-            if kind == KIND_CHUNK:
-                # A supervised retry re-sends the whole stream from
-                # seq 0; a reassembly protocol error drops the partial
-                # stream instead of killing the process — the driver's
-                # retry delivers a fresh copy.
-                try:
-                    reassembler.feed_tolerant(payload)
-                except FrameError:
-                    reassembler.reset()
-                continue
-            if kind == KIND_END:
-                try:
-                    stream = reassembler.finish_tolerant(payload)
-                except FrameError:
-                    reassembler.reset()
-                    continue
-                if stream is None:
-                    continue
-                inner_kind, chunks = stream
-                replies = runtime.handle_chunks(inner_kind, chunks)
-            else:
-                replies = runtime.handle(kind, payload)
             for reply in replies:
                 endpoint.send(reply)
     except Exception as exc:  # pragma: no cover - exercised via mp tests

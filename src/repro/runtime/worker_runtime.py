@@ -22,8 +22,9 @@ the last applied update round are cached, so a retried ``STEP`` or
 result instead of recomputing — retries never make a worker's replica
 diverge from the driver's model.
 
-The same class backs the in-process ``sim`` transport (handler
-callables) and the spawned ``mp`` / ``tcp`` worker processes
+The same class — and the same frame dispatch,
+:meth:`WorkerRuntime.handle_frame` — backs the in-process ``sim``
+transport and the spawned ``mp`` / ``tcp`` / ``aio`` worker processes
 (:mod:`repro.runtime.worker_main`).
 """
 
@@ -52,14 +53,20 @@ from ..optim.optimizers import Optimizer
 from .framing import (
     DEFAULT_CHUNK_BYTES,
     KIND_ACK,
+    KIND_CHUNK,
+    KIND_ECHO,
+    KIND_END,
     KIND_EPOCH,
     KIND_GRAD,
+    KIND_HEARTBEAT,
     KIND_RESHARD,
     KIND_STEP,
+    KIND_STOP,
     KIND_SYNC,
     KIND_UPDATE,
     SUPPORTED_FRAME_VERSIONS,
     UPDATE_HEADER_SIZE,
+    ChunkReassembler,
     FrameError,
     iter_chunk_frames,
     pack_ack,
@@ -70,6 +77,7 @@ from .framing import (
     split_chunk_prefix,
     split_ops_prefix_chunks,
     unpack_ack,
+    unpack_frame,
     unpack_ops_prefix,
     unpack_step_ex,
     unpack_update,
@@ -210,6 +218,7 @@ class WorkerRuntime:
         self.optimizer = bootstrap.optimizer
         self.optimizer.prepare(bootstrap.model.num_parameters)
         self._cache = _StepCache()
+        self._reassembler = ChunkReassembler()
         self._frame_version = 1
         self._payload_version = 1
         self._ops = False
@@ -296,10 +305,39 @@ class WorkerRuntime:
         raise FrameError(f"worker cannot service frame kind {kind}")
 
     def handle_frame(self, frame: bytes) -> List[bytes]:
-        """``sim`` transport adapter: raw frame in, reply frames out."""
-        from .framing import unpack_frame
+        """Service one raw driver frame; returns the reply frames.
 
+        The worker's single frame dispatch: the ``sim`` transport calls
+        it directly and a spawned worker's ``serve()`` loop delegates
+        every post-``INIT`` frame to it.  ``ECHO`` is answered,
+        ``STOP`` / ``HEARTBEAT`` need no reply, and a frame-v2
+        ``CHUNK``/``END`` stream (a broadcast ``UPDATE`` larger than
+        ``chunk_bytes``) is reassembled with bounded accounting before
+        :meth:`handle_chunks`.  A supervised retry re-sends a whole
+        stream from seq 0; a reassembly protocol error drops the partial
+        stream instead of failing the worker, and the driver's retry
+        delivers a fresh copy.
+        """
         kind, _, payload = unpack_frame(frame)
+        if kind == KIND_ECHO:
+            return [pack_frame(KIND_ECHO, self.worker_id, payload)]
+        if kind in (KIND_STOP, KIND_HEARTBEAT):
+            return []
+        if kind == KIND_CHUNK:
+            try:
+                self._reassembler.feed_tolerant(payload)
+            except FrameError:
+                self._reassembler.reset()
+            return []
+        if kind == KIND_END:
+            try:
+                stream = self._reassembler.finish_tolerant(payload)
+            except FrameError:
+                self._reassembler.reset()
+                return []
+            if stream is None:
+                return []
+            return self.handle_chunks(*stream)
         return self.handle(kind, payload)
 
     # ------------------------------------------------------------------

@@ -133,6 +133,85 @@ class TestStaleEquivalence:
         np.testing.assert_array_equal(mp_trainer.theta, sim_trainer.theta)
 
 
+class TestOneRoundEngine:
+    """``DistributedTrainer`` on a real backend and a static-membership
+    ``FleetTrainer`` run the same synchronous round loop, so they must
+    agree exactly.  900 training rows split evenly over 2 or 4 workers,
+    so the fleet's shard weights (1/2, 1/4) are exact in floating point
+    and its weighted sum equals the classic per-key mean bit for bit."""
+
+    ENGINE_SEED = 3
+
+    @pytest.fixture(scope="class")
+    def even_split(self):
+        return train_test_split(
+            kdd10_like(seed=self.ENGINE_SEED, scale=0.1),
+            seed=self.ENGINE_SEED,
+        )
+
+    def _factory(self):
+        return SketchMLCompressor(SketchMLConfig.full(seed=self.ENGINE_SEED))
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_distributed_mp_matches_fleet_sim(self, even_split, workers):
+        from repro.distributed import DistributedTrainer, TrainerConfig
+
+        train, test = even_split
+        assert train.num_rows == 900
+        distributed = DistributedTrainer(
+            model=make_model("lr", train.num_features),
+            optimizer=SGD(learning_rate=0.1),
+            compressor_factory=self._factory,
+            network=infinite_bandwidth(),
+            config=TrainerConfig(
+                num_workers=workers, epochs=EPOCHS,
+                seed=self.ENGINE_SEED, backend="mp",
+            ),
+        )
+        fleet = FleetTrainer(
+            model=make_model("lr", train.num_features),
+            optimizer=SGD(learning_rate=0.1),
+            compressor_factory=self._factory,
+            network=infinite_bandwidth(),
+            schedule=MembershipSchedule(num_workers=workers),
+            config=FleetConfig(
+                epochs=EPOCHS, seed=self.ENGINE_SEED, backend="sim",
+            ),
+        )
+        got = distributed.train(train, test)
+        ref = fleet.train(train, test)
+        np.testing.assert_array_equal(distributed.theta, fleet.theta)
+        assert [(e.bytes_sent, e.num_messages) for e in got.epochs] == [
+            (e.bytes_sent, e.num_messages) for e in ref.epochs
+        ]
+
+
+class TestWireFormatRequired:
+    @pytest.mark.parametrize("backend", ["sim", "mp"])
+    def test_compressor_without_wire_format_fails_before_boot(
+        self, split, backend
+    ):
+        # Top-k messages have no wire format: the fleet must refuse the
+        # compressor up front with the same named error as
+        # DistributedTrainer, before any worker process is spawned.
+        import multiprocessing
+
+        from repro.compression import TopKCompressor
+
+        train, test = split
+        trainer = FleetTrainer(
+            model=make_model("lr", train.num_features),
+            optimizer=SGD(learning_rate=0.1),
+            compressor_factory=TopKCompressor,
+            network=infinite_bandwidth(),
+            schedule=MembershipSchedule(num_workers=2),
+            config=FleetConfig(epochs=1, seed=SEED, backend=backend),
+        )
+        with pytest.raises(ValueError, match="cannot be serialized"):
+            trainer.train(train, test)
+        assert multiprocessing.active_children() == []
+
+
 class TestConfigValidation:
     def test_negative_staleness_rejected(self):
         with pytest.raises(ValueError, match="staleness"):

@@ -291,8 +291,8 @@ class TestNegotiatedTraining:
     def test_sim_cluster_streams_chunked_updates(self):
         """The default sim fleet negotiates frame v2, so an update
         larger than ``chunk_bytes`` broadcasts as a CHUNK/END stream
-        straight into the in-process handler — regression for
-        ``_sim_handler`` forwarding chunk frames to
+        straight into the in-process handler — regression for the sim
+        frame dispatch forwarding chunk frames to
         ``WorkerRuntime.handle`` and crashing the run."""
         from repro.core.serialization import serialize_message
         from repro.data import kdd10_like
@@ -378,14 +378,19 @@ class TestServeChunkRecovery:
     """A chunked request that dies mid-sequence and is retried from
     seq 0 must reassemble cleanly in ``serve()`` — regression for the
     strict reassembler turning the retried stream's sequence reset
-    into an ERROR frame and worker-process exit."""
+    into an ERROR frame and worker-process exit.  ``serve()`` hands
+    every post-INIT frame to the real ``WorkerRuntime.handle_frame``;
+    the stub only replaces what a reassembled stream is handed to."""
 
     def _stub_runtime(self, monkeypatch, calls):
         from repro.runtime import worker_main
+        from repro.runtime.framing import ChunkReassembler
+        from repro.runtime.worker_runtime import WorkerRuntime
 
-        class StubRuntime:
+        class StubRuntime(WorkerRuntime):
             def __init__(self, bootstrap):
-                pass
+                self.worker_id = 1
+                self._reassembler = ChunkReassembler()
 
             def set_wire(self, frame_v, payload_v, ops=False):
                 pass
