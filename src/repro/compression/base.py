@@ -5,10 +5,13 @@ form: a strictly ascending int64 ``keys`` array (nonzero dimensions) and
 a parallel float64 ``values`` array, plus the model dimension ``D``.
 
 A :class:`GradientCompressor` turns that pair into a
-:class:`CompressedGradient` — an object that knows its exact wire size —
-and back.  The distributed trainer charges the network model with
-``message.num_bytes``, so the byte accounting *is* the experiment: every
-compressor must report honest sizes (headers and metadata included).
+:class:`CompressedGradient` — an object that knows its size — and back.
+The distributed trainer charges the network model with
+``message.num_bytes``, so the byte accounting *is* the experiment.  For
+the SketchML family that size is measured: the length of the payload-v2
+wire bytes (:mod:`repro.core.serialization`).  The baselines have no
+wire format, so theirs is modelled by a declared formula (headers and
+metadata included).
 
 Compressors are registered by name (:func:`register_compressor` /
 :func:`make_compressor`) so benchmarks can be driven from strings.
@@ -38,14 +41,16 @@ BYTES_PER_RAW_VALUE = 8
 
 @dataclass
 class CompressedGradient:
-    """A compressed gradient message with exact wire-size accounting.
+    """A compressed gradient message and its size.
 
     Attributes:
         payload: compressor-specific opaque content.
-        num_bytes: exact serialized size charged to the network.
+        num_bytes: size charged to the network.  For SketchML-family
+            messages it is the payload-v2 wire length; for the
+            baselines (no wire format) it is modelled by a formula.
         dimension: model dimension ``D`` of the original gradient.
         nnz: number of nonzero entries in the original gradient.
-        breakdown: optional per-component byte accounting (keys /
+        breakdown: optional per-component split of ``num_bytes`` (keys /
             values / sketch / metadata), used by the Fig. 8(b) bench.
     """
 

@@ -21,7 +21,6 @@ from .serialization import (
     deserialize_message,
     serialize_message,
 )
-from .wire import WireSketchMLCompressor
 
 __all__ = [
     "SketchMLCompressor",
@@ -39,5 +38,4 @@ __all__ = [
     "serialize_message",
     "deserialize_message",
     "SerializationError",
-    "WireSketchMLCompressor",
 ]

@@ -24,14 +24,12 @@ baseline, so one code path serves every bar of Fig. 8.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .. import sanitize, telemetry
 from ..compression.base import (
-    BYTES_PER_RAW_KEY,
-    BYTES_PER_RAW_VALUE,
     CompressedGradient,
     GradientCompressor,
     register_compressor,
@@ -49,9 +47,6 @@ from .minmax_sketch import GroupedMinMaxSketch
 from .quantizer import QuantileBucketQuantizer, SignedBuckets
 
 __all__ = ["SketchMLCompressor", "SketchMLPayload", "SignPart"]
-
-_HEADER_BYTES = 16
-_PART_HEADER_BYTES = 8
 
 
 @dataclass
@@ -90,14 +85,13 @@ class SketchMLPayload:
     decay_scale: float = 1.0
 
 
-def _index_bytes_per_value(num_buckets: int) -> int:
-    """Bytes per encoded bucket index (1 for q <= 256, §3.2 step 4)."""
-    return 1 if num_buckets <= 256 else 2
-
-
 @register_compressor("sketchml")
 class SketchMLCompressor(GradientCompressor):
-    """End-to-end SketchML encode/decode with exact byte accounting.
+    """End-to-end SketchML encode/decode.
+
+    A message's ``num_bytes`` is its payload-v2 wire length and
+    ``breakdown`` that length's per-section split, both tallied by the
+    serializer (:func:`~repro.core.serialization.wire_sections`).
 
     Args:
         config: a :class:`SketchMLConfig`; defaults to the paper's
@@ -145,26 +139,28 @@ class SketchMLCompressor(GradientCompressor):
     def _compress(
         self, keys: np.ndarray, values: np.ndarray, dimension: int
     ) -> CompressedGradient:
+        # Function-level: serialization imports this module's payload types.
+        from .serialization import wire_sections
+
         keys, values = validate_sparse_gradient(keys, values, dimension)
+        message = CompressedGradient(
+            self._encode(keys, values), 0, dimension, keys.size
+        )
+        message.breakdown = wire_sections(message)
+        message.num_bytes = sum(message.breakdown.values())
+        return message
+
+    def _encode(self, keys: np.ndarray, values: np.ndarray) -> SketchMLPayload:
         cfg = self.config
         sanitize_active = bool(cfg.sanitize) or sanitize.enabled()
-        breakdown: Dict[str, int] = {"header": _HEADER_BYTES}
         payload = SketchMLPayload()
 
         if keys.size == 0:
-            return CompressedGradient(
-                payload=payload,
-                num_bytes=_HEADER_BYTES,
-                dimension=dimension,
-                nnz=0,
-                breakdown=breakdown,
-            )
+            return payload
 
         if not cfg.enable_quantization:
-            part, part_bytes = self._compress_unquantized(keys, values, breakdown)
-            payload.parts.append(part)
-            total = _HEADER_BYTES + part_bytes
-            return CompressedGradient(payload, total, dimension, keys.size, breakdown)
+            payload.parts.append(self._compress_unquantized(keys, values))
+            return payload
 
         # §3.5 assumes q << d; for tiny gradients a fixed q would make
         # the 8q bucket-means payload dominate the message, so the
@@ -207,7 +203,6 @@ class SketchMLCompressor(GradientCompressor):
                     values, pos_sel=pos_sel, neg_sel=neg_sel
                 )
             self._cached_quantizer = quantizer
-        total = _HEADER_BYTES
         group_keys_by_part: List[Optional[Tuple[np.ndarray, np.ndarray]]] = []
         for sign, sel, enc in ((1, pos_sel, pos_enc), (-1, neg_sel, neg_enc)):
             if sel.size == 0:
@@ -216,26 +211,22 @@ class SketchMLCompressor(GradientCompressor):
             if enc is None:
                 magnitudes = values.take(sel) if sign > 0 else -values.take(sel)
                 enc = buckets.encode(magnitudes)
-            part, part_bytes, part_group_keys = self._compress_sign(
+            part, part_group_keys = self._compress_sign(
                 sign,
                 keys.take(sel),
                 enc,
                 buckets,
-                breakdown,
                 sanitize_active=sanitize_active,
             )
             payload.parts.append(part)
             group_keys_by_part.append(part_group_keys)
-            total += part_bytes
         if cfg.compensate_decay and cfg.enable_minmax:
             payload.decay_scale = self._measure_decay_scale(
                 payload, values, group_keys_by_part,
                 sanitize_active=sanitize_active,
             )
             telemetry.gauge("codec.decay_scale", payload.decay_scale)
-            breakdown["decay_scale"] = 8
-            total += 8
-        return CompressedGradient(payload, total, dimension, keys.size, breakdown)
+        return payload
 
     def _measure_decay_scale(
         self,
@@ -275,23 +266,16 @@ class SketchMLCompressor(GradientCompressor):
         return float(np.clip(scale, 1.0, 8.0))
 
     def _compress_unquantized(
-        self, keys: np.ndarray, values: np.ndarray, breakdown: Dict[str, int]
-    ) -> Tuple[SignPart, int]:
+        self, keys: np.ndarray, values: np.ndarray
+    ) -> SignPart:
         """Adam / Adam+Key paths: raw float values, keys maybe delta'd."""
-        cfg = self.config
         part = SignPart(sign=0, nnz=keys.size, raw_values=values.copy())
-        value_bytes = BYTES_PER_RAW_VALUE * keys.size
-        if cfg.enable_delta_keys:
+        if self.config.enable_delta_keys:
             with telemetry.span("codec.delta_encode"):
                 part.key_blob = encode_keys(keys)
-            key_bytes = len(part.key_blob)
         else:
             part.raw_keys = keys.copy()
-            key_bytes = BYTES_PER_RAW_KEY * keys.size
-        breakdown["keys"] = breakdown.get("keys", 0) + key_bytes
-        breakdown["values"] = breakdown.get("values", 0) + value_bytes
-        breakdown["part_headers"] = breakdown.get("part_headers", 0) + _PART_HEADER_BYTES
-        return part, key_bytes + value_bytes + _PART_HEADER_BYTES
+        return part
 
     def _compress_sign(
         self,
@@ -299,24 +283,19 @@ class SketchMLCompressor(GradientCompressor):
         keys: np.ndarray,
         indexes: np.ndarray,
         buckets: SignedBuckets,
-        breakdown: Dict[str, int],
         sanitize_active: bool = False,
-    ) -> Tuple[SignPart, int, Optional[List[np.ndarray]]]:
+    ) -> Tuple[SignPart, Optional[Tuple[np.ndarray, np.ndarray]]]:
         """Quantized path for one sign, with or without MinMaxSketch.
 
-        Returns the part, its byte cost, and (on the MinMaxSketch path)
-        the per-group key arrays so the decay measurement can query the
-        sketches without re-decoding the key blobs.  When
+        Returns the part and (on the MinMaxSketch path) the
+        group-sorted keys and per-group counts, so the decay measurement
+        can query the sketches without re-decoding the key blobs.  When
         ``sanitize_active`` the freshly built sketch is immediately
         queried back and the §3.3 one-sided/range invariants are checked
         against the known true indexes.
         """
         cfg = self.config
         part = SignPart(sign=sign, nnz=keys.size, buckets=buckets)
-        bucket_bytes = buckets.payload_bytes
-        breakdown["bucket_means"] = breakdown.get("bucket_means", 0) + bucket_bytes
-        breakdown["part_headers"] = breakdown.get("part_headers", 0) + _PART_HEADER_BYTES
-        total = bucket_bytes + _PART_HEADER_BYTES
         group_keys: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
         if cfg.enable_minmax:
@@ -349,34 +328,22 @@ class SketchMLCompressor(GradientCompressor):
             group_keys = (sorted_keys, counts)
             with telemetry.span("codec.delta_encode"):
                 part.group_key_blobs = encode_key_groups_flat(sorted_keys, counts)
-            key_bytes = sum(len(blob) for blob in part.group_key_blobs)
-            sketch_bytes = sketch.size_bytes
-            breakdown["keys"] = breakdown.get("keys", 0) + key_bytes
-            breakdown["sketch"] = breakdown.get("sketch", 0) + sketch_bytes
-            total += key_bytes + sketch_bytes
         else:
             if cfg.pack_index_bits:
                 bits = max(1, int(np.ceil(np.log2(max(buckets.num_buckets, 2)))))
                 part.packed_indexes = pack_uint_array(indexes, bits)
                 part.index_bits = bits
-                value_bytes = len(part.packed_indexes)
             else:
-                index_width = _index_bytes_per_value(cfg.num_buckets)
+                # One byte per index for q <= 256 (§3.2 step 4).
                 part.indexes = indexes.astype(
-                    np.uint8 if index_width == 1 else np.uint16
+                    np.uint8 if cfg.num_buckets <= 256 else np.uint16
                 )
-                value_bytes = index_width * keys.size
             if cfg.enable_delta_keys:
                 with telemetry.span("codec.delta_encode"):
                     part.key_blob = encode_keys(keys)
-                key_bytes = len(part.key_blob)
             else:
                 part.raw_keys = keys.copy()
-                key_bytes = BYTES_PER_RAW_KEY * keys.size
-            breakdown["keys"] = breakdown.get("keys", 0) + key_bytes
-            breakdown["values"] = breakdown.get("values", 0) + value_bytes
-            total += key_bytes + value_bytes
-        return part, total, group_keys
+        return part, group_keys
 
     @staticmethod
     def _trace_sketch_fidelity(

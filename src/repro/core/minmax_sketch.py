@@ -603,10 +603,6 @@ class GroupedMinMaxSketch:
         return tuple(self._sketches)
 
     @property
-    def size_bytes(self) -> int:
-        return sum(s.size_bytes for s in self._sketches)
-
-    @property
     def max_index_error(self) -> int:
         """Worst-case decoded index error: ``group_width - 1`` (= q/r)."""
         return self.group_width - 1

@@ -362,16 +362,6 @@ class QuantileBucketQuantizer:
             total += self.negative.num_buckets
         return total
 
-    @property
-    def payload_bytes(self) -> int:
-        """Bytes of bucket metadata shipped with each message (8q, §3.5)."""
-        total = 0
-        if self.positive is not None:
-            total += self.positive.payload_bytes
-        if self.negative is not None:
-            total += self.negative.payload_bytes
-        return total
-
     def variance_bound(self, values: np.ndarray) -> float:
         """Theorem A.2's bound ``d/(4q) * (phi_min^2 + phi_max^2)``."""
         values = np.asarray(values, dtype=np.float64)

@@ -1,13 +1,15 @@
 """Binary wire format for SketchML messages.
 
-The compressor's byte *accounting* is exact, but a production system
-must actually put the message on a wire.  This module serialises a
-:class:`~repro.compression.base.CompressedGradient` produced by
-:class:`~repro.core.compressor.SketchMLCompressor` into a
-self-describing byte string and back, bit-for-bit:
+This module serialises a :class:`~repro.compression.base.
+CompressedGradient` produced by :class:`~repro.core.compressor.
+SketchMLCompressor` into a self-describing byte string and back,
+bit-for-bit:
 
 ``serialize_message`` → ``bytes`` → ``deserialize_message`` →
 decompresses to exactly the same keys/values as the in-memory message.
+It is also the only place that knows the layout's size: a message's
+``num_bytes`` / ``breakdown`` are its payload-v2 length and that
+length's per-section split (:func:`wire_sections`).
 
 The version 1 layout (all integers little-endian)::
 
@@ -61,7 +63,7 @@ bin placement without shipping the functions themselves.
 from __future__ import annotations
 
 import struct
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -80,6 +82,7 @@ from .quantizer import SignedBuckets
 
 __all__ = [
     "serialize_message",
+    "wire_sections",
     "iter_serialize_message",
     "deserialize_message",
     "deserialize_message_chunks",
@@ -148,6 +151,21 @@ class SerializationError(ValueError):
 class _Writer:
     def __init__(self) -> None:
         self._chunks: List[bytes] = []
+        # (first chunk index, section name); see :func:`wire_sections`.
+        self._marks: List[Tuple[int, str]] = [(0, "header")]
+
+    def section(self, name: str) -> None:
+        """Tally the pieces written from here on under ``name``."""
+        self._marks.append((len(self._chunks), name))
+
+    def sections(self) -> Dict[str, int]:
+        sizes: Dict[str, int] = {}
+        ends = [start for start, _ in self._marks[1:]] + [len(self._chunks)]
+        for (start, name), end in zip(self._marks, ends):
+            sizes[name] = sizes.get(name, 0) + sum(
+                map(len, self._chunks[start:end])
+            )
+        return sizes
 
     def raw(self, data: bytes) -> None:
         self._chunks.append(data)
@@ -264,6 +282,7 @@ class _Reader:
 # buckets
 # ----------------------------------------------------------------------
 def _write_buckets(w: _Writer, buckets: SignedBuckets, version: int) -> None:
+    w.section("bucket_means")
     w.pack(_U16, buckets.num_buckets)
     w.pack(_I8, 1 if buckets.sign > 0 else -1)
     if version < PAYLOAD_VERSION_V2:
@@ -600,19 +619,23 @@ def _read_entropy_indexes(r: _Reader, part: SignPart, message_nnz: int) -> None:
 # parts
 # ----------------------------------------------------------------------
 def _write_part(w: _Writer, part: SignPart, version: int, entropy: bool) -> None:
+    w.section("header")
     w.pack(_I8, part.sign)
     w.pack(_U64, part.nnz)
     if part.raw_values is not None:
         w.pack(_U8, _KIND_RAW)
         _write_keys(w, part)
+        w.section("values")
         w.array(np.asarray(part.raw_values, dtype="<f8"))
     elif part.sketch is not None:
         w.pack(_U8, _KIND_SKETCH)
         _write_buckets(w, part.buckets, version)
         blobs = part.group_key_blobs or []
+        w.section("keys")
         w.pack(_U8, len(blobs))
         for blob in blobs:
             w.blob(blob)
+        w.section("sketch")
         if version < PAYLOAD_VERSION_V2:
             _write_grouped(w, part.sketch)
         else:
@@ -621,10 +644,12 @@ def _write_part(w: _Writer, part: SignPart, version: int, entropy: bool) -> None
         w.pack(_U8, _KIND_INDEXES)
         _write_keys(w, part)
         _write_buckets(w, part.buckets, version)
+        w.section("values")
         _write_index_stream(w, part, entropy)
 
 
 def _write_keys(w: _Writer, part: SignPart) -> None:
+    w.section("keys")
     if part.key_blob is not None:
         w.pack(_U8, _KEY_KIND_DELTA)
         w.blob(part.key_blob)
@@ -754,6 +779,19 @@ def serialize_message(
             outside ``[0, index_range)`` other than the empty sentinel.
     """
     return _build_message(message, version, entropy).getvalue()
+
+
+def wire_sections(message: CompressedGradient) -> Dict[str, int]:
+    """Bytes per section of ``serialize_message(message, version=2)``.
+
+    The writer tallies every piece it emits under ``header`` (message
+    and part headers, decay scale), ``keys``, ``bucket_means``,
+    ``sketch`` or ``values`` (raw values or bucket indexes), so the
+    values sum to the wire length exactly.  This is how
+    :class:`~repro.core.compressor.SketchMLCompressor` sizes its
+    messages: payload v2 is what every runtime backend negotiates.
+    """
+    return _build_message(message, PAYLOAD_VERSION_V2, False).sections()
 
 
 def iter_serialize_message(

@@ -45,7 +45,6 @@ from ..core.serialization import (
     deserialize_message,
     deserialize_message_chunks,
     iter_serialize_message,
-    serialize_message,
 )
 from ..distributed.worker import Worker
 from ..models.base import Model
@@ -384,15 +383,6 @@ class WorkerRuntime:
                     "worker.encode_ns", int(result.encode_seconds * 1e9)
                 )
                 self._metric("worker.grad_nnz", int(result.gradient_nnz))
-                # Compressed payload bytes, metered *before* the frames
-                # are built so the delta rides this very reply's ops
-                # block — every metered byte is wire-deliverable, which
-                # is what keeps exporter totals == trace sums bit-exact
-                # (framed byte counts live in transport.bytes_* on the
-                # driver side).
-                self._metric(
-                    "worker.bytes_out", int(result.message.num_bytes)
-                )
                 frames = self._grad_frames(round_id, result)
         self._cache.round_id = round_id
         self._cache.frames = frames
@@ -407,7 +397,17 @@ class WorkerRuntime:
         ``CHUNK``/``END`` frames without ever being joined contiguously.
         """
         version = self._payload_version
-        entropy = self._entropy and version >= 2
+        data = list(iter_serialize_message(
+            result.message, version=version,
+            entropy=self._entropy and version >= 2,
+            chunk_bytes=self._chunk_bytes,
+        ))
+        # The serialized message bytes as shipped, metered *before* the
+        # ops block is drained so the delta rides this very reply —
+        # every metered byte is wire-deliverable, which is what keeps
+        # exporter totals == trace sums bit-exact (framed byte counts
+        # live in transport.bytes_* on the driver side).
+        self._metric("worker.bytes_out", sum(len(piece) for piece in data))
         header = pack_grad_header(
             round_id,
             True,
@@ -424,14 +424,8 @@ class WorkerRuntime:
                 # reply.  The message magic ("SKML") can never collide
                 # with the ops magic, so v2 peers peel tolerantly.
                 pieces.append(self._ops_block())
-            body_len = sum(len(p) for p in pieces)
-            for piece in iter_serialize_message(
-                result.message, version=version, entropy=entropy,
-                chunk_bytes=self._chunk_bytes,
-            ):
-                pieces.append(piece)
-                body_len += len(piece)
-            if body_len > self._chunk_bytes:
+            pieces.extend(data)
+            if sum(len(p) for p in pieces) > self._chunk_bytes:
                 return list(
                     iter_chunk_frames(
                         KIND_GRAD, self.worker_id, pieces,
@@ -441,10 +435,9 @@ class WorkerRuntime:
             return [
                 pack_frame(KIND_GRAD, self.worker_id, b"".join(pieces))
             ]
-        data = serialize_message(
-            result.message, version=version, entropy=entropy
-        )
-        return [pack_frame(KIND_GRAD, self.worker_id, header + data)]
+        return [
+            pack_frame(KIND_GRAD, self.worker_id, b"".join([header, *data]))
+        ]
 
     def _handle_update(self, payload: bytes) -> List[bytes]:
         round_id, lr, data = unpack_update(payload)

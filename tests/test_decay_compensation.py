@@ -61,7 +61,8 @@ class TestDecayCompensation:
             SketchMLConfig.full(compensate_decay=True, **LOSSY)
         ).compress(keys, values, dim)
         assert comp_msg.num_bytes == plain_msg.num_bytes + 8
-        assert comp_msg.breakdown["decay_scale"] == 8
+        # The f64 scale rides the message header.
+        assert comp_msg.breakdown["header"] == plain_msg.breakdown["header"] + 8
 
     def test_accurate_sketch_needs_no_correction(self):
         """With a big sketch the decay is negligible and the scale ≈ 1."""

@@ -1,7 +1,6 @@
 """Cross-cutting integration tests over the whole stack."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +12,6 @@ from repro import (
     ZipMLCompressor,
     cluster1_like,
 )
-from repro.core import WireSketchMLCompressor
 from repro.data import SparseDataset
 from repro.models import make_model
 from repro.optim import Adam
@@ -67,21 +65,22 @@ def test_full_stack_property(seed):
 
 
 def test_wire_and_memory_pipelines_agree_in_training():
-    """Training through real serialised bytes must match the in-memory
-    pipeline exactly (same decoded gradients → same model)."""
+    """Training through real serialised bytes (``mp`` workers) must match
+    the in-memory pipeline exactly (same decoded gradients → same
+    model), and the in-memory byte count is the byte count shipped."""
     dataset = random_dataset(99, rows=90)
-    losses = {}
-    for name, factory in (
-        ("memory", SketchMLCompressor),
-        ("wire", WireSketchMLCompressor),
-    ):
+    histories = {}
+    for backend in ("sim", "mp"):
         model = make_model("lr", dataset.num_features, reg_lambda=0.01)
         trainer = DistributedTrainer(
             model=model,
             optimizer=Adam(learning_rate=0.02),
-            compressor_factory=factory,
+            compressor_factory=SketchMLCompressor,
             network=cluster1_like(),
-            config=TrainerConfig(num_workers=3, epochs=2, seed=1),
+            config=TrainerConfig(
+                num_workers=3, epochs=2, seed=1, backend=backend
+            ),
         )
-        losses[name] = trainer.train(dataset, dataset).test_losses
-    assert losses["memory"] == pytest.approx(losses["wire"])
+        histories[backend] = trainer.train(dataset, dataset)
+    assert histories["sim"].test_losses == histories["mp"].test_losses
+    assert histories["sim"].total_bytes_sent == histories["mp"].total_bytes_sent

@@ -78,16 +78,17 @@ def clean_telemetry_state():
     recorder_module._CONTEXT.clear()
 
 
-def run_ops(backend, out_path, *, hub=None, runtime=None, epochs=1):
-    """One fixed-seed training run with the full ops plane live."""
+def run_ops(backend, out_path, *, hub=None, runtime=None, epochs=1,
+            config=None):
+    """One fixed-seed training run with the full ops plane live;
+    returns ``(theta, trace events, history)``."""
     split = train_test_split(kdd10_like(seed=SEED, scale=0.02), seed=SEED)
     train, _ = split
+    config = config or SketchMLConfig.full(seed=SEED)
     trainer = DistributedTrainer(
         model=make_model("lr", train.num_features),
         optimizer=SGD(learning_rate=0.1),
-        compressor_factory=lambda: SketchMLCompressor(
-            SketchMLConfig.full(seed=SEED)
-        ),
+        compressor_factory=lambda: SketchMLCompressor(config),
         network=infinite_bandwidth(),
         config=TrainerConfig(
             num_workers=NUM_WORKERS,
@@ -103,12 +104,13 @@ def run_ops(backend, out_path, *, hub=None, runtime=None, epochs=1):
     if out_path:
         telemetry.start_run(out_path, run_id=f"obs-{backend}")
     try:
-        trainer.train(*split)
+        history = trainer.train(*split)
     finally:
         if out_path and telemetry.active_session() is not None:
             telemetry.finish_run()
         telemetry.set_metrics_hub(None)
-    return trainer.theta, (read_trace(out_path) if out_path else None)
+    events = read_trace(out_path) if out_path else None
+    return trainer.theta, events, history
 
 
 def clean_runtime(backend, **kwargs):
@@ -143,7 +145,7 @@ def obs_run(tmp_path_factory):
     hub = MetricsHub()
     exporter = MetricsExporter(hub, port=0).start()
     try:
-        theta, events = run_ops(
+        theta, events, _ = run_ops(
             "mp", path, hub=hub, runtime=clean_runtime("mp")
         )
         with urllib.request.urlopen(
@@ -199,6 +201,23 @@ class TestExporterTraceParity:
             assert per["worker.steps"] > 0
             assert per["codec.messages"] > 0
             assert per["worker.bytes_out"] > 0
+
+    def test_bytes_out_meters_the_shipped_message(self, tmp_path):
+        # worker.bytes_out counts the serialized message as sent, not
+        # the codec's num_bytes (its plain payload-v2 length): worker 1
+        # ships dense-coded v2 indexes, worker 0 is pinned at v1.
+        _, events, history = run_ops(
+            "mp", str(tmp_path / "bytes.jsonl"),
+            runtime=clean_runtime(
+                "mp", entropy_coding=True, worker_caps={0: V1_CAPS}
+            ),
+            config=SketchMLConfig.keys_and_quantization(seed=SEED),
+        )
+        sums = trace_counter_sums(events)
+        assert all(sums[w]["worker.bytes_out"] > 0 for w in (0, 1))
+        assert sum(
+            per.get("worker.bytes_out", 0) for per in sums.values()
+        ) == history.total_bytes_sent
 
     def test_snapshot_reports_wire_settings(self, obs_run):
         info = obs_run["snapshot"]["info"]
@@ -258,7 +277,7 @@ class TestSpanCausality:
         # Chunk every UPDATE broadcast: the span context must survive
         # the CHUNK/END stream, not just contiguous frames.
         path = str(tmp_path / "chunked.jsonl")
-        _, events = run_ops(
+        _, events, _ = run_ops(
             "mp", path,
             runtime=clean_runtime("mp", chunk_bytes=256),
         )
@@ -279,9 +298,9 @@ class TestSpanCausality:
         # The negotiation matrix cell the ISSUE pins: a v2+ops driver
         # against a v1 worker.  The ops plane must disable itself on
         # that connection and the math must not notice.
-        base_theta, _ = run_ops("mp", "", runtime=clean_runtime("mp"))
+        base_theta, _, _ = run_ops("mp", "", runtime=clean_runtime("mp"))
         hub = MetricsHub()
-        theta, _ = run_ops(
+        theta, _, _ = run_ops(
             "mp", str(tmp_path / "v1peer.jsonl"), hub=hub,
             runtime=clean_runtime(
                 "mp", worker_caps={0: V1_CAPS}
@@ -298,7 +317,7 @@ class TestSpanCausality:
         thetas = {}
         for backend in ("sim", "mp", "tcp", "aio"):
             hub = MetricsHub()
-            thetas[backend], _ = run_ops(
+            thetas[backend], _, _ = run_ops(
                 "sim" if backend == "sim" else backend,
                 str(tmp_path / f"{backend}.jsonl"),
                 hub=hub,

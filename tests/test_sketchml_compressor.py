@@ -154,7 +154,9 @@ class TestByteAccounting:
         keys, values, dim = make_gradient(nnz=4_000, seed=9)
         cfg = SketchMLConfig.full()
         msg = SketchMLCompressor(cfg).compress(keys, values, dim)
-        assert msg.breakdown["bucket_means"] <= 8 * cfg.num_buckets
+        # Means plus each sign part's 11-byte block header (bucket
+        # count, sign, length prefix).
+        assert msg.breakdown["bucket_means"] <= 8 * cfg.num_buckets + 2 * 11
         expected_sketch = cfg.minmax_rows * cfg.minmax_total_bins(4_000)
         # Two sign sketches share the per-sign nnz; allow rounding slack.
         assert msg.breakdown["sketch"] <= 2 * expected_sketch + 64
@@ -164,7 +166,9 @@ class TestByteAccounting:
         msg = SketchMLCompressor(SketchMLConfig.keys_and_quantization()).compress(
             keys, values, dim
         )
-        assert msg.breakdown["values"] == 2_000
+        # One byte per index plus each sign part's index width marker
+        # and u64 length prefix.
+        assert msg.breakdown["values"] == 2_000 + 2 * 9
 
     def test_pack_index_bits_saves_space_and_roundtrips(self):
         keys, values, dim = make_gradient(nnz=4_000, seed=15)

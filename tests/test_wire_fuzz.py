@@ -5,7 +5,8 @@ Two tiers lock the protocol down:
 * **Property tier** (hypothesis): randomly generated compressed
   gradients must round-trip bit-identically through
   ``serialize_message``/``deserialize_message`` under *both* kernel
-  paths and *both* payload versions, contiguous and streamed; random
+  paths and *both* payload versions, contiguous and streamed; their
+  ``num_bytes`` must be the payload-v2 wire length exactly; random
   frames must survive arbitrary re-chunking through
   :class:`FrameAssembler`.  Bound the example count with
   ``REPRO_FUZZ_EXAMPLES`` (CI smoke uses a small value).
@@ -217,6 +218,25 @@ class TestRoundTripProperties:
             v1 = _serialize_at(message, 1)
             assert _serialize_at(deserialize_message(v1), 1) == v1
             grouped._sketches[:] = uniform
+
+    @FUZZ
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        nnz=st.integers(0, 20_000),
+        config=st.sampled_from(sorted(_V2_CONFIGS)),
+    )
+    def test_num_bytes_is_the_v2_wire_length(self, seed, nnz, config):
+        dimension = max(nnz * 40, 64)
+        keys, values = _gradient(seed, nnz, dimension, "mixed")
+        cfg = SketchMLConfig.full(seed=seed, **_V2_CONFIGS[config])
+        for mode in ("scalar", "vectorised"):
+            with _forced(mode):
+                message = SketchMLCompressor(cfg).compress(
+                    keys, values, dimension
+                )
+                wire = serialize_message(message, version=2)
+            assert message.num_bytes == len(wire)
+            assert sum(message.breakdown.values()) == message.num_bytes
 
     @FUZZ
     @given(
