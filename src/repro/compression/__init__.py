@@ -20,6 +20,7 @@ from .hybrid import HeavyHitterSketchMLCompressor
 from .identity import IdentityCompressor
 from .lossless import (
     BitmapKeyCodec,
+    BlockRiceKeyCodec,
     DeltaBinaryKeyCodec,
     HuffmanDeltaKeyCodec,
     KeyCodec,
@@ -51,6 +52,7 @@ __all__ = [
     "HeavyHitterSketchMLCompressor",
     "ErrorFeedbackCompressor",
     "KeyCodec",
+    "BlockRiceKeyCodec",
     "DeltaBinaryKeyCodec",
     "RawKeyCodec",
     "VarintKeyCodec",

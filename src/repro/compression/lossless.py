@@ -5,7 +5,9 @@ non-repetitive gradient keys") and shows in Appendix A.3 that a bitmap
 costs ``ceil(rD/8)`` bytes regardless of sparsity.  We implement all of
 them behind a common :class:`KeyCodec` interface so the claim can be
 measured rather than asserted — see
-``benchmarks/test_appendix_key_encoding.py``.
+``benchmarks/test_appendix_key_encoding.py``, which also measures the
+block-adaptive Rice code payload v2 ships against the order-statistics
+bound ``log2(D/n) + 1.44`` bits per key.
 
 All codecs are exactly invertible for strictly ascending key arrays.
 """
@@ -20,10 +22,12 @@ import numpy as np
 
 from ..core.delta_encoding import decode_keys as _delta_decode
 from ..core.delta_encoding import encode_keys as _delta_encode
+from ..core.rice import decode_rice_groups_flat, encode_rice_groups_flat
 
 __all__ = [
     "KeyCodec",
     "DeltaBinaryKeyCodec",
+    "BlockRiceKeyCodec",
     "RawKeyCodec",
     "VarintKeyCodec",
     "RunLengthKeyCodec",
@@ -61,6 +65,20 @@ class DeltaBinaryKeyCodec(KeyCodec):
 
     def decode(self, blob: bytes) -> np.ndarray:
         return _delta_decode(blob)
+
+
+class BlockRiceKeyCodec(KeyCodec):
+    """Payload v2's block-adaptive Rice code, the keys as one group
+    (adapter over :mod:`repro.core.rice`)."""
+
+    name = "block_rice"
+
+    def encode(self, keys: np.ndarray) -> bytes:
+        keys = np.asarray(keys, dtype=np.int64)
+        return encode_rice_groups_flat(keys, np.asarray([keys.size]))[0]
+
+    def decode(self, blob: bytes) -> np.ndarray:
+        return decode_rice_groups_flat([blob])[0]
 
 
 class RawKeyCodec(KeyCodec):
@@ -323,6 +341,7 @@ def all_key_codecs(dimension: int) -> List[KeyCodec]:
     """One instance of every key codec, for comparison benches."""
     return [
         DeltaBinaryKeyCodec(),
+        BlockRiceKeyCodec(),
         RawKeyCodec(),
         VarintKeyCodec(),
         RunLengthKeyCodec(),

@@ -2,7 +2,8 @@
 
 * :class:`QuantileBucketQuantizer` — §3.2 quantile-bucket quantification.
 * :class:`MinMaxSketch` / :class:`GroupedMinMaxSketch` — §3.3.
-* :func:`encode_keys` / :func:`decode_keys` — §3.4 delta-binary keys.
+* :func:`encode_keys` / :func:`decode_keys` — §3.4 delta-binary keys;
+  :mod:`repro.core.rice` — payload v2's block-adaptive Rice keys.
 * :class:`SketchMLCompressor` — the end-to-end pipeline of Figure 2.
 """
 

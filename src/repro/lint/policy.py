@@ -44,7 +44,11 @@ DUAL_PATH_MODULES = frozenset(
 
 #: Modules whose non-scalar paths must stay free of Python-level loops
 #: over array elements (``hot-loop`` rule).
-VECTORISED_MODULES = DUAL_PATH_MODULES | {"core/bitpack.py", "core/entropy.py"}
+VECTORISED_MODULES = DUAL_PATH_MODULES | {
+    "core/bitpack.py",
+    "core/entropy.py",
+    "core/rice.py",
+}
 
 #: Modules where every array constructor must pin its dtype — the
 #: uint64 hash grid and the wire codecs, where a silent float64/object
@@ -60,6 +64,7 @@ WIRE_MODULES = frozenset(
         "core/delta_encoding.py",
         "core/bitpack.py",
         "core/entropy.py",
+        "core/rice.py",
         "compression/lossless.py",
         "golden.py",
         "runtime/framing.py",

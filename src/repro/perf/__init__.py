@@ -1,10 +1,11 @@
 """Timed micro-benchmarks for the SketchML codec hot path.
 
-The suite exercises the four kernels the compressor spends its time in
+The suite exercises the kernels the compressor spends its time in
 (quantile fit+encode, MinMaxSketch insert/query, delta-key
-encode/decode) plus the end-to-end compress/decompress round trip, each
-over a range of gradient sizes, and writes the medians to
-``BENCH_codec.json`` so perf regressions show up as a diff.
+encode/decode, payload-v2 key encode/decode) plus the end-to-end
+compress/decompress round trip, each over a range of gradient sizes,
+and writes the medians to ``BENCH_codec.json`` so perf regressions
+show up as a diff.
 
 Run it with::
 

@@ -16,9 +16,10 @@ the JSON reflects exactly what the encoder metered on the wire path.
 The main rows use the quantization-only configuration
 (``enable_minmax=False``) — the only payload kind with a bucket-index
 stream.  The ``_sketch`` rows time the full configuration, whose v2
-sketch parts drop the bucket splits and radix-code every group's cells
-as one stream; its bytes at both versions are recorded under
-``sketch`` in the summary section.
+sketch parts drop the bucket splits, radix-code every group's cells as
+one stream and ship Rice-coded keys (both readers decode the keys); its
+bytes at both versions are recorded under ``sketch`` in the summary
+section.
 """
 
 from __future__ import annotations
@@ -161,7 +162,7 @@ def run_wire_bench(
     if warmup is None:
         warmup = 1 if quick else 3
     if repeats is None:
-        repeats = 3 if quick else 7
+        repeats = 5 if quick else 7
     results: List[BenchResult] = []
     per_size: Dict[str, Dict[str, Any]] = {}
     for nnz in sizes:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.compression.lossless import (
     BitmapKeyCodec,
+    BlockRiceKeyCodec,
     DeltaBinaryKeyCodec,
     HuffmanDeltaKeyCodec,
     RawKeyCodec,
@@ -17,6 +18,7 @@ from repro.compression.lossless import (
 
 CODEC_FACTORIES = [
     DeltaBinaryKeyCodec,
+    BlockRiceKeyCodec,
     RawKeyCodec,
     VarintKeyCodec,
     RunLengthKeyCodec,
@@ -132,6 +134,7 @@ class TestEdgeCases:
         names = {codec.name for codec in codecs}
         assert names == {
             "delta_binary",
+            "block_rice",
             "raw_int32",
             "varint_delta",
             "rle_bitmap",

@@ -15,6 +15,8 @@ EXPECTED_KERNELS = {
     "minmax_query",
     "delta_encode",
     "delta_decode",
+    "keys_encode_v2",
+    "keys_decode_v2",
     "e2e_compress",
     "e2e_decompress",
 }

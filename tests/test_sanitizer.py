@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro import sanitize
 from repro.core.compressor import SketchMLCompressor
 from repro.core.config import SketchMLConfig
+from repro.core.serialization import SerializationError
 from repro.sanitize import (
     INVARIANT_ASCENDING_KEYS,
     INVARIANT_DECAY_SCALE,
@@ -172,16 +173,21 @@ class TestEncoderSideVerify:
 class TestCompressorInjection:
     """The acceptance-criteria injections: each tamper raises a
     SanitizerError naming the violated invariant, and decodes silently
-    (wrong, but silently) with the sanitizer off."""
+    (wrong, but silently) with the sanitizer off — except a key in two
+    parts, which the decode always refuses."""
 
-    def _roundtrip_raises(self, message, invariant, config=None):
+    def _roundtrip_raises(self, message, invariant, config=None, unsanitized=None):
         comp = SketchMLCompressor(config)
         with sanitize.sanitized():
             with pytest.raises(SanitizerError) as info:
                 comp.decompress(message)
         assert info.value.invariant == invariant
         with sanitize.sanitized(False):
-            comp.decompress(message)  # same tamper, no sanitizer: silent
+            if unsanitized is None:
+                comp.decompress(message)  # same tamper, no sanitizer: silent
+            else:
+                with pytest.raises(unsanitized):
+                    comp.decompress(message)
 
     def test_valid_roundtrip_passes(self):
         keys, values = make_gradient(seed=1)
@@ -219,9 +225,12 @@ class TestCompressorInjection:
         keys, values = make_gradient(seed=6)
         message = SketchMLCompressor().compress(keys, values, DIMENSION)
         # Duplicate a part: every one of its keys now appears twice in
-        # the merged decode.
+        # the merged decode.  Two updates to one slot would silently lose
+        # one, so even without the sanitizer the decode refuses it.
         message.payload.parts.append(message.payload.parts[0])
-        self._roundtrip_raises(message, INVARIANT_ASCENDING_KEYS)
+        self._roundtrip_raises(
+            message, INVARIANT_ASCENDING_KEYS, unsanitized=SerializationError
+        )
 
     def test_decay_scale_tamper_rejected(self):
         keys, values = make_gradient(seed=7)

@@ -5,8 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import sanitize
 from repro.compression.base import CompressedGradient
 from repro.core import SketchMLCompressor, SketchMLConfig
+from repro.core.serialization import (
+    SerializationError,
+    deserialize_message,
+    serialize_message,
+)
 
 
 def make_gradient(nnz=3_000, dimension=100_000, seed=0, scale=0.01):
@@ -221,6 +227,41 @@ class TestDecodeErrors:
         out_keys, out_values = SketchMLCompressor(cfg).decompress(msg)
         np.testing.assert_array_equal(out_keys, keys)
         assert np.all(np.sign(out_values) == np.sign(values))
+
+
+class TestDecodedKeysBelongToTheMessage:
+    """A decoded key must name one dimension of the message's model, once.
+
+    Both tampers used to decode cleanly: a key past ``dimension`` only
+    failed later as an ``IndexError`` in the optimizer, and a key in both
+    sign parts silently lost one of its two scattered updates."""
+
+    @pytest.mark.parametrize("config", [
+        {}, {"enable_minmax": False}, {"enable_quantization": False,
+                                       "enable_minmax": False},
+    ])
+    def test_key_outside_the_dimension_is_rejected(self, config):
+        keys, values, _ = make_gradient(nnz=200, dimension=1_000, seed=14)
+        comp = SketchMLCompressor(SketchMLConfig.full(**config))
+        message = comp.compress(keys, values, 1_000)
+        message.dimension = 100
+        wire = serialize_message(message, version=2)
+        with pytest.raises(SerializationError, match=r"key \d+ .*dimension 100"):
+            comp.decompress(deserialize_message(wire))
+
+    def test_key_in_both_sign_parts_is_rejected(self):
+        keys, values, dim = make_gradient(nnz=2_000, seed=15)
+        comp = SketchMLCompressor()
+        pos = comp.compress(keys, np.abs(values), dim).payload.parts[0]
+        neg = comp.compress(keys, -np.abs(values), dim).payload.parts[0]
+        message = comp.compress(keys, values, dim)
+        message.payload.parts = [pos, neg]
+        wire = serialize_message(message, version=2)
+        # The sanitizer reports it first when on; this is the path without.
+        with sanitize.sanitized(False), pytest.raises(
+            SerializationError, match=rf"key {keys[0]} appears in two parts.*dimension {dim}"
+        ):
+            comp.decompress(deserialize_message(wire))
 
 
 @given(
