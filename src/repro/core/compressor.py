@@ -427,6 +427,7 @@ class SketchMLCompressor(GradientCompressor):
             sanitize.check_decay_scale(payload.decay_scale)
         all_keys: List[np.ndarray] = []
         all_values: List[np.ndarray] = []
+        runs = 0
         for part_idx, part in enumerate(payload.parts):
             part_keys, part_values = self._decompress_part(
                 part, sanitize_active=sanitize_active
@@ -437,21 +438,21 @@ class SketchMLCompressor(GradientCompressor):
                 )
             all_keys.append(part_keys)
             all_values.append(part_values)
+            runs += part.group_keys.counts.size if part.sketch is not None else 1
         if not all_keys:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
         keys = np.concatenate(all_keys)
         values = np.concatenate(all_values)
         if payload.decay_scale != 1.0:
             values = values * payload.decay_scale
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
+        keys, order = _merge(keys, runs)
         if sanitize_active:
             # Post-merge, sorted keys are strictly ascending iff no key
             # appears in more than one part (pos/neg parts are disjoint
             # in any honest message).
             sanitize.check_ascending_keys(keys, part="merged")
         _check_merged_keys(keys, message.dimension)
-        return keys, values[order]
+        return keys, values if order is None else values[order]
 
     def _decompress_part(
         self, part: SignPart, sanitize_active: bool = False
@@ -523,6 +524,35 @@ class SketchMLCompressor(GradientCompressor):
 
     def __repr__(self) -> str:
         return f"SketchMLCompressor(config={self.config.ablation_label!r})"
+
+
+def _merge(
+    keys: np.ndarray, runs: int
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Sort the concatenated keys of ``runs`` ascending runs:
+    ``(sorted keys, order)``, ``order`` being the stable argsort, or
+    ``None`` when the keys are already in order.
+
+    A sketch message holds one run per group and sign.  When every key
+    fits in 32 bits its order is that of the unique words
+    ``key << 32 | position``, which any sort puts in stable order, far
+    faster than a stable argsort over many runs.  One run is checked,
+    not sorted; two runs (or wider keys) take the stable argsort, which
+    merges two runs in about one pass.
+    """
+    if runs == 1 and np.all(keys[1:] >= keys[:-1]):
+        return keys, None
+    if (runs > 2 and keys.dtype == np.int64 and keys.size >> 32 == 0
+            and not np.count_nonzero(keys >> 32)):
+        packed = keys.astype(np.uint64)
+        packed <<= 32
+        packed |= np.arange(keys.size, dtype=np.uint64)
+        packed.sort()
+        order = packed & 0xFFFF_FFFF
+        packed >>= 32
+        return packed.view(np.int64), order
+    order = np.argsort(keys, kind="stable")
+    return keys[order], order
 
 
 def _check_merged_keys(keys: np.ndarray, dimension: int) -> None:

@@ -76,11 +76,6 @@ class SignedBuckets:
         indexes = np.clip(np.asarray(indexes, dtype=np.int64), 0, self.num_buckets - 1)
         return self.sign * self.means[indexes]
 
-    @property
-    def payload_bytes(self) -> int:
-        """Wire size of the bucket metadata (means, as 8-byte floats)."""
-        return 8 * self.num_buckets
-
 
 def _build_buckets(
     ordered: np.ndarray,

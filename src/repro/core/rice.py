@@ -85,10 +85,8 @@ KEY_CODE_RICE = 1
 
 _HEADER_BYTES = 4
 _MAX_KEY = 2**32 - 1
-# Per parameter k: the low-bits mask, and the smallest low value whose
-# bit k − 1 is set (1 for k = 0, whose low value is always 0).
+# Per parameter k: the low-bits mask.
 _LOW_MASKS = (np.int64(1) << np.arange(MAX_K + 1, dtype=np.int64)) - 1
-_TOP_BITS = np.maximum(_LOW_MASKS + 1 >> 1, 1)
 
 
 def _exclusive_sums(values: List[int]) -> List[int]:
@@ -329,7 +327,14 @@ def encode_rice_groups_flat(concat: np.ndarray, counts: np.ndarray) -> List[byte
     return _RicePlan(*_layout_and_gaps(concat, counts)).encode()
 
 
-def _delta_size(gaps: np.ndarray, layout: _Layout) -> int:
+def _delta_floor(counts: np.ndarray) -> int:
+    """Delta-binary blob bytes of key lists of these sizes if every
+    delta took one byte: a lower bound of :func:`_delta_size`."""
+    counts = np.asarray(counts, dtype=np.int64)
+    return int(_HEADER_BYTES * counts.size + (counts + 3 >> 2).sum() + counts.sum())
+
+
+def _delta_size(layout: _Layout, gaps: np.ndarray) -> int:
     """Total delta-binary blob bytes of the same key lists.
 
     Per group a count and a 2-bit length flag per key, then one byte per
@@ -337,11 +342,19 @@ def _delta_size(gaps: np.ndarray, layout: _Layout) -> int:
     ``0xFFFFFF``.  Deltas are ``g + 1``, except a group's first, which is
     its key (``= g``).
     """
-    total = sum(_HEADER_BYTES + (n + 3) // 4 + n for n in layout.counts)
+    total = _delta_floor(layout.counts)
     firsts = gaps.take(layout.firsts).tolist()
     for step in (0xFF, 0xFFFF, 0xFF_FFFF):
         total += int(np.count_nonzero(gaps >= step)) - firsts.count(step)
     return total
+
+
+def _rice_wins(plan: _RicePlan) -> bool:
+    """Whether the Rice blobs are strictly smaller than delta-binary;
+    the floor settles it without counting wide deltas when it can."""
+    return plan.size < _delta_floor(plan.layout.counts) or plan.size < _delta_size(
+        plan.layout, plan.gaps
+    )
 
 
 def encode_key_groups_v2(
@@ -353,186 +366,58 @@ def encode_key_groups_v2(
     coded; Rice is used only when strictly smaller than delta-binary,
     so a v2 part's keys are never larger than its v1 keys.
     """
-    layout, gaps = _layout_and_gaps(concat, counts)
-    plan = _RicePlan(layout, gaps)
-    if plan.size < _delta_size(gaps, layout):
+    plan = _RicePlan(*_layout_and_gaps(concat, counts))
+    if _rice_wins(plan):
         return KEY_CODE_RICE, plan.encode()
     return KEY_CODE_DELTA, encode_key_groups_flat(
         np.asarray(concat, dtype=np.int64), np.asarray(counts, dtype=np.int64)
     )
 
 
-def _parse_blobs(blobs: Sequence[bytes]):
-    """Split each Rice blob into its sections, checking what lengths can.
+def _blocks(counts: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Block structure of group-concatenated keys, ``counts[g]`` per group.
 
-    Returns per-group ``(counts, k bytes, low-stream bits, low streams,
-    unary streams)``; an empty group contributes empty sections.
+    Returns, per block: its group, its index within the group, its key
+    count and its first key.
     """
-    counts: List[int] = []
-    kbytes: List[bytes] = []
-    low_lengths: List[int] = []
-    lows: List[bytes] = []
-    unaries: List[bytes] = []
-    for g, blob in enumerate(blobs):
-        if len(blob) < _HEADER_BYTES:
-            raise ValueError(f"group {g}: blob too short for a key-count header")
-        n = int.from_bytes(blob[:_HEADER_BYTES], "little")
-        if n > 8 * len(blob):
-            # Every key costs at least its unary terminator bit.
-            raise ValueError(
-                f"group {g}: count {n} is not justified by a "
-                f"{len(blob)}-byte blob"
-            )
-        nb = (n + BLOCK_KEYS - 1) >> _BLOCK_SHIFT
-        ks = blob[_HEADER_BYTES:_HEADER_BYTES + nb]
-        if len(ks) < nb:
-            raise ValueError(f"group {g}: blob ends inside its k bytes")
-        low_bits = 0
-        if n:
-            if max(ks) > MAX_K:
-                raise ValueError(
-                    f"group {g}: Rice parameter {max(ks)} exceeds {MAX_K}"
-                )
-            low_bits = (
-                BLOCK_KEYS * (sum(ks) - ks[-1])
-                + (n - BLOCK_KEYS * (nb - 1)) * ks[-1]
-            )
-        low_start = _HEADER_BYTES + nb
-        low_end = low_start + ((low_bits + 7) >> 3)
-        if n == 0:
-            if len(blob) != _HEADER_BYTES:
-                raise ValueError(
-                    f"group {g}: trailing bytes after an empty key block"
-                )
-        elif len(blob) <= low_end:
-            raise ValueError(
-                f"group {g}: {len(blob)} bytes cannot hold a "
-                f"{low_end - low_start}-byte low-bits stream and a unary "
-                f"stream"
-            )
-        elif low_bits & 7 and blob[low_end - 1] >> (low_bits & 7):
-            raise ValueError(
-                f"group {g}: non-zero padding in the low-bits stream"
-            )
-        elif blob[-1] == 0:
-            raise ValueError(
-                f"group {g}: trailing zero byte after the unary stream"
-            )
-        counts.append(n)
-        kbytes.append(ks)
-        low_lengths.append(low_bits)
-        lows.append(blob[low_start:low_end])
-        unaries.append(blob[low_end:])
-    return counts, kbytes, low_lengths, lows, unaries
+    per_group = counts + (BLOCK_KEYS - 1) >> _BLOCK_SHIFT
+    group = np.arange(counts.size, dtype=np.int64).repeat(per_group)
+    local = np.arange(group.size, dtype=np.int64)
+    local -= (per_group.cumsum() - per_group)[group]
+    first_keys = local << _BLOCK_SHIFT
+    sizes = counts[group] - first_keys
+    np.minimum(sizes, BLOCK_KEYS, out=sizes)
+    first_keys += (counts.cumsum() - counts)[group]
+    return group, local, sizes, first_keys
 
 
-def _decode_rice(
-    blobs: Sequence[bytes],
-) -> Tuple[_Layout, np.ndarray, np.ndarray]:
-    """``(layout, concat, gaps)`` of Rice blobs, with every canonical check."""
-    counts, kbytes, low_lengths, lows, unaries = _parse_blobs(blobs)
-    layout = _Layout(counts)
-    if not layout.groups:
-        empty = np.empty(0, dtype=np.int64)
-        return layout, empty, empty
-
-    # Unary stream: terminator bit positions, then quotients.  With as
-    # many terminators as keys, each group holds exactly its own when
-    # its first and last terminators fall inside its stream.
-    unary_starts = _exclusive_sums([len(u) for u in unaries])
-    bits = np.unpackbits(
-        np.frombuffer(b"".join(unaries), dtype=np.uint8), bitorder="little"
-    )
-    ends = np.flatnonzero(bits.view(bool))
-    if ends.size == layout.total:
-        first_ends = ends.take(layout.firsts).tolist()
-        last_ends = ends.take(layout.lasts).tolist()
-    if ends.size != layout.total or any(
-        not 8 * unary_starts[g] <= first <= last < 8 * unary_starts[g + 1]
-        for g, first, last in zip(layout.groups, first_ends, last_ends)
-    ):
-        per_group = np.diff(
-            np.searchsorted(ends, [8 * s for s in unary_starts])
-        ).tolist()
-        bad = next(g for g in range(len(counts)) if per_group[g] != counts[g])
-        raise ValueError(
-            f"group {bad}: unary stream holds {per_group[bad]} "
-            f"terminators for {counts[bad]} keys"
+def _blob_error(g: int, blob: bytes) -> str:
+    """The first check Rice blob ``g`` fails, as an error message."""
+    if len(blob) < _HEADER_BYTES:
+        return f"group {g}: blob too short for a key-count header"
+    n = int.from_bytes(blob[:_HEADER_BYTES], "little")
+    if n > 8 * len(blob):
+        # Every key costs at least its unary terminator bit.
+        return f"group {g}: count {n} is not justified by a {len(blob)}-byte blob"
+    nb = (n + BLOCK_KEYS - 1) >> _BLOCK_SHIFT
+    ks = blob[_HEADER_BYTES:_HEADER_BYTES + nb]
+    if len(ks) < nb:
+        return f"group {g}: blob ends inside its k bytes"
+    if n == 0:
+        return f"group {g}: trailing bytes after an empty key block"
+    if max(ks) > MAX_K:
+        return f"group {g}: Rice parameter {max(ks)} exceeds {MAX_K}"
+    low_bits = BLOCK_KEYS * (sum(ks) - ks[-1]) + (n - BLOCK_KEYS * (nb - 1)) * ks[-1]
+    low_end = _HEADER_BYTES + nb + (low_bits + 7 >> 3)
+    if len(blob) <= low_end:
+        return (
+            f"group {g}: {len(blob)} bytes cannot hold a "
+            f"{low_end - _HEADER_BYTES - nb}-byte low-bits stream and a "
+            f"unary stream"
         )
-    quotients = np.empty(ends.size, dtype=np.int64)
-    np.subtract(ends[1:], ends[:-1], out=quotients[1:])
-    quotients -= 1
-    quotients[layout.firsts] = [
-        first - 8 * unary_starts[g]
-        for g, first in zip(layout.groups, first_ends)
-    ]
-
-    # Low stream: one unaligned 8-byte little-endian window per key, at
-    # the k of the keys before it in its group past its group's stream
-    # start — one running sum, stepped onto each group at its first key.
-    ks = np.frombuffer(b"".join(kbytes), dtype=np.uint8).astype(np.int64)
-    sizes, starts = layout.sizes, layout.block_starts
-    per_key_k = ks.repeat(sizes)
-    low_starts = _exclusive_sums([len(low) for low in lows])
-    low_before = shift = 0
-    steps = []
-    for i in range(len(layout.groups)):
-        g = layout.groups[i]
-        target = 8 * low_starts[g] - low_before
-        steps.append(target - shift)
-        shift = target
-        low_before += low_lengths[g]
-    offsets = per_key_k.copy()
-    offsets[layout.firsts] += steps
-    offsets.cumsum(out=offsets)
-    offsets -= per_key_k
-    low = b"".join(lows) + bytes(8)
-    windows = np.ndarray(
-        shape=(len(low) - 7,), dtype="<i8", buffer=low, strides=(1,)
-    )
-    low_values = windows.take(offsets >> 3)
-    low_values >>= offsets & 7
-    low_values &= _LOW_MASKS.take(ks).repeat(sizes)
-
-    # Gaps, then keys; every gap and key is below 2**32.  A quotient is
-    # at most its group's unary bit count, which usually settles it.
-    if (8 * max(unary_starts[g + 1] - unary_starts[g] for g in layout.groups)
-            << max(max(k) for k in kbytes if k)) > _MAX_KEY and np.any(
-        quotients > (_MAX_KEY >> per_key_k)
-    ):
-        raise ValueError("decoded key is 2**32 or larger")
-    gaps = quotients << per_key_k
-    gaps |= low_values
-    # k_i = k_{i-1} + g_i + 1 from k_{-1} = -1: steps of g + 1, except
-    # that a group's first step is its first key, g_0.
-    keys = gaps + 1
-    keys[layout.firsts] -= 1
-    if layout.firsts.size > 1:
-        # Rewind each later group's first step by the previous group's
-        # last key, so one running sum restarts at every group.
-        keys[layout.firsts[1:]] -= np.add.reduceat(keys, layout.firsts)[:-1]
-    keys.cumsum(out=keys)
-    if int(keys.take(layout.lasts).max()) > _MAX_KEY:
-        raise ValueError("decoded key is 2**32 or larger")
-
-    # Canonical parameters: D(k) ≤ n < D(k − 1) in every block, with
-    # D(k) = S_k − S_{k+1} and D(k − 1) = S_k + #{low bit k−1 set}.
-    sum_q = np.add.reduceat(quotients, starts)
-    sum_q -= sizes
-    halves = np.add.reduceat(quotients >> 1, starts)
-    tops = np.add.reduceat(
-        (low_values >= _TOP_BITS.take(ks).repeat(sizes)).view(np.int8),
-        starts, dtype=np.int64,
-    )
-    tops += sum_q
-    wrong = (sum_q > halves) | ((tops <= 0) & (ks > 0))
-    if wrong.any():
-        b = int(np.flatnonzero(wrong)[0])
-        raise ValueError(
-            f"block {b}: Rice parameter {int(ks[b])} is not the block's "
-            f"smallest size minimiser"
-        )
-    return layout, keys, gaps
+    if low_bits & 7 and blob[low_end - 1] >> (low_bits & 7):
+        return f"group {g}: non-zero padding in the low-bits stream"
+    return f"group {g}: trailing zero byte after the unary stream"
 
 
 def decode_rice_groups_flat(blobs: Sequence[bytes]) -> Tuple[np.ndarray, np.ndarray]:
@@ -545,9 +430,137 @@ def decode_rice_groups_flat(blobs: Sequence[bytes]) -> Tuple[np.ndarray, np.ndar
     blob cannot hold, non-zero padding, a unary stream with a trailing
     zero byte or a terminator count other than the key count, or a key
     at or above ``2**32``.
+
+    The blobs are joined once, with 8 zero bytes behind them so that
+    every unaligned 8-byte window stays inside, and every section is
+    addressed in that one buffer: group bookkeeping is arrays over the
+    groups, block bookkeeping arrays over the blocks, and the keys cost
+    a fixed number of whole-array passes.
     """
-    layout, keys, _ = _decode_rice(blobs)
-    return keys, np.asarray(layout.counts, dtype=np.int64)
+    num_groups = len(blobs)
+    if num_groups == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    lens = np.fromiter(map(len, blobs), dtype=np.int64, count=num_groups)
+    buf = b"".join([*blobs, bytes(8)])
+    data = np.frombuffer(buf, dtype=np.uint8)
+    windows = np.ndarray(
+        shape=(len(buf) - 7,), dtype="<i8", buffer=buf, strides=(1,)
+    )
+    ends = lens.cumsum()
+    starts = ends - lens
+    counts = windows[starts] & 0xFFFF_FFFF
+
+    # Blob checks, over all groups at once; _blob_error names the first
+    # failure of the first bad blob.  Only framed blobs (the count and
+    # the k bytes fit) have their k bytes read.
+    starts += _HEADER_BYTES
+    low_starts = starts + (counts + (BLOCK_KEYS - 1) >> _BLOCK_SHIFT)
+    framed = (counts <= 8 * lens) & (low_starts <= ends)
+    group, local, sizes, first_keys = _blocks(counts * framed)
+    ks = data[starts[group] + local]
+    low_bits = np.bincount(group, sizes * ks, num_groups).astype(np.int64)
+    low_ends = low_starts + (low_bits + 7 >> 3)
+    nonempty = counts > 0
+    bad = ~framed
+    bad[group[ks > MAX_K]] = True
+    # An empty blob is the bare header.  Otherwise a unary stream
+    # follows the low bits, whose padding is zero (a shift by 8 clears
+    # a whole byte), and does not end in a zero byte.
+    bad |= (ends > low_ends) != nonempty
+    bad |= data[np.minimum(low_ends, ends) - 1] >> ((low_bits - 1 & 7) + 1) > 0
+    bad |= nonempty & (data[ends - 1] == 0)
+    if np.count_nonzero(bad):
+        g = int(np.flatnonzero(bad)[0])
+        raise ValueError(_blob_error(g, blobs[g]))
+    if not ks.size:
+        return np.empty(0, dtype=np.int64), counts
+
+    # Unary streams: terminator bit positions, then quotients.  Each
+    # group holds exactly its own keys' terminators when the running
+    # terminator count matches the running key count at every group's
+    # stream end.
+    unary_lens = ends - low_ends
+    unary_ends = unary_lens.cumsum()
+    unary_starts = unary_ends - unary_lens
+    terminators = np.flatnonzero(np.unpackbits(
+        data[np.arange(unary_ends[-1], dtype=np.int64)
+             + (low_ends - unary_starts).repeat(unary_lens)],
+        bitorder="little",
+    ).view(bool))
+    key_ends = counts.cumsum()
+    seen = np.searchsorted(terminators, 8 * unary_ends)
+    if seen.tolist() != key_ends.tolist():
+        per_group = np.diff(seen, prepend=0)
+        g = int(np.flatnonzero(per_group != counts)[0])
+        raise ValueError(
+            f"group {g}: unary stream holds {per_group[g]} "
+            f"terminators for {counts[g]} keys"
+        )
+    firsts = (key_ends - counts)[nonempty]
+    quotients = np.empty(terminators.size, dtype=np.int64)
+    np.subtract(terminators[1:], terminators[:-1], out=quotients[1:])
+    quotients -= 1
+    quotients[firsts] = terminators[firsts] - 8 * unary_starts[nonempty]
+
+    # Low streams: one unaligned 8-byte little-endian window per key.
+    # A group's blocks before its last are full, 64·k bits each, so key
+    # i of block b starts (i − b's first key)·k bits after the 64·Σ k
+    # bits of b's predecessors in its group.
+    ks = ks.astype(np.int64)
+    per_key_k = ks.repeat(sizes)
+    prior_k = ks.cumsum()
+    prior_k -= ks
+    block_bits = prior_k - prior_k[np.arange(ks.size, dtype=np.int64) - local]
+    block_bits <<= _BLOCK_SHIFT
+    block_bits += 8 * low_starts[group]
+    block_bits -= first_keys * ks
+    offsets = np.arange(terminators.size, dtype=np.int64)
+    offsets *= per_key_k
+    offsets += block_bits.repeat(sizes)
+    low_values = windows.take(offsets >> 3)
+    low_values >>= offsets & 7
+    low_values &= _LOW_MASKS[ks].repeat(sizes)
+
+    # Gaps, then keys; every gap and key is below 2**32.  A quotient is
+    # at most its group's unary bit count, which usually settles it.
+    if (8 * max(unary_lens.tolist()) << int(ks.max())) > _MAX_KEY and np.any(
+        quotients > (_MAX_KEY >> per_key_k)
+    ):
+        raise ValueError("decoded key is 2**32 or larger")
+    # k_i = k_{i-1} + g_i + 1 from k_{-1} = -1: steps of g + 1, except
+    # that a group's first step is its first key, g_0.  A group's steps
+    # sum to its last key.
+    keys = quotients << per_key_k
+    keys |= low_values
+    keys += 1
+    keys[firsts] -= 1
+    last_keys = np.add.reduceat(keys, firsts)
+    if max(last_keys.tolist()) > _MAX_KEY:
+        raise ValueError("decoded key is 2**32 or larger")
+    # Rewind each later group's first step by the previous group's last
+    # key, so one running sum restarts at every group.
+    keys[firsts[1:]] -= last_keys[:-1]
+    keys.cumsum(out=keys)
+
+    # Canonical parameters: D(k) ≤ n < D(k − 1) in every block, with
+    # D(k) = S_k − S_{k+1} and D(k − 1) = S_k + #{low bit k−1 set}:
+    # block sums of q, q >> 1 and (2·low) >> k.
+    sum_q = np.add.reduceat(quotients, first_keys)
+    sum_q -= sizes
+    np.right_shift(quotients, 1, out=offsets)  # offsets is scratch now
+    halves = np.add.reduceat(offsets, first_keys)
+    np.left_shift(low_values, 1, out=offsets)
+    offsets >>= per_key_k
+    tops = np.add.reduceat(offsets, first_keys)
+    tops += sum_q
+    wrong = (sum_q > halves) | ((tops <= 0) & (ks > 0))
+    if np.count_nonzero(wrong):
+        b = int(np.flatnonzero(wrong)[0])
+        raise ValueError(
+            f"block {b}: Rice parameter {int(ks[b])} is not the block's "
+            f"smallest size minimiser"
+        )
+    return keys, counts
 
 
 def decode_key_groups_v2(
@@ -559,19 +572,20 @@ def decode_key_groups_v2(
     :func:`encode_key_groups_v2` picks for these keys.
     """
     if key_code == KEY_CODE_RICE:
-        layout, keys, gaps = _decode_rice(blobs)
-        size = sum(len(blob) for blob in blobs)
-        if size >= _delta_size(gaps, layout):
+        keys, counts = decode_rice_groups_flat(blobs)
+        size = sum(map(len, blobs))
+        if size >= _delta_floor(counts) and size >= _delta_size(
+            *_layout_and_gaps(keys, counts)
+        ):
             raise ValueError(
                 f"key code {KEY_CODE_RICE} (Rice) for keys whose {size}-byte "
                 f"Rice blobs are not smaller than delta-binary"
             )
-        return keys, np.asarray(layout.counts, dtype=np.int64)
+        return keys, counts
     if key_code == KEY_CODE_DELTA:
         keys, counts = decode_key_groups_flat(blobs)
-        layout, gaps = _layout_and_gaps(keys, counts)
-        plan = _RicePlan(layout, gaps)
-        if plan.size < _delta_size(gaps, layout):
+        plan = _RicePlan(*_layout_and_gaps(keys, counts))
+        if _rice_wins(plan):
             raise ValueError(
                 f"key code {KEY_CODE_DELTA} (delta-binary) for keys whose "
                 f"Rice blobs ({plan.size} bytes) are smaller"

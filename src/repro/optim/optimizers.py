@@ -126,7 +126,10 @@ class Adam(Optimizer):
         theta -= eta / (sqrt(v) + eps) * m
 
     with standard bias correction (on by default) using a per-dimension
-    step counter, the correct form under sparse (lazy) updates.
+    step counter, the correct form under sparse (lazy) updates.  The
+    correction denominators ``1 - beta**t`` are read from a table over
+    ``t``, grown on demand; it is derived state, so it is neither
+    checkpointed nor pickled.
     """
 
     name = "adam"
@@ -149,6 +152,12 @@ class Adam(Optimizer):
         self._m: np.ndarray | None = None
         self._v: np.ndarray | None = None
         self._steps: np.ndarray | None = None
+        self._denominators: tuple | None = None
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_denominators"] = None
+        return state
 
     def prepare(self, num_parameters: int) -> None:
         self._m = np.zeros(num_parameters, dtype=np.float64)
@@ -161,21 +170,44 @@ class Adam(Optimizer):
             self._v[:] = 0.0
             self._steps[:] = 0
 
+    def _bias_denominators(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``1 - beta1**t`` and ``1 - beta2**t`` for step counts ``t``."""
+        tables = self._denominators
+        size = 0 if tables is None else tables[0].size
+        top = int(t.max())
+        if top >= size:
+            exponents = np.arange(max(1024, 2 * size, top + 1), dtype=np.int64)
+            tables = (1.0 - self.beta1**exponents, 1.0 - self.beta2**exponents)
+            self._denominators = tables
+        return tables[0].take(t), tables[1].take(t)
+
     def step(self, theta: np.ndarray, keys: np.ndarray, values: np.ndarray) -> None:
         if self._m is None:
             self.prepare(theta.size)
+        if keys.size == 0:
+            return
         # Keys are unique on every call path, so each state row is
-        # gathered once, updated in locals and scattered back once.
-        m = self.beta1 * self._m[keys] + (1.0 - self.beta1) * values
-        v = self.beta2 * self._v[keys] + (1.0 - self.beta2) * values**2
+        # gathered once, updated in place and scattered back once.
+        m = self._m.take(keys)
+        m *= self.beta1
+        m += (1.0 - self.beta1) * values
+        v = self._v.take(keys)
+        v *= self.beta2
+        v += (1.0 - self.beta2) * values**2
         self._m[keys] = m
         self._v[keys] = v
         if self.bias_correction:
-            t = self._steps[keys] + 1
+            t = self._steps.take(keys)
+            t += 1
             self._steps[keys] = t
-            m = m / (1.0 - self.beta1**t)
-            v = v / (1.0 - self.beta2**t)
-        theta[keys] -= self.learning_rate * m / (np.sqrt(v) + self.epsilon)
+            m_denominators, v_denominators = self._bias_denominators(t)
+            m /= m_denominators
+            v /= v_denominators
+        np.sqrt(v, out=v)
+        v += self.epsilon
+        m *= self.learning_rate
+        m /= v
+        theta[keys] -= m
 
 
 def make_optimizer(name: str, learning_rate: float = 0.1, **kwargs) -> Optimizer:

@@ -9,7 +9,9 @@ codec stage is processing.
 The ``delta_*`` rows time the paper's delta-binary key code (§3.4);
 the ``keys_*_v2`` rows time what payload v2 does with a real message's
 grouped sketch keys instead — choose a code and Rice-code them on
-encode, decode them with every canonical check on decode.
+encode, decode them with every canonical check on decode.  The
+``adam_step`` rows time the optimizer apply that follows a decode on
+every replica.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from ..core.delta_encoding import (
 from ..core.minmax_sketch import GroupedMinMaxSketch
 from ..core.quantizer import QuantileBucketQuantizer
 from ..core.rice import decode_key_groups_v2, encode_key_groups_v2
+from ..optim import Adam
 from .harness import BenchResult, time_kernel
 
 __all__ = [
@@ -266,6 +269,28 @@ def _bench_e2e_decompress(
     )
 
 
+def _bench_adam_step(
+    nnz: int, cfg: SketchMLConfig, warmup: int, repeats: int
+) -> BenchResult:
+    """What a replica does with a decoded UPDATE: one ``Adam.step`` over
+    its keys and values, the optimizer state warmed by earlier steps."""
+    keys, values, dimension = _synthetic_gradient(nnz)
+    compressor = SketchMLCompressor(cfg)
+    keys, values = compressor.decompress(compressor.compress(keys, values, dimension))
+    adam = Adam(learning_rate=0.01)
+    theta = np.zeros(dimension)
+    for _ in range(10):
+        adam.step(theta, keys, values)
+    return time_kernel(
+        f"adam_step/{nnz}",
+        lambda: adam.step(theta, keys, values),
+        elements=nnz,
+        bytes_processed=nnz * (_KEY_BYTES + _VALUE_BYTES),
+        warmup=warmup,
+        repeats=repeats,
+    )
+
+
 _KERNELS = (
     _bench_quantizer_fit,
     _bench_minmax_insert,
@@ -276,6 +301,7 @@ _KERNELS = (
     _bench_keys_decode_v2,
     _bench_e2e_compress,
     _bench_e2e_decompress,
+    _bench_adam_step,
 )
 
 

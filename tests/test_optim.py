@@ -1,5 +1,8 @@
 """Tests for the sparse optimizers and LR schedules."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -152,9 +155,14 @@ def _reference_adam_step(adam, m, v, steps, theta, keys, values):
 
 @pytest.mark.parametrize("bias_correction", [True, False])
 def test_adam_gather_once_is_bit_identical(bias_correction):
-    """Gathering m/v/steps once per step must not move a single bit of
-    theta or the optimizer state (keys are unique on every call path)."""
-    dim = 5_000
+    """Updating each gathered state row in place, with the bias
+    correction read from a grown table, must not move a single bit of
+    theta or the optimizer state (keys are unique on every call path).
+
+    3 000 steps over a small key set take step counts past the table's
+    first growth; the learning rate changes between steps as an UPDATE
+    sets it; every tenth step is empty, a no-op."""
+    dim = 300
     rng = np.random.default_rng(42)
     adam = Adam(learning_rate=0.01, bias_correction=bias_correction)
     adam.prepare(dim)
@@ -162,18 +170,37 @@ def test_adam_gather_once_is_bit_identical(bias_correction):
     ref_theta = theta.copy()
     ref_m, ref_v = np.zeros(dim), np.zeros(dim)
     ref_steps = np.zeros(dim, dtype=np.int64)
-    for _ in range(40):
-        nnz = int(rng.integers(1, 800))
+    for i in range(3_000):
+        nnz = 0 if i % 10 == 9 else int(rng.integers(150, dim))
         keys = np.sort(rng.choice(dim, size=nnz, replace=False))
         values = rng.laplace(scale=0.05, size=nnz)
+        adam.learning_rate = float(rng.uniform(0.001, 0.1))
         adam.step(theta, keys, values)
         _reference_adam_step(
             adam, ref_m, ref_v, ref_steps, ref_theta, keys, values
         )
+    if bias_correction:
+        assert ref_steps.max() > 1024  # past the table's first size
     np.testing.assert_array_equal(theta, ref_theta)
     np.testing.assert_array_equal(adam._m, ref_m)
     np.testing.assert_array_equal(adam._v, ref_v)
     np.testing.assert_array_equal(adam._steps, ref_steps)
+
+
+def test_adam_bias_table_is_not_pickled():
+    """The denominator table is derived state: a pickled (SYNC) or
+    deep-copied optimizer drops it and rebuilds it identically."""
+    adam = Adam(learning_rate=0.1)
+    theta = np.zeros(3)
+    adam.step(theta, np.asarray([0, 2]), np.asarray([0.5, -1.0]))
+    assert adam._denominators is not None
+    clone = pickle.loads(pickle.dumps(adam))
+    assert clone._denominators is None and copy.deepcopy(adam)._denominators is None
+    np.testing.assert_array_equal(clone._steps, adam._steps)
+    other = theta.copy()
+    adam.step(theta, np.asarray([0, 1]), np.asarray([0.25, 0.75]))
+    clone.step(other, np.asarray([0, 1]), np.asarray([0.25, 0.75]))
+    np.testing.assert_array_equal(theta, other)
 
 
 class TestSchedules:

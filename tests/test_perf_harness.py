@@ -19,6 +19,7 @@ EXPECTED_KERNELS = {
     "keys_decode_v2",
     "e2e_compress",
     "e2e_decompress",
+    "adam_step",
 }
 
 #: serialization kernels timed by the wire bench (repro.perf.wire_bench)

@@ -176,15 +176,6 @@ class TestVarianceBound:
 
 
 class TestSignedBuckets:
-    def test_payload_bytes(self):
-        buckets = SignedBuckets(
-            splits=np.asarray([0.0, 0.5, 1.0]),
-            means=np.asarray([0.25, 0.75]),
-            sign=1.0,
-        )
-        assert buckets.payload_bytes == 16
-        assert buckets.num_buckets == 2
-
     def test_decode_clips_out_of_range(self):
         buckets = SignedBuckets(
             splits=np.asarray([0.0, 0.5, 1.0]),

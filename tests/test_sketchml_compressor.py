@@ -1,5 +1,7 @@
 """End-to-end tests for the SketchML compressor (Figure 2 pipeline)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from repro import sanitize
 from repro.compression.base import CompressedGradient
 from repro.core import SketchMLCompressor, SketchMLConfig
+from repro.core.delta_encoding import decode_keys
 from repro.core.serialization import (
     SerializationError,
     deserialize_message,
@@ -262,6 +265,92 @@ class TestDecodedKeysBelongToTheMessage:
             SerializationError, match=rf"key {keys[0]} appears in two parts.*dimension {dim}"
         ):
             comp.decompress(deserialize_message(wire))
+
+
+def _stable_argsort_merge(comp, message):
+    """``decompress`` as first written: every part decoded, concatenated
+    and ordered by one stable argsort over the keys."""
+    decoded = [comp._decompress_part(part) for part in message.payload.parts]
+    if not decoded:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+    keys = np.concatenate([k for k, _ in decoded])
+    values = np.concatenate([v for _, v in decoded])
+    if message.payload.decay_scale != 1.0:
+        values = values * message.payload.decay_scale
+    order = np.argsort(keys, kind="stable")
+    return keys[order], values[order]
+
+
+MERGE_CONFIGS = {
+    "full": SketchMLConfig.full(),
+    "key+quan": SketchMLConfig.keys_and_quantization(),
+    "key+quan-packed": SketchMLConfig.keys_and_quantization(pack_index_bits=True),
+    "adam+key": SketchMLConfig.keys_only(),
+}
+
+
+@given(
+    config=st.sampled_from(sorted(MERGE_CONFIGS)),
+    nnz=st.integers(min_value=0, max_value=20_000),
+    span=st.sampled_from([3, 42, 2**20, 2**32]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_merge_matches_the_stable_argsort(config, nnz, span, seed):
+    """The merge (one run checked, two runs argsorted, many runs sorted
+    as packed key/position words) equals one stable argsort bit for
+    bit, keys up to 2**32 - 1 included."""
+    rng = np.random.default_rng(seed)
+    dimension = 2**32
+    low = int(rng.integers(0, dimension - min(span * max(nnz, 1), dimension) + 1))
+    keys = np.unique(rng.integers(low, min(low + span * max(nnz, 1), dimension), nnz))
+    values = rng.laplace(scale=0.01, size=keys.size)
+    values[values == 0.0] = 1e-4
+    comp = SketchMLCompressor(MERGE_CONFIGS[config])
+    message = comp.compress(keys, values, dimension)
+    for msg in (message, deserialize_message(serialize_message(message, version=2))):
+        got_keys, got_values = comp.decompress(msg)
+        want_keys, want_values = _stable_argsort_merge(comp, msg)
+        assert got_keys.dtype == want_keys.dtype == np.int64
+        np.testing.assert_array_equal(got_keys, want_keys)
+        np.testing.assert_array_equal(got_values, want_values)
+    np.testing.assert_array_equal(got_keys, keys)
+
+
+def _delta_blob(deltas):
+    """A delta-binary key blob (§3.4) of these deltas, written by hand
+    so that it can decode to keys no encoder accepts."""
+    widths = [max(1, (d.bit_length() + 7) // 8) for d in deltas]
+    flags = bytearray((len(deltas) + 3) // 4)
+    for i, width in enumerate(widths):
+        flags[i // 4] |= (width - 1) << (2 * (i % 4))
+    payload = b"".join(d.to_bytes(w, "little") for d, w in zip(deltas, widths))
+    return len(deltas).to_bytes(4, "little") + bytes(flags) + payload
+
+
+def test_forged_key_past_two_to_the_32_still_fails_the_dimension_check():
+    """A delta-binary key blob that decodes past ``2**32``, in a forged
+    three-part message (three runs, so the packed merge is considered),
+    falls back to the stable argsort and fails the dimension check."""
+    rng = np.random.default_rng(16)
+    dimension = 2**32
+    keys = np.unique(rng.integers(dimension - 10**6, dimension, 3_000))
+    values = rng.laplace(scale=0.01, size=keys.size)
+    comp = SketchMLCompressor(SketchMLConfig.keys_and_quantization())
+    message = comp.compress(keys, values, dimension)
+    pos, neg = message.payload.parts
+    part_keys = decode_keys(pos.key_blob).tolist()
+    deltas = [part_keys[0]] + [b - a for a, b in zip(part_keys, part_keys[1:])]
+    deltas[-1] = 2**32 - 1  # the part's last key lands past 2**32
+    pos.key_blob = _delta_blob(deltas)
+    assert decode_keys(pos.key_blob)[-1] >= 2**32
+    message.payload.parts.append(dataclasses.replace(neg))
+    wire = serialize_message(message, version=2)
+    # The sanitizer reports the repeated part first when on.
+    with sanitize.sanitized(False), pytest.raises(
+        SerializationError, match=r"key \d+ is outside .*dimension 4294967296"
+    ):
+        comp.decompress(deserialize_message(wire))
 
 
 @given(
