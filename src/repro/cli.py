@@ -124,8 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fault injection RNG seed")
     train.add_argument("--entropy-coding", action="store_true",
                        help="wire v2: dense radix-code bucket-index "
-                            "streams on frame-v2 connections (real "
-                            "backends; negotiated per peer)")
+                            "streams in every shipped message (real "
+                            "backends)")
     train.add_argument("--chunk-bytes", type=int, default=None, metavar="N",
                        help="wire v2: stream frames larger than N bytes as "
                             "chunks (default: runtime default; real "

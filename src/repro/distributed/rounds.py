@@ -31,7 +31,7 @@ from typing import Callable, Iterator, List, Optional, Sequence
 import numpy as np
 
 from .. import telemetry
-from ..core.serialization import serialize_message
+from ..core.serialization import PAYLOAD_VERSION_V2, serialize_message
 from ..telemetry.epoch import EpochAccumulator
 from .driver import Driver, DriverStepResult
 from .metrics import EpochRecord, TrainingHistory
@@ -63,7 +63,7 @@ def prepare_runtime(runtime, backend: str, compressor_factory, dimension: int):
         dimension,
     )
     try:
-        serialize_message(message)
+        serialize_message(message, version=PAYLOAD_VERSION_V2)
     except TypeError as exc:
         raise ValueError(
             f"backend {backend!r} requires a compressor "
@@ -261,14 +261,11 @@ def run_sync_rounds(
                         round_weights,
                     ) as result:
                         lr = base_lr * lr_schedule(round_index)
-                        update_bytes = serialize_message(
+                        update_bytes = cluster.encode_update(
                             result.broadcast_message
                         )
                     t1 = time.perf_counter()
-                    cluster.broadcast(
-                        wire_round, lr, update_bytes,
-                        message=result.broadcast_message,
-                    )
+                    cluster.broadcast(wire_round, lr, update_bytes)
                     acc.add_seconds("network", time.perf_counter() - t1)
                     apply_update(optimizer, theta, result, lr, acc)
                     round_index += 1

@@ -360,8 +360,6 @@ class FleetTrainer:
     def _train_stale(
         self, cluster, driver, theta, base_lr, history, test_dataset
     ) -> None:
-        from ..core.serialization import serialize_message
-
         cfg = self.config
         universe = self.schedule.num_workers
         staleness = int(cfg.staleness)
@@ -520,7 +518,7 @@ class FleetTrainer:
                                 (
                                     wire_round,
                                     lr,
-                                    serialize_message(
+                                    cluster.encode_update(
                                         driver_result.broadcast_message
                                     ),
                                 )

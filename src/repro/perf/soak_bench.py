@@ -59,13 +59,16 @@ from .. import telemetry
 from ..core import SketchMLCompressor, SketchMLConfig, deserialize_message, serialize_message
 from ..runtime.aio import AioTransport
 from ..runtime.framing import (
-    KIND_ACK,
+    DEFAULT_CAPS,
     KIND_ECHO,
     KIND_GRAD,
+    KIND_HELLO,
     FrameAssembler,
     pack_ack,
     pack_frame,
+    pack_hello,
     unpack_frame,
+    unpack_header,
 )
 from ..runtime.transport import TcpTransport, Transport
 from .harness import BenchResult
@@ -139,9 +142,10 @@ def _reply_payload(nnz: int = 2_000, dimension: int = 100_000) -> bytes:
 class WorkerSwarm:
     """``W`` simulated workers on one thread: real sockets, canned work.
 
-    Each simulated worker connects to the transport's listener, sends
-    the standard hello (an ``ACK`` frame naming its id), and answers
-    every request with a pre-packed ``GRAD`` frame after a seeded
+    Each simulated worker connects to the transport's listener, opens
+    with the standard ``HELLO`` (default capabilities, header naming its
+    id), skips the driver's HELLO reply, and answers every request
+    with a pre-packed ``GRAD`` frame after a seeded
     service delay.  Delays model the fan-in the soak exists to expose:
 
     * base: ``base_delay_s`` perturbed ±50 % per message, and
@@ -231,7 +235,7 @@ class WorkerSwarm:
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 self._socks[worker_id] = sock
                 sock.sendall(
-                    pack_frame(KIND_ACK, worker_id, pack_ack(worker_id))
+                    pack_frame(KIND_HELLO, worker_id, pack_hello(DEFAULT_CAPS))
                 )
                 sel.register(sock, selectors.EVENT_READ, worker_id)
                 assemblers[worker_id] = FrameAssembler()
@@ -260,6 +264,8 @@ class WorkerSwarm:
                         frame = assembler.next_frame()
                         if frame is None:
                             break
+                        if unpack_header(frame)[0] == KIND_HELLO:
+                            continue  # the driver's pinned-version reply
                         due = time.monotonic() + self._delay(worker_id)
                         heapq.heappush(timers, (due, seq, worker_id))
                         seq += 1

@@ -51,19 +51,10 @@ from typing import Deque, Dict, List, Optional, Sequence
 
 from .. import telemetry
 from .framing import (
-    DEFAULT_CAPS,
-    KIND_ACK,
-    KIND_HELLO,
-    V1_CAPS,
     FrameAssembler,
     FrameError,
     ProtocolCaps,
-    negotiate_ops,
-    negotiate_versions,
-    pack_frame,
-    pack_hello,
     unpack_frame,
-    unpack_hello,
 )
 from .transport import (
     Transport,
@@ -72,7 +63,7 @@ from .transport import (
     TransportError,
     TransportTimeout,
     _caps_for,
-    _chosen_caps,
+    _hello_caps,
 )
 
 __all__ = ["AioTransport"]
@@ -116,7 +107,7 @@ class AioTransport(Transport):
         host: bind/connect host.
         spawn_workers: when ``False`` no processes are started; the
             caller reads :attr:`port`, connects ``num_workers``
-            external clients (each sending a hello frame), then calls
+            external clients (each sending a ``HELLO``), then calls
             :meth:`wait_connected`.  The soak benchmark attaches its
             simulated worker swarm this way.
         max_inbox_frames: per-worker receive queue bound; reads on a
@@ -142,13 +133,11 @@ class AioTransport(Transport):
         spawn_workers: bool = True,
         max_inbox_frames: int = 1024,
         max_outbox_bytes: int = 32 * 1024 * 1024,
-        driver_caps: Optional[ProtocolCaps] = None,
         worker_caps: Optional[Dict[int, ProtocolCaps]] = None,
     ) -> None:
         super().__init__(num_workers)
         if max_inbox_frames <= 0 or max_outbox_bytes <= 0:
             raise ValueError("queue bounds must be positive")
-        self._driver_caps = driver_caps or DEFAULT_CAPS
         self.max_inbox_frames = int(max_inbox_frames)
         self.max_outbox_bytes = int(max_outbox_bytes)
         self._sel = selectors.DefaultSelector()
@@ -285,43 +274,20 @@ class AioTransport(Transport):
         if not 0 <= sender < self.num_workers or sender in self._conns:
             self._mark_closed(conn, f"bad hello from worker id {sender}")
             raise TransportError(f"bad hello from worker id {sender}")
-        if kind == KIND_HELLO:
-            theirs = unpack_hello(payload)
-            try:
-                frame_v, payload_v = negotiate_versions(
-                    self._driver_caps, theirs
-                )
-            except FrameError:
-                # NegotiationError (a FrameError): close the socket and
-                # let the structured error propagate out of the pump.
-                self._mark_closed(conn, f"no common version with {sender}")
-                raise
-            ops = negotiate_ops(self._driver_caps, theirs, frame_v)
-            reply = pack_frame(
-                KIND_HELLO, sender,
-                pack_hello(_chosen_caps(frame_v, payload_v, ops)),
-            )
-            conn.outq.append(memoryview(reply))
-            conn.out_bytes += len(reply)
-            self.negotiated[sender] = (frame_v, payload_v)
-            self.ops[sender] = ops
-        elif kind == KIND_ACK:
-            # Pre-v2 peer: never sends HELLO, speaks v1 only.
-            self.negotiated[sender] = negotiate_versions(
-                self._driver_caps, V1_CAPS
-            )
-            self.ops[sender] = False
-        else:
-            self._mark_closed(conn, f"bad hello from worker id {sender}")
-            raise TransportError(
-                f"bad hello from worker id {sender}: kind {kind}"
-            )
+        try:
+            reply = self._pin(sender, _hello_caps(sender, kind, payload))
+        except FrameError:
+            # NegotiationError (a FrameError): close the socket and let
+            # the structured error propagate out of the pump.
+            self._mark_closed(conn, f"no common version with {sender}")
+            raise
+        conn.outq.append(memoryview(reply))
+        conn.out_bytes += len(reply)
         conn.worker_id = sender
         self._conns[sender] = conn
         if conn in self._pending:
             self._pending.remove(conn)
-        if conn.outq:
-            self._flush_writes(conn)
+        self._flush_writes(conn)
 
     def _mark_closed(self, conn: _Connection, reason: str) -> None:
         if conn.closed:

@@ -22,10 +22,11 @@ the update automatically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Union
 
 from .. import telemetry
 from ..core.serialization import (
+    PAYLOAD_VERSION_V2,
     deserialize_message,
     deserialize_message_chunks,
     serialize_message,
@@ -94,14 +95,16 @@ class RuntimeConfig:
         faults: optional seeded probabilistic fault rates.
         fault_schedule: optional exact fault triggers (tests).
         tcp_host: bind/connect host for the ``tcp`` / ``aio`` backends.
-        driver_caps: protocol versions the driver advertises in the
-            HELLO exchange (``None`` → everything this build speaks).
-        worker_caps: per-worker capability overrides — the conformance
-            tier pins mixed v1/v2 fleets with this (``None`` → every
-            worker advertises everything).
-        entropy_coding: request dense radix coding of bucket-index
-            streams on payload-v2 connections (``docs/wire.md``);
-            v1-pinned peers are unaffected.
+        worker_caps: per-worker capability overrides — the
+            conformance tier pins frame-v1, ops-less and pre-v2 peers
+            with this (``None`` → every worker advertises what the
+            driver does, :data:`~repro.runtime.framing.DEFAULT_CAPS`:
+            frame v1–v2, payload v2).  A worker without payload v2
+            fails construction with
+            :class:`~repro.runtime.framing.NegotiationError`.
+        entropy_coding: dense radix coding of bucket-index streams in
+            every payload-v2 message the runtime ships, GRAD and UPDATE
+            alike (``docs/wire.md``).
         chunk_bytes: data bytes per ``CHUNK`` frame when a body larger
             than this streams over a frame-v2 connection.
     """
@@ -111,7 +114,6 @@ class RuntimeConfig:
     faults: Optional[FaultConfig] = None
     fault_schedule: Optional[FaultSchedule] = None
     tcp_host: str = "127.0.0.1"
-    driver_caps: Optional[ProtocolCaps] = None
     worker_caps: Optional[Dict[int, ProtocolCaps]] = None
     entropy_coding: bool = False
     chunk_bytes: int = DEFAULT_CHUNK_BYTES
@@ -196,13 +198,11 @@ class RuntimeCluster:
             runtimes = [WorkerRuntime(spec) for spec in bootstraps]
             transport: Transport = SimTransport(
                 [runtime.handle_frame for runtime in runtimes],
-                driver_caps=self.config.driver_caps,
                 worker_caps=self.config.worker_caps,
             )
             for worker_id, runtime in enumerate(runtimes):
-                frame_v, payload_v = transport.negotiated[worker_id]
                 runtime.set_wire(
-                    frame_v, payload_v,
+                    transport.negotiated[worker_id],
                     ops=transport.ops_enabled(worker_id),
                 )
             # Simulated retries must not burn wall time.
@@ -210,14 +210,13 @@ class RuntimeCluster:
         else:
             transport = make_transport(
                 backend, self.num_workers, tcp_host=self.config.tcp_host,
-                driver_caps=self.config.driver_caps,
                 worker_caps=self.config.worker_caps,
             )
             import time
 
             sleeper = time.sleep
-        #: per-worker pinned ``(frame_version, payload_version)``
-        self.negotiated: Dict[int, Tuple[int, int]] = dict(
+        #: per-worker pinned frame version (the payload is always v2)
+        self.negotiated: Dict[int, int] = dict(
             transport.negotiated
         )
         #: per-worker live-ops capability (both sides advertised it on
@@ -490,11 +489,23 @@ class RuntimeCluster:
         self._require_workers("step")
         return results
 
+    def encode_update(self, message) -> bytes:
+        """The payload-v2 bytes of one aggregated update, as shipped.
+
+        Entropy coded when the runtime config enables it.  The driver
+        calls this once per update and hands the bytes to
+        :meth:`broadcast`.
+        """
+        return serialize_message(
+            message, version=PAYLOAD_VERSION_V2,
+            entropy=bool(self.config.entropy_coding),
+        )
+
     def broadcast(
         self,
         round_id: int,
         lr: float,
-        message_bytes: Optional[bytes] = None,
+        message_bytes: bytes,
         workers: Optional[Iterable[int]] = None,
         *,
         message=None,
@@ -502,58 +513,32 @@ class RuntimeCluster:
         """Ship the aggregated update to the targeted workers (all
         active members by default); await acks.
 
-        ``message_bytes`` is the legacy pre-serialized v1 payload and
-        is valid on every peer.  When ``message`` (the
-        :class:`~repro.compression.base.CompressedGradient` from
-        :class:`~repro.core.compressor.SketchMLCompressor`) is also
-        given, workers whose negotiated payload version is >= 2 get a
-        payload serialized at that version (entropy-coded when the
-        runtime config enables it); without ``message_bytes``, v1 peers
-        get ``message`` serialized at v1, which needs a message that
-        was not decoded from payload v2.  Serialization happens at
-        most once per distinct ``(version, entropy)`` pair.  Frame-v2
+        ``message_bytes`` is the update as :meth:`encode_update` wrote
+        it; every target receives exactly these bytes.  ``message`` is
+        accepted for call-site compatibility and ignored.  Frame-v2
         connections receive updates larger than ``config.chunk_bytes``
         as a ``CHUNK``/``END`` stream.
 
         Returns the worker ids that acknowledged applying the update.
         """
-        if message_bytes is None and message is None:
-            raise ValueError("broadcast needs message_bytes or message")
+        del message  # the bytes are the update
         self.supervisor.check_heartbeats(phase="update")
         targets = (
             sorted(self.supervisor.members) if workers is None
             else sorted(workers)
         )
         header = pack_update_header(round_id, lr)
-        cache: Dict[Tuple[int, bool], bytes] = {}
-
-        def payload_for(version: int) -> bytes:
-            entropy = bool(self.config.entropy_coding) and version >= 2
-            key = (version, entropy)
-            data = cache.get(key)
-            if data is None:
-                if version == 1 and message_bytes is not None:
-                    data = message_bytes
-                else:
-                    data = serialize_message(
-                        message, version=version, entropy=entropy
-                    )
-                cache[key] = data
-            return data
-
         # Span context for ops-capable workers: worker.update spans
         # parent under the driver's round span (see ``step``).
         span_ctx = telemetry.current_span_id()
         ops_block = pack_ops(span_ctx) if span_ctx is not None else b""
         frames: List[Union[bytes, List[bytes]]] = [b""] * self.num_workers
         for w in targets:
-            frame_v, payload_v = self.negotiated.get(w, (1, 1))
-            version = payload_v if (message is not None and payload_v >= 2) else 1
-            data = payload_for(version)
-            extra = ops_block if self.ops.get(w, False) else b""
-            pieces = [header, extra, data] if extra else [header, data]
+            pieces = [header, message_bytes]
+            if ops_block and self.ops.get(w, False):
+                pieces.insert(1, ops_block)
             if (
-                frame_v >= 2
+                self.negotiated[w] >= 2
                 and sum(len(p) for p in pieces) > self.config.chunk_bytes
             ):
                 frames[w] = list(

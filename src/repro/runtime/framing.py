@@ -33,17 +33,18 @@ path.
 
 Frame version 2 (``docs/wire.md``) keeps the identical header layout
 and adds three kinds.  ``HELLO`` carries both peers' supported
-``{frame, payload}`` version ranges; the exchange pins the highest
-mutually supported pair per connection (:func:`negotiate_versions`),
-and a peer that never sends one is pinned at v1 — exactly how the
-pre-v2 transports behaved.  ``CHUNK``/``END`` stream one oversized
+``{frame, payload}`` version ranges; every runtime connection opens
+with one, and the exchange pins the highest mutually supported pair
+(:func:`negotiate_versions`).  Runtime peers speak payload v2 only, so
+a peer without it fails the exchange with :class:`NegotiationError`.
+``CHUNK``/``END`` stream one oversized
 logical frame as a bounded sequence (:func:`iter_chunk_frames` /
 :class:`ChunkReassembler`) so a multi-GB gradient never crosses the
 wire — or the reassembly buffer — as one contiguous allocation.
 ``CHUNK``/``END`` frames are stamped with header version 2 and are
 only legal on connections that negotiated frame v2; everything else
-keeps version 1 so a mixed fleet's non-chunked byte streams are
-bit-identical to an all-v1 fleet's.
+keeps header version 1, so a frame-v1 connection's byte stream is
+unchanged.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ __all__ = [
     "ChunkReassembler",
     "ProtocolCaps",
     "DEFAULT_CAPS",
-    "V1_CAPS",
     "FRAME_MAGIC",
     "FRAME_VERSION",
     "FRAME_VERSION_V2",
@@ -388,13 +388,15 @@ class ProtocolCaps:
 
     A ``HELLO`` carries both ranges; :func:`negotiate_versions` pins
     each axis to ``min(max_a, max_b)`` and fails when that falls below
-    either peer's minimum.  The defaults advertise everything this
-    build speaks; ``V1_CAPS`` emulates a pre-v2 peer bit-for-bit.
+    either peer's minimum.  The defaults advertise what a runtime peer
+    speaks: frame v1 or v2, and payload v2 only (payload v1 is a
+    frozen on-disk format, read and written by
+    :mod:`repro.core.serialization` but never shipped).
     """
 
     frame_min: int = 1
     frame_max: int = FRAME_VERSION_V2
-    payload_min: int = 1
+    payload_min: int = 2
     payload_max: int = 2
     #: live-ops plane capability: span-context + metrics ops blocks on
     #: GRAD/UPDATE/STEP/HEARTBEAT payloads.  Advertised as a HELLO TLV
@@ -414,9 +416,6 @@ class ProtocolCaps:
 
 
 DEFAULT_CAPS = ProtocolCaps()
-V1_CAPS = ProtocolCaps(
-    frame_min=1, frame_max=1, payload_min=1, payload_max=1, ops=False
-)
 
 
 def negotiate_versions(

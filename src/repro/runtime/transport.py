@@ -32,16 +32,15 @@ import select
 import socket
 import threading
 import time
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence
 
 from .. import telemetry
 from .framing import (
     DEFAULT_CAPS,
-    KIND_ACK,
     KIND_HELLO,
-    V1_CAPS,
     FrameAssembler,
     FrameError,
+    NegotiationError,
     ProtocolCaps,
     negotiate_ops,
     negotiate_versions,
@@ -106,23 +105,39 @@ class Transport:
         if num_workers <= 0:
             raise ValueError("num_workers must be positive")
         self.num_workers = int(num_workers)
-        #: per-worker ``(frame_version, payload_version)`` pinned by the
-        #: HELLO exchange; a worker with no entry is treated as v1/v1
-        #: (a pre-v2 peer that never sent a HELLO).
-        self.negotiated: Dict[int, Tuple[int, int]] = {}
+        #: per-worker frame version pinned by the HELLO exchange every
+        #: connection opens with (the payload is always v2).
+        self.negotiated: Dict[int, int] = {}
         #: per-worker live-ops capability (HELLO TLV extension): True
         #: when both peers advertised ops on a frame-v2+ connection.
         #: Kept separate from :attr:`negotiated` so that dict stays a
         #: pure version map.
         self.ops: Dict[int, bool] = {}
 
-    def negotiated_versions(self, worker_id: int) -> Tuple[int, int]:
-        """The ``(frame, payload)`` versions pinned for one worker."""
-        return self.negotiated.get(worker_id, (1, 1))
-
     def ops_enabled(self, worker_id: int) -> bool:
         """Whether the live-ops plane is active on this connection."""
         return self.ops.get(worker_id, False)
+
+    def _pin(self, worker_id: int, theirs: ProtocolCaps) -> bytes:
+        """Pin one worker's versions and ops capability from its HELLO.
+
+        The driver advertises :data:`~repro.runtime.framing.DEFAULT_CAPS`,
+        so the pinned payload is always v2.  Returns the driver's HELLO
+        reply, which carries the choice as a degenerate range.
+
+        Raises:
+            NegotiationError: no common version (a peer without payload
+                v2) — a structured construction failure, never retried.
+        """
+        frame_v, payload_v = negotiate_versions(DEFAULT_CAPS, theirs)
+        ops = negotiate_ops(DEFAULT_CAPS, theirs, frame_v)
+        self.negotiated[worker_id] = frame_v
+        self.ops[worker_id] = ops
+        chosen = ProtocolCaps(
+            frame_min=frame_v, frame_max=frame_v,
+            payload_min=payload_v, payload_max=payload_v, ops=ops,
+        )
+        return pack_frame(KIND_HELLO, worker_id, pack_hello(chosen))
 
     def _check_worker(self, worker_id: int) -> None:
         if not 0 <= worker_id < self.num_workers:
@@ -166,15 +181,17 @@ def _caps_for(
     return worker_caps.get(worker_id, DEFAULT_CAPS)
 
 
-def _chosen_caps(
-    frame_version: int, payload_version: int, ops: bool = False
-) -> ProtocolCaps:
-    """Degenerate ranges carrying the driver's pinned choice back."""
-    return ProtocolCaps(
-        frame_min=frame_version, frame_max=frame_version,
-        payload_min=payload_version, payload_max=payload_version,
-        ops=ops,
-    )
+def _hello_caps(worker_id: int, kind: int, payload: bytes) -> ProtocolCaps:
+    """The capabilities carried by a worker's opening frame.
+
+    Every connection opens with a ``HELLO``; any other opener is a
+    peer that cannot negotiate payload v2.
+    """
+    if kind != KIND_HELLO:
+        raise NegotiationError(
+            f"worker {worker_id} opened with frame kind {kind}, not HELLO"
+        )
+    return unpack_hello(payload)
 
 
 # ----------------------------------------------------------------------
@@ -201,19 +218,14 @@ class SimTransport(Transport):
         self,
         handlers: Sequence[Callable[[bytes], Iterable[bytes]]],
         *,
-        driver_caps: Optional[ProtocolCaps] = None,
         worker_caps: Optional[Dict[int, ProtocolCaps]] = None,
     ) -> None:
         super().__init__(len(handlers))
         # No wire between in-process peers, so the HELLO exchange is
         # computed directly — same negotiation function, same result a
         # byte exchange would pin.
-        ours = driver_caps or DEFAULT_CAPS
         for worker_id in range(len(handlers)):
-            theirs = _caps_for(worker_caps, worker_id)
-            pinned = negotiate_versions(ours, theirs)
-            self.negotiated[worker_id] = pinned
-            self.ops[worker_id] = negotiate_ops(ours, theirs, pinned[0])
+            self._pin(worker_id, _caps_for(worker_caps, worker_id))
         self._handlers = list(handlers)
         self._inboxes: List[Deque[bytes]] = [
             collections.deque() for _ in handlers
@@ -349,7 +361,7 @@ class MultiprocessTransport(Transport):
     #: a pipe that stays full this long has a wedged or absent consumer.
     SEND_TIMEOUT = 10.0
 
-    #: seconds to wait for a v2-capable worker's HELLO after spawn
+    #: seconds to wait for a worker's HELLO after spawn
     #: (spawn + import numpy can take seconds on a loaded CI box).
     HELLO_TIMEOUT = 60.0
 
@@ -357,7 +369,6 @@ class MultiprocessTransport(Transport):
         self,
         num_workers: int,
         *,
-        driver_caps: Optional[ProtocolCaps] = None,
         worker_caps: Optional[Dict[int, ProtocolCaps]] = None,
     ) -> None:
         super().__init__(num_workers)
@@ -365,7 +376,6 @@ class MultiprocessTransport(Transport):
 
         from . import worker_main
 
-        ours = driver_caps or DEFAULT_CAPS
         ctx = multiprocessing.get_context("spawn")
         self._conns = []
         self._procs = []
@@ -387,28 +397,17 @@ class MultiprocessTransport(Transport):
                 self._conns.append(parent_conn)
                 self._procs.append(proc)
             for worker_id in range(num_workers):
-                self._negotiate(
-                    worker_id, ours, _caps_for(worker_caps, worker_id)
-                )
+                self._negotiate(worker_id)
         except BaseException:
             self.close()
             raise
 
-    def _negotiate(
-        self, worker_id: int, ours: ProtocolCaps, expected: ProtocolCaps
-    ) -> None:
+    def _negotiate(self, worker_id: int) -> None:
         """HELLO exchange with one spawned worker.
 
-        A v1-capped worker (``frame_max == 1``) never sends a HELLO —
-        that *is* the pre-v2 byte stream — so the driver pins it from
-        its configured caps without touching the pipe.  Anyone else
-        opens with a HELLO carrying its supported ranges; the driver
-        answers with the pinned choice.
+        The worker opens with a HELLO carrying its supported ranges;
+        the driver answers with the pinned choice.
         """
-        if expected.frame_max < 2:
-            self.negotiated[worker_id] = negotiate_versions(ours, V1_CAPS)
-            self.ops[worker_id] = False
-            return
         conn = self._conns[worker_id]
         try:
             if not conn.poll(self.HELLO_TIMEOUT):
@@ -422,23 +421,13 @@ class MultiprocessTransport(Transport):
                 f"worker {worker_id} pipe closed during HELLO: {exc}"
             ) from exc
         kind, sender, payload = unpack_frame(frame)
-        if kind != KIND_HELLO or sender != worker_id:
+        if sender != worker_id:
             raise TransportError(
-                f"bad hello from worker {worker_id}: kind {kind}"
+                f"bad hello from worker {worker_id}: sender {sender}"
             )
-        theirs = unpack_hello(payload)
-        # NegotiationError propagates: a fleet with no common version is
-        # a structured construction failure, not something to retry.
-        frame_v, payload_v = negotiate_versions(ours, theirs)
-        ops = negotiate_ops(ours, theirs, frame_v)
         conn.send_bytes(
-            pack_frame(
-                KIND_HELLO, worker_id,
-                pack_hello(_chosen_caps(frame_v, payload_v, ops)),
-            )
+            self._pin(worker_id, _hello_caps(sender, kind, payload))
         )
-        self.negotiated[worker_id] = (frame_v, payload_v)
-        self.ops[worker_id] = ops
 
     def send(self, worker_id: int, frame: bytes) -> None:
         self._check_worker(worker_id)
@@ -514,12 +503,12 @@ class TcpTransport(Transport):
     """One spawned process per worker, length-prefixed frames over TCP.
 
     The driver listens on an ephemeral ``host`` port; each spawned
-    worker connects and introduces itself with a hello frame whose
+    worker connects and introduces itself with a ``HELLO`` frame whose
     header carries its worker id, so accept order does not matter.
 
     With ``spawn_workers=False`` no processes are started: the caller
     reads :attr:`port`, connects ``num_workers`` external clients that
-    each send a hello frame, then calls :meth:`accept_connections`.
+    each send a ``HELLO``, then calls :meth:`accept_connections`.
     The soak benchmark uses this to attach a simulated worker swarm.
     """
 
@@ -535,11 +524,9 @@ class TcpTransport(Transport):
         host: str = "127.0.0.1",
         *,
         spawn_workers: bool = True,
-        driver_caps: Optional[ProtocolCaps] = None,
         worker_caps: Optional[Dict[int, ProtocolCaps]] = None,
     ) -> None:
         super().__init__(num_workers)
-        self._driver_caps = driver_caps or DEFAULT_CAPS
         self._socks: Dict[int, socket.socket] = {}
         self._assemblers: Dict[int, FrameAssembler] = {}
         self._procs = []
@@ -576,10 +563,10 @@ class TcpTransport(Transport):
     def accept_connections(self, timeout: Optional[float] = None) -> None:
         """Accept until every worker's hello frame has been mapped.
 
-        A ``HELLO`` opener triggers version negotiation and is answered
-        with the pinned choice; a legacy ``ACK`` hello pins the peer at
-        v1/v1 — exactly the pre-v2 handshake.  A fleet with no common
-        version raises :class:`~repro.runtime.framing.NegotiationError`.
+        Each worker opens with a ``HELLO``, which triggers version
+        negotiation and is answered with the pinned choice.  Any other
+        opener, or a fleet with no common version (payload v2), raises
+        :class:`~repro.runtime.framing.NegotiationError`.
         """
         deadline = time.monotonic() + (
             self.CONNECT_TIMEOUT if timeout is None else timeout
@@ -605,35 +592,12 @@ class TcpTransport(Transport):
             if not 0 <= sender < self.num_workers or sender in self._socks:
                 sock.close()
                 raise TransportError(f"bad hello from worker id {sender}")
-            if kind == KIND_HELLO:
-                theirs = unpack_hello(payload)
-                try:
-                    frame_v, payload_v = negotiate_versions(
-                        self._driver_caps, theirs
-                    )
-                except FrameError:
-                    sock.close()
-                    raise
-                ops = negotiate_ops(self._driver_caps, theirs, frame_v)
-                sock.sendall(
-                    pack_frame(
-                        KIND_HELLO, sender,
-                        pack_hello(_chosen_caps(frame_v, payload_v, ops)),
-                    )
-                )
-                self.negotiated[sender] = (frame_v, payload_v)
-                self.ops[sender] = ops
-            elif kind == KIND_ACK:
-                # Pre-v2 peer: never sends HELLO, speaks v1 only.
-                self.negotiated[sender] = negotiate_versions(
-                    self._driver_caps, V1_CAPS
-                )
-                self.ops[sender] = False
-            else:
+            try:
+                reply = self._pin(sender, _hello_caps(sender, kind, payload))
+            except FrameError:
                 sock.close()
-                raise TransportError(
-                    f"bad hello from worker id {sender}: kind {kind}"
-                )
+                raise
+            sock.sendall(reply)
             self._socks[sender] = sock
             self._assemblers[sender] = assembler
 
@@ -738,39 +702,33 @@ def make_transport(
     *,
     handlers: Optional[Sequence[Callable[[bytes], Iterable[bytes]]]] = None,
     tcp_host: str = "127.0.0.1",
-    driver_caps: Optional[ProtocolCaps] = None,
     worker_caps: Optional[Dict[int, ProtocolCaps]] = None,
 ) -> Transport:
     """Build a transport by backend name.
 
     ``sim`` requires ``handlers`` (the in-process worker callables);
     ``mp``, ``tcp``, and ``aio`` spawn real worker processes that wait
-    for an ``INIT`` frame.  ``driver_caps`` / ``worker_caps`` pin the
-    protocol versions each side advertises in the HELLO exchange
-    (defaults advertise everything this build speaks); the result's
-    ``negotiated`` maps each worker to its pinned versions.
+    for an ``INIT`` frame.  ``worker_caps`` pins the protocol versions
+    individual workers advertise in the HELLO exchange (the default,
+    and the driver, advertise :data:`~repro.runtime.framing.
+    DEFAULT_CAPS`); the result's ``negotiated`` maps each worker to its
+    pinned frame version.
     """
     if backend == "sim":
         if handlers is None:
             raise ValueError("sim backend requires in-process handlers")
-        return SimTransport(
-            handlers, driver_caps=driver_caps, worker_caps=worker_caps
-        )
+        return SimTransport(handlers, worker_caps=worker_caps)
     if backend == "mp":
-        return MultiprocessTransport(
-            num_workers, driver_caps=driver_caps, worker_caps=worker_caps
-        )
+        return MultiprocessTransport(num_workers, worker_caps=worker_caps)
     if backend == "tcp":
         return TcpTransport(
-            num_workers, host=tcp_host,
-            driver_caps=driver_caps, worker_caps=worker_caps,
+            num_workers, host=tcp_host, worker_caps=worker_caps
         )
     if backend == "aio":
         from .aio import AioTransport  # deferred: keeps import cheap
 
         return AioTransport(
-            num_workers, host=tcp_host,
-            driver_caps=driver_caps, worker_caps=worker_caps,
+            num_workers, host=tcp_host, worker_caps=worker_caps
         )
     raise ValueError(
         f"unknown backend {backend!r}; expected one of {TRANSPORT_BACKENDS}"

@@ -1,7 +1,8 @@
 """Entry points for spawned worker processes (``mp`` and ``tcp``).
 
-Both entries run the same :func:`serve` loop over a worker-side
-endpoint: block on the next frame, dispatch it, send the replies.
+Both entries open with the HELLO exchange (:func:`negotiate_as_worker`)
+and then run the same :func:`serve` loop over a worker-side endpoint:
+block on the next frame, dispatch it, send the replies.
 The first substantive frame must be ``INIT`` (a pickled
 :class:`~repro.runtime.worker_runtime.WorkerBootstrap`), answered with
 ``READY``; after that the loop services ``EPOCH`` / ``STEP`` /
@@ -42,12 +43,10 @@ from .framing import (
     KIND_INIT,
     KIND_READY,
     KIND_STOP,
-    KIND_ACK,
     FrameError,
     ProtocolCaps,
     negotiate_ops,
     negotiate_versions,
-    pack_ack,
     pack_frame,
     pack_hello,
     pack_metrics,
@@ -169,9 +168,10 @@ def negotiate_as_worker(endpoint, worker_id: int, caps: ProtocolCaps):
     range.  Running the same :func:`negotiate_versions` over the reply
     both validates the choice against our caps and returns it.
 
-    Returns ``(frame_version, payload_version, ops)`` — ``ops`` is the
-    live-ops capability the driver echoed in its HELLO TLV (only
-    honoured when we advertised it too).  Raises
+    Returns ``(frame_version, ops)`` — ``ops`` is the live-ops
+    capability the driver echoed in its HELLO TLV (only honoured when
+    we advertised it too); the pinned payload version is always v2,
+    since the driver refuses anything else.  Raises
     :class:`~repro.runtime.framing.NegotiationError` when the driver
     pinned something outside our range, and ``ConnectionError`` when
     the driver hung up mid-handshake (it saw no common version).
@@ -191,16 +191,15 @@ def negotiate_as_worker(endpoint, worker_id: int, caps: ProtocolCaps):
                 f"expected HELLO reply, got frame kind {kind}"
             )
         theirs = unpack_hello(payload)
-        frame_v, payload_v = negotiate_versions(caps, theirs)
-        return frame_v, payload_v, negotiate_ops(caps, theirs, frame_v)
+        frame_v, _ = negotiate_versions(caps, theirs)
+        return frame_v, negotiate_ops(caps, theirs, frame_v)
 
 
 def serve(
     endpoint,
     worker_id: int,
     *,
-    frame_version: int = 1,
-    payload_version: int = 1,
+    frame_version: int,
     ops: bool = False,
 ) -> None:
     """Receive loop of one worker process.
@@ -208,7 +207,7 @@ def serve(
     Runs until a ``STOP`` frame, driver hang-up, or a fatal error
     (reported back as an ``ERROR`` frame before exiting).  ``INIT``
     builds the :class:`WorkerRuntime` with the negotiated
-    ``frame_version`` / ``payload_version`` / ``ops`` capability; every
+    ``frame_version`` and ``ops`` capability; every
     later frame goes to :meth:`WorkerRuntime.handle_frame`, the same
     dispatch the in-process ``sim`` transport calls (``CHUNK``/``END``
     reassembly included).  On a live-ops connection the heartbeat
@@ -232,7 +231,7 @@ def serve(
                         bootstrap.trace_dir, worker_id, bootstrap.run_id
                     )
                 runtime = WorkerRuntime(bootstrap)
-                runtime.set_wire(frame_version, payload_version, ops=ops)
+                runtime.set_wire(frame_version, ops=ops)
                 if ops:
                     # This process exists for exactly one worker, so
                     # the recorder tee can spool *every* counter it
@@ -282,53 +281,27 @@ def serve(
         endpoint.close()
 
 
-def pipe_worker_entry(
-    conn, worker_id: int, caps: Optional[ProtocolCaps] = None
-) -> None:
-    """``mp`` backend child target: serve frames over a pipe.
-
-    A v1-capped worker (``caps`` omitted or ``frame_max == 1``) sends
-    nothing before its serve loop — the exact pre-v2 byte stream.  A
-    v2-capable worker opens with a HELLO and waits for the driver's
-    pinned choice.
-    """
-    endpoint = PipeEndpoint(conn)
-    frame_v, payload_v, ops = 1, 1, False
-    if caps is not None and caps.frame_max >= 2:
-        frame_v, payload_v, ops = negotiate_as_worker(
-            endpoint, worker_id, caps
-        )
-    serve(
-        endpoint, worker_id,
-        frame_version=frame_v, payload_version=payload_v, ops=ops,
-    )
+def pipe_worker_entry(conn, worker_id: int, caps: ProtocolCaps) -> None:
+    """``mp`` backend child target: HELLO, then serve frames over a pipe."""
+    _negotiate_and_serve(PipeEndpoint(conn), worker_id, caps)
 
 
 def tcp_worker_entry(
-    host: str, port: int, worker_id: int,
-    caps: Optional[ProtocolCaps] = None,
+    host: str, port: int, worker_id: int, caps: ProtocolCaps
 ) -> None:
-    """``tcp``/``aio`` backend child target: connect back, hello, serve.
+    """``tcp``/``aio`` backend child target: connect back, HELLO, serve.
 
-    The opener doubles as the connection hello (its header names this
+    The HELLO doubles as the connection hello: its header names this
     worker, so the driver can map the accepted socket regardless of
-    connect order): a v1-capped worker sends the legacy ACK hello, a
-    v2-capable worker sends a HELLO and completes the negotiation
-    before serving.
+    connect order.
     """
     import socket
 
     sock = socket.create_connection((host, port), timeout=30.0)
     sock.settimeout(None)
-    endpoint = SocketEndpoint(sock)
-    frame_v, payload_v, ops = 1, 1, False
-    if caps is not None and caps.frame_max >= 2:
-        frame_v, payload_v, ops = negotiate_as_worker(
-            endpoint, worker_id, caps
-        )
-    else:
-        endpoint.send(pack_frame(KIND_ACK, worker_id, pack_ack(worker_id)))
-    serve(
-        endpoint, worker_id,
-        frame_version=frame_v, payload_version=payload_v, ops=ops,
-    )
+    _negotiate_and_serve(SocketEndpoint(sock), worker_id, caps)
+
+
+def _negotiate_and_serve(endpoint, worker_id: int, caps: ProtocolCaps) -> None:
+    frame_v, ops = negotiate_as_worker(endpoint, worker_id, caps)
+    serve(endpoint, worker_id, frame_version=frame_v, ops=ops)

@@ -41,7 +41,7 @@ from .. import telemetry
 from ..telemetry.metrics import WorkerMetrics
 from ..compression.base import GradientCompressor
 from ..core.serialization import (
-    SUPPORTED_PAYLOAD_VERSIONS,
+    PAYLOAD_VERSION_V2,
     deserialize_message,
     deserialize_message_chunks,
     iter_serialize_message,
@@ -129,9 +129,7 @@ class WorkerBootstrap:
         shard_rows: row indices of the initial shard into
             ``full_dataset`` (required iff ``full_dataset`` is set).
         entropy_coding: request dense radix coding of the bucket-index
-            stream (``docs/wire.md``).  Only takes effect when the
-            connection negotiated payload v2; a v1-pinned worker
-            silently serialises plain v1 bytes.
+            stream in the payload-v2 GRAD bytes (``docs/wire.md``).
         chunk_bytes: data bytes per ``CHUNK`` frame when a GRAD body
             larger than this streams over a frame-v2 connection.
     """
@@ -219,7 +217,6 @@ class WorkerRuntime:
         self._cache = _StepCache()
         self._reassembler = ChunkReassembler()
         self._frame_version = 1
-        self._payload_version = 1
         self._ops = False
         self._spool = False
         #: live-ops metric deltas, drained by GRAD replies, UPDATE acks
@@ -235,31 +232,21 @@ class WorkerRuntime:
 
             sanitize.set_enabled(True)
 
-    def set_wire(
-        self,
-        frame_version: int,
-        payload_version: int,
-        ops: bool = False,
-    ) -> None:
-        """Adopt the connection's negotiated protocol versions.
+    def set_wire(self, frame_version: int, ops: bool = False) -> None:
+        """Adopt the connection's negotiated frame version and ops plane.
 
         Called once after the HELLO exchange (spawned workers) or
-        directly by the cluster (``sim``).  Until then the runtime
-        speaks v1/v1 — a peer that never negotiated is a v1 peer.
-        ``ops`` turns on the live-ops plane for this connection:
-        GRAD replies carry metric deltas and adopt the driver's
-        propagated span context.
+        directly by the cluster (``sim``).  The payload needs no
+        setting: runtime peers always ship payload v2.  Frame v2 lets
+        an oversized GRAD stream as ``CHUNK``/``END``; ``ops`` turns on
+        the live-ops plane for this connection: GRAD replies carry
+        metric deltas and adopt the driver's propagated span context.
         """
         if frame_version not in SUPPORTED_FRAME_VERSIONS:
             raise FrameError(f"unsupported frame version {frame_version}")
-        if payload_version not in SUPPORTED_PAYLOAD_VERSIONS:
-            raise FrameError(
-                f"unsupported payload version {payload_version}"
-            )
         if ops and frame_version < 2:
             raise FrameError("live-ops requires a frame-v2 connection")
         self._frame_version = int(frame_version)
-        self._payload_version = int(payload_version)
         self._ops = bool(ops)
         # Attach ops blocks (drained metric deltas) to replies only when
         # no driver-side MetricsHub lives in this process: spawned
@@ -389,18 +376,15 @@ class WorkerRuntime:
         return list(frames)
 
     def _grad_frames(self, round_id: int, result) -> List[bytes]:
-        """Serialize one step result at the negotiated wire settings.
+        """Serialize one step result at payload v2 for this connection.
 
-        A v1/v1 connection produces byte-identical frames to the pre-v2
-        runtime.  On payload v2 the message may be entropy coded; on
-        frame v2 a body larger than ``chunk_bytes`` streams as
-        ``CHUNK``/``END`` frames without ever being joined contiguously.
+        The message may be entropy coded; on frame v2 a body larger
+        than ``chunk_bytes`` streams as ``CHUNK``/``END`` frames without
+        ever being joined contiguously.
         """
-        version = self._payload_version
         data = list(iter_serialize_message(
-            result.message, version=version,
-            entropy=self._entropy and version >= 2,
-            chunk_bytes=self._chunk_bytes,
+            result.message, version=PAYLOAD_VERSION_V2,
+            entropy=self._entropy, chunk_bytes=self._chunk_bytes,
         ))
         # The serialized message bytes as shipped, metered *before* the
         # ops block is drained so the delta rides this very reply —
@@ -408,36 +392,34 @@ class WorkerRuntime:
         # exporter totals == trace sums bit-exact (framed byte counts
         # live in transport.bytes_* on the driver side).
         self._metric("worker.bytes_out", sum(len(piece) for piece in data))
-        header = pack_grad_header(
-            round_id,
-            True,
-            result.local_loss,
-            result.compute_seconds,
-            result.encode_seconds,
-            result.gradient_nnz,
-        )
-        if self._frame_version >= 2:
-            pieces = [header]
-            if self._spool:
-                # Live-ops block between the GRAD header and the
-                # serialized message: drained metric deltas ride the
-                # reply.  The message magic ("SKML") can never collide
-                # with the ops magic, so v2 peers peel tolerantly.
-                pieces.append(self._ops_block())
-            pieces.extend(data)
-            if sum(len(p) for p in pieces) > self._chunk_bytes:
-                return list(
-                    iter_chunk_frames(
-                        KIND_GRAD, self.worker_id, pieces,
-                        chunk_bytes=self._chunk_bytes,
-                    )
-                )
-            return [
-                pack_frame(KIND_GRAD, self.worker_id, b"".join(pieces))
-            ]
-        return [
-            pack_frame(KIND_GRAD, self.worker_id, b"".join([header, *data]))
+        pieces = [
+            pack_grad_header(
+                round_id,
+                True,
+                result.local_loss,
+                result.compute_seconds,
+                result.encode_seconds,
+                result.gradient_nnz,
+            )
         ]
+        if self._spool:
+            # Live-ops block between the GRAD header and the serialized
+            # message: drained metric deltas ride the reply.  The
+            # message magic ("SKML") can never collide with the ops
+            # magic, so the driver peels it tolerantly.
+            pieces.append(self._ops_block())
+        pieces.extend(data)
+        if (
+            self._frame_version >= 2
+            and sum(len(p) for p in pieces) > self._chunk_bytes
+        ):
+            return list(
+                iter_chunk_frames(
+                    KIND_GRAD, self.worker_id, pieces,
+                    chunk_bytes=self._chunk_bytes,
+                )
+            )
+        return [pack_frame(KIND_GRAD, self.worker_id, b"".join(pieces))]
 
     def _handle_update(self, payload: bytes) -> List[bytes]:
         round_id, lr, data = unpack_update(payload)
@@ -501,8 +483,9 @@ class WorkerRuntime:
     def _pack_ack_reply(self, round_id: int) -> bytes:
         """ACK with a drained ops prefix on spooling connections.
 
-        A plain ack payload is shorter than the ops header, so v2 peers
-        peel the prefix tolerantly and v1 byte streams are unchanged.
+        A plain ack payload is shorter than the ops header, so the
+        driver peels the prefix tolerantly and acks on connections
+        without the ops plane are unchanged.
         """
         body = pack_ack(round_id)
         if self._spool:

@@ -18,10 +18,11 @@ import pytest
 from repro.perf.soak_bench import SOAK_MODES, run_soak_bench
 from repro.runtime.aio import AioTransport
 from repro.runtime.framing import (
-    KIND_ACK,
+    DEFAULT_CAPS,
     KIND_ECHO,
-    pack_ack,
+    KIND_HELLO,
     pack_frame,
+    pack_hello,
     unpack_frame,
 )
 from repro.runtime.supervision import (
@@ -36,14 +37,10 @@ from repro.runtime.transport import (
 from repro.runtime.worker_main import heartbeat_delays
 
 
-def _hello(worker_id):
-    return pack_frame(KIND_ACK, worker_id, pack_ack(worker_id))
-
-
 def _client(port, worker_id):
     sock = socket.create_connection(("127.0.0.1", port), timeout=10.0)
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    sock.sendall(_hello(worker_id))
+    sock.sendall(pack_frame(KIND_HELLO, worker_id, pack_hello(DEFAULT_CAPS)))
     return sock
 
 

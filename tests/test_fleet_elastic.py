@@ -7,6 +7,8 @@ model parameters whether the control frames move through the
 simulated loop or through real spawned worker processes.
 """
 
+import collections
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,8 @@ from repro.fleet import (
 )
 from repro.models import make_model
 from repro.optim import SGD
+from repro.runtime import RuntimeConfig, cluster
+from repro.runtime.worker_runtime import WorkerRuntime
 
 SEED = 7
 EPOCHS = 2
@@ -43,7 +47,7 @@ def split():
     return train_test_split(kdd10_like(seed=SEED, scale=0.02), seed=SEED)
 
 
-def run_fleet(split, backend, staleness=None, schedule=SCHEDULE):
+def run_fleet(split, backend, staleness=None, schedule=SCHEDULE, runtime=None):
     train, test = split
     trainer = FleetTrainer(
         model=make_model("lr", train.num_features),
@@ -60,9 +64,29 @@ def run_fleet(split, backend, staleness=None, schedule=SCHEDULE):
             backend=backend,
             staleness=staleness,
         ),
+        runtime=runtime,
     )
     history = trainer.train(train, test)
     return history, trainer
+
+
+def wire_tap(monkeypatch):
+    """Record the driver's update writes and each sim worker's UPDATEs."""
+    written, received = [], collections.defaultdict(list)
+    serialize, apply = cluster.serialize_message, WorkerRuntime._apply_update
+
+    def tap_serialize(message, **kwargs):
+        written.append((kwargs, serialize(message, **kwargs)))
+        return written[-1][1]
+
+    def tap_apply(self, round_id, lr, data, span_id=None):
+        pieces = data if isinstance(data, list) else [data]
+        received[self.worker_id].append(b"".join(pieces))
+        return apply(self, round_id, lr, data, span_id)
+
+    monkeypatch.setattr(cluster, "serialize_message", tap_serialize)
+    monkeypatch.setattr(WorkerRuntime, "_apply_update", tap_apply)
+    return written, received
 
 
 @pytest.fixture(scope="module")
@@ -124,13 +148,32 @@ class TestStaleEquivalence:
         _, trainer = run_fleet(split, "mp", staleness=2)
         np.testing.assert_array_equal(trainer.theta, sim_trainer.theta)
 
-    def test_stale_zero_static_matches_across_backends(self, split):
+    def test_stale_zero_static_matches_across_backends(self, split, monkeypatch):
         # N = 0 over a static membership: synchronous semantics with
         # per-worker pacing, still bit-identical sim vs mp.
         static = MembershipSchedule(num_workers=3)
-        _, sim_trainer = run_fleet(split, "sim", staleness=0, schedule=static)
         _, mp_trainer = run_fleet(split, "mp", staleness=0, schedule=static)
+        written, received = wire_tap(monkeypatch)  # taps the sim run only
+        _, sim_trainer = run_fleet(split, "sim", staleness=0, schedule=static)
         np.testing.assert_array_equal(mp_trainer.theta, sim_trainer.theta)
+        # The update log is written once per update, at payload v2, and
+        # replayed to every worker unchanged.
+        assert written and {kw["version"] for kw, _ in written} == {2}
+        assert all(received[w] == [d for _, d in written] for w in range(3))
+
+
+class TestOneSerializePerBroadcast:
+    def test_bytes_written_are_the_bytes_sent(self, split, monkeypatch):
+        written, received = wire_tap(monkeypatch)
+        _, trainer = run_fleet(
+            split, "sim", schedule=MembershipSchedule(num_workers=3),
+            runtime=RuntimeConfig(entropy_coding=True),
+        )
+        # One entropy-coded v2 write per aggregated round, and every
+        # worker applies exactly the bytes written (and metered).
+        assert len(written) == len(trainer.round_weights) > 0
+        assert all(kw == {"version": 2, "entropy": True} for kw, _ in written)
+        assert all(received[w] == [d for _, d in written] for w in range(3))
 
 
 class TestOneRoundEngine:

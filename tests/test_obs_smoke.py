@@ -10,8 +10,8 @@ exporter live feeds most of the assertions:
 * **span causality across the wire** — worker spans recorded in the
   worker *process* parent under the driver's round span, including
   when the UPDATE streams as chunks;
-* **v1 peers are unaffected** — a worker pinned at ``V1_CAPS``
-  negotiates the ops plane off and trains bit-identically;
+* **ops-less peers are unaffected** — a worker without the ops
+  capability negotiates the plane off and trains bit-identically;
 * **critical-path attribution** — ≥99% of every round's wall time on
   the committed 8-worker fleet trace lands in the four real buckets,
   and the causal DAG matches the committed pin;
@@ -35,7 +35,7 @@ from repro.distributed.network import infinite_bandwidth
 from repro.models import make_model
 from repro.optim import SGD
 from repro.runtime import RuntimeConfig, SupervisionConfig
-from repro.runtime.framing import V1_CAPS
+from repro.runtime.framing import ProtocolCaps
 from repro.telemetry import recorder as recorder_module
 from repro.telemetry.critical_path import (
     causal_edges,
@@ -204,12 +204,12 @@ class TestExporterTraceParity:
 
     def test_bytes_out_meters_the_shipped_message(self, tmp_path):
         # worker.bytes_out counts the serialized message as sent, not
-        # the codec's num_bytes (its plain payload-v2 length): worker 1
-        # ships dense-coded v2 indexes, worker 0 is pinned at v1.
+        # the codec's num_bytes (its plain payload-v2 length): both workers
+        # ship dense-coded v2 indexes; worker 0 has no ops plane.
         _, events, history = run_ops(
             "mp", str(tmp_path / "bytes.jsonl"),
             runtime=clean_runtime(
-                "mp", entropy_coding=True, worker_caps={0: V1_CAPS}
+                "mp", entropy_coding=True, worker_caps={0: ProtocolCaps(ops=False)}
             ),
             config=SketchMLConfig.keys_and_quantization(seed=SEED),
         )
@@ -294,20 +294,20 @@ class TestSpanCausality:
         assert updates, "chunked run recorded no worker.update spans"
         assert all(e.get("parent") in rounds for e in updates)
 
-    def test_v1_peer_negotiates_ops_off_and_matches(self, tmp_path):
-        # The negotiation matrix cell the ISSUE pins: a v2+ops driver
-        # against a v1 worker.  The ops plane must disable itself on
-        # that connection and the math must not notice.
+    def test_opsless_peer_negotiates_ops_off_and_matches(self, tmp_path):
+        # A v2+ops driver against a worker that does not advertise the
+        # ops capability.  The ops plane must disable itself on that
+        # connection and the math must not notice.
         base_theta, _, _ = run_ops("mp", "", runtime=clean_runtime("mp"))
         hub = MetricsHub()
         theta, _, _ = run_ops(
-            "mp", str(tmp_path / "v1peer.jsonl"), hub=hub,
+            "mp", str(tmp_path / "opsless.jsonl"), hub=hub,
             runtime=clean_runtime(
-                "mp", worker_caps={0: V1_CAPS}
+                "mp", worker_caps={0: ProtocolCaps(ops=False)}
             ),
         )
         np.testing.assert_array_equal(theta, base_theta)
-        # Worker 0 (v1) shipped nothing; worker 1 (v2+ops) did.
+        # Worker 0 (ops-less) shipped nothing; worker 1 (v2+ops) did.
         assert "worker.steps" not in hub.snapshot()["counters"].get(
             "0", {}
         )

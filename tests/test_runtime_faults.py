@@ -127,7 +127,6 @@ class TestDuplicate:
                 r.message for r in results.values() if r.message is not None
             ]
             assert messages
-            from repro.core.serialization import serialize_message
             from repro.distributed import Driver
 
             driver = Driver(
@@ -136,7 +135,7 @@ class TestDuplicate:
             )
             agg = driver.aggregate(messages)
             acked = cluster.broadcast(
-                0, 0.1, serialize_message(agg.broadcast_message)
+                0, 0.1, cluster.encode_update(agg.broadcast_message)
             )
             assert acked == [0, 1]
             assert cluster.transport.stats["duplicates"] == 1

@@ -27,11 +27,11 @@ from repro.runtime.framing import (
     KIND_ACK,
     KIND_ECHO,
     KIND_ERROR,
+    KIND_HELLO,
     KIND_INIT,
     KIND_READY,
     KIND_STOP,
     KIND_UPDATE,
-    V1_CAPS,
     FrameAssembler,
     FrameError,
     NegotiationError,
@@ -39,7 +39,9 @@ from repro.runtime.framing import (
     iter_chunk_frames,
     pack_ack,
     pack_frame,
+    pack_hello,
     unpack_frame,
+    unpack_header,
 )
 from repro.runtime.transport import (
     TRANSPORT_BACKENDS,
@@ -62,11 +64,11 @@ def _echo_handler(worker_id):
     return handler
 
 
-def _build(backend):
-    if backend == "sim":
-        handlers = [_echo_handler(i) for i in range(NUM_WORKERS)]
-        return make_transport("sim", NUM_WORKERS, handlers=handlers)
-    return make_transport(backend, NUM_WORKERS)
+def _build(backend, worker_caps=None):
+    handlers = [_echo_handler(i) for i in range(NUM_WORKERS)]  # sim only
+    return make_transport(
+        backend, NUM_WORKERS, handlers=handlers, worker_caps=worker_caps
+    )
 
 
 def _shutdown(transport):
@@ -166,31 +168,22 @@ class TestConformance:
 # ----------------------------------------------------------------------
 # Version negotiation: the HELLO exchange over every backend.
 #
-# A v2-capable worker opens with a HELLO carrying its supported
-# ranges; the driver pins the highest mutually supported pair and
-# replies.  A v1-capped worker emits the exact pre-v2 byte stream
-# (silence on mp, the legacy ACK hello on tcp/aio) and is pinned to
-# (1, 1) without any extra traffic.  Mixed fleets therefore negotiate
-# per connection, and a fleet with no common version is a structured
-# construction failure, not a hang.
+# Every worker opens with a HELLO carrying its supported ranges; the
+# driver pins the highest mutually supported pair and replies.  Runtime
+# peers speak payload v2 only, so a pre-v2 peer (``V1_CAPS``) is a
+# structured construction failure on every backend, not a hang.
 # ----------------------------------------------------------------------
-V2_ONLY_CAPS = ProtocolCaps(
-    frame_min=2, frame_max=2, payload_min=2, payload_max=2
-)
+#: A pre-v2 peer: frame v1 and payload v1 only, no ops plane.
+V1_CAPS = ProtocolCaps(frame_max=1, payload_min=1, payload_max=1, ops=False)
+#: A payload-v2 peer that cannot stream: frame v1, so no CHUNK/END and
+#: no ops plane.
+FRAME_V1_CAPS = ProtocolCaps(frame_max=1, ops=False)
 
 _FLEETS = {
-    "v1-only": ({0: V1_CAPS, 1: V1_CAPS}, {0: (1, 1), 1: (1, 1)}),
-    "v2-only": ({0: DEFAULT_CAPS, 1: DEFAULT_CAPS}, {0: (2, 2), 1: (2, 2)}),
-    "mixed": ({0: V1_CAPS, 1: DEFAULT_CAPS}, {0: (1, 1), 1: (2, 2)}),
+    "v2-only": ({0: DEFAULT_CAPS, 1: DEFAULT_CAPS}, {0: 2, 1: 2}),
+    # Mixed on the frame axis, the one that still negotiates per peer.
+    "mixed": ({0: FRAME_V1_CAPS, 1: DEFAULT_CAPS}, {0: 1, 1: 2}),
 }
-
-
-def _build_with_caps(backend, worker_caps, driver_caps=None):
-    kwargs = {"driver_caps": driver_caps, "worker_caps": worker_caps}
-    if backend == "sim":
-        handlers = [_echo_handler(i) for i in range(NUM_WORKERS)]
-        return make_transport("sim", NUM_WORKERS, handlers=handlers, **kwargs)
-    return make_transport(backend, NUM_WORKERS, **kwargs)
 
 
 class TestVersionNegotiation:
@@ -198,11 +191,9 @@ class TestVersionNegotiation:
     @pytest.mark.parametrize("backend", TRANSPORT_BACKENDS)
     def test_negotiation_matrix(self, backend, fleet):
         worker_caps, expected = _FLEETS[fleet]
-        t = _build_with_caps(backend, worker_caps)
+        t = _build(backend, worker_caps)
         try:
             assert dict(t.negotiated) == expected
-            for worker_id in range(NUM_WORKERS):
-                assert t.negotiated_versions(worker_id) == expected[worker_id]
             # The negotiated connection still moves frames: the serve
             # loop answered the HELLO exchange and is back in dispatch.
             for worker_id in range(NUM_WORKERS):
@@ -218,35 +209,40 @@ class TestVersionNegotiation:
     def test_default_fleet_negotiates_v2(self, backend):
         t = _build(backend)
         try:
-            assert dict(t.negotiated) == {0: (2, 2), 1: (2, 2)}
+            assert dict(t.negotiated) == {0: 2, 1: 2}
         finally:
             _shutdown(t)
 
     @pytest.mark.parametrize("backend", TRANSPORT_BACKENDS)
     def test_no_common_version_is_structured_failure(self, backend):
-        # A v1-pinned driver cannot speak to a v2-only worker: the
-        # transport must fail construction with NegotiationError (a
-        # FrameError), never hang or train on garbage.
-        with pytest.raises(NegotiationError, match="no common"):
-            t = _build_with_caps(
-                backend,
-                {0: V2_ONLY_CAPS, 1: V1_CAPS},
-                driver_caps=V1_CAPS,
-            )
+        # A pre-v2 worker shares no payload version with the runtime:
+        # construction must fail with NegotiationError (a FrameError),
+        # promptly, never hang or train on garbage.
+        start = time.monotonic()
+        with pytest.raises(NegotiationError, match="no common payload"):
+            t = _build(backend, {1: V1_CAPS})
             _shutdown(t)  # pragma: no cover - construction must raise
+        assert time.monotonic() - start < 30.0
+
+    def test_hello_less_opener_is_refused(self, raw_stream):
+        t, sock = raw_stream
+        sock.sendall(pack_frame(KIND_ACK, 0, pack_ack(0)))  # pre-v2 opener
+        with pytest.raises(NegotiationError, match="not HELLO"):
+            _handshake(t)
 
     def test_negotiation_error_is_frame_error(self):
         assert issubclass(NegotiationError, FrameError)
 
 
 class TestNegotiatedTraining:
-    """Fleet composition must not change the math.
+    """Fleet composition and wire settings must not change the math.
 
     The same fixed-seed logistic regression must land on bit-identical
-    parameters whether the fleet is all-v1, all-v2 (with entropy
-    coding and streamed frames), or mixed — the v2 payload carries the
-    identical message, so theta cannot move.  The mp cell is the
-    acceptance bar; tcp and aio pin the socket backends.
+    parameters on a plain v2 fleet, on one with entropy coding and
+    streamed frames, and on a mixed one whose worker 0 is pinned at
+    frame v1 (it never streams) — the message is the same, so theta
+    cannot move.  The mp cell is the acceptance bar; tcp and aio pin
+    the socket backends.
     """
 
     @pytest.fixture(scope="class")
@@ -255,38 +251,31 @@ class TestNegotiatedTraining:
 
         return train_test_split(kdd10_like(seed=7, scale=0.02), seed=7)
 
-    def _theta(self, split, backend, worker_caps=None, **cfg):
+    #: Entropy coding and 4096-byte CHUNK/END streaming; MIXED adds a
+    #: worker 0 pinned at frame v1 (the rest default).
+    STREAMED = dict(entropy_coding=True, chunk_bytes=4096)
+    MIXED = dict(STREAMED, worker_caps={0: FRAME_V1_CAPS})
+
+    def _theta(self, split, backend, **cfg):
         from repro.runtime import RuntimeConfig
         from tests.test_runtime_train import make_trainer
 
         trainer = make_trainer(
-            split,
-            backend,
-            runtime=RuntimeConfig(
-                backend=backend, worker_caps=worker_caps, **cfg
-            ),
+            split, backend, runtime=RuntimeConfig(backend=backend, **cfg)
         )
         trainer.train(*split)
         return trainer.theta
 
     def test_mixed_fleet_trains_bit_identical_on_mp(self, split):
-        from tests.test_runtime_train import NUM_WORKERS as TRAIN_WORKERS
+        plain = self._theta(split, "mp")
+        for cfg in (self.MIXED, self.STREAMED):
+            theta = self._theta(split, "mp", **cfg)
+            np.testing.assert_array_equal(theta, plain)
 
-        all_v1 = self._theta(
-            split, "mp",
-            worker_caps={w: V1_CAPS for w in range(TRAIN_WORKERS)},
-        )
-        mixed = self._theta(
-            split, "mp",
-            worker_caps={0: V1_CAPS},  # the rest default to v2
-            entropy_coding=True,
-            chunk_bytes=4096,
-        )
-        all_v2 = self._theta(
-            split, "mp", entropy_coding=True, chunk_bytes=4096
-        )
-        np.testing.assert_array_equal(all_v1, mixed)
-        np.testing.assert_array_equal(all_v1, all_v2)
+    @pytest.mark.parametrize("backend", ["tcp", "aio"])
+    def test_mixed_fleet_matches_plain_sockets(self, split, backend):
+        mixed = self._theta(split, backend, **self.MIXED)
+        np.testing.assert_array_equal(self._theta(split, backend), mixed)
 
     def test_sim_cluster_streams_chunked_updates(self):
         """The default sim fleet negotiates frame v2, so an update
@@ -294,7 +283,6 @@ class TestNegotiatedTraining:
         straight into the in-process handler — regression for the sim
         frame dispatch forwarding chunk frames to
         ``WorkerRuntime.handle`` and crashing the run."""
-        from repro.core.serialization import serialize_message
         from repro.data import kdd10_like
         from repro.runtime import RuntimeCluster, RuntimeConfig
         from tests.test_runtime_faults import (
@@ -312,13 +300,8 @@ class TestNegotiatedTraining:
                 update = next(
                     r.message for r in first.values() if r.has_batch
                 )
-                # The update was decoded from the worker's negotiated
-                # payload version; a v2 decode carries no bucket splits,
-                # so let broadcast serialize it per peer version.
-                update_bytes = serialize_message(
-                    update, version=2, entropy=True
-                )
-                acked = cluster.broadcast(0, 0.1, message=update)
+                update_bytes = cluster.encode_update(update)
+                acked = cluster.broadcast(0, 0.1, update_bytes)
                 second = cluster.step(1, 0.1)
             losses = [
                 (w, r.local_loss, r.gradient_nnz)
@@ -326,32 +309,15 @@ class TestNegotiatedTraining:
             ]
             return update_bytes, acked, losses
 
-        v1_caps = {w: V1_CAPS for w in range(SIM_WORKERS)}
-        _, acked_v1, second_v1 = run(worker_caps=v1_caps)
+        _, acked_plain, second_plain = run()
         update_bytes, acked, second = run(
             entropy_coding=True, chunk_bytes=256
         )
         # The update genuinely exceeded one chunk, so it streamed.
         assert len(update_bytes) > 256
-        assert acked == acked_v1 == list(range(SIM_WORKERS))
-        # Post-update gradients are bit-identical across fleets.
-        assert second == second_v1
-
-    @pytest.mark.parametrize("backend", ["tcp", "aio"])
-    def test_mixed_fleet_matches_v1_fleet_on_sockets(self, split, backend):
-        from tests.test_runtime_train import NUM_WORKERS as TRAIN_WORKERS
-
-        all_v1 = self._theta(
-            split, backend,
-            worker_caps={w: V1_CAPS for w in range(TRAIN_WORKERS)},
-        )
-        mixed = self._theta(
-            split, backend,
-            worker_caps={0: V1_CAPS},
-            entropy_coding=True,
-            chunk_bytes=4096,
-        )
-        np.testing.assert_array_equal(all_v1, mixed)
+        assert acked == acked_plain == list(range(SIM_WORKERS))
+        # Post-update gradients are bit-identical across wire settings.
+        assert second == second_plain
 
 
 class _ScriptedEndpoint:
@@ -392,9 +358,6 @@ class TestServeChunkRecovery:
                 self.worker_id = 1
                 self._reassembler = ChunkReassembler()
 
-            def set_wire(self, frame_v, payload_v, ops=False):
-                pass
-
             def handle(self, kind, payload):
                 raise AssertionError(
                     f"frame kind {kind} must not reach handle()"
@@ -431,9 +394,7 @@ class TestServeChunkRecovery:
         frames += stream[:3]  # the send died after three chunks...
         frames += stream      # ...and the supervisor re-sent it all
         endpoint = _ScriptedEndpoint(frames)
-        worker_main.serve(
-            endpoint, 1, frame_version=2, payload_version=2
-        )
+        worker_main.serve(endpoint, 1, frame_version=2)
         assert calls == [(KIND_UPDATE, body)]
         kinds = [unpack_frame(f)[0] for f in endpoint.sent]
         assert kinds == [KIND_READY, KIND_ACK]
@@ -450,9 +411,7 @@ class TestServeChunkRecovery:
         frames += stream[2:]  # stale mid-stream tail incl. its END
         frames += stream      # the full retried stream
         endpoint = _ScriptedEndpoint(frames)
-        worker_main.serve(
-            endpoint, 1, frame_version=2, payload_version=2
-        )
+        worker_main.serve(endpoint, 1, frame_version=2)
         assert calls == [(KIND_UPDATE, body)]
         kinds = [unpack_frame(f)[0] for f in endpoint.sent]
         assert kinds == [KIND_READY, KIND_ACK]
@@ -467,7 +426,7 @@ class TestServeChunkRecovery:
 # client socket (spawn_workers=False) plays the worker so the tests
 # control the exact write boundaries.
 # ----------------------------------------------------------------------
-_HELLO = pack_frame(KIND_ACK, 0, pack_ack(0))
+_HELLO = pack_frame(KIND_HELLO, 0, pack_hello(DEFAULT_CAPS))
 
 
 def _dribble(sock, chunks, delay=0.002):
@@ -560,13 +519,14 @@ class TestStreamReassembly:
         try:
             got = bytearray()
             sock.settimeout(10.0)
-            while len(got) < len(frame):
+            # The driver's HELLO reply (its pinned choice) comes first.
+            while not got.endswith(frame):
                 chunk = sock.recv(65536)
                 assert chunk, "driver closed mid-frame"
                 got.extend(chunk)
         finally:
             writer.join()
-        assert bytes(got) == frame
+        assert unpack_header(bytes(got[:HEADER_SIZE]))[0] == KIND_HELLO
 
 
 class TestFrameAssembler:
