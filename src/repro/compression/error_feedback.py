@@ -19,6 +19,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
+from ..data.sparse import sum_by_key
 from .base import CompressedGradient, GradientCompressor, validate_sparse_gradient
 
 __all__ = ["ErrorFeedbackCompressor"]
@@ -61,11 +62,10 @@ class ErrorFeedbackCompressor(GradientCompressor):
             residual_vals = np.fromiter(
                 self._residual.values(), dtype=np.float64, count=len(self._residual)
             )
-            all_keys = np.concatenate([keys, residual_keys])
-            all_vals = np.concatenate([values, self.decay * residual_vals])
-            keys, inverse = np.unique(all_keys, return_inverse=True)
-            values = np.zeros(keys.size)
-            np.add.at(values, inverse, all_vals)
+            keys, values = sum_by_key(
+                np.concatenate([keys, residual_keys]),
+                np.concatenate([values, self.decay * residual_vals]),
+            )
             nonzero = values != 0.0
             keys, values = keys[nonzero], values[nonzero]
         message = self.inner.compress(keys, values, dimension)

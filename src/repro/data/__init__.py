@@ -1,7 +1,7 @@
 """Sparse data substrate: structures, synthetic generators, I/O, splits."""
 
 from .io import read_libsvm, write_libsvm
-from .sparse import SparseDataset, SparseVector
+from .sparse import SparseDataset, SparseVector, sum_by_key
 from .splits import partition_rows, train_test_split
 from .synthetic import (
     CTR_LIKE,
@@ -20,6 +20,7 @@ from .transforms import hash_features, normalize_rows, subsample_rows
 __all__ = [
     "SparseVector",
     "SparseDataset",
+    "sum_by_key",
     "read_libsvm",
     "write_libsvm",
     "train_test_split",

@@ -13,7 +13,52 @@ from typing import Iterator, Tuple
 
 import numpy as np
 
-__all__ = ["SparseVector", "SparseDataset"]
+__all__ = ["SparseVector", "SparseDataset", "row_sums", "sum_by_key"]
+
+
+def row_sums(products: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Per-row sums of a row-major gathered array (empty rows sum to 0)."""
+    out = np.zeros(lengths.size, dtype=np.float64)
+    if products.size == 0:
+        return out
+    boundaries = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+    nonempty = lengths > 0
+    out[nonempty] = np.add.reduceat(products, boundaries[nonempty])
+    return out
+
+
+def sum_by_key(
+    keys: np.ndarray, values: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct ``keys`` and the sum of each key's ``values``.
+
+    The one "sum values per key" kernel: the batch gradient, the driver
+    merge and the error-feedback residual merge all call it.  A
+    seen-mask over ``[0, max key]`` gives the distinct keys in order, a
+    slot map sends each key to its rank and one weighted ``bincount``
+    sums per rank — no sort, no ``np.unique`` (a hash table on recent
+    numpy), no dense float vector.  ``bincount`` adds each key's values
+    left to right in input order from 0.0, exactly as ``np.add.at``
+    into zeros does, so the sums are bit-identical to the
+    ``np.unique`` + ``np.add.at`` reference.
+
+    Keys must be non-negative integers; ``values`` is parallel.
+    """
+    keys = np.asarray(keys)
+    values = np.asarray(values, dtype=np.float64)
+    if keys.shape != values.shape or keys.ndim != 1:
+        raise ValueError("keys and values must be parallel 1-D arrays")
+    if keys.size == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+    if keys.min() < 0:
+        raise ValueError("keys must be non-negative")
+    seen = np.zeros(int(keys.max()) + 1, dtype=bool)
+    seen[keys] = True
+    distinct = np.flatnonzero(seen)
+    slot = np.empty(seen.size, dtype=np.intp)
+    slot[distinct] = np.arange(distinct.size)
+    sums = np.bincount(slot[keys], weights=values, minlength=distinct.size)
+    return distinct.astype(np.int64, copy=False), sums
 
 
 @dataclass
@@ -85,12 +130,17 @@ class SparseVector:
 class SparseDataset:
     """CSR-format labelled dataset with vectorised mini-batch kernels.
 
-    Rows are training instances; ``labels`` is parallel to rows.  The
-    class exposes exactly the two kernels SGD needs:
+    Rows are training instances; ``labels`` is parallel to rows.  A
+    mini-batch step reads the batch's CSR slice once and does both of
+    its products on that one gather:
 
-    * :meth:`dot_rows` — ``X[rows] @ theta`` for a row subset;
-    * :meth:`gradient_rows` — ``X[rows].T @ coefficients`` accumulated
-      into a dense vector (callers sparsify afterwards).
+    * :meth:`gather` — the slice itself: column indices, values and
+      per-row lengths, row-major over a row subset;
+    * :meth:`dot_rows` — ``X[rows] @ theta`` (one gather plus
+      :func:`row_sums`);
+    * ``X[rows].T @ coefficients`` is :func:`sum_by_key` over the
+      gathered columns, which yields the sparse gradient's sorted keys
+      and values directly (see ``SparseLinearModel.batch_gradient``).
 
     Args:
         indptr: CSR row pointer, length ``num_rows + 1``.
@@ -173,68 +223,34 @@ class SparseDataset:
             self.indices[start:end], self.data[start:end], self.num_features
         )
 
-    def _flat_index(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Flattened CSR positions for a row subset, plus per-row lengths.
+    # ------------------------------------------------------------------
+    # SGD kernels
+    # ------------------------------------------------------------------
+    def gather(
+        self, rows: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The CSR slice of a row subset: ``(columns, values, lengths)``.
 
-        Returns ``(positions, lengths)`` where ``positions`` indexes the
-        ``indices``/``data`` arrays, row-major over ``rows``.
+        ``columns``/``values`` hold the rows' entries row-major over
+        ``rows``; ``lengths[i]`` is the entry count of ``rows[i]``.
         """
         rows = np.asarray(rows, dtype=np.int64)
         starts = self.indptr[rows]
         lengths = self.indptr[rows + 1] - starts
-        total = int(lengths.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.int64), lengths
         # positions = concat(arange(start_i, start_i + len_i))
-        exclusive = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+        ends = np.cumsum(lengths)
+        total = int(ends[-1]) if ends.size else 0
         positions = (
             np.arange(total, dtype=np.int64)
-            - np.repeat(exclusive, lengths)
+            - np.repeat(ends - lengths, lengths)
             + np.repeat(starts, lengths)
         )
-        return positions, lengths
+        return self.indices[positions], self.data[positions], lengths
 
-    # ------------------------------------------------------------------
-    # SGD kernels
-    # ------------------------------------------------------------------
     def dot_rows(self, rows: np.ndarray, theta: np.ndarray) -> np.ndarray:
         """``X[rows] @ theta`` as a 1-D array of length ``len(rows)``."""
-        rows = np.asarray(rows, dtype=np.int64)
-        positions, lengths = self._flat_index(rows)
-        out = np.zeros(rows.size, dtype=np.float64)
-        if positions.size == 0:
-            return out
-        products = self.data[positions] * theta[self.indices[positions]]
-        boundaries = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-        nonempty = lengths > 0
-        sums = np.add.reduceat(products, boundaries[nonempty])
-        out[nonempty] = sums
-        return out
-
-    def gradient_rows(
-        self, rows: np.ndarray, coefficients: np.ndarray
-    ) -> np.ndarray:
-        """Dense ``X[rows].T @ coefficients`` (length ``num_features``).
-
-        ``coefficients[i]`` is the per-instance loss-derivative weight
-        for ``rows[i]``; the caller extracts the sparse nonzeros.
-        """
-        rows = np.asarray(rows, dtype=np.int64)
-        coefficients = np.asarray(coefficients, dtype=np.float64)
-        if rows.shape != coefficients.shape:
-            raise ValueError("rows and coefficients must be parallel")
-        grad = np.zeros(self.num_features, dtype=np.float64)
-        positions, lengths = self._flat_index(rows)
-        if positions.size == 0:
-            return grad
-        weights = np.repeat(coefficients, lengths)
-        np.add.at(grad, self.indices[positions], self.data[positions] * weights)
-        return grad
-
-    def active_columns(self, rows: np.ndarray) -> np.ndarray:
-        """Sorted unique columns touched by a row subset."""
-        positions, _ = self._flat_index(np.asarray(rows, dtype=np.int64))
-        return np.unique(self.indices[positions])
+        columns, values, lengths = self.gather(rows)
+        return row_sums(values * theta[columns], lengths)
 
     # ------------------------------------------------------------------
     # slicing / iteration
@@ -242,14 +258,10 @@ class SparseDataset:
     def subset(self, rows: np.ndarray) -> "SparseDataset":
         """A new dataset containing only ``rows`` (copies the data)."""
         rows = np.asarray(rows, dtype=np.int64)
-        positions, lengths = self._flat_index(rows)
+        columns, values, lengths = self.gather(rows)
         indptr = np.concatenate(([0], np.cumsum(lengths)))
         return SparseDataset(
-            indptr,
-            self.indices[positions],
-            self.data[positions],
-            self.labels[rows],
-            self.num_features,
+            indptr, columns, values, self.labels[rows], self.num_features
         )
 
     def iter_batches(

@@ -23,6 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..compression.base import CompressedGradient, GradientCompressor
+from ..data.sparse import sum_by_key
 
 __all__ = ["Driver", "DriverStepResult", "aggregate_sparse_gradients"]
 
@@ -59,14 +60,10 @@ def aggregate_sparse_gradients(
                 for (_, values), w in zip(gradients, weights)
             ]
         )
-    if all_keys.size == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-    unique_keys, inverse = np.unique(all_keys, return_inverse=True)
-    summed = np.zeros(unique_keys.size, dtype=np.float64)
-    np.add.at(summed, inverse, all_values)
+    keys, summed = sum_by_key(all_keys, all_values)
     if weights is None:
         summed /= num_workers
-    return unique_keys, summed
+    return keys, summed
 
 
 @dataclass

@@ -20,7 +20,7 @@ from typing import Tuple
 
 import numpy as np
 
-from ..data.sparse import SparseDataset
+from ..data.sparse import SparseDataset, row_sums, sum_by_key
 
 __all__ = ["Model", "SparseLinearModel"]
 
@@ -114,12 +114,12 @@ class SparseLinearModel(Model):
         rows = np.asarray(rows, dtype=np.int64)
         if rows.size == 0:
             raise ValueError("batch must contain at least one row")
-        scores = dataset.dot_rows(rows, theta)
+        # One gather of the batch's CSR slice feeds both products.
+        columns, data, lengths = dataset.gather(rows)
+        scores = row_sums(data * theta[columns], lengths)
         labels = dataset.labels[rows]
         coefficients = self._loss_derivatives(scores, labels) / rows.size
-        dense_grad = dataset.gradient_rows(rows, coefficients)
-        active = dataset.active_columns(rows)
-        values = dense_grad[active]
+        active, values = sum_by_key(columns, data * np.repeat(coefficients, lengths))
         if self.reg_lambda:
             values = values + self.reg_lambda * theta[active]
         # Keep exact zeros out of the key-value stream (they carry no

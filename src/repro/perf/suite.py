@@ -11,11 +11,14 @@ the ``keys_*_v2`` rows time what payload v2 does with a real message's
 grouped sketch keys instead — choose a code and Rice-code them on
 encode, decode them with every canonical check on decode.  The
 ``adam_step`` rows time the optimizer apply that follows a decode on
-every replica.
+every replica.  The ``batch_gradient`` rows time the step before any
+codec work: a worker's logistic-regression gradient over a kdd12-like
+CSR batch of ``nnz`` entries (one gather, ``sum_by_key``).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import platform
 from typing import Dict, List, Optional, Sequence
@@ -32,6 +35,8 @@ from ..core.delta_encoding import (
 from ..core.minmax_sketch import GroupedMinMaxSketch
 from ..core.quantizer import QuantileBucketQuantizer
 from ..core.rice import decode_key_groups_v2, encode_key_groups_v2
+from ..data.synthetic import KDD12_LIKE, generate_dataset
+from ..models import LogisticRegression
 from ..optim import Adam
 from .harness import BenchResult, time_kernel
 
@@ -291,6 +296,30 @@ def _bench_adam_step(
     )
 
 
+def _bench_batch_gradient(
+    nnz: int, cfg: SketchMLConfig, warmup: int, repeats: int
+) -> BenchResult:
+    """A worker's compute step: ``batch_gradient`` over a whole kdd12-like
+    batch whose CSR slice holds about ``nnz`` entries."""
+    rows = max(1, round(nnz / KDD12_LIKE.avg_nnz_per_row))
+    dataset = generate_dataset(
+        dataclasses.replace(KDD12_LIKE, num_rows=rows), seed=cfg.seed
+    )
+    batch = np.arange(dataset.num_rows)
+    model = LogisticRegression(dataset.num_features)
+    theta = np.random.default_rng(cfg.seed).normal(
+        scale=0.01, size=dataset.num_features
+    )
+    return time_kernel(
+        f"batch_gradient/{nnz}",
+        lambda: model.batch_gradient(dataset, batch, theta),
+        elements=dataset.nnz,
+        bytes_processed=dataset.nnz * (_KEY_BYTES + _VALUE_BYTES),
+        warmup=warmup,
+        repeats=repeats,
+    )
+
+
 _KERNELS = (
     _bench_quantizer_fit,
     _bench_minmax_insert,
@@ -302,6 +331,7 @@ _KERNELS = (
     _bench_e2e_compress,
     _bench_e2e_decompress,
     _bench_adam_step,
+    _bench_batch_gradient,
 )
 
 

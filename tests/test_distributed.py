@@ -53,6 +53,29 @@ class TestAggregation:
         keys, _ = aggregate_sparse_gradients(grads)
         assert np.all(np.diff(keys) > 0)
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_bit_identical_to_add_at_reference(self, weighted):
+        rng = np.random.default_rng(31)
+        grads = []
+        for n in (0, 1, 400, 2_000, 2_000):
+            keys = np.unique(rng.integers(0, 5_000, n))
+            values = rng.laplace(size=keys.size) * 10.0 ** rng.integers(-6, 7, keys.size)
+            grads.append((keys, values))
+        weights = rng.dirichlet(np.ones(len(grads))).tolist() if weighted else None
+        all_keys = np.concatenate([k for k, _ in grads])
+        if weights is None:
+            all_values = np.concatenate([v for _, v in grads])
+        else:
+            all_values = np.concatenate([v * w for (_, v), w in zip(grads, weights)])
+        ref_keys, inverse = np.unique(all_keys, return_inverse=True)
+        ref_values = np.zeros(ref_keys.size)
+        np.add.at(ref_values, inverse, all_values)
+        if weights is None:
+            ref_values /= len(grads)
+        keys, values = aggregate_sparse_gradients(grads, weights)
+        np.testing.assert_array_equal(keys, ref_keys)
+        np.testing.assert_array_equal(values.view(np.uint64), ref_values.view(np.uint64))
+
 
 class TestWorker(object):
     def test_batches_cover_partition(self, tiny_split):

@@ -200,6 +200,85 @@ class TestBatchGradientContract:
             model.batch_gradient(ds, np.asarray([], dtype=np.int64), model.init_theta())
 
 
+def reference_batch_gradient(model, ds, rows, theta):
+    """The dense formula batch_gradient used before sum_by_key: np.add.at
+    into a dense gradient, np.unique for the active columns."""
+    rows = np.asarray(rows, dtype=np.int64)
+    scores = ds.dot_rows(rows, theta)
+    labels = ds.labels[rows]
+    coefficients = model._loss_derivatives(scores, labels) / rows.size
+    dense = np.zeros(ds.num_features)
+    columns = np.concatenate([ds.row(r).keys for r in rows])
+    contributions = np.concatenate(
+        [ds.row(r).values * c for r, c in zip(rows, coefficients)]
+    )
+    np.add.at(dense, columns, contributions)
+    active = np.unique(columns)
+    values = dense[active]
+    if model.reg_lambda:
+        values = values + model.reg_lambda * theta[active]
+    nonzero = values != 0.0
+    loss = float(np.mean(model._instance_losses(scores, labels)))
+    return active[nonzero], values[nonzero], loss + model._reg_loss(theta)
+
+
+def cancelling_dataset():
+    """Rows 0 and 1 are equal except that column 7 flips sign, so their
+    column-7 contributions cancel to exactly 0.0 whenever their
+    coefficients agree; rows 2 and 5 are empty."""
+    empty = (np.asarray([], dtype=np.int64), np.asarray([]))
+    rows = [
+        (np.asarray([1, 7, 9]), np.asarray([0.5, 3.0, -1.25])),
+        (np.asarray([1, 7, 9]), np.asarray([0.5, -3.0, -1.25])),
+        empty,
+        (np.asarray([0, 7, 19]), np.asarray([1e-3, 2.0, 7.5])),
+        (np.asarray([2, 3, 4, 5, 6]), np.asarray([0.1, -0.2, 0.3, -0.4, 0.5])),
+        empty,
+    ]
+    labels = np.asarray([1.0, 1.0, -1.0, -1.0, 1.0, 1.0])
+    return SparseDataset.from_rows(rows, labels, 20)
+
+
+@pytest.mark.parametrize("model_cls", [LogisticRegression, LinearSVM, LinearRegression])
+@pytest.mark.parametrize("reg_lambda", [0.0, 0.01])
+class TestBatchGradientBitIdentical:
+    """batch_gradient (one gather + sum_by_key) is bit-identical to the
+    dense np.add.at formula, keys, values and loss."""
+
+    @staticmethod
+    def _assert_same(got, ref):
+        np.testing.assert_array_equal(got[0], ref[0])
+        assert got[0].dtype == np.int64
+        np.testing.assert_array_equal(got[1].view(np.uint64), ref[1].view(np.uint64))
+        assert got[2] == ref[2]
+
+    def test_random_batches(self, model_cls, reg_lambda):
+        ds = toy_dataset(seed=21, rows=300, features=40)
+        model = model_cls(ds.num_features, reg_lambda=reg_lambda)
+        rng = np.random.default_rng(22)
+        theta = rng.normal(scale=0.3, size=ds.num_features)
+        for size in (1, 17, 300):
+            rows = rng.choice(ds.num_rows, size=size, replace=False)
+            self._assert_same(
+                model.batch_gradient(ds, rows, theta),
+                reference_batch_gradient(model, ds, rows, theta),
+            )
+
+    def test_empty_rows_and_exact_cancellation(self, model_cls, reg_lambda):
+        ds = cancelling_dataset()
+        model = model_cls(ds.num_features, reg_lambda=reg_lambda)
+        # theta is 0 on column 7, so the regulariser cannot revive it.
+        theta = np.linspace(-0.2, 0.3, ds.num_features)
+        theta[7] = 0.0
+        for rows in ([0, 1], [2, 0, 5, 1], [2, 5], [0, 1, 2, 3, 4, 5]):
+            got = model.batch_gradient(ds, np.asarray(rows), theta)
+            self._assert_same(got, reference_batch_gradient(model, ds, rows, theta))
+            assert np.all(got[1] != 0.0)
+        keys, _, _ = model.batch_gradient(ds, np.asarray([0, 1]), theta)
+        if model_cls is not LinearSVM:
+            assert 7 not in keys.tolist() and 1 in keys.tolist()
+
+
 class TestMLP:
     def test_parameter_count(self):
         mlp = MLPClassifier(input_dim=4, hidden_dims=(3,), num_classes=2)

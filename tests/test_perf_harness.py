@@ -20,6 +20,7 @@ EXPECTED_KERNELS = {
     "e2e_compress",
     "e2e_decompress",
     "adam_step",
+    "batch_gradient",
 }
 
 #: serialization kernels timed by the wire bench (repro.perf.wire_bench)

@@ -1,11 +1,19 @@
-"""Tests for SparseVector and SparseDataset."""
+"""Tests for SparseVector, SparseDataset and the sum_by_key kernel."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data import SparseDataset, SparseVector
+from repro.data import SparseDataset, SparseVector, sum_by_key
+
+
+def reference_sum_by_key(keys, values):
+    """The duplicate-sum sum_by_key replaces: np.unique + np.add.at."""
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    sums = np.zeros(distinct.size)
+    np.add.at(sums, inverse, values)
+    return distinct, sums
 
 
 def random_dataset(rows=50, features=200, density=0.1, seed=0):
@@ -104,24 +112,41 @@ class TestSparseDataset:
         theta = np.ones(5)
         np.testing.assert_allclose(ds.dot_rows(np.asarray([0, 1]), theta), [2.0, 0.0])
 
-    def test_gradient_rows_matches_dense(self):
+    def test_gather_matches_rows(self):
+        ds = random_dataset(seed=12)
+        rows = np.asarray([4, 0, 4, 9])
+        columns, values, lengths = ds.gather(rows)
+        assert lengths.tolist() == [ds.row(r).nnz for r in rows]
+        np.testing.assert_array_equal(
+            columns, np.concatenate([ds.row(r).keys for r in rows])
+        )
+        np.testing.assert_array_equal(
+            values, np.concatenate([ds.row(r).values for r in rows])
+        )
+
+    def test_sum_by_key_gradient_matches_dense(self):
         ds = random_dataset(rows=20, seed=4)
         rows = np.arange(10)
         coeff = np.random.default_rng(5).normal(size=10)
         expected = np.zeros(ds.num_features)
         for r, c in zip(rows, coeff):
             ds.row(r).add_into(expected, scale=c)
-        np.testing.assert_allclose(ds.gradient_rows(rows, coeff), expected)
+        columns, values, lengths = ds.gather(rows)
+        keys, grad = sum_by_key(columns, values * np.repeat(coeff, lengths))
+        np.testing.assert_array_equal(keys, np.flatnonzero(expected != 0.0))
+        np.testing.assert_allclose(grad, expected[keys])
 
-    def test_gradient_rows_validation(self):
-        ds = random_dataset(seed=6)
+    def test_sum_by_key_validation(self):
         with pytest.raises(ValueError, match="parallel"):
-            ds.gradient_rows(np.asarray([0, 1]), np.asarray([1.0]))
+            sum_by_key(np.asarray([0, 1]), np.asarray([1.0]))
+        with pytest.raises(ValueError, match="non-negative"):
+            sum_by_key(np.asarray([3, -1]), np.asarray([1.0, 2.0]))
 
     def test_active_columns(self):
         ds = random_dataset(seed=7)
         rows = np.asarray([0, 1])
-        active = ds.active_columns(rows)
+        columns, values, _ = ds.gather(rows)
+        active, _ = sum_by_key(columns, values)
         manual = np.unique(
             np.concatenate([ds.row(0).keys, ds.row(1).keys])
         )
@@ -162,7 +187,8 @@ class TestSparseDataset:
 )
 @settings(max_examples=25, deadline=None)
 def test_dot_gradient_adjoint_property(rows, features, seed):
-    """<X r, c> == <r, X^T c> — dot_rows and gradient_rows are adjoint."""
+    """<X r, c> == <r, X^T c> — dot_rows and the gather + sum_by_key
+    transpose product are adjoint."""
     rng = np.random.default_rng(seed)
     row_list = []
     for _ in range(rows):
@@ -174,5 +200,65 @@ def test_dot_gradient_adjoint_property(rows, features, seed):
     coeff = rng.normal(size=rows)
     all_rows = np.arange(rows)
     lhs = float(np.dot(ds.dot_rows(all_rows, theta), coeff))
-    rhs = float(np.dot(theta, ds.gradient_rows(all_rows, coeff)))
+    columns, values, lengths = ds.gather(all_rows)
+    keys, grad = sum_by_key(columns, values * np.repeat(coeff, lengths))
+    rhs = float(np.dot(theta[keys], grad))
     assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
+
+
+class TestSumByKey:
+    def test_empty_input(self):
+        keys, sums = sum_by_key(np.empty(0, dtype=np.int64), np.empty(0))
+        assert keys.dtype == np.int64 and keys.size == 0
+        assert sums.dtype == np.float64 and sums.size == 0
+
+    def test_sums_in_input_order(self):
+        # Left to right: ((1e16 + 1) - 1e16) + 1 == 1.0.  A pairwise
+        # ((1e16 + 1) + (-1e16 + 1)), sorted or reduceat sum gives 0.0,
+        # so a switch to any of them fails here.
+        values = np.asarray([1e16, 1.0, -1e16, 1.0])
+        keys, sums = sum_by_key(np.zeros(4, dtype=np.int64), values)
+        assert keys.tolist() == [0]
+        assert sums.tolist() == [1.0]
+        assert np.add.reduceat(values, [0])[0] == 0.0
+        assert (values[0] + values[1]) + (values[2] + values[3]) == 0.0
+        np.testing.assert_array_equal(
+            sums, reference_sum_by_key(np.zeros(4, dtype=np.int64), values)[1]
+        )
+
+
+_key_multisets = st.integers(min_value=1, max_value=400).flatmap(
+    lambda dim: st.tuples(
+        st.just(dim),
+        st.lists(
+            st.one_of(
+                st.integers(min_value=0, max_value=dim - 1),
+                st.sampled_from([0, dim - 1]),
+            ),
+            max_size=300,
+        ),
+    )
+)
+
+
+@given(
+    case=_key_multisets,
+    heavy=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_sum_by_key_matches_unique_add_at(case, heavy, seed):
+    """Bit-identical to np.unique(return_inverse) + np.add.at, including
+    heavy duplicates, one key, keys 0 and D-1 and empty input."""
+    dim, key_list = case
+    rng = np.random.default_rng(seed)
+    keys = np.asarray(key_list, dtype=np.int64)
+    if heavy and keys.size:
+        keys = rng.choice(keys[:3], size=keys.size * 4)
+    # Mixed magnitudes make the summation order visible in the bits.
+    values = rng.laplace(size=keys.size) * 10.0 ** rng.integers(-8, 9, keys.size)
+    got_keys, got_sums = sum_by_key(keys, values)
+    ref_keys, ref_sums = reference_sum_by_key(keys, values)
+    assert got_keys.dtype == np.int64
+    np.testing.assert_array_equal(got_keys, ref_keys)
+    np.testing.assert_array_equal(got_sums.view(np.uint64), ref_sums.view(np.uint64))
