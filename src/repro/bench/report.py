@@ -170,10 +170,11 @@ def _soak_section(results_dir: str) -> List[str]:
 
     Renders the ``soak/{mode}/w{N}`` rows that ``python -m repro perf
     --soak`` records: messages/s with p50/p99 per-message latency for
-    the blocking ``tcp`` baseline vs the event-loop ``aio`` backend
-    (barrier and overlapped-decode modes), plus throughput ratios
-    against tcp at every worker count.
+    the ``aio`` backend's barrier and overlapped-decode modes, plus
+    throughput ratios against the ``aio`` barrier at every worker count.
     """
+    from ..perf.soak_bench import SOAK_MODES
+
     soak: Dict[int, Dict[str, dict]] = {}
     for name, entry in _bench_json(results_dir).items():
         if not name.startswith("soak/"):
@@ -189,19 +190,18 @@ def _soak_section(results_dir: str) -> List[str]:
         "hundreds of workers over real TCP sockets (seeded ~2 ms service "
         "delays, 1 % straggler stalls of 0.3–0.6 s); the driver gathers "
         "one serialized gradient message per worker per round and "
-        "decodes every reply. `tcp` is the blocking id-order barrier "
-        "baseline; `aio` services the same barrier in arrival order on "
-        "the event loop; `aio-overlap` drops the barrier and re-arms "
-        "each worker as soon as its reply decodes, so one straggler "
-        "stalls one pipeline instead of all of them.",
+        "decodes every reply. `aio` is the barrier baseline, serviced "
+        "in arrival order on the event loop; `aio-overlap` drops the "
+        "barrier and re-arms each worker as soon as its reply decodes, "
+        "so one straggler stalls one pipeline instead of all of them.",
         "",
         "```",
-        f"{'cell':<22}{'msg/s':>9}  {'p50 ms':>8}  {'p99 ms':>8}  {'vs tcp':>7}",
+        f"{'cell':<22}{'msg/s':>9}  {'p50 ms':>8}  {'p99 ms':>8}  {'vs aio':>7}",
     ]
     for workers in sorted(soak):
         modes = soak[workers]
-        baseline = modes.get("tcp", {}).get("messages_per_s", 0.0)
-        for mode in ("tcp", "aio", "aio-overlap"):
+        baseline = modes.get(SOAK_MODES[0], {}).get("messages_per_s", 0.0)
+        for mode in SOAK_MODES:
             entry = modes.get(mode)
             if entry is None:
                 continue

@@ -83,7 +83,7 @@ class ExperimentSpec:
     dataset for fast benches, and ``learning_rate`` defaults to the
     grid-searched value used across the suite.  ``backend`` selects the
     execution substrate (``sim`` keeps the figure-benchmark cost model;
-    ``mp`` / ``tcp`` run real worker processes), and the ``fault_*`` /
+    ``mp`` / ``aio`` run real worker processes), and the ``fault_*`` /
     supervision fields configure the runtime's seeded fault injection —
     they are ignored on the ``sim`` backend.
 

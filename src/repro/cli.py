@@ -63,6 +63,8 @@ __all__ = ["main", "build_parser"]
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .runtime.transport import TRANSPORT_BACKENDS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="SketchML (SIGMOD 2018) reproduction toolkit",
@@ -99,11 +101,11 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["cluster1", "cluster2"])
     train.add_argument("--seed", type=int, default=0)
     train.add_argument("--backend", default="sim",
-                       choices=["sim", "mp", "tcp", "aio"],
+                       choices=TRANSPORT_BACKENDS,
                        help="execution backend: simulated cluster (default), "
-                            "real worker processes over pipes (mp), "
-                            "host-local TCP sockets (tcp), or the "
-                            "event-driven multiplexed sockets (aio)")
+                            "real worker processes over pipes (mp), or "
+                            "over host-local TCP sockets multiplexed on "
+                            "one event loop (aio)")
     train.add_argument("--straggler-policy", default="fail_fast",
                        choices=["fail_fast", "drop"],
                        help="what to do when a worker is lost "
@@ -184,15 +186,15 @@ def build_parser() -> argparse.ArgumentParser:
                       help="also guard the overhead budget with the "
                            "live-ops metrics hub installed")
     perf.add_argument("--transports", nargs="*", default=None,
-                      choices=["sim", "mp", "tcp", "aio"], metavar="BACKEND",
+                      choices=TRANSPORT_BACKENDS, metavar="BACKEND",
                       help="also time transport echo round-trips on these "
                            "backends (default: all; pass with no "
                            "values to skip)")
     perf.add_argument("--soak", action="store_true",
                       help="run the high-concurrency gather soak: a "
                            "simulated worker swarm with a straggler tail, "
-                           "tcp barrier gather vs aio (barrier and "
-                           "overlapped) at each worker count")
+                           "aio barrier vs overlapped gather at each "
+                           "worker count")
     perf.add_argument("--soak-workers", type=int, nargs="+", default=None,
                       metavar="N",
                       help="soak worker-count grid "
@@ -717,10 +719,11 @@ def _run_perf(args: argparse.Namespace) -> int:
     )
     results.extend(wire_results)
     from .perf.transport_bench import run_transport_bench
+    from .runtime.transport import TRANSPORT_BACKENDS
 
     transports = args.transports
     if transports is None:
-        transports = ["sim"] if args.quick else ["sim", "mp", "tcp", "aio"]
+        transports = ["sim"] if args.quick else list(TRANSPORT_BACKENDS)
     if transports:
         results.extend(
             run_transport_bench(

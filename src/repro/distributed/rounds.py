@@ -5,8 +5,8 @@ One round of the paper's execution model (§4.1) over a
 computes and compresses), worker accounting, ``driver.aggregate``
 (decode, merge, re-encode), ``cluster.broadcast`` and the driver
 replica's ``optimizer.step``.  :func:`run_sync_rounds` is that loop;
-:class:`~repro.distributed.trainer.DistributedTrainer` (``mp`` / ``tcp``
-/ ``aio``) and :class:`~repro.fleet.trainer.FleetTrainer` (synchronous
+:class:`~repro.distributed.trainer.DistributedTrainer` (``mp`` /
+``aio``) and :class:`~repro.fleet.trainer.FleetTrainer` (synchronous
 mode) both run it and differ only in the two arguments it takes for
 that: the aggregation weights and a per-round hook.
 

@@ -46,7 +46,7 @@ __all__ = ["TrainerConfig", "DistributedTrainer"]
 #: literal here so importing the trainer does not import the runtime
 #: package (which imports this package's workers — lazy imports below
 #: break the cycle).
-_BACKENDS = ("sim", "mp", "tcp", "aio")
+_BACKENDS = ("sim", "mp", "aio")
 
 CompressorFactory = Callable[[], GradientCompressor]
 
@@ -69,9 +69,9 @@ class TrainerConfig:
             :meth:`repro.distributed.worker.Worker.compute_step`).
         backend: execution backend.  ``"sim"`` (default) runs the
             simulated single-process loop below — the figure-benchmark
-            path, unchanged.  ``"mp"`` / ``"tcp"`` / ``"aio"`` run the
-            same training semantics over real spawned worker processes
-            via :class:`repro.runtime.RuntimeCluster`; gradient
+            path, unchanged.  ``"mp"`` (pipes) and ``"aio"`` (sockets)
+            run the same training semantics over real spawned worker
+            processes via :class:`repro.runtime.RuntimeCluster`; gradient
             exchanges round-trip through the serialized wire bytes and
             model updates are bit-identical to ``"sim"`` for the same
             seed.

@@ -9,8 +9,7 @@ Two halves (see ``docs/fleet.md``):
   optional bounded-staleness gate (``--stale N``) that folds the SSP
   semantics of :mod:`repro.distributed.ssp_trainer` into the wire
   protocol.  All scheduling decisions are driver-side and seeded, so a
-  fixed seed is bit-identical across ``sim`` / ``mp`` / ``tcp`` /
-  ``aio``.
+  fixed seed is bit-identical across ``sim`` / ``mp`` / ``aio``.
 
 * **Trace-driven fleet replay** — :func:`fit_cost_model` distils a
   recorded ``repro-trace/1`` flight into per-worker cost

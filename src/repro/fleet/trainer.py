@@ -24,7 +24,7 @@ healthy cluster never exercises:
   server update is journalled and delivered to each worker just
   before its next step.  All scheduling decisions are driver-side and
   seeded, so the sequence of wire exchanges — and therefore the model
-  — is bit-identical across ``sim`` / ``mp`` / ``tcp`` / ``aio``.
+  — is bit-identical across ``sim`` / ``mp`` / ``aio``.
 
 Both modes compose: a run can churn membership *and* gather with a
 staleness bound.  See ``docs/fleet.md`` for semantics and caveats.
@@ -56,6 +56,7 @@ from ..distributed.rounds import (
     prepare_runtime,
     run_sync_rounds,
 )
+from ..distributed.trainer import _BACKENDS
 from ..models.base import Model
 from ..optim.optimizers import Optimizer
 from ..optim.schedules import ConstantLR, LRSchedule
@@ -83,7 +84,7 @@ class FleetConfig:
         seed: master seed — partitioning, batch shuffling, reshard
             generations, and the stale-mode virtual clock all derive
             from it.
-        backend: ``sim`` / ``mp`` / ``tcp`` / ``aio``; all four run the
+        backend: ``sim`` / ``mp`` / ``aio``; all three run the
             same driver-side decision sequence.
         staleness: ``None`` runs synchronous elastic rounds; an ``int``
             ``N >= 0`` runs bounded-async SSP rounds where a worker may
@@ -115,6 +116,10 @@ class FleetConfig:
             raise ValueError("epochs must be positive")
         if not 0.0 < self.batch_fraction <= 1.0:
             raise ValueError("batch_fraction must be in (0, 1]")
+        if self.backend not in _BACKENDS:
+            raise ValueError(
+                f"unknown backend {self.backend!r}; expected one of {_BACKENDS}"
+            )
         if self.staleness is not None and self.staleness < 0:
             raise ValueError("staleness must be None or >= 0")
         if self.base_round_seconds <= 0:

@@ -17,23 +17,17 @@ straggler stall, the fan-in shape the SketchML paper's cluster traces
 motivate.  The driver side then decodes every reply through the real
 ``deserialize_message`` path.
 
-Three driver modes bracket the design space:
+Two driver modes over :class:`~repro.runtime.aio.AioTransport`:
 
-``tcp``
-    The blocking baseline: :class:`~repro.runtime.transport.
-    TcpTransport` gathers each round in worker-id order.  The barrier
-    waits on the slowest worker *and* replies queue behind the id-order
-    walk.
 ``aio``
-    Same barrier-per-round protocol over :class:`~repro.runtime.aio.
-    AioTransport`, but replies are serviced in **arrival order** via
+    A barrier per round, with replies serviced in **arrival order** via
     :meth:`ready_workers` — early gradients decode while stragglers
     are still thinking (the cluster's gather does exactly this).
 ``aio-overlap``
     No global barrier: each worker is re-armed the moment its reply is
     decoded, so one straggler stalls one pipeline instead of all
-    ``W``.  This is the event-loop payoff the issue targets — round
-    throughput approaches the *mean* service time instead of the max.
+    ``W``: round throughput approaches the *mean* service time instead
+    of the max.
 
 Results carry messages/s plus p50/p99 per-message round latency and
 land in ``BENCH_codec.json`` next to the codec kernels::
@@ -70,7 +64,6 @@ from ..runtime.framing import (
     unpack_frame,
     unpack_header,
 )
-from ..runtime.transport import TcpTransport, Transport
 from .harness import BenchResult
 
 __all__ = [
@@ -80,8 +73,8 @@ __all__ = [
     "run_soak_bench",
 ]
 
-#: driver modes, baseline first (REPORT.md quotes ratios against tcp)
-SOAK_MODES = ("tcp", "aio", "aio-overlap")
+#: driver modes, baseline first (REPORT.md quotes ratios against aio)
+SOAK_MODES = ("aio", "aio-overlap")
 
 #: gather timeout per reply — generous; stragglers stall well under 1 s
 _RECV_TIMEOUT = 30.0
@@ -292,23 +285,6 @@ def _decode_reply(frame: bytes) -> None:
     deserialize_message(payload)
 
 
-def _drive_tcp_barrier(
-    transport: Transport, workers: int, rounds: int
-) -> List[float]:
-    """Baseline: per-round barrier, replies read in worker-id order."""
-    latencies = []
-    for round_id in range(rounds):
-        request = pack_frame(KIND_ECHO, 0, pack_ack(round_id))
-        start = time.perf_counter()
-        with telemetry.span("soak.round", mode="tcp", round=round_id):
-            for worker_id in range(workers):
-                transport.send(worker_id, request)
-            for worker_id in range(workers):
-                _decode_reply(transport.recv(worker_id, _RECV_TIMEOUT))
-                latencies.append(time.perf_counter() - start)
-    return latencies
-
-
 def _drive_aio_barrier(
     transport: AioTransport, workers: int, rounds: int
 ) -> List[float]:
@@ -382,10 +358,7 @@ def _run_mode(
     straggler_rate: float,
     straggler_stall_s: float,
 ) -> SoakBenchResult:
-    if mode == "tcp":
-        transport: Transport = TcpTransport(workers, spawn_workers=False)
-    else:
-        transport = AioTransport(workers, spawn_workers=False)
+    transport = AioTransport(workers, spawn_workers=False)
     swarm = WorkerSwarm(
         "127.0.0.1",
         transport.port,
@@ -398,14 +371,9 @@ def _run_mode(
     )
     try:
         swarm.start()
-        if mode == "tcp":
-            transport.accept_connections(timeout=60.0)
-        else:
-            transport.wait_connected(60.0)
+        transport.wait_connected(60.0)
         start = time.perf_counter()
-        if mode == "tcp":
-            latencies = _drive_tcp_barrier(transport, workers, rounds)
-        elif mode == "aio":
+        if mode == "aio":
             latencies = _drive_aio_barrier(transport, workers, rounds)
         elif mode == "aio-overlap":
             latencies = _drive_aio_overlap(transport, workers, rounds)
@@ -457,7 +425,7 @@ def run_soak_bench(
     Each cell gathers ``rounds`` gradient messages from every simulated
     worker, so a cell moves ``workers × rounds`` messages; the delay
     model (not syscall cost) dominates, which is the production shape —
-    see the module docstring for why the three modes separate.
+    see the module docstring for why the two modes separate.
     """
     payload = _reply_payload()
     results: List[BenchResult] = []

@@ -3,9 +3,10 @@
 Times ``ECHO`` round-trips through each runtime transport at a couple
 of payload sizes, so BENCH_codec.json records what a gradient exchange
 costs *beyond* the codec work: sim's synchronous loopback is the
-floor, ``mp`` adds pipe syscalls and process scheduling, ``tcp`` adds
-the socket stack.  Workers answer ``ECHO`` before ``INIT``, so no
-training state is involved — this isolates pure transport overhead.
+floor, ``mp`` adds pipe syscalls and process scheduling, ``aio`` adds
+the socket stack and its event loop.  Workers answer ``ECHO`` before
+``INIT``, so no training state is involved — this isolates pure
+transport overhead.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ __all__ = [
 TRANSPORT_PAYLOAD_SIZES = (4_096, 65_536)
 
 #: echo round-trips per timed call — enough to amortise timer overhead
-#: without making the mp/tcp suite slow
+#: without making the mp/aio suite slow
 _MESSAGES_PER_CALL = 20
 
 

@@ -1,7 +1,7 @@
 """repro.runtime — real multi-process execution backends for training.
 
 The simulated trainer models a cluster; this package *runs* one.  Each
-worker is a real OS process (``mp`` / ``tcp`` backends) or an
+worker is a real OS process (``mp`` / ``aio`` backends) or an
 in-process handler with a simulated network cost model (``sim``), and
 every gradient exchange round-trips through the same
 ``serialize_message`` / ``deserialize_message`` wire bytes on every
@@ -12,10 +12,10 @@ Layers, bottom up:
 * :mod:`~repro.runtime.framing` — the ``SKRT`` frame codec (wire
   module).
 * :mod:`~repro.runtime.transport` — byte delivery: ``sim`` loopback,
-  ``mp`` pipes, ``tcp`` host-local sockets.
-* :mod:`~repro.runtime.aio` — the event-driven backend: every worker
-  socket multiplexed on one ``selectors`` loop with zero-copy frame
-  reassembly and bounded, backpressured queues.
+  ``mp`` pipes.
+* :mod:`~repro.runtime.aio` — the socket backend: every worker's
+  host-local TCP socket multiplexed on one ``selectors`` loop with
+  zero-copy frame reassembly and bounded, backpressured queues.
 * :mod:`~repro.runtime.faults` — seeded drop/delay/duplicate/corrupt
   injection wrapping any transport.
 * :mod:`~repro.runtime.supervision` — timeouts, bounded retries with
@@ -45,7 +45,6 @@ from .transport import (
     TRANSPORT_BACKENDS,
     MultiprocessTransport,
     SimTransport,
-    TcpTransport,
     Transport,
     TransportBackpressure,
     TransportClosed,
@@ -74,7 +73,6 @@ __all__ = [
     "AioTransport",
     "MultiprocessTransport",
     "SimTransport",
-    "TcpTransport",
     "Transport",
     "TransportBackpressure",
     "TransportClosed",

@@ -1,12 +1,13 @@
 """Event-driven transport: every worker socket on one ``selectors`` loop.
 
-The ``tcp`` backend dedicates a blocking socket to each worker and the
-driver reads them one at a time — a gather's wall clock is a serial
-walk over ``W`` sockets even when most replies already sit in kernel
-buffers.  :class:`AioTransport` keeps the same spawned worker
-processes, the same hello handshake, and byte-identical SKRT frames,
-but multiplexes all connections on a single ``selectors`` reactor that
-runs *inside the calling thread*:
+This is the repo's one socket backend (``aio``).  Each spawned worker
+process (:func:`~repro.runtime.worker_main.tcp_worker_entry`) connects
+back over host-local TCP and opens with the hello handshake; frames are
+length-prefixed SKRT streams.  Reading worker sockets one at a time
+would make a gather's wall clock a serial walk over ``W`` sockets even
+when most replies already sit in kernel buffers, so
+:class:`AioTransport` multiplexes all connections on a single
+``selectors`` reactor that runs *inside the calling thread*:
 
 * ``recv(worker, timeout)`` pumps the reactor until that worker's
   inbox holds a frame — and while pumping it drains **every** readable
@@ -103,7 +104,7 @@ class AioTransport(Transport):
     """Connection-multiplexed transport over one ``selectors`` loop.
 
     Args:
-        num_workers: worker count (same spawned processes as ``tcp``).
+        num_workers: worker count (one spawned process each).
         host: bind/connect host.
         spawn_workers: when ``False`` no processes are started; the
             caller reads :attr:`port`, connects ``num_workers``
@@ -120,7 +121,8 @@ class AioTransport(Transport):
 
     name = "aio"
 
-    #: same worker connect-back ceiling as the tcp backend
+    #: generous ceiling on how long workers may take to connect back
+    #: (spawn + import numpy can take seconds on a loaded CI box).
     CONNECT_TIMEOUT = 60.0
     #: how long a send may pump the reactor waiting for outbox room
     SEND_TIMEOUT = 10.0

@@ -2,7 +2,7 @@
 
 A :class:`RuntimeCluster` owns the full driver view of one training
 run: it boots ``W`` workers on the configured backend (in-process
-handlers for ``sim``, spawned OS processes for ``mp`` / ``tcp``),
+handlers for ``sim``, spawned OS processes for ``mp`` / ``aio``),
 wraps the transport in seeded fault injection when asked, and runs the
 per-round protocol::
 
@@ -90,11 +90,11 @@ class RuntimeConfig:
     backend.
 
     Attributes:
-        backend: one of ``sim`` / ``mp`` / ``tcp`` / ``aio``.
+        backend: one of ``sim`` / ``mp`` / ``aio``.
         supervision: retry/timeout/heartbeat policy.
         faults: optional seeded probabilistic fault rates.
         fault_schedule: optional exact fault triggers (tests).
-        tcp_host: bind/connect host for the ``tcp`` / ``aio`` backends.
+        tcp_host: bind/connect host of the ``aio`` backend's sockets.
         worker_caps: per-worker capability overrides — the
             conformance tier pins frame-v1, ops-less and pre-v2 peers
             with this (``None`` → every worker advertises what the

@@ -5,20 +5,17 @@ moves opaque frame bytes (built by :mod:`repro.runtime.framing`) and
 knows nothing about their contents — retries, timeouts, and failure
 policies live one layer up in :mod:`repro.runtime.supervision`.
 
-Four backends:
+Three backends:
 
 * :class:`SimTransport` — in-process loopback.  Workers are plain
   callables serviced synchronously; the byte path (serialize → frame →
   deserialize) is identical to the real backends.
 * :class:`MultiprocessTransport` — one spawned OS process per worker,
   frames over :func:`multiprocessing.Pipe`.
-* :class:`TcpTransport` — one spawned OS process per worker, frames as
-  length-prefixed byte streams over host-local TCP sockets, one
-  blocking socket per worker.
-* :class:`~repro.runtime.aio.AioTransport` — same spawned workers and
-  wire bytes as ``tcp``, but all sockets are multiplexed on one
-  ``selectors`` event loop with bounded per-worker queues (see
-  ``docs/runtime.md``).
+* :class:`~repro.runtime.aio.AioTransport` — one spawned OS process
+  per worker, frames as length-prefixed byte streams over host-local
+  TCP sockets, all multiplexed on one ``selectors`` event loop with
+  bounded per-worker queues (see ``docs/runtime.md``).
 
 All present the same blocking ``send`` / ``recv(timeout)`` surface,
 which the conformance suite (``tests/test_transport_conformance.py``)
@@ -31,7 +28,6 @@ import collections
 import select
 import socket
 import threading
-import time
 from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence
 
 from .. import telemetry
@@ -58,7 +54,6 @@ __all__ = [
     "Transport",
     "SimTransport",
     "MultiprocessTransport",
-    "TcpTransport",
     "PipeEndpoint",
     "SocketEndpoint",
     "make_transport",
@@ -67,7 +62,7 @@ __all__ = [
 
 #: Registry of backend names accepted by :func:`make_transport` and the
 #: ``--backend`` CLI flag.
-TRANSPORT_BACKENDS = ("sim", "mp", "tcp", "aio")
+TRANSPORT_BACKENDS = ("sim", "mp", "aio")
 
 
 class TransportError(RuntimeError):
@@ -299,10 +294,12 @@ class PipeEndpoint:
 class SocketEndpoint:
     """Worker-side wrapper over a connected TCP socket.
 
-    Frame reassembly goes through a :class:`~repro.runtime.framing.
-    FrameAssembler`: the socket fills the assembler's reusable buffer
-    via ``recv_into`` (no per-chunk bytes objects) and complete frames
-    are copied out exactly once.
+    The spawned worker's end of an ``aio`` connection (the driver side
+    is :class:`~repro.runtime.aio.AioTransport`).  Frame reassembly
+    goes through a :class:`~repro.runtime.framing.FrameAssembler`: the
+    socket fills the assembler's reusable buffer via ``recv_into`` (no
+    per-chunk bytes objects) and complete frames are copied out exactly
+    once.
     """
 
     def __init__(self, sock: socket.socket) -> None:
@@ -496,206 +493,6 @@ class MultiprocessTransport(Transport):
                 proc.join(timeout=2.0)
 
 
-# ----------------------------------------------------------------------
-# tcp: spawned processes over host-local sockets
-# ----------------------------------------------------------------------
-class TcpTransport(Transport):
-    """One spawned process per worker, length-prefixed frames over TCP.
-
-    The driver listens on an ephemeral ``host`` port; each spawned
-    worker connects and introduces itself with a ``HELLO`` frame whose
-    header carries its worker id, so accept order does not matter.
-
-    With ``spawn_workers=False`` no processes are started: the caller
-    reads :attr:`port`, connects ``num_workers`` external clients that
-    each send a ``HELLO``, then calls :meth:`accept_connections`.
-    The soak benchmark uses this to attach a simulated worker swarm.
-    """
-
-    name = "tcp"
-
-    #: generous ceiling on how long workers may take to connect back
-    #: (spawn + import numpy can take seconds on a loaded CI box).
-    CONNECT_TIMEOUT = 60.0
-
-    def __init__(
-        self,
-        num_workers: int,
-        host: str = "127.0.0.1",
-        *,
-        spawn_workers: bool = True,
-        worker_caps: Optional[Dict[int, ProtocolCaps]] = None,
-    ) -> None:
-        super().__init__(num_workers)
-        self._socks: Dict[int, socket.socket] = {}
-        self._assemblers: Dict[int, FrameAssembler] = {}
-        self._procs = []
-        self._spawned = spawn_workers
-        self._closed = False
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        try:
-            self._listener.bind((host, 0))
-            self._listener.listen(num_workers)
-            self.port = self._listener.getsockname()[1]
-            if spawn_workers:
-                import multiprocessing
-
-                from . import worker_main
-
-                ctx = multiprocessing.get_context("spawn")
-                for worker_id in range(num_workers):
-                    proc = ctx.Process(
-                        target=worker_main.tcp_worker_entry,
-                        args=(
-                            host, self.port, worker_id,
-                            _caps_for(worker_caps, worker_id),
-                        ),
-                        daemon=True,
-                        name=f"repro-worker-{worker_id}",
-                    )
-                    proc.start()
-                    self._procs.append(proc)
-                self.accept_connections()
-        except BaseException:
-            self.close()
-            raise
-
-    def accept_connections(self, timeout: Optional[float] = None) -> None:
-        """Accept until every worker's hello frame has been mapped.
-
-        Each worker opens with a ``HELLO``, which triggers version
-        negotiation and is answered with the pinned choice.  Any other
-        opener, or a fleet with no common version (payload v2), raises
-        :class:`~repro.runtime.framing.NegotiationError`.
-        """
-        deadline = time.monotonic() + (
-            self.CONNECT_TIMEOUT if timeout is None else timeout
-        )
-        self._listener.settimeout(1.0)
-        while len(self._socks) < self.num_workers:
-            if time.monotonic() > deadline:
-                missing = set(range(self.num_workers)) - set(self._socks)
-                raise TransportError(
-                    f"workers {sorted(missing)} never connected back"
-                )
-            try:
-                sock, _ = self._listener.accept()
-            except socket.timeout:
-                continue
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            # The hello frame's header names the sender.  The assembler
-            # is kept: bytes a peer sent right behind its hello (early
-            # heartbeats) stay buffered for later recvs.
-            assembler = FrameAssembler()
-            hello = self._read_frame_from(sock, assembler, 5.0)
-            kind, sender, payload = unpack_frame(hello)
-            if not 0 <= sender < self.num_workers or sender in self._socks:
-                sock.close()
-                raise TransportError(f"bad hello from worker id {sender}")
-            try:
-                reply = self._pin(sender, _hello_caps(sender, kind, payload))
-            except FrameError:
-                sock.close()
-                raise
-            sock.sendall(reply)
-            self._socks[sender] = sock
-            self._assemblers[sender] = assembler
-
-    @staticmethod
-    def _read_frame_from(
-        sock: socket.socket, assembler: FrameAssembler, timeout: float
-    ) -> bytes:
-        """Read one complete frame, resuming any partial read held by
-        the worker's :class:`FrameAssembler`."""
-        deadline = time.monotonic() + max(timeout, 0.0)
-        while True:
-            try:
-                frame = assembler.next_frame()
-            except FrameError as exc:
-                # A desynchronised stream is unrecoverable on this socket.
-                raise TransportClosed(f"stream desynchronised: {exc}") from exc
-            if frame is not None:
-                return frame
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise TransportTimeout(
-                    f"no complete frame within {timeout:.3f}s"
-                )
-            sock.settimeout(remaining)
-            view = assembler.writable()
-            try:
-                n = sock.recv_into(view)
-            except socket.timeout:
-                raise TransportTimeout(
-                    f"no complete frame within {timeout:.3f}s"
-                ) from None
-            except OSError as exc:
-                raise TransportClosed(f"socket error: {exc}") from exc
-            if n == 0:
-                raise TransportClosed("peer closed the connection")
-            assembler.commit(n)
-
-    def send(self, worker_id: int, frame: bytes) -> None:
-        self._check_worker(worker_id)
-        sock = self._socks.get(worker_id)
-        if sock is None:
-            raise TransportClosed(f"worker {worker_id} socket is closed")
-        try:
-            sock.sendall(frame)
-        except OSError as exc:
-            raise TransportClosed(
-                f"worker {worker_id} socket error: {exc}"
-            ) from exc
-        telemetry.counter("transport.bytes_sent", len(frame), worker=worker_id)
-
-    def recv(self, worker_id: int, timeout: float) -> bytes:
-        self._check_worker(worker_id)
-        sock = self._socks.get(worker_id)
-        if sock is None:
-            raise TransportClosed(f"worker {worker_id} socket is closed")
-        frame = self._read_frame_from(
-            sock, self._assemblers[worker_id], timeout
-        )
-        telemetry.counter("transport.bytes_recv", len(frame), worker=worker_id)
-        return frame
-
-    def alive(self, worker_id: int) -> bool:
-        self._check_worker(worker_id)
-        if worker_id not in self._socks:
-            return False
-        if self._spawned:
-            return self._procs[worker_id].is_alive()
-        return True
-
-    def terminate(self, worker_id: int) -> None:
-        self._check_worker(worker_id)
-        if self._spawned:
-            self._procs[worker_id].terminate()
-        sock = self._socks.pop(worker_id, None)
-        if sock is not None:
-            sock.close()
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        for sock in self._socks.values():
-            try:
-                sock.close()
-            except OSError:
-                pass
-        self._socks.clear()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        for proc in self._procs:
-            proc.join(timeout=2.0)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=2.0)
-
-
 def make_transport(
     backend: str,
     num_workers: int,
@@ -707,7 +504,7 @@ def make_transport(
     """Build a transport by backend name.
 
     ``sim`` requires ``handlers`` (the in-process worker callables);
-    ``mp``, ``tcp``, and ``aio`` spawn real worker processes that wait
+    ``mp`` and ``aio`` spawn real worker processes that wait
     for an ``INIT`` frame.  ``worker_caps`` pins the protocol versions
     individual workers advertise in the HELLO exchange (the default,
     and the driver, advertise :data:`~repro.runtime.framing.
@@ -720,10 +517,6 @@ def make_transport(
         return SimTransport(handlers, worker_caps=worker_caps)
     if backend == "mp":
         return MultiprocessTransport(num_workers, worker_caps=worker_caps)
-    if backend == "tcp":
-        return TcpTransport(
-            num_workers, host=tcp_host, worker_caps=worker_caps
-        )
     if backend == "aio":
         from .aio import AioTransport  # deferred: keeps import cheap
 

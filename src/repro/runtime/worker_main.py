@@ -1,4 +1,4 @@
-"""Entry points for spawned worker processes (``mp`` and ``tcp``).
+"""Entry points for spawned worker processes (``mp`` and ``aio``).
 
 Both entries open with the HELLO exchange (:func:`negotiate_as_worker`)
 and then run the same :func:`serve` loop over a worker-side endpoint:
@@ -289,11 +289,12 @@ def pipe_worker_entry(conn, worker_id: int, caps: ProtocolCaps) -> None:
 def tcp_worker_entry(
     host: str, port: int, worker_id: int, caps: ProtocolCaps
 ) -> None:
-    """``tcp``/``aio`` backend child target: connect back, HELLO, serve.
+    """``aio`` backend child target: connect back over TCP, HELLO, serve.
 
-    The HELLO doubles as the connection hello: its header names this
-    worker, so the driver can map the accepted socket regardless of
-    connect order.
+    The name is the socket's protocol, not a backend: this is the
+    worker side of :class:`~repro.runtime.aio.AioTransport`.  The HELLO
+    doubles as the connection hello: its header names this worker, so
+    the driver can map the accepted socket regardless of connect order.
     """
     import socket
 

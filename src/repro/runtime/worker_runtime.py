@@ -24,7 +24,7 @@ diverge from the driver's model.
 
 The same class — and the same frame dispatch,
 :meth:`WorkerRuntime.handle_frame` — backs the in-process ``sim``
-transport and the spawned ``mp`` / ``tcp`` / ``aio`` worker processes
+transport and the spawned ``mp`` / ``aio`` worker processes
 (:mod:`repro.runtime.worker_main`).
 """
 

@@ -9,7 +9,7 @@ the trainer loop (see ``docs/observability.md``):
   retries, fault injections, sketch collision rates, ...);
 * **flight recorder** — per-process JSONL files in the documented
   ``repro-trace/1`` schema, merged driver-side into one ordered trace
-  across ``mp``/``tcp`` worker processes.
+  across ``mp``/``aio`` worker processes.
 
 Disabled (the default) it is free in practice: every entry point
 checks one module global and returns a shared no-op, and the perf

@@ -315,7 +315,7 @@ class TestSpanCausality:
 
     def test_ops_plane_keeps_backends_bit_identical(self, tmp_path):
         thetas = {}
-        for backend in ("sim", "mp", "tcp", "aio"):
+        for backend in ("sim", "mp", "aio"):
             hub = MetricsHub()
             thetas[backend], _, _ = run_ops(
                 "sim" if backend == "sim" else backend,
@@ -325,7 +325,7 @@ class TestSpanCausality:
                     None if backend == "sim" else clean_runtime(backend)
                 ),
             )
-        for backend in ("mp", "tcp", "aio"):
+        for backend in ("mp", "aio"):
             np.testing.assert_array_equal(
                 thetas[backend], thetas["sim"]
             )

@@ -16,7 +16,13 @@ from repro.distributed import DistributedTrainer, TrainerConfig
 from repro.distributed.network import infinite_bandwidth
 from repro.models import make_model
 from repro.optim import SGD
-from repro.runtime import FaultConfig, RuntimeConfig, SupervisionConfig
+from repro.runtime import (
+    TRANSPORT_BACKENDS,
+    FaultConfig,
+    RuntimeConfig,
+    SupervisionConfig,
+    make_transport,
+)
 
 SEED = 7
 NUM_WORKERS = 3
@@ -63,7 +69,7 @@ def sim_run(split):
 
 
 class TestBackendEquivalence:
-    @pytest.mark.parametrize("backend", ["mp", "tcp", "aio"])
+    @pytest.mark.parametrize("backend", ["mp", "aio"])
     def test_real_backend_matches_sim_bit_identically(
         self, split, sim_run, backend
     ):
@@ -116,6 +122,28 @@ class TestBackendValidation:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
             TrainerConfig(backend="carrier-pigeon")
+
+    def test_trainer_backend_literal_mirrors_runtime(self):
+        from repro.distributed.trainer import _BACKENDS
+
+        assert _BACKENDS == TRANSPORT_BACKENDS == ("sim", "mp", "aio")
+
+    def test_removed_tcp_backend_is_rejected(self):
+        # ``aio`` is the one socket backend; ``tcp`` names no transport.
+        from repro.cli import main
+        from repro.fleet import FleetConfig
+
+        for build in (
+            lambda: RuntimeConfig(backend="tcp"),
+            lambda: TrainerConfig(backend="tcp"),
+            lambda: FleetConfig(backend="tcp"),
+            lambda: make_transport("tcp", 1),
+        ):
+            with pytest.raises(ValueError, match="unknown backend 'tcp'.*aio"):
+                build()
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--backend", "tcp"])
+        assert exc.value.code == 2
 
     def test_wire_incapable_compressor_fails_before_spawning(self, split):
         # IdentityCompressor has no wire format; a real backend must

@@ -1,13 +1,13 @@
-"""Transport conformance: the same contract over sim, mp, tcp, and aio.
+"""Transport conformance: the same contract over sim, mp, and aio.
 
 Every backend must move opaque frames point-to-point, preserve
 per-worker ordering, time out cleanly, and report liveness — the
 supervision layer is written against exactly this surface.  Real
-backends (``mp``, ``tcp``, ``aio``) spawn actual worker processes
+backends (``mp``, ``aio``) spawn actual worker processes
 whose serve loop answers ``ECHO`` frames before ``INIT``, so the suite
 needs no training state.
 
-The stream-reassembly section drives the socket backends through raw
+The stream-reassembly section drives the socket backend through raw
 client sockets to pin down partial reads (one byte per segment),
 frames split across ``recv`` boundaries, coalesced back-to-back
 frames, and short-write resumption on oversized sends.
@@ -45,7 +45,6 @@ from repro.runtime.framing import (
 )
 from repro.runtime.transport import (
     TRANSPORT_BACKENDS,
-    TcpTransport,
     TransportClosed,
     TransportTimeout,
     make_transport,
@@ -130,7 +129,7 @@ class TestConformance:
         assert transport.alive(0)
         assert transport.alive(1)
         transport.terminate(1)
-        if transport.name in ("mp", "tcp"):
+        if transport.name == "mp":
             # Real processes take a moment to die.
             import time
 
@@ -228,7 +227,7 @@ class TestVersionNegotiation:
         t, sock = raw_stream
         sock.sendall(pack_frame(KIND_ACK, 0, pack_ack(0)))  # pre-v2 opener
         with pytest.raises(NegotiationError, match="not HELLO"):
-            _handshake(t)
+            t.wait_connected(10.0)
 
     def test_negotiation_error_is_frame_error(self):
         assert issubclass(NegotiationError, FrameError)
@@ -241,8 +240,8 @@ class TestNegotiatedTraining:
     parameters on a plain v2 fleet, on one with entropy coding and
     streamed frames, and on a mixed one whose worker 0 is pinned at
     frame v1 (it never streams) — the message is the same, so theta
-    cannot move.  The mp cell is the acceptance bar; tcp and aio pin
-    the socket backends.
+    cannot move.  The mp cell is the acceptance bar; the aio cell pins
+    the socket backend.
     """
 
     @pytest.fixture(scope="class")
@@ -272,7 +271,7 @@ class TestNegotiatedTraining:
             theta = self._theta(split, "mp", **cfg)
             np.testing.assert_array_equal(theta, plain)
 
-    @pytest.mark.parametrize("backend", ["tcp", "aio"])
+    @pytest.mark.parametrize("backend", ["aio"])
     def test_mixed_fleet_matches_plain_sockets(self, split, backend):
         mixed = self._theta(split, backend, **self.MIXED)
         np.testing.assert_array_equal(self._theta(split, backend), mixed)
@@ -420,7 +419,7 @@ class TestServeChunkRecovery:
 # ----------------------------------------------------------------------
 # Stream reassembly: partial reads, split frames, coalesced frames.
 #
-# The socket backends must tolerate every way TCP can slice a byte
+# The socket backend must tolerate every way TCP can slice a byte
 # stream: one byte per segment, a frame split mid-header or
 # mid-payload, and many frames arriving coalesced in one read.  A raw
 # client socket (spawn_workers=False) plays the worker so the tests
@@ -437,13 +436,10 @@ def _dribble(sock, chunks, delay=0.002):
             time.sleep(delay)
 
 
-@pytest.fixture(params=["tcp", "aio"])
-def raw_stream(request):
+@pytest.fixture(params=["aio"])
+def raw_stream():
     """(transport, raw client socket) — no handshake performed yet."""
-    if request.param == "tcp":
-        t = TcpTransport(1, spawn_workers=False)
-    else:
-        t = AioTransport(1, spawn_workers=False)
+    t = AioTransport(1, spawn_workers=False)
     sock = socket.create_connection(("127.0.0.1", t.port), timeout=10.0)
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     try:
@@ -454,13 +450,6 @@ def raw_stream(request):
         except OSError:
             pass
         t.close()
-
-
-def _handshake(t):
-    if t.name == "tcp":
-        t.accept_connections(timeout=10.0)
-    else:
-        t.wait_connected(10.0)
 
 
 class TestStreamReassembly:
@@ -475,7 +464,7 @@ class TestStreamReassembly:
         )
         writer.start()
         try:
-            _handshake(t)
+            t.wait_connected(10.0)
             assert t.recv(0, 10.0) == frame
         finally:
             writer.join()
@@ -483,7 +472,7 @@ class TestStreamReassembly:
     def test_frame_split_across_recv_boundaries(self, raw_stream):
         t, sock = raw_stream
         sock.sendall(_HELLO)
-        _handshake(t)
+        t.wait_connected(10.0)
         frame = pack_frame(KIND_ECHO, 0, b"p" * 4096)
         # Split mid-header, then mid-payload.
         sock.sendall(frame[: HEADER_SIZE // 2])
@@ -503,7 +492,7 @@ class TestStreamReassembly:
         # Hello and all three frames in one write: one kernel buffer,
         # likely one recv_into on the driver side.
         sock.sendall(_HELLO + b"".join(frames))
-        _handshake(t)
+        t.wait_connected(10.0)
         for frame in frames:
             assert t.recv(0, 10.0) == frame
 
@@ -512,7 +501,7 @@ class TestStreamReassembly:
         # socket buffer forces partial writes that must resume cleanly.
         t, sock = raw_stream
         sock.sendall(_HELLO)
-        _handshake(t)
+        t.wait_connected(10.0)
         frame = pack_frame(KIND_ECHO, 0, bytes(range(256)) * 8192)  # 2 MiB
         writer = threading.Thread(target=t.send, args=(0, frame))
         writer.start()
