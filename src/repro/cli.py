@@ -23,8 +23,8 @@ Commands:
 * ``perf``     — time the codec hot-path kernels, write ``BENCH_codec.json``.
 * ``datagen``  — write a synthetic dataset to a LIBSVM file.
 * ``golden``   — check (or deliberately regenerate) the committed
-  golden wire fixtures across every payload version and kernel path
-  (see ``docs/wire.md``).
+  golden wire fixtures across every payload version (see
+  ``docs/wire.md``).
 * ``lint``     — run the repo-specific static analyser (see
   ``docs/static_analysis.md``); exits nonzero on findings.
 
@@ -299,9 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     golden_mode = golden.add_mutually_exclusive_group()
     golden_mode.add_argument(
         "--check", action="store_true",
-        help="verify every {payload version x kernel path} cell "
-             "against the committed fixtures (default); exits nonzero "
-             "on any drift")
+        help="verify every payload-version cell against the "
+             "committed fixtures (default); exits nonzero on any drift")
     golden_mode.add_argument(
         "--write", action="store_true",
         help="regenerate the fixture files and manifest (the only "

@@ -27,8 +27,6 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .. import kernels
-
 __all__ = [
     "encode_keys",
     "encode_key_groups",
@@ -156,8 +154,6 @@ def encode_key_groups(key_groups: Sequence[np.ndarray]) -> List[bytes]:
     codec per group, which matters because the MinMaxSketch path
     encodes ``2 * num_groups`` small key lists per gradient.
     """
-    if not kernels.vectorised_enabled():
-        return [encode_keys(g) for g in key_groups]
     arrays = [np.asarray(g, dtype=np.int64) for g in key_groups]
     for arr in arrays:  # repro: noqa[hot-loop] — O(num_groups) shape validation, not per-element work
         if arr.ndim != 1:
@@ -187,12 +183,6 @@ def encode_key_groups_flat(concat: np.ndarray, sizes: np.ndarray) -> List[bytes]
         raise ValueError("sizes must sum to concat.size")
     if total == 0:
         return [np.asarray(0, dtype="<u4").tobytes() for _ in range(sizes.size)]
-    if not kernels.vectorised_enabled():
-        bounds = np.zeros(sizes.size + 1, dtype=np.int64)
-        np.cumsum(sizes, out=bounds[1:])
-        return [
-            encode_keys(concat[bounds[g]:bounds[g + 1]]) for g in range(sizes.size)
-        ]
     if concat.min() < 0 or concat.max() > _MAX_KEY:
         raise ValueError("keys must lie in [0, 2**32 - 1]")
     starts = np.zeros(sizes.size, dtype=np.int64)
@@ -328,8 +318,6 @@ def decode_key_groups_flat(blobs: Sequence[bytes]) -> Tuple[np.ndarray, np.ndarr
         ValueError: exactly what :func:`decode_keys` raises for the
             first truncated or malformed blob.
     """
-    if not kernels.vectorised_enabled():
-        return _decode_key_groups_scalar(blobs)
     # Per-group bookkeeping stays in Python ints: a handful of groups,
     # far cheaper than tiny array ops.
     sizes: List[int] = []

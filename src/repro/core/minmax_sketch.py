@@ -29,7 +29,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .. import kernels, sanitize
+from .. import sanitize
 from ..sketch.hashing import build_hash_family, hash_all_grouped
 
 __all__ = ["MinMaxSketch", "GroupedMinMaxSketch", "GROUP_SEED_STRIDE"]
@@ -124,36 +124,28 @@ class MinMaxSketch:
                 f"got [{indexes.min()}, {indexes.max()}]"
             )
         values = indexes.astype(self._dtype)
-        if kernels.vectorised_enabled():
-            # Fused kernel: hash every row at once, then a single
-            # segmented min over the flattened (row, bin) space.  A
-            # stable argsort groups duplicate bins together and
-            # ``np.minimum.reduceat`` takes each group's min in one
-            # pass — min is order-free, so this is bit-identical to
-            # the scalar scatter loop below, but avoids ``ufunc.at``
-            # (which dispatches per element) and the per-row Python
-            # loop.
-            bins = self._hashes.hash_all(keys)  # (rows, n)
-            flat = (
-                bins
-                + (np.arange(self.num_rows, dtype=np.int64) * self.num_bins)[:, None]
-            ).ravel()
-            flat_values = np.broadcast_to(values, bins.shape).ravel()
-            order = np.argsort(flat, kind="stable")
-            sorted_bins = flat[order]
-            sorted_values = flat_values[order]
-            starts = np.empty(0, dtype=np.int64)
-            if sorted_bins.size:
-                boundaries = np.flatnonzero(sorted_bins[1:] != sorted_bins[:-1]) + 1
-                starts = np.concatenate(([0], boundaries))
-            segment_min = np.minimum.reduceat(sorted_values, starts)
-            table_flat = self._table.reshape(-1)
-            touched = sorted_bins[starts]
-            table_flat[touched] = np.minimum(table_flat[touched], segment_min)
-        else:
-            for row, h in enumerate(self._hashes):
-                bins = h(keys)
-                np.minimum.at(self._table[row], bins, values)
+        # Fused kernel: hash every row at once, then a single segmented
+        # min over the flattened (row, bin) space.  A stable argsort
+        # groups duplicate bins together and ``np.minimum.reduceat``
+        # takes each group's min in one pass — min is order-free, so
+        # this is bit-identical to a per-row ``np.minimum.at`` scatter,
+        # without ``ufunc.at`` (which dispatches per element).
+        bins = self._hashes.hash_all(keys)  # (rows, n)
+        flat = (
+            bins + (np.arange(self.num_rows, dtype=np.int64) * self.num_bins)[:, None]
+        ).ravel()
+        flat_values = np.broadcast_to(values, bins.shape).ravel()
+        order = np.argsort(flat, kind="stable")
+        sorted_bins = flat[order]
+        sorted_values = flat_values[order]
+        starts = np.empty(0, dtype=np.int64)
+        if sorted_bins.size:
+            boundaries = np.flatnonzero(sorted_bins[1:] != sorted_bins[:-1]) + 1
+            starts = np.concatenate(([0], boundaries))
+        segment_min = np.minimum.reduceat(sorted_values, starts)
+        table_flat = self._table.reshape(-1)
+        touched = sorted_bins[starts]
+        table_flat[touched] = np.minimum(table_flat[touched], segment_min)
         self._inserted += keys.size
 
     def query(self, key: int, strict: bool = False) -> int:
@@ -179,16 +171,10 @@ class MinMaxSketch:
         keys = np.asarray(keys, dtype=np.int64)
         if keys.size == 0:
             return np.empty(0, dtype=np.int64)
-        if kernels.vectorised_enabled():
-            bins = self._hashes.hash_all(keys)  # (rows, n)
-            candidates = self._table.reshape(-1)[
-                bins
-                + (np.arange(self.num_rows, dtype=np.int64) * self.num_bins)[:, None]
-            ]
-        else:
-            candidates = np.empty((self.num_rows, keys.size), dtype=self._dtype)
-            for row, h in enumerate(self._hashes):
-                candidates[row] = self._table[row, h(keys)]
+        bins = self._hashes.hash_all(keys)  # (rows, n)
+        candidates = self._table.reshape(-1)[
+            bins + (np.arange(self.num_rows, dtype=np.int64) * self.num_bins)[:, None]
+        ]
         result = candidates.max(axis=0).astype(np.int64)
         if strict:
             bad = result >= self.index_range
@@ -325,32 +311,17 @@ class GroupedMinMaxSketch:
             offsets = indexes & (width - 1)
         else:
             offsets = indexes - groups * width
-        if kernels.vectorised_enabled():
-            # One stable sort by group id replaces num_groups boolean
-            # mask passes; stability preserves the ascending key order
-            # within each group, so the runs match the mask variant
-            # element for element.  Group ids that fit a byte take the
-            # uint8 radix path, which is several times faster than the
-            # int64 sort.
-            if self.num_groups <= 256:
-                order = np.argsort(groups.astype(np.uint8), kind="stable")
-            else:
-                order = np.argsort(groups, kind="stable")
-            bounds = np.searchsorted(
-                groups.take(order), np.arange(self.num_groups + 1, dtype=np.int64)
-            )
-            return keys.take(order), offsets.take(order), np.diff(bounds)
-        chunks_k: List[np.ndarray] = []
-        chunks_o: List[np.ndarray] = []
-        counts = np.zeros(self.num_groups, dtype=np.int64)
-        for g in range(self.num_groups):
-            mask = groups == g
-            chunks_k.append(keys[mask])
-            chunks_o.append(offsets[mask])
-            counts[g] = chunks_k[-1].size
-        if not chunks_k:
-            return keys, offsets, counts
-        return np.concatenate(chunks_k), np.concatenate(chunks_o), counts
+        # One stable sort by group id: stability preserves the ascending
+        # key order within each group.  Group ids that fit a byte take
+        # the uint8 radix path, several times faster than the int64 sort.
+        if self.num_groups <= 256:
+            order = np.argsort(groups.astype(np.uint8), kind="stable")
+        else:
+            order = np.argsort(groups, kind="stable")
+        bounds = np.searchsorted(
+            groups.take(order), np.arange(self.num_groups + 1, dtype=np.int64)
+        )
+        return keys.take(order), offsets.take(order), np.diff(bounds)
 
     def partition(
         self, keys: np.ndarray, indexes: np.ndarray
@@ -381,7 +352,7 @@ class GroupedMinMaxSketch:
             raise ValueError(
                 f"expected {self.num_groups} partitions, got {len(partitions)}"
             )
-        if kernels.vectorised_enabled() and 1 < self.group_width <= 255:
+        if 1 < self.group_width <= 255:
             key_chunks: List[np.ndarray] = []
             offset_chunks: List[np.ndarray] = []
             counts = np.zeros(self.num_groups, dtype=np.int64)
@@ -425,7 +396,7 @@ class GroupedMinMaxSketch:
             raise ValueError("counts must sum to sorted_keys.size")
         if sorted_keys.size == 0:
             return
-        if kernels.vectorised_enabled() and 1 < self.group_width <= 255:
+        if 1 < self.group_width <= 255:
             self._insert_flat_batched(sorted_keys, sorted_offsets, counts)
             return
         bounds = np.zeros(self.num_groups + 1, dtype=np.int64)
@@ -555,7 +526,7 @@ class GroupedMinMaxSketch:
             raise ValueError("counts must sum to keys_cat.size")
         if keys_cat.size == 0:
             return np.empty(0, dtype=np.int64)
-        if not (kernels.vectorised_enabled() and self._fusable()):
+        if not self._fusable():
             bounds = np.zeros(counts.size + 1, dtype=np.int64)
             np.cumsum(counts, out=bounds[1:])
             return np.concatenate(

@@ -21,7 +21,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .. import kernels
 from ..sketch.quantile import GKSummary, KLLSketch, TDigest, exact_quantiles
 
 __all__ = ["SignedBuckets", "QuantileBucketQuantizer"]
@@ -235,18 +234,6 @@ class QuantileBucketQuantizer:
             neg_sel = np.flatnonzero(values < 0)
         if pos_sel is None:
             pos_sel = np.flatnonzero(values >= 0)
-        if not kernels.vectorised_enabled():
-            # Reference path: plain fit, then the per-needle searchsorted
-            # encode.  The vectorised branch below must match it byte
-            # for byte.
-            self.fit(values)
-            pos_enc = (
-                self.positive.encode(values.take(pos_sel)) if pos_sel.size else None
-            )
-            neg_enc = (
-                self.negative.encode(-values.take(neg_sel)) if neg_sel.size else None
-            )
-            return pos_enc, neg_enc
         pos = values.take(pos_sel)
         neg = -values.take(neg_sel)
         q_pos, q_neg = self._split_budget(pos.size, neg.size)

@@ -8,11 +8,10 @@ holds the committed ``serialize_message`` output at payload version 1
 :data:`GOLDEN_FORMAT`) recording sizes, SHA-256 digests, and the
 digests of the decoded key/value arrays.
 
-:func:`check_goldens` re-derives every cell of the
-{payload version x kernel path} matrix from the committed case
-parameters and fails closed on any drift: a missing file, a digest
-mismatch, an encoder that no longer reproduces the committed bytes
-under either kernel path, a fixture of either version that decodes to
+:func:`check_goldens` re-derives every payload-version cell from the
+committed case parameters and fails closed on any drift: a missing
+file, a digest mismatch, an encoder that no longer reproduces the
+committed bytes, a fixture of either version that decodes to
 other keys/values than the manifest records, or a decode that does not
 re-serialize to the committed bytes (v1 → v1, v2 → v2, v1 → v2; not
 v2 → v1, since v2 drops the bucket splits that v1 ships).
@@ -30,7 +29,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from . import kernels
 from .core.compressor import SketchMLCompressor
 from .core.config import SketchMLConfig
 from .core.serialization import deserialize_message, serialize_message
@@ -76,8 +74,6 @@ CASE_SPECS: Tuple[Dict, ...] = (
     {"name": "one_sided_pos", "overrides": {}, "nnz": 1500,
      "dimension": 60000, "seed": 19, "sign_mode": "pos"},
 )
-
-_KERNEL_MODES = ("scalar", "vectorised")
 
 #: (decoded from, re-serialized at) pairs that must reproduce the
 #: committed bytes.  v2 → v1 is not one: v2 drops the bucket splits.
@@ -154,31 +150,14 @@ def _fixture_path(wire_dir: str, case: Dict, version: int) -> str:
     return os.path.join(wire_dir, case["name"] + suffix)
 
 
-def _forced(mode: str):
-    return (
-        kernels.scalar_kernels() if mode == "scalar"
-        else kernels.vectorised_kernels()
-    )
-
-
 def write_goldens(wire_dir: Optional[str] = None) -> Dict:
     """Regenerate every fixture file and the manifest; returns the
-    manifest dict.  Refuses to write if the two kernel paths disagree
-    on any cell (that is a codec bug, not a fixture refresh)."""
+    manifest dict."""
     wire_dir = wire_dir or default_wire_dir()
     os.makedirs(wire_dir, exist_ok=True)
     cases = []
     for case in CASE_SPECS:
-        per_mode = {}
-        for mode in _KERNEL_MODES:
-            with _forced(mode):
-                per_mode[mode] = case_payloads(case)
-        if per_mode["scalar"] != per_mode["vectorised"]:
-            raise RuntimeError(
-                f"kernel paths disagree on case {case['name']!r}; "
-                "refusing to write goldens"
-            )
-        payloads = per_mode["scalar"]
+        payloads = case_payloads(case)
         keys_digest, values_digest = _decoded_digests(case, payloads[1])
         entry = dict(case)
         entry["num_bytes"] = len(payloads[1])
@@ -201,8 +180,8 @@ def write_goldens(wire_dir: Optional[str] = None) -> Dict:
 
 
 def check_goldens(wire_dir: Optional[str] = None) -> List[str]:
-    """Verify every {payload version x kernel path} cell against the
-    committed fixtures.  Returns a list of human-readable problems —
+    """Verify every payload-version cell against the committed
+    fixtures.  Returns a list of human-readable problems —
     empty means the wire format is exactly as pinned."""
     wire_dir = wire_dir or default_wire_dir()
     problems: List[str] = []
@@ -245,18 +224,13 @@ def check_goldens(wire_dir: Optional[str] = None) -> List[str]:
                     f"{case['name']}: v{version} fixture bytes do not "
                     "match the manifest digest"
                 )
-        for mode in _KERNEL_MODES:
-            with _forced(mode):
-                payloads = case_payloads(case)
-            for version in (1, 2):
-                if version not in committed:
-                    continue
-                if payloads[version] != committed[version]:
-                    problems.append(
-                        f"{case['name']}: re-encoding at payload v{version} "
-                        f"under the {mode} kernels drifted from the "
-                        "committed bytes"
-                    )
+        payloads = case_payloads(case)
+        for version in sorted(committed):
+            if payloads[version] != committed[version]:
+                problems.append(
+                    f"{case['name']}: re-encoding at payload v{version} "
+                    "drifted from the committed bytes"
+                )
         # Both versions carry the same message: each decodes to the
         # recorded key/value digests, and re-serializing a decode is the
         # identity except v2 → v1 (v2 does not ship the bucket splits).

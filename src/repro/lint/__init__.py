@@ -9,15 +9,11 @@ rules live in the ``rules_*`` modules and are registered on import:
 ========================  =====================================================
 rule id                   enforces
 ========================  =====================================================
-``kernel-parity``         every ``kernels.vectorised_enabled()`` branch has a
-                          scalar fallback; dual-path modules dispatch through
-                          the switch
 ``rng-discipline``        no unseeded/global-state RNG or wall-clock calls in
                           library code
 ``dtype-discipline``      explicit dtypes in the integer/hash-grid modules; no
                           ``float``/``object`` dtype escapes in codec code
-``hot-loop``              no Python-level loops over arrays on the vectorised
-                          path of kernel modules
+``hot-loop``              no Python-level loops over arrays in kernel modules
 ``wire-format``           byte-format primitives only inside designated
                           serialization modules
 ``async-discipline``      no blocking calls (socket.recv, time.sleep,

@@ -6,7 +6,7 @@ Design:
   precomputed import tables and the package-relative path) and yields
   :class:`Finding` records.
 * Rules self-register via :func:`register_rule`; ids are stable strings
-  (``kernel-parity``, ``rng-discipline``, ...) that double as the noqa
+  (``hot-loop``, ``rng-discipline``, ...) that double as the noqa
   keys and the ``--select`` vocabulary.
 * Suppressions are per-line comments::
 

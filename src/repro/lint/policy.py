@@ -3,14 +3,13 @@
 Paths are posix-style and relative to the ``repro`` package root
 (``ModuleSource.relpath``), so the policy is independent of where the
 package is installed.  Keep these lists in sync with
-``docs/static_analysis.md`` when modules gain or lose a vectorised
-counterpart.
+``docs/static_analysis.md`` when modules are added, renamed or
+removed.
 """
 
 from __future__ import annotations
 
 __all__ = [
-    "DUAL_PATH_MODULES",
     "VECTORISED_MODULES",
     "DTYPE_STRICT_MODULES",
     "WIRE_MODULES",
@@ -30,25 +29,19 @@ __all__ = [
     "PolicyError",
 ]
 
-#: Modules required to dispatch between scalar and vectorised kernels
-#: through the ``repro.kernels`` switch (the executable-spec contract
-#: that ``tests/test_golden_equivalence.py`` asserts byte-identity for).
-DUAL_PATH_MODULES = frozenset(
+#: The codec kernel modules, which must stay free of Python-level
+#: loops over array elements (``hot-loop`` rule).
+VECTORISED_MODULES = frozenset(
     {
         "core/minmax_sketch.py",
         "core/delta_encoding.py",
         "core/quantizer.py",
         "sketch/hashing.py",
+        "core/bitpack.py",
+        "core/entropy.py",
+        "core/rice.py",
     }
 )
-
-#: Modules whose non-scalar paths must stay free of Python-level loops
-#: over array elements (``hot-loop`` rule).
-VECTORISED_MODULES = DUAL_PATH_MODULES | {
-    "core/bitpack.py",
-    "core/entropy.py",
-    "core/rice.py",
-}
 
 #: Modules where every array constructor must pin its dtype — the
 #: uint64 hash grid and the wire codecs, where a silent float64/object
@@ -174,8 +167,7 @@ class PolicyError(RuntimeError):
 def all_policy_relpaths() -> "frozenset[str]":
     """Every explicit module relpath named by a policy list."""
     return frozenset(
-        DUAL_PATH_MODULES
-        | VECTORISED_MODULES
+        VECTORISED_MODULES
         | DTYPE_STRICT_MODULES
         | WIRE_MODULES
         | ASYNC_MODULES

@@ -1,16 +1,14 @@
-"""Rules guarding the scalar/vectorised dual-kernel contract.
+"""The ``hot-loop`` rule: no interpreter loops on the codec kernels.
 
-Since the codec hot path exists twice (scalar reference vs numpy
-kernels behind :mod:`repro.kernels`), the biggest correctness risk is
-silent drift: a branch added on one side only, or a Python-level loop
-sneaking onto the vectorised path.  These rules make the dispatch
-structure itself checkable.
+Each codec operation has one numpy kernel, so a Python-level loop over
+array elements in a kernel module is a performance regression waiting
+to land.  This rule makes that checkable.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional
+from typing import Iterator, List
 
 from .framework import (
     Finding,
@@ -20,120 +18,13 @@ from .framework import (
     dotted_name,
     register_rule,
 )
-from .policy import DUAL_PATH_MODULES, VECTORISED_MODULES, is_core_or_sketch
+from .policy import VECTORISED_MODULES
 
-__all__ = ["KernelParityRule", "HotLoopRule"]
-
-_SWITCH_NAME = "vectorised_enabled"
-
-
-def _references_switch(node: ast.AST) -> bool:
-    """True if any descendant references ``vectorised_enabled``."""
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Attribute) and sub.attr == _SWITCH_NAME:
-            return True
-        if isinstance(sub, ast.Name) and sub.id == _SWITCH_NAME:
-            return True
-    return False
-
-
-def _switch_polarity(test: ast.AST) -> Optional[bool]:
-    """How an ``if`` test uses the kernel switch.
-
-    Returns ``True`` when the branch body is the *vectorised* side
-    (positive ``vectorised_enabled()`` reference), ``False`` when the
-    body is the *scalar* side (the reference appears under a ``not``),
-    and ``None`` when the test does not involve the switch.
-    """
-    for sub in ast.walk(test):
-        if isinstance(sub, ast.UnaryOp) and isinstance(sub.op, ast.Not):
-            if _references_switch(sub.operand):
-                return False
-    if _references_switch(test):
-        return True
-    return None
-
-
-def _terminates(body: List[ast.stmt]) -> bool:
-    """True when control cannot fall out of the end of ``body``."""
-    if not body:
-        return False
-    return isinstance(body[-1], (ast.Return, ast.Raise, ast.Continue, ast.Break))
-
-
-@register_rule
-class KernelParityRule(Rule):
-    """Every kernel-switch branch must leave a path for the other mode.
-
-    * An ``if`` whose test consults ``kernels.vectorised_enabled()``
-      must either carry an ``else`` branch or terminate (``return`` /
-      ``raise``), so the fall-through code *is* the other kernel — a
-      guard whose body falls through runs extra work in one mode only,
-      which is exactly the drift the golden-equivalence suite exists to
-      catch.
-    * Dual-path modules (see :data:`~repro.lint.policy.DUAL_PATH_MODULES`)
-      must consult the switch at least once.
-    * A core/sketch module that imports :mod:`repro.kernels` but never
-      consults the switch has a single-sided kernel.
-    """
-
-    rule_id = "kernel-parity"
-    severity = SEVERITY_ERROR
-    description = (
-        "scalar and vectorised kernels must both be reachable through "
-        "the repro.kernels switch in core/ and sketch/ modules"
-    )
-
-    def check(self, module: ModuleSource) -> Iterator[Finding]:
-        if not is_core_or_sketch(module.relpath):
-            return
-        references_switch = _references_switch(module.tree)
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.If):
-                continue
-            polarity = _switch_polarity(node.test)
-            if polarity is None:
-                continue
-            if node.orelse or _terminates(node.body):
-                continue
-            side = "vectorised" if polarity else "scalar"
-            other = "scalar" if polarity else "vectorised"
-            yield self.finding(
-                module, node,
-                f"kernel-switch branch has no {other} fallback: the "
-                f"{side} body neither returns nor has an else, so both "
-                "modes run it plus whatever follows",
-            )
-        if module.relpath in DUAL_PATH_MODULES and not references_switch:
-            yield self.finding(
-                module, (1, 0),
-                f"{module.relpath} is a dual-path kernel module but never "
-                "consults kernels.vectorised_enabled()",
-            )
-        elif not references_switch:
-            for line, col in self._kernel_imports(module):
-                yield Finding(
-                    self.rule_id, self.severity, module.path, line, col,
-                    "module imports repro.kernels but never consults "
-                    "vectorised_enabled(); the kernel exists on one side only",
-                )
-
-    @staticmethod
-    def _kernel_imports(module: ModuleSource):
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.ImportFrom):
-                if any(alias.name == "kernels" for alias in node.names):
-                    yield node.lineno, node.col_offset
-            elif isinstance(node, ast.Import):
-                if any(
-                    alias.name.endswith(".kernels") or alias.name == "kernels"
-                    for alias in node.names
-                ):
-                    yield node.lineno, node.col_offset
+__all__ = ["HotLoopRule"]
 
 
 class _LoopVisitor(ast.NodeVisitor):
-    """Collect loops on the vectorised path, tracking scalar regions."""
+    """Collect loops over containers."""
 
     #: Iterable call targets that are per-group / per-row bookkeeping,
     #: not per-element work.
@@ -141,26 +32,6 @@ class _LoopVisitor(ast.NodeVisitor):
 
     def __init__(self) -> None:
         self.offending: List[ast.stmt] = []
-        self._scalar_depth = 0
-
-    def visit_If(self, node: ast.If) -> None:
-        polarity = _switch_polarity(node.test)
-        if polarity is True:
-            for stmt in node.body:
-                self.visit(stmt)
-            self._scalar_depth += 1
-            for stmt in node.orelse:
-                self.visit(stmt)
-            self._scalar_depth -= 1
-        elif polarity is False:
-            self._scalar_depth += 1
-            for stmt in node.body:
-                self.visit(stmt)
-            self._scalar_depth -= 1
-            for stmt in node.orelse:
-                self.visit(stmt)
-        else:
-            self.generic_visit(node)
 
     def _iter_allowed(self, iterable: ast.AST) -> bool:
         if isinstance(iterable, ast.Call):
@@ -174,35 +45,31 @@ class _LoopVisitor(ast.NodeVisitor):
         return not isinstance(iterable, (ast.Name, ast.Attribute, ast.Subscript))
 
     def visit_For(self, node: ast.For) -> None:
-        if self._scalar_depth == 0 and not self._iter_allowed(node.iter):
+        if not self._iter_allowed(node.iter):
             self.offending.append(node)
         self.generic_visit(node)
 
     def visit_While(self, node: ast.While) -> None:
-        if self._scalar_depth == 0:
-            self.offending.append(node)
+        self.offending.append(node)
         self.generic_visit(node)
 
 
 @register_rule
 class HotLoopRule(Rule):
-    """No interpreter-level loops over arrays on the vectorised path.
+    """No interpreter-level loops over arrays in kernel modules.
 
     In the modules listed in
     :data:`~repro.lint.policy.VECTORISED_MODULES`, a ``for`` statement
     that iterates directly over a container (name/attribute/subscript or
-    ``zip(...)``) outside a scalar-guarded region is almost always a
-    per-element loop that belongs in a numpy kernel.  ``range`` /
-    ``enumerate`` loops are allowed: they express per-group or per-row
-    structure, which is bounded and cheap.
+    ``zip(...)``), or any ``while`` loop, is almost always a per-element
+    loop that belongs in a numpy kernel.  ``range`` / ``enumerate``
+    loops are allowed: they express per-group or per-row structure,
+    which is bounded and cheap.
     """
 
     rule_id = "hot-loop"
     severity = SEVERITY_ERROR
-    description = (
-        "no Python-level loops over arrays on the vectorised path of "
-        "kernel modules"
-    )
+    description = "no Python-level loops over arrays in kernel modules"
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
         if module.relpath not in VECTORISED_MODULES:
@@ -213,7 +80,6 @@ class HotLoopRule(Rule):
             kind = "while loop" if isinstance(node, ast.While) else "loop"
             yield self.finding(
                 module, node,
-                f"Python-level {kind} over a container on the vectorised "
-                "path; hoist into a numpy kernel or guard it behind "
-                "`not kernels.vectorised_enabled()`",
+                f"Python-level {kind} over a container in a kernel "
+                "module; hoist it into a numpy kernel",
             )

@@ -52,7 +52,8 @@ BENCH_FILENAME = "BENCH_codec.json"
 
 #: gradient sizes (nnz) for the full suite
 FULL_SIZES = (5_000, 50_000, 200_000)
-#: CI smoke sizes: fast but still past the scalar/vector crossover
+#: CI smoke sizes: fast, but large enough that per-element work
+#: outweighs the per-call numpy overhead
 QUICK_SIZES = (5_000, 50_000)
 
 _KEY_BYTES = 8  # int64 wire keys

@@ -23,8 +23,6 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .. import kernels
-
 __all__ = [
     "MERSENNE_PRIME_61",
     "HashFunction",
@@ -205,7 +203,7 @@ class HashFamily(Sequence):
         keys = np.asarray(keys, dtype=np.uint64)
         if keys.size == 0:
             return np.empty((len(self), 0), dtype=np.int64)
-        if self._kind == "mixed" or not kernels.vectorised_enabled():
+        if self._kind == "mixed":
             return np.stack([h(keys) for h in self._functions])
         if keys.max() >= (1 << _MAX_KEY_BITS):
             raise ValueError("keys must fit in 32 bits")
@@ -290,8 +288,7 @@ def hash_all_grouped(
     if keys.size != int(counts.sum()):
         raise ValueError("counts must sum to keys.size")
     fused = (
-        kernels.vectorised_enabled()
-        and all(f._kind == "multiply_shift" for f in families)
+        all(f._kind == "multiply_shift" for f in families)
         and len({len(f) for f in families}) == 1
     )
     if not fused:

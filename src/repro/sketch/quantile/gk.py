@@ -25,7 +25,6 @@ from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from ... import kernels
 from .base import QuantileSketch, as_float_array
 
 __all__ = ["GKSummary", "GKTuple"]
@@ -143,17 +142,12 @@ class GKSummary(QuantileSketch):
         self._inserts_since_compress = 0
         self._invalidate()
         threshold = int(2.0 * self.epsilon * n)
-        if not kernels.vectorised_enabled():
-            self._tuples = [GKTuple(float(v), 1, 0) for v in arr]
-            self._values = [t.value for t in self._tuples]
-            self._compress()
-            return
         # Closed form of the single COMPRESS pass over uniform tuples
         # (g = 1, Δ = 0): the greedy fold keeps the first tuple, then
         # every ``threshold``-th tuple (each absorbing the fold weight
         # of its predecessors), then the last tuple with the leftover
-        # weight.  Verified bit-identical to the scalar pass by the
-        # golden-equivalence tests.
+        # weight: bit-identical to building every tuple and running
+        # :meth:`_compress` (``tests/kernel_reference.py``).
         if n < 3 or threshold < 2:
             kept = np.arange(n, dtype=np.int64)
             gs = np.ones(n, dtype=np.int64)
@@ -199,19 +193,12 @@ class GKSummary(QuantileSketch):
         phi = min(max(float(phi), 0.0), 1.0)
         target_rank = phi * self._count
         bound = self.epsilon * self._count
-        if not kernels.vectorised_enabled():
-            rmin = 0
-            for t in self._tuples:
-                rmin += t.g
-                rmax = rmin + t.delta
-                if target_rank - rmin <= bound and rmax - target_rank <= bound:
-                    return t.value
-            return self._tuples[-1].value
         cum_g, deltas = self._rank_arrays()
-        # The scalar scan returns the first tuple satisfying both rank
-        # conditions; the rmin condition is monotone (true on a suffix),
-        # so locate that suffix by bisection, then nudge with the exact
-        # scalar predicate to stay bit-compatible with the loop above.
+        # The answer is the first tuple satisfying both rank conditions
+        # (the tuple scan in ``tests/kernel_reference.py``); the rmin
+        # condition is monotone (true on a suffix), so locate that suffix
+        # by bisection, then nudge with the scan's exact predicate to
+        # stay bit-compatible with it.
         i = int(np.searchsorted(cum_g, target_rank - bound, side="left"))
         while i > 0 and target_rank - float(cum_g[i - 1]) <= bound:
             i -= 1
@@ -224,16 +211,6 @@ class GKSummary(QuantileSketch):
 
     def rank(self, value: float) -> int:
         """Approximate rank (number of inserted items ≤ ``value``)."""
-        if not kernels.vectorised_enabled():
-            rmin = 0
-            last_below = 0
-            for t in self._tuples:
-                rmin += t.g
-                if t.value <= value:
-                    last_below = rmin
-                else:
-                    break
-            return last_below
         # Tuples are value-ordered, so the scan's break point is a plain
         # bisection over the parallel ``_values`` list.
         j = bisect.bisect_right(self._values, value)

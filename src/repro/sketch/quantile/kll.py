@@ -22,7 +22,6 @@ from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from ... import kernels
 from .base import QuantileSketch, as_float_array
 
 __all__ = ["KLLSketch"]
@@ -111,10 +110,10 @@ class KLLSketch(QuantileSketch):
 
         Only a bulk load into an *empty* sketch takes the array fast
         path (the quantizer's fit case); otherwise this defers to
-        :meth:`insert_many`.  Both kernel modes run the identical
-        compaction control flow — one coin flip per compacted level, in
-        the same order — so the retained items and therefore every
-        query are bit-identical between them.
+        :meth:`insert_many`.  The cascade runs the same compaction
+        control flow as :meth:`_compress` on a list level 0 — one coin
+        flip per compacted level, in the same order — so the retained
+        items and therefore every query are bit-identical to it.
         """
         arr = as_float_array(values)
         if arr.size == 0:
@@ -127,11 +126,6 @@ class KLLSketch(QuantileSketch):
         self._count = int(arr.size)
         self._min = min(self._min, float(arr[0]))
         self._max = max(self._max, float(arr[-1]))
-        if not kernels.vectorised_enabled():
-            self._levels = [arr.tolist()]
-            if len(self._levels[0]) >= self._capacity(0):
-                self._compress()
-            return
         # Array mirror of _compress: same per-level capacities (computed
         # against the growing level count), same odd-straggler rule,
         # same promotion slicing.  During this single ascending cascade
@@ -220,18 +214,6 @@ class KLLSketch(QuantileSketch):
             raise ValueError("cannot query an empty KLLSketch")
         values, weights = self._weighted_items()
         cum = np.cumsum(weights)
-        if not kernels.vectorised_enabled():
-            out: List[float] = []
-            for phi in phis:
-                phi = min(max(float(phi), 0.0), 1.0)
-                if phi <= 0.0:
-                    out.append(self._min)
-                elif phi >= 1.0:
-                    out.append(self._max)
-                else:
-                    idx = int(np.searchsorted(cum, phi * cum[-1], side="left"))
-                    out.append(float(values[min(idx, values.size - 1)]))
-            return out
         phi_arr = np.clip(np.asarray(list(phis), dtype=np.float64), 0.0, 1.0)
         idx = np.minimum(
             np.searchsorted(cum, phi_arr * cum[-1], side="left"), values.size - 1

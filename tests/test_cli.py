@@ -211,7 +211,7 @@ class TestLint:
     def test_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("kernel-parity", "rng-discipline", "dtype-discipline",
+        for rule_id in ("rng-discipline", "dtype-discipline",
                         "hot-loop", "wire-format", "bare-except",
                         "mutable-default", "missing-all",
                         "telemetry-discipline", "noqa-justification"):

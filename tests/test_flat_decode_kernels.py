@@ -3,8 +3,9 @@
 ``decode_key_groups_flat`` must equal a per-blob ``decode_keys`` walk
 (same keys, same error text on malformed blobs) and
 ``GroupedMinMaxSketch.query_flat`` must equal a per-group
-``query_group`` walk (same indexes, same strict-mode error), under
-both kernel modes.
+``query_group`` walk (same indexes, same strict-mode error).  Each
+check runs on the package's kernels (``vectorised``) and on the scalar
+twins of ``tests/kernel_reference.py`` (``scalar``).
 """
 
 import numpy as np
@@ -12,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import kernels
 from repro.core.compressor import SketchMLCompressor
 from repro.core.config import SketchMLConfig
 from repro.core.delta_encoding import (
@@ -24,16 +24,12 @@ from repro.core.delta_encoding import (
 from repro.core.minmax_sketch import GroupedMinMaxSketch, MinMaxSketch
 from repro.core.serialization import deserialize_message, serialize_message
 from repro.sanitize import SanitizerError
-
-KERNEL_MODES = {
-    "scalar": kernels.scalar_kernels,
-    "vectorised": kernels.vectorised_kernels,
-}
+from tests.kernel_reference import KERNEL_PATHS, kernel_path, reference_kernels
 
 
-@pytest.fixture(params=sorted(KERNEL_MODES))
-def kernel_mode(request):
-    with KERNEL_MODES[request.param]():
+@pytest.fixture(params=sorted(KERNEL_PATHS))
+def codec_path(request):
+    with kernel_path(request.param):
         yield request.param
 
 
@@ -51,8 +47,8 @@ def _concat(groups):
 def _assert_flat_roundtrip(groups):
     concat, sizes = _concat(groups)
     blobs = encode_key_groups_flat(concat, sizes)
-    for mode in KERNEL_MODES.values():
-        with mode():
+    for path in KERNEL_PATHS:
+        with kernel_path(path):
             keys, counts = decode_key_groups_flat(blobs)
         assert keys.dtype == np.int64 and counts.dtype == np.int64
         np.testing.assert_array_equal(keys, concat)
@@ -101,7 +97,7 @@ def test_flat_decode_corner_cases(groups):
     _assert_flat_roundtrip(groups)
 
 
-def test_flat_decode_ignores_padding_flag_bits(kernel_mode):
+def test_flat_decode_ignores_padding_flag_bits(codec_path):
     """Flag slots past a group's last key carry no key: any bits there
     are ignored, exactly as ``decode_keys`` ignores them."""
     blob = bytearray(encode_keys(np.asarray([3, 10, 500])))
@@ -124,7 +120,7 @@ def _eight_blobs():
 
 
 @pytest.mark.parametrize("victim", range(8))
-def test_flat_decode_malformed_blob_raises_decode_keys_error(kernel_mode, victim):
+def test_flat_decode_malformed_blob_raises_decode_keys_error(codec_path, victim):
     blobs = _eight_blobs()
     good = blobs[victim]
     mutations = [good + b"\x00", good[:2]]  # padded; cut inside the header
@@ -146,7 +142,7 @@ def test_flat_decode_malformed_blob_raises_decode_keys_error(kernel_mode, victim
         assert str(got.value) == str(expected.value)
 
 
-def test_flat_decode_reports_the_first_bad_blob(kernel_mode):
+def test_flat_decode_reports_the_first_bad_blob(codec_path):
     blobs = _eight_blobs()
     blobs[3] = blobs[3][:-1]  # payload length mismatch
     blobs[6] = blobs[6][:3]  # short header, but later in the walk
@@ -198,12 +194,12 @@ def _per_group_walk(sketch, keys_cat, counts, strict=False):
     ],
 )
 def test_query_flat_matches_per_group_walk(
-    kernel_mode, family, nnz, index_range, num_groups
+    codec_path, family, nnz, index_range, num_groups
 ):
     sketch, keys_cat, counts = _filled_sketch(
         nnz, index_range, num_groups, family, seed=nnz
     )
-    with kernels.scalar_kernels():
+    with reference_kernels():
         expected = _per_group_walk(sketch, keys_cat, counts)
     got = sketch.query_flat(keys_cat, counts)
     assert got.dtype == np.int64
@@ -213,7 +209,7 @@ def test_query_flat_matches_per_group_walk(
     )
 
 
-def test_query_flat_empty_and_count_validation(kernel_mode):
+def test_query_flat_empty_and_count_validation(codec_path):
     sketch, keys_cat, counts = _filled_sketch(200, 128)
     empty = sketch.query_flat(
         np.empty(0, dtype=np.int64), np.zeros(8, dtype=np.int64)
@@ -249,7 +245,7 @@ def _swap_group_sketch(sketch, group, **overrides):
         {"index_range": 300},  # uint16 cells next to uint8 ones
     ],
 )
-def test_query_flat_heterogeneous_groups_fall_back(kernel_mode, overrides):
+def test_query_flat_heterogeneous_groups_fall_back(codec_path, overrides):
     rng = np.random.default_rng(9)
     nnz = 3000
     keys = np.sort(rng.choice(20 * nnz, size=nnz, replace=False))
@@ -267,7 +263,7 @@ def test_query_flat_heterogeneous_groups_fall_back(kernel_mode, overrides):
             sorted_keys[bounds[g]:bounds[g + 1]],
             sorted_offsets[bounds[g]:bounds[g + 1]],
         )
-    with kernels.scalar_kernels():
+    with reference_kernels():
         expected = _per_group_walk(sketch, sorted_keys, counts)
     np.testing.assert_array_equal(
         sketch.query_flat(sorted_keys, counts), expected
@@ -275,7 +271,7 @@ def test_query_flat_heterogeneous_groups_fall_back(kernel_mode, overrides):
 
 
 @pytest.mark.parametrize("group", [0, 3, 7])
-def test_query_flat_strict_raises_the_per_group_error(kernel_mode, group):
+def test_query_flat_strict_raises_the_per_group_error(codec_path, group):
     sketch, keys_cat, counts = _filled_sketch(4000, 128, seed=2)
     inner = sketch._sketches[group]
     inner._table[:] = inner._sentinel  # every cell of one group overflows
@@ -293,7 +289,7 @@ def test_query_flat_strict_raises_the_per_group_error(kernel_mode, group):
     )
 
 
-def test_query_flat_strict_offset_is_group_local(kernel_mode):
+def test_query_flat_strict_offset_is_group_local(codec_path):
     sketch, keys_cat, counts = _filled_sketch(4000, 128, seed=6)
     group = 4
     bounds = np.concatenate(([0], np.cumsum(counts)))
@@ -331,9 +327,9 @@ def test_decompress_identical_across_kernel_modes(nnz, overrides):
     cfg = SketchMLConfig(**overrides)
     wire = serialize_message(SketchMLCompressor(cfg).compress(keys, values, dimension))
     decoded = {}
-    for name, mode in KERNEL_MODES.items():
-        with mode():
-            decoded[name] = SketchMLCompressor(cfg).decompress(
+    for path in KERNEL_PATHS:
+        with kernel_path(path):
+            decoded[path] = SketchMLCompressor(cfg).decompress(
                 deserialize_message(wire)
             )
     np.testing.assert_array_equal(decoded["scalar"][0], keys)

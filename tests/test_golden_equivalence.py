@@ -1,4 +1,4 @@
-"""Wire-format stability tests for the vectorised codec kernels.
+"""Wire-format stability tests for the codec kernels.
 
 Two layers of protection:
 
@@ -8,10 +8,10 @@ Two layers of protection:
   pre-vectorisation seed tree.  Any change to the bytes a compressor
   emits — however small — fails here, so perf work can't silently bend
   the format.
-* **Scalar/vectorised equivalence** — every vectorised kernel has a
-  scalar reference path behind the :mod:`repro.kernels` switch; these
-  tests assert byte identity between the two on the same inputs, from
-  individual hash rows all the way up to full messages.
+* **Reference equivalence** — every codec kernel has a scalar twin in
+  ``tests/kernel_reference.py``; these tests assert byte identity
+  between the two on the same inputs, from individual hash rows all
+  the way up to full messages.
 """
 
 import hashlib
@@ -21,14 +21,17 @@ import os
 import numpy as np
 import pytest
 
-from repro import kernels
 from repro.core.compressor import SketchMLCompressor
 from repro.core.config import SketchMLConfig
-from repro.core.delta_encoding import encode_key_groups, encode_keys
-from repro.core.minmax_sketch import GroupedMinMaxSketch
+from repro.core.delta_encoding import encode_key_groups, encode_key_groups_flat
+from repro.core.minmax_sketch import GroupedMinMaxSketch, MinMaxSketch
 from repro.core.quantizer import QuantileBucketQuantizer
 from repro.core.serialization import serialize_message
 from repro.sketch.hashing import build_hash_family, hash_all_grouped
+from repro.sketch.quantile.gk import GKSummary, GKTuple
+from repro.sketch.quantile.kll import KLLSketch
+from tests import kernel_reference
+from tests.kernel_reference import reference_kernels
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden", "codec_golden.json")
 
@@ -113,7 +116,7 @@ class TestGoldenDigests:
 
 
 # ---------------------------------------------------------------------------
-# scalar vs vectorised: full messages
+# reference vs production: full messages
 # ---------------------------------------------------------------------------
 EQUIV_CONFIGS = {
     "full": {},
@@ -131,19 +134,18 @@ def test_scalar_and_vectorised_messages_identical(sketch, nnz):
         for seed in (0, 3):
             keys, values, dimension = random_gradient(nnz, seed + nnz)
             cfg = SketchMLConfig(quantile_sketch=sketch, seed=seed, **overrides)
-            with kernels.scalar_kernels():
+            with reference_kernels():
                 scalar_wire = serialize_message(
                     SketchMLCompressor(cfg).compress(keys, values, dimension)
                 )
-            with kernels.vectorised_kernels():
-                vector_wire = serialize_message(
-                    SketchMLCompressor(cfg).compress(keys, values, dimension)
-                )
+            vector_wire = serialize_message(
+                SketchMLCompressor(cfg).compress(keys, values, dimension)
+            )
             assert scalar_wire == vector_wire, (sketch, nnz, cfg_name, seed)
 
 
 # ---------------------------------------------------------------------------
-# scalar vs vectorised: individual kernels
+# reference vs production: individual kernels
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("family", ["multiply_shift", "tabulation"])
 def test_hash_all_matches_per_row_loop(family):
@@ -203,16 +205,125 @@ def test_fit_encode_matches_fit_then_encode(sketch):
 
     fused = build()
     pos_enc, neg_enc = fused.fit_encode(values)
-    reference = build().fit(values)
-    pos = values[values >= 0]
-    neg = -values[values < 0]
-    np.testing.assert_array_equal(pos_enc, reference.positive.encode(pos))
-    np.testing.assert_array_equal(neg_enc, reference.negative.encode(neg))
+    with reference_kernels():
+        reference = build()
+        ref_pos, ref_neg = reference.fit_encode(values)
+    np.testing.assert_array_equal(pos_enc, ref_pos)
+    np.testing.assert_array_equal(neg_enc, ref_neg)
+    for got, want in ((fused.positive, reference.positive),
+                      (fused.negative, reference.negative)):
+        np.testing.assert_array_equal(got.splits, want.splits)
+        np.testing.assert_array_equal(got.means, want.means)
+
+
+def _sorted_sample(n, seed):
+    return np.sort(np.random.default_rng(seed).laplace(scale=0.01, size=n))
+
+
+#: Probe quantiles: both clip ends, the exact ends and a dense interior.
+_PHIS = [-0.5, 0.0, 1e-9] + np.linspace(0.0, 1.0, 129).tolist() + [1.0, 1.5]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 255, 256, 257, 5000])
+@pytest.mark.parametrize("k", [8, 64, 256])
+def test_kll_sorted_build_and_query_many_match_reference(n, k):
+    values = _sorted_sample(n, seed=n + k)
+
+    def build():
+        sketch = KLLSketch(k=k, seed=5)
+        sketch.insert_sorted(values)
+        return sketch
+
+    fused = build()
+    with reference_kernels():
+        reference = build()
+        want = reference.query_many(_PHIS)
+    assert fused._levels == reference._levels
+    assert fused.query_many(_PHIS) == want
+
+
+def _streamed_gk(values, epsilon):
+    """A summary built value by value, so tuples carry nonzero deltas."""
+    summary = GKSummary(epsilon=epsilon)
+    for value in values:
+        summary.insert(float(value))
+    return summary
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 256, 5000])
+@pytest.mark.parametrize("epsilon", [0.3, 1 / 8, 1 / 64, 1 / 256])
+def test_gk_sorted_build_query_and_rank_match_reference(n, epsilon):
+    values = _sorted_sample(n, seed=n)
+    fused = GKSummary(epsilon=epsilon)
+    fused.insert_sorted(values)
+    with reference_kernels():
+        reference = GKSummary(epsilon=epsilon)
+        reference.insert_sorted(values)
+    assert [(t.value, t.g, t.delta) for t in fused._tuples] == [
+        (t.value, t.g, t.delta) for t in reference._tuples
+    ]
+    assert fused._values == reference._values
+
+    shuffled = np.random.default_rng(n).permutation(values)
+    probes = np.concatenate((values, values[:-1] + np.diff(values) / 2, [-1, 1]))
+    for summary in (fused, _streamed_gk(shuffled[:400], epsilon)):
+        got = ([summary.query(p) for p in _PHIS],
+               [summary.rank(v) for v in probes])
+        with reference_kernels():
+            want = ([summary.query(p) for p in _PHIS],
+                    [summary.rank(v) for v in probes])
+        assert got == want
+
+
+def test_gk_query_matches_reference_past_float_precision():
+    """Past 2**53 the float rank arithmetic rounds: here the bisection
+    lands one tuple past the first one within ``ε n`` and the query
+    must step back to it, as the scan finds it."""
+    count, first = 899477584162388306, 25410984058390972
+    summary = GKSummary(epsilon=0.125)
+    summary._tuples = [GKTuple(0.0, first, 0), GKTuple(1.0, count - first, 0)]
+    summary._values = [0.0, 1.0]
+    summary._count = count
+    phi = 0.15325082526326012
+    assert kernel_reference.gk_query(summary, phi) == 0.0
+    assert summary.query(phi) == 0.0
+
+
+@pytest.mark.parametrize(
+    "num_groups,index_range", [(8, 128), (8, 8), (4, 300), (8, 100)]
+)
+def test_partition_flat_matches_mask_loop(num_groups, index_range):
+    rng = np.random.default_rng(index_range)
+    nnz = 5000
+    keys = np.sort(rng.choice(20 * nnz, size=nnz, replace=False))
+    indexes = rng.integers(0, index_range, size=nnz, dtype=np.int64)
+    sketch = GroupedMinMaxSketch(num_groups=num_groups, index_range=index_range)
+    got = sketch.partition_flat(keys, indexes)
+    want = kernel_reference.partition_flat(sketch, keys, indexes)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("family", ["multiply_shift", "tabulation"])
+@pytest.mark.parametrize("index_range", [128, 300])
+def test_minmax_insert_and_query_match_per_row_reference(family, index_range):
+    rng = np.random.default_rng(index_range)
+    keys = rng.choice(1 << 24, size=6000, replace=False)
+    indexes = rng.integers(0, index_range, size=keys.size, dtype=np.int64)
+
+    def build():
+        return MinMaxSketch(
+            num_rows=3, num_bins=701, index_range=index_range, seed=9,
+            hash_family=family,
+        )
+
+    fused, reference = build(), build()
+    for half in (slice(0, 3000), slice(3000, None)):  # second insert merges
+        fused.insert_many(keys[half], indexes[half])
+        kernel_reference.minmax_insert_many(reference, keys[half], indexes[half])
+    np.testing.assert_array_equal(fused._table, reference._table)
     np.testing.assert_array_equal(
-        fused.positive.splits, reference.positive.splits
-    )
-    np.testing.assert_array_equal(
-        fused.negative.means, reference.negative.means
+        fused.query_many(keys), kernel_reference.minmax_query_many(reference, keys)
     )
 
 
@@ -220,30 +331,25 @@ def test_insert_flat_matches_per_group_insert():
     rng = np.random.default_rng(33)
     nnz = 8000
     keys = np.sort(rng.choice(20 * nnz, size=nnz, replace=False))
-    indexes = rng.integers(0, 128, size=nnz, dtype=np.int64)
+    # Group widths 16 (fused scatter), 1 and 38 (per-group inserts).
+    for index_range in (128, 8, 300):
+        indexes = rng.integers(0, index_range, size=nnz, dtype=np.int64)
 
-    def build():
-        return GroupedMinMaxSketch(
-            num_groups=8, index_range=128, num_rows=2, total_bins=2048, seed=1
-        )
+        def build():
+            return GroupedMinMaxSketch(
+                num_groups=8, index_range=index_range, num_rows=2,
+                total_bins=2048, seed=1,
+            )
 
-    batched = build()
-    flat = batched.partition_flat(keys, indexes)
-    batched.insert_flat(*flat)
-
-    reference = build()
-    sorted_keys, sorted_offsets, counts = flat
-    bounds = np.concatenate(([0], np.cumsum(counts)))
-    with kernels.scalar_kernels():
-        for g in range(counts.size):
-            if counts[g]:
-                reference.insert_group(
-                    g,
-                    sorted_keys[bounds[g]:bounds[g + 1]],
-                    sorted_offsets[bounds[g]:bounds[g + 1]],
-                )
-    for got, want in zip(batched.sketches, reference.sketches):
-        np.testing.assert_array_equal(got._table, want._table)
+        batched, reference = build(), build()
+        # Two batches: the second merges into tables the first filled.
+        for half in (slice(0, nnz // 2), slice(nnz // 2, None)):
+            flat = batched.partition_flat(keys[half], indexes[half])
+            batched.insert_flat(*flat)
+            with reference_kernels():
+                reference.insert_flat(*flat)
+        for got, want in zip(batched.sketches, reference.sketches):
+            np.testing.assert_array_equal(got._table, want._table)
 
 
 def test_encode_key_groups_matches_per_group_encode_keys():
@@ -253,4 +359,8 @@ def test_encode_key_groups_matches_per_group_encode_keys():
         chunk = np.sort(rng.choice(1 << 22, size=size, replace=False))
         groups.append(chunk.astype(np.int64))
     blobs = encode_key_groups(groups)
-    assert blobs == [encode_keys(g) for g in groups]
+    assert blobs == kernel_reference.encode_key_groups(groups)
+    concat = np.concatenate(groups)
+    sizes = np.asarray([g.size for g in groups], dtype=np.int64)
+    assert encode_key_groups_flat(concat, sizes) == blobs
+    assert kernel_reference.encode_key_groups_flat(concat, sizes) == blobs

@@ -32,7 +32,6 @@ import shutil
 import numpy as np
 import pytest
 
-from repro import kernels
 from repro.core.compressor import SketchMLCompressor
 from repro.core.config import SketchMLConfig
 from repro.core.serialization import deserialize_message, serialize_message
@@ -44,6 +43,7 @@ from repro.golden import (
     regenerate_gradient,
     write_goldens,
 )
+from tests.kernel_reference import KERNEL_PATHS, kernel_path
 
 WIRE_DIR = os.path.join(os.path.dirname(__file__), "golden", "wire")
 
@@ -141,22 +141,17 @@ def test_v2_fixture_is_never_larger_than_v1(case):
     assert case["v2"]["num_bytes"] <= case["num_bytes"]
 
 
-@pytest.mark.parametrize("mode", ["scalar", "vectorised"])
-@pytest.mark.parametrize("case", CASES, ids=lambda c: c["name"])
+@pytest.mark.parametrize("mode", sorted(KERNEL_PATHS))
+@pytest.mark.parametrize("case", CASE_SPECS, ids=lambda c: c["name"])
 def test_goldens_pinned_under_both_kernel_paths(case, mode):
-    """The committed bytes pin the format for *both* codec paths.
+    """The committed bytes pin the format for the package's kernels
+    *and* for their scalar twins in ``tests/kernel_reference.py``.
 
-    Re-encode the regenerated gradient with the kernel switch forced
-    to one side; scalar and vectorised must each reproduce the
-    committed bytes of both payload versions exactly, so neither path
-    can drift away from the wire format on its own.
+    Re-encode the regenerated gradient on one path; each must
+    reproduce the committed bytes of both payload versions exactly, so
+    neither the kernels nor the reference can drift from the format.
     """
-    forced = (
-        kernels.scalar_kernels()
-        if mode == "scalar"
-        else kernels.vectorised_kernels()
-    )
-    with forced:
+    with kernel_path(mode):
         payloads = case_payloads(case)
     assert payloads[1] == fixture_bytes(case, 1)
     assert payloads[2] == fixture_bytes(case, 2)

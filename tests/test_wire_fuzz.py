@@ -4,8 +4,9 @@ Two tiers lock the protocol down:
 
 * **Property tier** (hypothesis): randomly generated compressed
   gradients must round-trip bit-identically through
-  ``serialize_message``/``deserialize_message`` under *both* kernel
-  paths and *both* payload versions, contiguous and streamed; their
+  ``serialize_message``/``deserialize_message`` at *both* payload
+  versions, contiguous and streamed, and the scalar twins of
+  ``tests/kernel_reference.py`` must encode the same bytes; their
   ``num_bytes`` must be the payload-v2 wire length exactly; random
   frames must survive arbitrary re-chunking through
   :class:`FrameAssembler`.  Bound the example count with
@@ -22,8 +23,9 @@ Two tiers lock the protocol down:
   from — the decode is then a faithful reading of the (corrupt)
   payload, not an invention.
 
-The corpus runs under both kernel paths; the wire layer is
-kernel-independent by design and this pins that claim.
+The corpus runs on the package's kernels (``vectorised``) and on the
+scalar twins (``scalar``); the wire layer is kernel-independent by
+design and this pins that claim.
 """
 
 import os
@@ -36,7 +38,6 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro import kernels
 from repro.compression.base import CompressedGradient
 from repro.core.compressor import (
     GroupKeys,
@@ -79,6 +80,7 @@ from repro.runtime.framing import (
     unpack_header,
 )
 from tests import rice_reference
+from tests.kernel_reference import kernel_path, reference_kernels
 
 MAX_EXAMPLES = int(os.environ.get("REPRO_FUZZ_EXAMPLES", "30"))
 FUZZ = settings(
@@ -117,13 +119,6 @@ def _serialize_at(message, version):
     if version == 1:
         return serialize_message(message)
     return serialize_message(message, version=2, entropy=True)
-
-
-def _forced(mode):
-    return (
-        kernels.scalar_kernels() if mode == "scalar"
-        else kernels.vectorised_kernels()
-    )
 
 
 #: The configurations the v2-against-v1 property sweeps.
@@ -171,20 +166,14 @@ class TestRoundTripProperties:
         self, seed, nnz, variant, sign_mode
     ):
         dimension = max(nnz * 40, 64)
-        encoded = {}
-        for mode in ("scalar", "vectorised"):
-            forced = (
-                kernels.scalar_kernels() if mode == "scalar"
-                else kernels.vectorised_kernels()
+        message = _compress(seed, nnz, dimension, sign_mode, variant)
+        v1, v2 = (_serialize_at(message, v) for v in (1, 2))
+        # The scalar twins agree byte-for-byte at each payload version.
+        with reference_kernels():
+            reference = _compress(seed, nnz, dimension, sign_mode, variant)
+            assert (_serialize_at(reference, 1), _serialize_at(reference, 2)) == (
+                v1, v2
             )
-            with forced:
-                message = _compress(seed, nnz, dimension, sign_mode, variant)
-                encoded[mode] = {
-                    v: _serialize_at(message, v) for v in (1, 2)
-                }
-        # Kernel paths agree byte-for-byte at each payload version.
-        assert encoded["scalar"] == encoded["vectorised"]
-        v1, v2 = encoded["scalar"][1], encoded["scalar"][2]
         # deserialize → serialize is the identity at both versions, and
         # a v1 decode carries everything v2 ships (not the reverse: v2
         # drops the bucket splits).
@@ -202,20 +191,20 @@ class TestRoundTripProperties:
         dimension = max(nnz * 40, 64)
         keys, values = _gradient(seed, nnz, dimension, "mixed")
         cfg = SketchMLConfig.full(seed=seed, **_V2_CONFIGS[config])
-        wires = {}
-        for mode in ("scalar", "vectorised"):
-            with _forced(mode):
-                comp = SketchMLCompressor(cfg)
-                message = comp.compress(keys, values, dimension)
-                v1, v2 = (_serialize_at(message, v) for v in (1, 2))
-                assert len(v2) <= len(v1)
-                assert _serialize_at(deserialize_message(v2), 2) == v2
-                from_v1 = comp.decompress(deserialize_message(v1))
-                from_v2 = comp.decompress(deserialize_message(v2))
-                for a, b in zip(from_v1, from_v2):
-                    assert np.array_equal(_bits(a), _bits(b))
-            wires[mode] = (v1, v2)
-        assert wires["scalar"] == wires["vectorised"]
+        comp = SketchMLCompressor(cfg)
+        message = comp.compress(keys, values, dimension)
+        v1, v2 = (_serialize_at(message, v) for v in (1, 2))
+        assert len(v2) <= len(v1)
+        assert _serialize_at(deserialize_message(v2), 2) == v2
+        from_v1 = comp.decompress(deserialize_message(v1))
+        from_v2 = comp.decompress(deserialize_message(v2))
+        for a, b in zip(from_v1, from_v2):
+            assert np.array_equal(_bits(a), _bits(b))
+        with reference_kernels():
+            reference = SketchMLCompressor(cfg).compress(keys, values, dimension)
+            assert (_serialize_at(reference, 1), _serialize_at(reference, 2)) == (
+                v1, v2
+            )
         # A grouped sketch off the shared shape or seed stride has no v2
         # layout: it must raise at v2 and still round-trip at v1.
         grouped = next(
@@ -244,14 +233,10 @@ class TestRoundTripProperties:
         dimension = max(nnz * 40, 64)
         keys, values = _gradient(seed, nnz, dimension, "mixed")
         cfg = SketchMLConfig.full(seed=seed, **_V2_CONFIGS[config])
-        for mode in ("scalar", "vectorised"):
-            with _forced(mode):
-                message = SketchMLCompressor(cfg).compress(
-                    keys, values, dimension
-                )
-                wire = serialize_message(message, version=2)
-            assert message.num_bytes == len(wire)
-            assert sum(message.breakdown.values()) == message.num_bytes
+        message = SketchMLCompressor(cfg).compress(keys, values, dimension)
+        wire = serialize_message(message, version=2)
+        assert message.num_bytes == len(wire)
+        assert sum(message.breakdown.values()) == message.num_bytes
 
     @FUZZ
     @given(
@@ -778,11 +763,7 @@ MAY_ACCEPT_CASES = _bitflip_cases()
     ids=[c[0] for c in MUST_FAIL_CASES],
 )
 def test_corrupt_bytes_always_raise_structured_error(data, mode):
-    forced = (
-        kernels.scalar_kernels() if mode == "scalar"
-        else kernels.vectorised_kernels()
-    )
-    with forced:
+    with kernel_path(mode):
         with pytest.raises(SerializationError):
             deserialize_message(data)
 
@@ -796,12 +777,8 @@ def test_bit_flips_never_decode_silently_wrong(data, mode):
     """A flipped bit either raises the structured error or lands in
     value data — in which case the decode must be a *faithful* reading:
     re-serializing it reproduces the mutated bytes exactly."""
-    forced = (
-        kernels.scalar_kernels() if mode == "scalar"
-        else kernels.vectorised_kernels()
-    )
     version = data[4] if len(data) > 4 else 1
-    with forced:
+    with kernel_path(mode):
         try:
             message = deserialize_message(data)
         except SerializationError:
@@ -993,19 +970,14 @@ class TestRiceKeyProperties:
         groups = _key_groups(seed, nnz, num_groups, shape)
         concat = np.concatenate(groups)
         counts = np.asarray([g.size for g in groups], dtype=np.int64)
-        coded = {}
-        for mode in ("scalar", "vectorised"):
-            with _forced(mode):
-                key_code, blobs = encode_key_groups_v2(concat, counts)
-                keys, got_counts = decode_key_groups_v2(key_code, blobs)
-                assert np.array_equal(keys, concat)
-                assert np.array_equal(got_counts, counts)
-                v1 = encode_key_groups_flat(concat, counts)
-                assert sum(map(len, blobs)) <= sum(map(len, v1))
-                assert encode_key_groups_v2(keys, got_counts) == (key_code, blobs)
-            coded[mode] = (key_code, blobs)
-        assert coded["scalar"] == coded["vectorised"]
-        assert coded["scalar"] == rice_reference.encode_groups_v2(
+        key_code, blobs = encode_key_groups_v2(concat, counts)
+        keys, got_counts = decode_key_groups_v2(key_code, blobs)
+        assert np.array_equal(keys, concat)
+        assert np.array_equal(got_counts, counts)
+        v1 = encode_key_groups_flat(concat, counts)
+        assert sum(map(len, blobs)) <= sum(map(len, v1))
+        assert encode_key_groups_v2(keys, got_counts) == (key_code, blobs)
+        assert (key_code, blobs) == rice_reference.encode_groups_v2(
             [g.tolist() for g in groups]
         )
 
@@ -1262,11 +1234,9 @@ class TestLengthBudgetRegressions:
         data = _forge_index_message(
             _dense_block(0, 1, 1, b""), nnz_lie, num_keys=1
         )
-        forced = (
-            kernels.scalar_kernels() if mode == "scalar"
-            else kernels.vectorised_kernels()
-        )
-        with forced, pytest.raises(SerializationError, match="raw keys"):
+        with kernel_path(mode), pytest.raises(
+            SerializationError, match="raw keys"
+        ):
             deserialize_message(data)
 
 
