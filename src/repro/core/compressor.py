@@ -14,12 +14,15 @@ Encode phase (for a sparse gradient ``{(k_j, v_j)}``):
    bound), whichever is smaller for the sign's keys — both sizes are
    computed before either is coded.  The blobs are in payload v2's
    code; a payload-v1 write transcodes Rice blobs to delta-binary.
+   The ablation's sketch-free parts code their one key list the same
+   way.
 4. Ship: per-group key blobs + per-group sketch tables + bucket means.
 
 Decode phase reverses it: recover keys from the key blobs (a part
 keeps the keys ``compress`` coded or a reader decoded beside their
 blobs, :class:`GroupKeys`, so each message is key-decoded at most
-once), query each group's sketch (Max protocol) for bucket indexes,
+once, and ``decompress`` decodes none), query each group's sketch
+(Max protocol) for bucket indexes,
 map indexes to bucket means, merge the parts, and sort by key.  A
 merged key outside the message's dimension, or in both sign parts, is
 a :class:`~repro.core.serialization.SerializationError`.
@@ -46,7 +49,6 @@ from ..compression.base import (
 )
 from .bitpack import pack_uint_array, unpack_uint_array
 from .config import SketchMLConfig
-from .delta_encoding import decode_keys, encode_keys
 from .minmax_sketch import GroupedMinMaxSketch
 from .quantizer import QuantileBucketQuantizer, SignedBuckets
 from .rice import encode_key_groups_v2
@@ -56,10 +58,11 @@ __all__ = ["SketchMLCompressor", "SketchMLPayload", "SignPart", "GroupKeys"]
 
 @dataclass(frozen=True, eq=False)
 class GroupKeys:
-    """A sketch part's keys, decoded and coded, always set together.
+    """A part's delta-coded keys, decoded and coded, always set together.
 
     ``concat`` holds every group's ascending keys back to back
-    (``counts[g]`` of them for group ``g``); ``blobs`` code them, one per
+    (``counts[g]`` of them for group ``g``; a part without a sketch is
+    one group); ``blobs`` code them, one per
     group, in ``code``: a payload-v2 key code
     (:data:`~repro.core.rice.KEY_CODE_RICE` / ``KEY_CODE_DELTA``), or
     ``None`` for delta-binary blobs whose v2 code was never chosen (a
@@ -72,8 +75,13 @@ class GroupKeys:
     blobs: List[bytes]
 
     @classmethod
-    def coded(cls, concat: np.ndarray, counts: np.ndarray) -> "GroupKeys":
-        """Keys with their payload-v2 blobs, coded once."""
+    def coded(
+        cls, concat: np.ndarray, counts: Optional[np.ndarray] = None
+    ) -> "GroupKeys":
+        """Keys with their payload-v2 blobs, coded once; ``counts``
+        defaults to one group."""
+        if counts is None:
+            counts = np.array([concat.size], dtype=np.int64)
         return cls(concat, counts, *encode_key_groups_v2(concat, counts))
 
 
@@ -89,8 +97,7 @@ class SignPart:
     nnz: int
     buckets: Optional[SignedBuckets] = None
     # --- keys ---
-    group_keys: Optional[GroupKeys] = None  # minmax path (per group)
-    key_blob: Optional[bytes] = None  # delta keys, no sketch
+    group_keys: Optional[GroupKeys] = None  # delta keys (per group)
     raw_keys: Optional[np.ndarray] = None  # 4-byte keys
     # --- values ---
     sketch: Optional[GroupedMinMaxSketch] = None  # minmax path
@@ -300,7 +307,7 @@ class SketchMLCompressor(GradientCompressor):
         part = SignPart(sign=0, nnz=keys.size, raw_values=values.copy())
         if self.config.enable_delta_keys:
             with telemetry.span("codec.delta_encode"):
-                part.key_blob = encode_keys(keys)
+                part.group_keys = GroupKeys.coded(keys.copy())
         else:
             part.raw_keys = keys.copy()
         return part
@@ -366,7 +373,7 @@ class SketchMLCompressor(GradientCompressor):
                 )
             if cfg.enable_delta_keys:
                 with telemetry.span("codec.delta_encode"):
-                    part.key_blob = encode_keys(keys)
+                    part.group_keys = GroupKeys.coded(keys)
             else:
                 part.raw_keys = keys.copy()
         return part
@@ -438,7 +445,7 @@ class SketchMLCompressor(GradientCompressor):
                 )
             all_keys.append(part_keys)
             all_values.append(part_values)
-            runs += part.group_keys.counts.size if part.sketch is not None else 1
+            runs += part.group_keys.counts.size if part.group_keys is not None else 1
         if not all_keys:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
         keys = np.concatenate(all_keys)
@@ -459,10 +466,7 @@ class SketchMLCompressor(GradientCompressor):
     ) -> Tuple[np.ndarray, np.ndarray]:
         if part.raw_values is not None:
             # Unquantized path.
-            if part.key_blob is not None:
-                keys = decode_keys(part.key_blob)
-            else:
-                keys = part.raw_keys
+            keys = _part_keys(part)
             if sanitize_active:
                 sanitize.check_ascending_keys(keys, part=part.sign)
             return keys, part.raw_values
@@ -501,11 +505,7 @@ class SketchMLCompressor(GradientCompressor):
                         part=part.sign,
                     )
         else:
-            if part.key_blob is not None:
-                with telemetry.span("codec.delta_decode"):
-                    keys = decode_keys(part.key_blob)
-            else:
-                keys = part.raw_keys
+            keys = _part_keys(part)
             if part.packed_indexes is not None:
                 indexes = unpack_uint_array(
                     part.packed_indexes, keys.size, part.index_bits
@@ -524,6 +524,14 @@ class SketchMLCompressor(GradientCompressor):
 
     def __repr__(self) -> str:
         return f"SketchMLCompressor(config={self.config.ablation_label!r})"
+
+
+def _part_keys(part: SignPart) -> np.ndarray:
+    """A sketch-free part's keys: decoded beside their blobs, or raw."""
+    if part.group_keys is None:
+        return part.raw_keys
+    with telemetry.span("codec.delta_decode"):
+        return part.group_keys.concat
 
 
 def _merge(

@@ -1,8 +1,9 @@
-"""Block-adaptive Rice code for the grouped keys of payload v2.
+"""Block-adaptive Rice code for the ascending keys of payload v2.
 
-A MinMaxSketch part ships one ascending key list per group.  Payload v1
-codes each list delta-binary (§3.4: one byte minimum plus a 2-bit flag,
-≥ 10 bits per key); payload v2 codes them with a Rice code whose
+Every delta-keyed part ships ascending key lists: one per group for a
+MinMaxSketch part, one for a raw-value or bucket-index part.  Payload
+v1 codes each list delta-binary (§3.4: one byte minimum plus a 2-bit
+flag, ≥ 10 bits per key); payload v2 codes them with a Rice code whose
 parameter adapts per block of 64 keys, which lands near the
 order-statistics bound ``log2(D/n) + 1.44`` bits per key.
 
@@ -43,20 +44,22 @@ functions of the gaps, so :func:`encode_key_groups_v2` computes them
 before coding either and codes only the smaller (Rice only when
 strictly smaller); the part's key code records the choice
 (:data:`KEY_CODE_DELTA` / :data:`KEY_CODE_RICE`), and
-:func:`decode_key_groups_v2` rejects a part whose code is not the one
-the encoder would have chosen.
+:func:`decode_key_parts` rejects a part whose code is not the one the
+encoder would have chosen.
 
-Everything is whole-array numpy work over all groups of a part at once:
-the unary stream is one ``packbits``/``unpackbits``, the low stream is
+Everything is whole-array numpy work over all groups at once: the
+unary stream is one ``packbits``/``unpackbits``, the low stream is
 summed into 32-bit words on encode and read back with one 8-byte
-window gather per key on decode.  There is no scalar twin in the
-package; ``tests/rice_reference.py`` is a pure-Python executable spec
-of the same code.
+window gather per key on decode.  A reader hands
+:func:`decode_key_parts` every part of a message, so one decode pass
+covers all of its Rice blobs.  There is no scalar twin in the package;
+``tests/rice_reference.py`` is a pure-Python executable spec of the
+same code.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,7 +73,8 @@ __all__ = [
     "encode_rice_groups_flat",
     "decode_rice_groups_flat",
     "encode_key_groups_v2",
-    "decode_key_groups_v2",
+    "decode_key_parts",
+    "rice_key_count",
 ]
 
 #: Keys per Rice block (one ``k`` byte each).
@@ -79,7 +83,9 @@ _BLOCK_SHIFT = 6
 #: Largest Rice parameter; gaps are below ``2**32``.
 MAX_K = 31
 
-#: Payload-v2 key codes of a sketch part (its marker byte on the wire).
+#: Payload-v2 key codes of a part's key blobs (a kind-2 part's
+#: ``key_code`` byte; a kind-0/1 part's ``key_kind`` byte is the code
+#: plus one).
 KEY_CODE_DELTA = 0
 KEY_CODE_RICE = 1
 
@@ -360,7 +366,7 @@ def _rice_wins(plan: _RicePlan) -> bool:
 def encode_key_groups_v2(
     concat: np.ndarray, counts: np.ndarray
 ) -> Tuple[int, List[bytes]]:
-    """A sketch part's payload-v2 key blobs: ``(key_code, blobs)``.
+    """A part's payload-v2 key blobs: ``(key_code, blobs)``.
 
     Both candidate sizes are computed from the gaps before anything is
     coded; Rice is used only when strictly smaller than delta-binary,
@@ -563,17 +569,12 @@ def decode_rice_groups_flat(blobs: Sequence[bytes]) -> Tuple[np.ndarray, np.ndar
     return keys, counts
 
 
-def decode_key_groups_v2(
-    key_code: int, blobs: Sequence[bytes]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Decode a payload-v2 sketch part's key blobs into ``(concat, counts)``.
-
-    Besides each blob's own checks, the part's key code must be the one
-    :func:`encode_key_groups_v2` picks for these keys.
-    """
+def _check_choice(
+    key_code: int, keys: np.ndarray, counts: np.ndarray, size: int
+) -> None:
+    """Raise unless ``key_code`` is the one :func:`encode_key_groups_v2`
+    picks for these keys; ``size`` is their blobs' total length."""
     if key_code == KEY_CODE_RICE:
-        keys, counts = decode_rice_groups_flat(blobs)
-        size = sum(map(len, blobs))
         if size >= _delta_floor(counts) and size >= _delta_size(
             *_layout_and_gaps(keys, counts)
         ):
@@ -581,14 +582,77 @@ def decode_key_groups_v2(
                 f"key code {KEY_CODE_RICE} (Rice) for keys whose {size}-byte "
                 f"Rice blobs are not smaller than delta-binary"
             )
-        return keys, counts
-    if key_code == KEY_CODE_DELTA:
-        keys, counts = decode_key_groups_flat(blobs)
+    else:
         plan = _RicePlan(*_layout_and_gaps(keys, counts))
         if _rice_wins(plan):
             raise ValueError(
                 f"key code {KEY_CODE_DELTA} (delta-binary) for keys whose "
                 f"Rice blobs ({plan.size} bytes) are smaller"
             )
-        return keys, counts
-    raise ValueError(f"unknown key code {key_code}")
+
+
+_DECODERS = {
+    KEY_CODE_RICE: decode_rice_groups_flat,
+    KEY_CODE_DELTA: decode_key_groups_flat,
+    None: decode_key_groups_flat,
+}
+
+
+def decode_key_parts(
+    parts: Sequence[Tuple[Optional[int], Sequence[bytes]]]
+) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Decode the key blobs of a message's parts: ``(concat, counts)``
+    per ``(key_code, blobs)``.
+
+    ``key_code`` ``None`` marks delta-binary blobs of a payload-v1
+    message, which has no code to check.  The blobs of every part in
+    one code are decoded in one call (one pass for a message's Rice
+    blobs, whatever its parts), and then each part's code must be the
+    one :func:`encode_key_groups_v2` picks for its keys.  A decode
+    error names the failing blob by its position among all of the
+    message's blobs in that code.
+
+    Raises:
+        ValueError: an unknown key code, a malformed blob, or a code
+            the encoder would not have chosen.
+    """
+    codes = [code for code, _ in parts]
+    unknown = [code for code in codes if code not in _DECODERS]
+    if unknown:
+        raise ValueError(f"unknown key code {unknown[0]}")
+    out: List[Tuple[np.ndarray, np.ndarray]] = [None] * len(parts)  # type: ignore[list-item]
+    for key_code, decode in _DECODERS.items():
+        if key_code not in codes:
+            continue
+        keys, counts = decode(
+            [blob for code, blobs in parts if code == key_code for blob in blobs]
+        )
+        bounds = np.zeros(counts.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=bounds[1:])
+        group = 0
+        for i, (code, blobs) in enumerate(parts):
+            if code != key_code:
+                continue
+            end = group + len(blobs)
+            part_keys = keys[bounds[group]:bounds[end]]
+            part_counts = counts[group:end]
+            if key_code is not None:
+                _check_choice(key_code, part_keys, part_counts, sum(map(len, blobs)))
+            out[i] = (part_keys, part_counts)
+            group = end
+    return out
+
+
+def rice_key_count(blob: bytes) -> int:
+    """The key count a Rice blob declares, once its length justifies it.
+
+    The same first two checks :func:`decode_rice_groups_flat` makes,
+    for a reader that must bound a part's key count before it decodes
+    the blob: a 4-byte header, and at most one key per bit.
+    """
+    if len(blob) < _HEADER_BYTES:
+        raise ValueError(_blob_error(0, blob))
+    n = int.from_bytes(blob[:_HEADER_BYTES], "little")
+    if n > 8 * len(blob):
+        raise ValueError(_blob_error(0, blob))
+    return n

@@ -19,6 +19,7 @@ The version 1 layout (all integers little-endian)::
       kind 0 (raw values):      key_kind u8, keys, values f64[]
       kind 1 (indexes):         key_kind u8, keys, bucket block, index
                                 marker u8, indexes
+      (key_kind 0: u4[] keys; 1: one delta-binary blob, length-prefixed)
       kind 2 (grouped sketch):  bucket block, num_blobs u8 + one key blob
                                 per group (delta-binary, length-prefixed),
                                 num_groups u8 | index_range u32, then one
@@ -38,6 +39,9 @@ codes what is left densely, so it is never larger than v1:
   (:mod:`repro.core.rice`), 0 when they stay delta-binary — the encoder
   picks Rice exactly when it is strictly smaller, and the decoder
   rejects any other choice;
+* a kind-0/1 part's key block takes the same choice for its one key
+  list: ``key_kind`` 2 is one length-prefixed Rice blob, and a part
+  that keeps delta-binary (``key_kind`` 1) is byte-identical to v1;
 * a kind-2 part ships one shared sketch header (group 0's seed; group
   ``g`` hashes with ``seed + GROUP_SEED_STRIDE * g``) and then every
   group's cells as one dense radix stream over the ``gir + 1`` symbols
@@ -62,7 +66,11 @@ instead of an allocation bomb.
 
 The decoder rebuilds the MinMaxSketch hash functions from the recorded
 ``(rows, bins, seed, family)``, so encoder and decoder agree on every
-bin placement without shipping the functions themselves.
+bin placement without shipping the functions themselves.  It decodes
+every part's delta-coded keys once the parts are read, in one pass per
+key code (:func:`~repro.core.rice.decode_key_parts`), and checks the
+counts: each part's keys, values and indexes number its ``nnz``, and
+the parts' ``nnz`` sum to the message's.
 """
 
 from __future__ import annotations
@@ -75,9 +83,9 @@ import numpy as np
 from .. import telemetry
 from ..compression.base import CompressedGradient
 from . import entropy as _entropy
-from .bitpack import pack_uint_array, unpack_uint_array
+from .bitpack import pack_uint_array, packed_size_bytes, unpack_uint_array
 from .compressor import GroupKeys, SketchMLPayload, SignPart
-from .delta_encoding import decode_key_groups_flat, encode_key_groups_flat
+from .delta_encoding import encode_key_groups_flat
 from .minmax_sketch import (
     GROUP_SEED_STRIDE,
     GroupedMinMaxSketch,
@@ -85,7 +93,13 @@ from .minmax_sketch import (
     _dtype_for_range,
 )
 from .quantizer import SignedBuckets
-from .rice import KEY_CODE_RICE, decode_key_groups_v2, encode_key_groups_v2
+from .rice import (
+    KEY_CODE_DELTA,
+    KEY_CODE_RICE,
+    decode_key_parts,
+    encode_key_groups_v2,
+    rice_key_count,
+)
 
 __all__ = [
     "serialize_message",
@@ -124,8 +138,11 @@ _KIND_RAW = 0
 _KIND_INDEXES = 1
 _KIND_SKETCH = 2
 
+#: A kind-0/1 part's ``key_kind``: raw keys, or one blob in a v2 key
+#: code (``key_kind - 1``; Rice is payload v2 only).
 _KEY_KIND_RAW = 0
-_KEY_KIND_DELTA = 1
+_KEY_KIND_DELTA = 1 + KEY_CODE_DELTA
+_KEY_KIND_RICE = 1 + KEY_CODE_RICE
 
 #: Index markers inside a kind-1 part.  1 and 2 double as the array
 #: itemsize, a v1 layout quirk kept for compatibility.
@@ -546,7 +563,7 @@ def _write_index_stream(w: _Writer, part: SignPart, entropy: bool) -> None:
             _write_entropy_block(w, _ENTROPY_ORIGIN_PLAIN, itemsize, block)
 
 
-def _read_entropy_indexes(r: _Reader, part: SignPart, message_nnz: int) -> None:
+def _read_entropy_indexes(r: _Reader, part: SignPart) -> None:
     origin, width, num_symbols = r.unpack(_ENTROPY_FIELDS)
     if origin not in (_ENTROPY_ORIGIN_PLAIN, _ENTROPY_ORIGIN_PACKED):
         raise SerializationError(f"unknown entropy origin {origin}")
@@ -571,38 +588,10 @@ def _read_entropy_indexes(r: _Reader, part: SignPart, message_nnz: int) -> None:
         raise SerializationError(
             f"{num_symbols}-symbol alphabet does not fit pack width {width}"
         )
-    # Clamp the symbol count against the message-level nnz (itself
-    # budget-checked) so a lying part header cannot size the decode.
-    if part.nnz > message_nnz:
-        raise SerializationError(
-            f"part nnz {part.nnz} exceeds message nnz {message_nnz}"
-        )
     # A one-symbol alphabet codes to zero bytes per symbol, so the
-    # coded length alone cannot bound the count.  The part's key
-    # stream can: an index part carries one key per index, and the
-    # keys were already read as physically present bytes — raw keys at
-    # 4 bytes each, delta-coded keys at ≥ 1 payload byte plus a
-    # quarter flag byte each after the u4 count header.  Reject any
-    # nnz those bytes cannot justify before decoding.
-    if part.raw_keys is not None:
-        if part.raw_keys.size != part.nnz:
-            raise SerializationError(
-                f"part nnz {part.nnz} disagrees with "
-                f"{part.raw_keys.size} raw keys"
-            )
-    elif part.key_blob is not None:
-        blob = part.key_blob
-        declared = int.from_bytes(blob[:4], "little") if len(blob) >= 4 else -1
-        min_len = 4 + (part.nnz + 3) // 4 + part.nnz
-        if declared != part.nnz or len(blob) < min_len:
-            raise SerializationError(
-                f"part nnz {part.nnz} is not justified by its "
-                f"{len(blob)}-byte key blob"
-            )
-    else:
-        raise SerializationError(
-            "entropy-coded indexes without a key stream"
-        )
+    # coded length alone cannot bound the count; the part's key block,
+    # already read as physically present bytes, has bounded it
+    # (:func:`_read_keys`).
     coded = r.blob()
     try:
         symbols = _entropy.decode_indexes(coded, num_symbols, part.nnz)
@@ -631,19 +620,16 @@ def _write_part(w: _Writer, part: SignPart, version: int, entropy: bool) -> None
     w.pack(_U64, part.nnz)
     if part.raw_values is not None:
         w.pack(_U8, _KIND_RAW)
-        _write_keys(w, part)
+        _write_keys(w, part, version)
         w.section("values")
         w.array(np.asarray(part.raw_values, dtype="<f8"))
     elif part.sketch is not None:
         w.pack(_U8, _KIND_SKETCH)
         _write_buckets(w, part.buckets, version)
         w.section("keys")
-        if version < PAYLOAD_VERSION_V2:
-            blobs = _v1_group_key_blobs(part.group_keys)
-            w.pack(_U8, len(blobs))
-        else:
-            key_code, blobs = _v2_group_key_blobs(part.group_keys)
-            w.pack(_U8, len(blobs))
+        key_code, blobs = _key_blobs(part.group_keys, version)
+        w.pack(_U8, len(blobs))
+        if version >= PAYLOAD_VERSION_V2:
             w.pack(_U8, key_code)
         for blob in blobs:
             w.blob(blob)
@@ -654,86 +640,178 @@ def _write_part(w: _Writer, part: SignPart, version: int, entropy: bool) -> None
             _write_grouped_v2(w, part.sketch)
     else:
         w.pack(_U8, _KIND_INDEXES)
-        _write_keys(w, part)
+        _write_keys(w, part, version)
         _write_buckets(w, part.buckets, version)
         w.section("values")
         _write_index_stream(w, part, entropy)
 
 
-def _v1_group_key_blobs(keys: GroupKeys) -> List[bytes]:
-    """A sketch part's key blobs in v1's code, delta-binary."""
-    if keys.code == KEY_CODE_RICE:
-        return encode_key_groups_flat(keys.concat, keys.counts)
-    return keys.blobs
+def _key_blobs(keys: GroupKeys, version: int) -> Tuple[Optional[int], List[bytes]]:
+    """A part's key code and blobs in ``version``'s code.
 
-
-def _v2_group_key_blobs(keys: GroupKeys) -> Tuple[int, List[bytes]]:
-    """A sketch part's key code and blobs in v2's code.
-
-    ``compress`` codes them once, in this code, and they are copied;
-    delta-binary blobs whose v2 code was never chosen (a v1 decode) get
-    it chosen here.
+    ``compress`` codes them once, in v2's code, and the v2 writer copies
+    them; v1 ships delta-binary (code ``None``), so Rice blobs are
+    transcoded.  Delta-binary blobs whose v2 code was never chosen (a
+    v1 decode) get it chosen for a v2 write.
     """
+    if version < PAYLOAD_VERSION_V2:
+        if keys.code == KEY_CODE_RICE:
+            return None, encode_key_groups_flat(keys.concat, keys.counts)
+        return None, keys.blobs
     if keys.code is not None:
         return keys.code, keys.blobs
     return encode_key_groups_v2(keys.concat, keys.counts)
 
 
-def _read_group_keys(r: _Reader, version: int) -> GroupKeys:
-    """Read a sketch part's key blobs and decode them, fully checked."""
-    num_blobs = r.unpack(_U8)
-    code = r.unpack(_U8) if version >= PAYLOAD_VERSION_V2 else None
-    blobs = [r.blob() for _ in range(num_blobs)]
-    try:
-        if code is None:
-            concat, counts = decode_key_groups_flat(blobs)
-        else:
-            concat, counts = decode_key_groups_v2(code, blobs)
-    except ValueError as exc:
-        raise SerializationError(f"corrupt group key blobs: {exc}") from None
-    return GroupKeys(concat, counts, code, blobs)
-
-
-def _write_keys(w: _Writer, part: SignPart) -> None:
+def _write_keys(w: _Writer, part: SignPart, version: int) -> None:
     w.section("keys")
-    if part.key_blob is not None:
-        w.pack(_U8, _KEY_KIND_DELTA)
-        w.blob(part.key_blob)
-    else:
+    if part.group_keys is None:
         w.pack(_U8, _KEY_KIND_RAW)
         w.array(np.asarray(part.raw_keys, dtype="<u4"))
+        return
+    key_code, (blob,) = _key_blobs(part.group_keys, version)
+    w.pack(_U8, _KEY_KIND_DELTA if key_code is None else 1 + key_code)
+    w.blob(blob)
 
 
-def _read_keys(r: _Reader, part: SignPart) -> None:
+#: A message's delta-coded key blocks as read, ``(part, key code,
+#: blobs)`` each; :func:`_decode_keys` decodes them once all parts are in.
+_PendingKeys = List[Tuple[SignPart, Optional[int], List[bytes]]]
+
+
+def _delta_key_count(blob: bytes) -> int:
+    """A delta-binary blob's declared key count, once its length
+    justifies it: each key costs a quarter flag byte and at least one
+    payload byte after the u4 count."""
+    n = int.from_bytes(blob[:4], "little")
+    if len(blob) < 4 + (n + 3) // 4 + n:
+        raise SerializationError(
+            f"a {len(blob)}-byte delta-binary key blob cannot hold a key "
+            f"count and the {n} keys it declares"
+        )
+    return n
+
+
+def _read_keys(
+    r: _Reader, part: SignPart, version: int, pending: _PendingKeys
+) -> None:
+    """Read a kind-0/1 part's key block.
+
+    Its key count must be the part's nnz.  The count comes from bytes
+    already present (4 per raw key; a blob header checked against the
+    blob's length), so it bounds nnz before anything sized by nnz, such
+    as an index decode, exists.
+    """
     key_kind = r.unpack(_U8)
-    if key_kind == _KEY_KIND_DELTA:
-        part.key_blob = r.blob()
-    elif key_kind == _KEY_KIND_RAW:
+    if key_kind == _KEY_KIND_RAW:
         part.raw_keys = r.array("<u4").astype(np.int64)
+        count, what = part.raw_keys.size, "raw keys"
+    elif key_kind in (_KEY_KIND_DELTA, _KEY_KIND_RICE):
+        if key_kind == _KEY_KIND_RICE and version < PAYLOAD_VERSION_V2:
+            raise SerializationError(
+                "key kind 2 (Rice-coded keys) is not valid in a v1 message"
+            )
+        blob = r.blob()
+        if key_kind == _KEY_KIND_RICE:
+            try:
+                count = rice_key_count(blob)
+            except ValueError as exc:
+                raise SerializationError(f"corrupt key blob: {exc}") from None
+            what = "Rice-coded keys"
+        else:
+            count, what = _delta_key_count(blob), "delta-binary keys"
+        code = key_kind - 1 if version >= PAYLOAD_VERSION_V2 else None
+        pending.append((part, code, [blob]))
     else:
         raise SerializationError(f"unknown key kind {key_kind}")
+    if count != part.nnz:
+        raise SerializationError(
+            f"part nnz {part.nnz} disagrees with its {count} {what}"
+        )
 
 
-def _read_part(r: _Reader, version: int, message_nnz: int) -> SignPart:
+def _decode_keys(pending: _PendingKeys) -> None:
+    """Decode a message's key blobs, one pass per code, into each part's
+    :class:`GroupKeys`; a part's keys must number its nnz."""
+    try:
+        decoded = decode_key_parts([(code, blobs) for _, code, blobs in pending])
+    except ValueError as exc:
+        raise SerializationError(f"corrupt key blobs: {exc}") from None
+    for (part, code, blobs), (concat, counts) in zip(pending, decoded):
+        if concat.size != part.nnz:
+            raise SerializationError(
+                f"part nnz {part.nnz} disagrees with its {concat.size} keys"
+            )
+        part.group_keys = GroupKeys(concat, counts, code, blobs)
+
+
+def _read_index_stream(r: _Reader, part: SignPart, version: int) -> None:
+    marker = r.unpack(_U8)
+    if marker == _MARKER_PACKED:
+        part.index_bits = r.unpack(_U8)
+        if not 1 <= part.index_bits <= 16:
+            raise SerializationError(
+                f"invalid packed index width {part.index_bits}"
+            )
+        part.packed_indexes = r.blob()
+        if len(part.packed_indexes) != packed_size_bytes(part.nnz, part.index_bits):
+            raise SerializationError(
+                f"part nnz {part.nnz} disagrees with a "
+                f"{len(part.packed_indexes)}-byte stream of "
+                f"{part.index_bits}-bit indexes"
+            )
+    elif marker in (_MARKER_ENTROPY, _MARKER_RANS_RETIRED):
+        if version < PAYLOAD_VERSION_V2:
+            raise SerializationError(
+                "entropy-coded indexes are not valid in a v1 message"
+            )
+        if marker == _MARKER_RANS_RETIRED:
+            raise SerializationError(
+                "index marker 3 (rANS-coded indexes) is retired; "
+                "the peer must send marker 4 (dense radix)"
+            )
+        _read_entropy_indexes(r, part)
+    else:
+        dtype = {1: "u1", 2: "<u2"}.get(marker)
+        if dtype is None:
+            raise SerializationError(f"unknown index width {marker}")
+        part.indexes = r.array(dtype).copy()
+        if part.indexes.size != part.nnz:
+            raise SerializationError(
+                f"part nnz {part.nnz} disagrees with its "
+                f"{part.indexes.size} indexes"
+            )
+
+
+def _read_part(
+    r: _Reader, version: int, nnz_left: int, pending: _PendingKeys
+) -> SignPart:
     sign = r.unpack(_I8)
     nnz = r.unpack(_U64)
     kind = r.unpack(_U8)
-    if nnz > r._budget:
+    if nnz > nnz_left:
         raise SerializationError(
-            f"part nnz {nnz} exceeds the message budget"
+            f"part nnz {nnz} exceeds the {nnz_left} keys the message nnz "
+            f"leaves for it"
         )
     part = SignPart(sign=sign, nnz=nnz)
     if kind == _KIND_RAW:
-        _read_keys(r, part)
+        _read_keys(r, part, version, pending)
         part.raw_values = r.array("<f8").copy()
+        if part.raw_values.size != nnz:
+            raise SerializationError(
+                f"part nnz {nnz} disagrees with its "
+                f"{part.raw_values.size} values"
+            )
     elif kind == _KIND_SKETCH:
         part.buckets = _read_buckets(r, version)
-        part.group_keys = _read_group_keys(r, version)
+        num_blobs = r.unpack(_U8)
+        code = r.unpack(_U8) if version >= PAYLOAD_VERSION_V2 else None
+        pending.append((part, code, [r.blob() for _ in range(num_blobs)]))
         part.sketch = (
             _read_grouped(r) if version < PAYLOAD_VERSION_V2
             else _read_grouped_v2(r)
         )
-        num_blobs = len(part.group_keys.blobs)
         if num_blobs != part.sketch.num_groups:
             # One key blob per group sketch: a surplus blob has no
             # sketch to query, a missing one drops that group's keys.
@@ -742,32 +820,9 @@ def _read_part(r: _Reader, version: int, message_nnz: int) -> SignPart:
                 f"{part.sketch.num_groups} group sketches"
             )
     elif kind == _KIND_INDEXES:
-        _read_keys(r, part)
+        _read_keys(r, part, version, pending)
         part.buckets = _read_buckets(r, version)
-        marker = r.unpack(_U8)
-        if marker == _MARKER_PACKED:
-            part.index_bits = r.unpack(_U8)
-            if not 1 <= part.index_bits <= 16:
-                raise SerializationError(
-                    f"invalid packed index width {part.index_bits}"
-                )
-            part.packed_indexes = r.blob()
-        elif marker in (_MARKER_ENTROPY, _MARKER_RANS_RETIRED):
-            if version < PAYLOAD_VERSION_V2:
-                raise SerializationError(
-                    "entropy-coded indexes are not valid in a v1 message"
-                )
-            if marker == _MARKER_RANS_RETIRED:
-                raise SerializationError(
-                    "index marker 3 (rANS-coded indexes) is retired; "
-                    "the peer must send marker 4 (dense radix)"
-                )
-            _read_entropy_indexes(r, part, message_nnz)
-        else:
-            dtype = {1: "u1", 2: "<u2"}.get(marker)
-            if dtype is None:
-                raise SerializationError(f"unknown index width {marker}")
-            part.indexes = r.array(dtype).copy()
+        _read_index_stream(r, part, version)
     else:
         raise SerializationError(f"unknown part kind {kind}")
     return part
@@ -896,12 +951,19 @@ def _read_message(
         if not np.isfinite(decay_scale) or decay_scale <= 0.0:
             raise SerializationError(f"invalid decay scale {decay_scale}")
     num_parts = r.unpack(_U8)
-    payload = SketchMLPayload(
-        parts=[_read_part(r, version, int(nnz)) for _ in range(num_parts)],
-        decay_scale=decay_scale,
-    )
+    payload = SketchMLPayload(decay_scale=decay_scale)
+    pending: _PendingKeys = []
+    nnz_left = nnz
+    for _ in range(num_parts):
+        payload.parts.append(_read_part(r, version, nnz_left, pending))
+        nnz_left -= payload.parts[-1].nnz
+    if nnz_left:
+        raise SerializationError(
+            f"the parts hold {nnz - nnz_left} of the message's {nnz} keys"
+        )
     if not r.exhausted:
         raise SerializationError("trailing bytes after message")
+    _decode_keys(pending)
     return payload, int(dimension), int(nnz)
 
 

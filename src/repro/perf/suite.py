@@ -9,7 +9,8 @@ codec stage is processing.
 The ``delta_*`` rows time the paper's delta-binary key code (§3.4);
 the ``keys_*_v2`` rows time what payload v2 does with a real message's
 grouped sketch keys instead — choose a code and Rice-code them on
-encode, decode them with every canonical check on decode.  The
+encode, decode all of the message's parts in one pass with every
+canonical check on decode.  The
 ``adam_step`` rows time the optimizer apply that follows a decode on
 every replica.  The ``batch_gradient`` rows time the step before any
 codec work: a worker's logistic-regression gradient over a kdd12-like
@@ -34,7 +35,7 @@ from ..core.delta_encoding import (
 )
 from ..core.minmax_sketch import GroupedMinMaxSketch
 from ..core.quantizer import QuantileBucketQuantizer
-from ..core.rice import decode_key_groups_v2, encode_key_groups_v2
+from ..core.rice import decode_key_parts, encode_key_groups_v2
 from ..data.synthetic import KDD12_LIKE, generate_dataset
 from ..models import LogisticRegression
 from ..optim import Adam
@@ -236,7 +237,7 @@ def _bench_keys_decode_v2(
     groups = [part.group_keys for part in _decode_operands(nnz, cfg)]
     return time_kernel(
         f"keys_decode_v2/{nnz}",
-        lambda: [decode_key_groups_v2(g.code, g.blobs) for g in groups],
+        lambda: decode_key_parts([(g.code, g.blobs) for g in groups]),
         elements=nnz,
         bytes_processed=nnz * _KEY_BYTES,
         warmup=warmup,

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.core.bitpack import pack_uint_array
 from repro.core.compressor import SketchMLCompressor
 from repro.core.config import SketchMLConfig
+from repro.core.delta_encoding import encode_keys
 from repro.core.entropy import (
     MAX_RADIX,
     EntropyError,
@@ -279,10 +280,13 @@ class TestSerializerContract:
         v2_plain = serialize_message(message, version=2)
         v2 = serialize_message(message, version=2, entropy=True)
         assert len(v2) <= len(v2_plain) <= len(v1)
-        # Plain v2 differs from v1 only by the splits arrays it drops:
-        # one u64 length prefix and q + 1 f64 per part.
+        # Plain v2 differs from v1 only by the splits arrays it drops
+        # (one u64 length prefix and q + 1 f64 per part) and by the key
+        # blob it Rice-codes where that is smaller than delta-binary.
         assert len(v1) - len(v2_plain) == sum(
             8 + 8 * (part.buckets.num_buckets + 1)
+            + len(encode_keys(part.group_keys.concat))
+            - len(part.group_keys.blobs[0])
             for part in message.payload.parts
         )
         decoded = deserialize_message(v2)

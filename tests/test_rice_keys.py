@@ -13,7 +13,7 @@ import pytest
 from repro.core.rice import (
     KEY_CODE_DELTA,
     KEY_CODE_RICE,
-    decode_key_groups_v2,
+    decode_key_parts,
     decode_rice_groups_flat,
     encode_key_groups_v2,
     encode_rice_groups_flat,
@@ -75,8 +75,30 @@ def test_key_code_follows_the_exact_sizes():
     tiny = np.asarray([3, 17, 40], dtype=np.int64)
     code, blobs = encode_key_groups_v2(tiny, np.asarray([3]))
     assert code == KEY_CODE_DELTA  # 8 bytes either way: Rice must win strictly
-    keys, _ = decode_key_groups_v2(code, blobs)
+    ((keys, _),) = decode_key_parts([(code, blobs)])
     assert keys.tolist() == [3, 17, 40]
+
+
+def test_one_pass_over_a_messages_parts_decodes_each_part():
+    """A message's parts in both codes decode in one pass per code to
+    what each part decodes to alone, in part order."""
+    rng = np.random.default_rng(7)
+    parts = []
+    for counts in ([300, 0, 41], [3], [2_000], [64, 65]):
+        groups = [np.sort(rng.choice(10**6, n, replace=False)) for n in counts]
+        if counts == [3]:
+            groups = [np.asarray([3, 17, 40])]  # stays delta-binary
+        parts.append(encode_key_groups_v2(
+            np.concatenate(groups), np.asarray(counts, dtype=np.int64)
+        ))
+    assert [code for code, _ in parts] == [
+        KEY_CODE_RICE, KEY_CODE_DELTA, KEY_CODE_RICE, KEY_CODE_RICE
+    ]
+    together = decode_key_parts(parts)
+    for part, (keys, counts) in zip(parts, together):
+        ((alone_keys, alone_counts),) = decode_key_parts([part])
+        assert np.array_equal(keys, alone_keys)
+        assert np.array_equal(counts, alone_counts)
 
 
 @pytest.mark.parametrize(

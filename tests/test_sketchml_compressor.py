@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro import sanitize
 from repro.compression.base import CompressedGradient
 from repro.core import SketchMLCompressor, SketchMLConfig
+from repro.core.compressor import GroupKeys
 from repro.core.delta_encoding import decode_keys
 from repro.core.serialization import (
     SerializationError,
@@ -259,6 +260,7 @@ class TestDecodedKeysBelongToTheMessage:
         neg = comp.compress(keys, -np.abs(values), dim).payload.parts[0]
         message = comp.compress(keys, values, dim)
         message.payload.parts = [pos, neg]
+        message.nnz = pos.nnz + neg.nnz  # parts must sum to the message nnz
         wire = serialize_message(message, version=2)
         # The sanitizer reports it first when on; this is the path without.
         with sanitize.sanitized(False), pytest.raises(
@@ -331,7 +333,9 @@ def _delta_blob(deltas):
 def test_forged_key_past_two_to_the_32_still_fails_the_dimension_check():
     """A delta-binary key blob that decodes past ``2**32``, in a forged
     three-part message (three runs, so the packed merge is considered),
-    falls back to the stable argsort and fails the dimension check."""
+    falls back to the stable argsort and fails the dimension check.
+    The message is payload v1, which has no key code whose choice would
+    reject the blob before ``decompress``."""
     rng = np.random.default_rng(16)
     dimension = 2**32
     keys = np.unique(rng.integers(dimension - 10**6, dimension, 3_000))
@@ -339,13 +343,16 @@ def test_forged_key_past_two_to_the_32_still_fails_the_dimension_check():
     comp = SketchMLCompressor(SketchMLConfig.keys_and_quantization())
     message = comp.compress(keys, values, dimension)
     pos, neg = message.payload.parts
-    part_keys = decode_keys(pos.key_blob).tolist()
+    part_keys = pos.group_keys.concat.tolist()
     deltas = [part_keys[0]] + [b - a for a, b in zip(part_keys, part_keys[1:])]
     deltas[-1] = 2**32 - 1  # the part's last key lands past 2**32
-    pos.key_blob = _delta_blob(deltas)
-    assert decode_keys(pos.key_blob)[-1] >= 2**32
+    blob = _delta_blob(deltas)
+    forged_keys = decode_keys(blob)
+    assert forged_keys[-1] >= 2**32
+    pos.group_keys = GroupKeys(forged_keys, pos.group_keys.counts, None, [blob])
     message.payload.parts.append(dataclasses.replace(neg))
-    wire = serialize_message(message, version=2)
+    message.nnz += neg.nnz
+    wire = serialize_message(message)
     # The sanitizer reports the repeated part first when on.
     with sanitize.sanitized(False), pytest.raises(
         SerializationError, match=r"key \d+ is outside .*dimension 4294967296"

@@ -14,8 +14,9 @@ Two tiers lock the protocol down:
 
 * **Mutation corpus** (deterministic, seeded): 200+ adversarial
   mutations of valid wire bytes — truncations, bit-flips, length-field
-  lies, forged index, sketch and Rice key blocks, duplicated/reordered/
-  dropped chunks, lying ``END`` trailers —
+  lies, forged index, sketch and Rice key blocks, one-list key blocks
+  and count mismatches, duplicated/reordered/dropped chunks, lying
+  ``END`` trailers —
   must always surface as a structured :class:`SerializationError` /
   :class:`FrameError`; never a hang, an allocation bomb, or a
   silently-wrong tensor.  A mutant the decoder *accepts* (a bit flip
@@ -54,7 +55,7 @@ from repro.core.quantizer import SignedBuckets
 from repro.core.rice import (
     KEY_CODE_DELTA,
     KEY_CODE_RICE,
-    decode_key_groups_v2,
+    decode_key_parts,
     encode_key_groups_v2,
 )
 from repro.core.serialization import (
@@ -320,22 +321,26 @@ class TestRoundTripProperties:
 # mutation corpus
 # ----------------------------------------------------------------------
 def _base_messages():
-    """Two fixed, deterministic wire payloads to mutate: the packed
-    quantization config at v1 and at v2 (the v2 bytes exercise the
+    """Two fixed, deterministic messages whose wire bytes are mutated:
+    the packed quantization config at v1 and at v2 (the v2 bytes exercise the
     dense-coded index block, marker 4).
 
-    The v2 base is a larger gradient than the v1 base: 1 304 nnz over
-    41 000 keys code to exactly the 3 794 bytes the 900-nnz base took at
-    v2 before v2 dropped the bucket splits, so the seeded truncation and
+    The v2 base is a larger gradient than the v1 base, and its parts
+    ship Rice-coded keys (key kind 2): 1 304 nnz over 245 853 keys code
+    to exactly the 3 794 bytes the 900-nnz base took at v2 before v2
+    dropped the bucket splits, with every length field the length-lie
+    scan below hits at its old offset, so the seeded truncation and
     bit-flip positions drawn below, and the case ids they name, stay
-    where they were."""
+    where they were.  (Offset 42, inside a delta-binary key blob's
+    count and flags, has no length-like counterpart in a Rice blob.)"""
     return {
-        1: _serialize_at(_compress(1234, 900, 40000, "mixed", 2), 1),
-        2: _serialize_at(_compress(1234, 1304, 41000, "mixed", 2), 2),
+        1: _compress(1234, 900, 40000, "mixed", 2),
+        2: _compress(1234, 1304, 245853, "mixed", 2),
     }
 
 
-_BASES = _base_messages()
+_BASE_MESSAGES = _base_messages()
+_BASES = {v: _serialize_at(m, v) for v, m in _BASE_MESSAGES.items()}
 _RNG = np.random.default_rng(20260809)
 
 
@@ -362,6 +367,14 @@ def _bitflip_cases():
     return cases
 
 
+def _u64_fields(message, version):
+    """Offsets of the 8-byte fields the writer emits after the message
+    header: part nnz and length prefixes."""
+    w = serialization._build_message(message, version, version == 2)
+    ends = np.cumsum([0] + [len(piece) for piece in w.pieces()]).tolist()
+    return [lo for lo, hi in zip(ends, ends[1:]) if hi - lo == 8 and lo >= 23]
+
+
 def _length_lie_cases():
     """Overwrite genuine length/count fields with absurd u64 values."""
     cases = []
@@ -375,13 +388,14 @@ def _length_lie_cases():
             cases.append(
                 (f"lie-v{version}-nnz-{lie:#x}", bytes(mutated))
             )
-        # Length-prefixed fields in the body: scan for u64 values that
+        # Length-prefixed fields in the body: scan the u64 fields the
+        # writer emitted (part nnz and length prefixes) for values that
         # look like genuine lengths/counts and inflate them.  Keep the
         # candidates the decoder is *supposed* to reject — if a later
         # change drops the budget checks, these become terabyte
         # allocations and the corpus fails loudly.
         hits = 0
-        for offset in range(23, len(data) - 8):
+        for offset in _u64_fields(_BASE_MESSAGES[version], version):
             (value,) = struct.unpack_from("<Q", data, offset)  # repro: noqa[wire-format] — scanning for length fields to corrupt
             if not 16 <= value <= len(data):
                 continue
@@ -430,19 +444,25 @@ def _blob_count_cases():
 
 
 def _forge_index_message(
-    block, nnz, *, version=2, flags=2, num_keys=None, message_nnz=None
+    block, nnz, *, version=2, flags=2, num_keys=None, message_nnz=None,
+    rice_keys=False,
 ):
     """A one-part kind-1 message around a hand-built index block:
-    ``num_keys`` raw keys (default: one per index), a one-bucket table,
-    then ``block`` verbatim where the index marker goes."""
+    ``num_keys`` keys (default: one per index), raw or, with
+    ``rice_keys``, one Rice blob (key kind 2), a one-bucket table, then
+    ``block`` verbatim where the index marker goes."""
     num_keys = nnz if num_keys is None else num_keys
     message_nnz = nnz if message_nnz is None else message_nnz
     w = bytearray()
     w += b"SKML" + struct.pack("<BB", version, flags)  # repro: noqa[wire-format] — forging adversarial index blocks is the point of this corpus
     w += struct.pack("<QQB", 1 << 31, message_nnz, 1)  # repro: noqa[wire-format] — dimension, message nnz, one part
     w += struct.pack("<bQB", 1, nnz, 1)  # repro: noqa[wire-format] — sign, part nnz, kind=indexes
+    keys_at = len(w)
     w += struct.pack("<BQ", 0, 4 * num_keys)  # repro: noqa[wire-format] — raw key stream
     w += np.arange(num_keys, dtype="<u4").tobytes()  # repro: noqa[wire-format] — the keys
+    if rice_keys:  # the same keys as one Rice blob, key kind 2
+        blob = rice_reference.encode_group(range(num_keys))
+        w[keys_at:] = bytes([2]) + len(blob).to_bytes(8, "little") + blob
     w += struct.pack("<Hb", 1, 1)  # repro: noqa[wire-format] — bucket count + sign
     if version == 1:
         w += struct.pack("<Qdd", 16, 0.0, 1.0)  # repro: noqa[wire-format] — splits (v1 only)
@@ -710,6 +730,86 @@ def _rice_block_cases():
 _RICE_CASES = _rice_block_cases()
 
 
+#: Variants whose parts have one key list: raw values (kind 0) and
+#: plain bucket indexes (kind 1).
+_KEY_LIST_VARIANTS = {"raw": 3, "indexes": 1}
+
+
+def _key_list_message(kind):
+    """A message of kind-0 or kind-1 parts that ship Rice keys at v2."""
+    message = _compress(4321, 600, 120_000, "mixed", _KEY_LIST_VARIANTS[kind])
+    assert all(
+        part.group_keys.code == KEY_CODE_RICE for part in message.payload.parts
+    )
+    return message
+
+
+def _forge_key_list(kind, mutate):
+    """A kind-0/1 message, ``mutate(message, first part)``, then written
+    at v2 (plain indexes, no ``ENTROPY`` flag)."""
+    message = _key_list_message(kind)
+    mutate(message, message.payload.parts[0])
+    return serialize_message(message, version=2)
+
+
+def _set_keys(code, blob_of):
+    """A mutation giving the part ``blob_of(keys)`` in key code ``code``."""
+    def mutate(_, part):
+        keys = part.group_keys
+        part.group_keys = replace(keys, code=code, blobs=[blob_of(keys.concat)])
+    return mutate
+
+
+def _grow_nnz(message, part):
+    part.nnz += 1
+    message.nnz += 1
+
+
+def _key_list_cases():
+    """Forged kind-0/1 key blocks and part counts: every check of a
+    one-list key block and of the parts' nnz, one mutation each (the
+    unmutated messages decode — see
+    ``test_rice_keyed_key_lists_decode``)."""
+    v2_raw = bytearray(serialize_message(_key_list_message("raw"), version=2))
+    v2_raw[4] = 1  # the same bytes, declared payload v1
+    # Four keys whose Rice blob is no smaller than their delta-binary one.
+    tiny = _compress(5, 4, 4_000, "mixed", 3)
+    assert tiny.payload.parts[0].group_keys.code == KEY_CODE_DELTA
+    _set_keys(KEY_CODE_RICE, rice_reference.encode_group)(tiny, tiny.payload.parts[0])
+
+    def count_minus_one(keys):
+        blob = rice_reference.encode_group(keys)
+        return (len(keys) - 1).to_bytes(4, "little") + blob[4:]
+
+    def drop_index(_, part):
+        part.indexes = part.indexes[:-1]
+
+    def drop_value(_, part):
+        part.raw_values = part.raw_values[:-1]
+
+    sketch = _compress(1234, 2000, 40000, "mixed", 0)
+    _grow_nnz(sketch, sketch.payload.parts[0])
+    return [
+        ("keys-rice-kind-in-v1", bytes(v2_raw)),
+        ("keys-rice-not-smaller", serialize_message(tiny, version=2)),
+        ("keys-delta-where-rice-smaller",
+         _forge_key_list("raw", _set_keys(KEY_CODE_DELTA, encode_keys))),
+        ("keys-rice-truncated", _forge_key_list("indexes", _set_keys(
+            KEY_CODE_RICE, lambda keys: rice_reference.encode_group(keys)[:-1]))),
+        ("keys-rice-count-not-nnz",
+         _forge_key_list("indexes", _set_keys(KEY_CODE_RICE, count_minus_one))),
+        ("raw-values-short", _forge_key_list("raw", drop_value)),
+        ("indexes-short", _forge_key_list("indexes", drop_index)),
+        ("raw-part-nnz-lie", _forge_key_list("raw", _grow_nnz)),
+        ("sketch-part-nnz-lie", serialize_message(sketch, version=2)),
+        ("parts-short-of-message-nnz", _forge_key_list(
+            "indexes", lambda message, _: setattr(message, "nnz", message.nnz + 1))),
+    ]
+
+
+_KEY_LIST_CASES = _key_list_cases()
+
+
 def _writer_sections(message, version):
     """``(first byte, end byte, section)`` of every run of the message's
     bytes the writer tallies under one section."""
@@ -753,6 +853,7 @@ def _sketch_length_lie_cases():
 MUST_FAIL_CASES = (
     _truncation_cases() + _length_lie_cases() + _sketch_length_lie_cases()
     + _blob_count_cases() + _DENSE_CASES + _SKETCH_CASES + _RICE_CASES
+    + _KEY_LIST_CASES
 )
 MAY_ACCEPT_CASES = _bitflip_cases()
 
@@ -929,6 +1030,49 @@ def test_rice_count_is_bounded_before_allocation():
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("kind", sorted(_KEY_LIST_VARIANTS))
+def test_rice_keyed_key_lists_decode(kind):
+    """Kind-0/1 parts ship their one key list as a Rice blob (key kind
+    2) at v2 and delta-binary (key kind 1) at v1; both decode to the
+    compressed keys and re-serialize to themselves — the cases below
+    fail for the mutation."""
+    message = _key_list_message(kind)
+    data = serialize_message(message, version=2)
+    decoded = deserialize_message(data)
+    for got_part, part in zip(decoded.payload.parts, message.payload.parts):
+        got, want = got_part.group_keys, part.group_keys
+        assert np.array_equal(got.concat, want.concat)
+        assert (got.code, got.blobs) == (KEY_CODE_RICE, want.blobs)
+    assert serialize_message(decoded, version=2) == data
+    v1 = serialize_message(message)
+    assert len(data) < len(v1)
+    assert serialize_message(deserialize_message(v1), version=2) == data
+    comp = SketchMLCompressor()
+    for a, b in zip(comp.decompress(decoded), comp.decompress(message)):
+        assert np.array_equal(_bits(a), _bits(b))
+
+
+@pytest.mark.parametrize(
+    "case, pattern",
+    [
+        ("keys-rice-kind-in-v1", "key kind 2 .* not valid in a v1 message"),
+        ("keys-rice-not-smaller", "not smaller than delta-binary"),
+        ("keys-delta-where-rice-smaller", r"\(delta-binary\) for keys whose Rice"),
+        ("keys-rice-truncated", "terminators for"),
+        ("keys-rice-count-not-nnz", r"part nnz \d+ disagrees with its \d+ Rice"),
+        ("raw-values-short", r"disagrees with its \d+ values"),
+        ("indexes-short", r"disagrees with its \d+ indexes"),
+        ("raw-part-nnz-lie", r"disagrees with its \d+ Rice-coded keys"),
+        ("sketch-part-nnz-lie", r"disagrees with its \d+ keys"),
+        ("parts-short-of-message-nnz", "the parts hold"),
+    ],
+)
+def test_forged_key_lists_fail_on_the_intended_check(case, pattern):
+    data = dict(_KEY_LIST_CASES)[case]
+    with pytest.raises(SerializationError, match=pattern):
+        deserialize_message(data)
+
+
 def _key_groups(seed, nnz, num_groups, shape):
     """Ascending key lists of one of four shapes, dealt into groups."""
     rng = np.random.default_rng(seed)
@@ -971,7 +1115,7 @@ class TestRiceKeyProperties:
         concat = np.concatenate(groups)
         counts = np.asarray([g.size for g in groups], dtype=np.int64)
         key_code, blobs = encode_key_groups_v2(concat, counts)
-        keys, got_counts = decode_key_groups_v2(key_code, blobs)
+        ((keys, got_counts),) = decode_key_parts([(key_code, blobs)])
         assert np.array_equal(keys, concat)
         assert np.array_equal(got_counts, counts)
         v1 = encode_key_groups_flat(concat, counts)
@@ -1228,16 +1372,18 @@ class TestLengthBudgetRegressions:
     def test_entropy_decode_count_is_bounded_by_key_bytes(self, mode):
         """A one-symbol alphabet codes to zero bytes per symbol, so the
         exact-length check cannot bound nnz; a forged nnz must be
-        rejected against the part's key stream before decode allocates
-        2**30 symbols."""
+        rejected against the part's key stream — raw keys, or a Rice
+        blob's count — before decode allocates 2**30 symbols."""
         nnz_lie = 1 << 30
-        data = _forge_index_message(
-            _dense_block(0, 1, 1, b""), nnz_lie, num_keys=1
-        )
-        with kernel_path(mode), pytest.raises(
-            SerializationError, match="raw keys"
-        ):
-            deserialize_message(data)
+        for rice_keys, pattern in ((False, "raw keys"), (True, "Rice-coded keys")):
+            data = _forge_index_message(
+                _dense_block(0, 1, 1, b""), nnz_lie, num_keys=1,
+                rice_keys=rice_keys,
+            )
+            with kernel_path(mode), pytest.raises(
+                SerializationError, match=pattern
+            ):
+                deserialize_message(data)
 
 
 def test_corpus_is_large_enough():
