@@ -198,7 +198,7 @@ class SketchMLCompressor(GradientCompressor):
             return payload
 
         # §3.5 assumes q << d; for tiny gradients a fixed q would make
-        # the 8q bucket-means payload dominate the message, so the
+        # the 4q-byte bucket-means payload dominate the message, so the
         # effective bucket count adapts down (decoding needs nothing
         # extra: the bucket means travel with the message).
         # Integer-index gathers (flatnonzero + take) instead of boolean

@@ -24,8 +24,13 @@ class SketchMLConfig:
 
     Attributes:
         num_buckets: quantile bucket count ``q`` (1 byte/value at 256).
-        quantile_sketch: ``"kll"``, ``"gk"``, ``"tdigest"`` or ``"exact"``.
-        quantile_sketch_size: sketch size parameter (paper default 128).
+        quantile_sketch: ``"exact"`` (default: the bucket splits are
+            read off the sort the encoder already does, ε = 0), or the
+            quantile sketch that sorted array is fed instead: ``"kll"``
+            (the paper's DataSketches stand-in), ``"gk"`` or
+            ``"tdigest"``.
+        quantile_sketch_size: sketch size parameter (paper default 128;
+            unused by ``"exact"``).
         minmax_rows: hash rows ``s`` per group sketch (default 2).
         minmax_cols_factor: total bins ``t`` as a fraction of the
             gradient's nnz ``d`` (default 1/5, the paper's ``d/5``).
@@ -61,7 +66,7 @@ class SketchMLConfig:
     """
 
     num_buckets: int = 128
-    quantile_sketch: str = "kll"
+    quantile_sketch: str = "exact"
     quantile_sketch_size: int = 128
     minmax_rows: int = 2
     minmax_cols_factor: float = 0.2

@@ -12,6 +12,17 @@ decoded value can never change sign.  Within each sign, bucket indexes
 are ordered by *magnitude* (index 0 = bucket closest to zero); this is
 the ordering the MinMaxSketch's min-insert / max-query protocol relies
 on to guarantee one-sided, decaying error.
+
+The default fit is exact: the encoder sorts each sign's magnitudes
+anyway, so the ``q + 1`` equi-depth splits are one gather from that
+sorted array (ε = 0, so §2.3's ε-quantile guarantee holds trivially).
+The KLL, GK and t-digest sketches stay selectable.  Bucket means are
+rounded *toward zero* to float32 values so payload v2 can ship them at
+4 bytes each; rounding down keeps every decoded magnitude at or below
+the bucket's midpoint ("decayed, never amplified", §3.3) and, being
+monotone, keeps index order equal to magnitude order.  A table that
+float32 cannot carry (a mean above its range, or a nonzero mean below
+its smallest subnormal) keeps its float64 means.
 """
 
 from __future__ import annotations
@@ -25,6 +36,8 @@ from ..sketch.quantile import GKSummary, KLLSketch, TDigest, exact_quantiles
 
 __all__ = ["SignedBuckets", "QuantileBucketQuantizer"]
 
+
+_F32_MAX = float(np.finfo(np.float32).max)
 
 _SKETCH_BUILDERS = {
     "kll": lambda size, seed: KLLSketch(k=max(int(size), 8), seed=seed),
@@ -42,7 +55,9 @@ class SignedBuckets:
             magnitude range (always non-negative; these are magnitudes).
             Only the encoder reads them; ``None`` on a table decoded
             from payload v2, which does not ship them.
-        means: per-bucket mean magnitude, ``(splits[i] + splits[i+1])/2``.
+        means: per-bucket mean magnitude, ``(splits[i] + splits[i+1])/2``
+            rounded toward zero to a float32 value (float64 only when
+            float32 cannot carry the table; see :func:`_round_means`).
         sign: ``+1.0`` or ``-1.0``; decoded values are ``sign * means``.
     """
 
@@ -87,20 +102,41 @@ def _build_buckets(
     """Fit equi-depth splits for one sign's *ascending* magnitudes."""
     phis = np.linspace(0.0, 1.0, num_buckets + 1)
     if sketch == "exact" or ordered.size <= 4 * num_buckets:
-        # For small inputs the sketch machinery is pure overhead and its
-        # rank error could exceed a bucket; fall back to exact quantiles.
+        # Exact quantiles are one gather from the sorted magnitudes (the
+        # first and last splits are the extremes).  For small inputs a
+        # sketch would be pure overhead and its rank error could exceed
+        # a bucket, so those always take this path.
         splits = exact_quantiles(ordered, phis, assume_sorted=True)
-        splits[-1] = float(ordered[-1])
     else:
         sk = _SKETCH_BUILDERS[sketch](sketch_size, seed)
         sk.insert_sorted(ordered)
         splits = np.asarray(sk.query_many(phis), dtype=np.float64)
         splits[0] = float(ordered[0])
         splits[-1] = float(ordered[-1])
-    # Monotonicity can be violated by sketch noise on heavy ties; repair.
-    splits = np.maximum.accumulate(splits)
-    means = 0.5 * (splits[:-1] + splits[1:])
+        # Monotonicity can be violated by sketch noise on heavy ties.
+        splits = np.maximum.accumulate(splits)
+    means = _round_means(0.5 * (splits[:-1] + splits[1:]))
     return SignedBuckets(splits=splits, means=means, sign=sign)
+
+
+def _round_means(means: np.ndarray) -> np.ndarray:
+    """Non-negative ``means`` rounded toward zero to float32 values.
+
+    Returned as float64 (the decode dtype).  Rounding down, never to
+    nearest, keeps each mean at or below its bucket's midpoint, so a
+    degenerate bucket cannot decode above the largest input magnitude.
+    The table stays float64 when any mean exceeds float32's range or
+    a nonzero mean would round to zero (which would break sign
+    preservation).
+    """
+    if means.size == 0 or float(means.max()) > _F32_MAX:
+        return means
+    narrow = means.astype(np.float32)
+    up = narrow > means
+    narrow[up] = np.nextafter(narrow[up], np.float32(0.0))
+    if np.any((narrow == 0) & (means != 0)):
+        return means
+    return narrow.astype(np.float64)
 
 
 def _expand_sorted_indexes(
@@ -129,11 +165,13 @@ class QuantileBucketQuantizer:
     Args:
         num_buckets: total bucket budget ``q`` across both signs
             (default 256 → one byte per encoded value).
-        sketch: ``"kll"`` (default, the DataSketches stand-in), ``"gk"``
-            (Greenwald–Khanna), ``"tdigest"``, or ``"exact"`` (full
-            sort; for tests).
+        sketch: ``"exact"`` (default: the splits are read off the sort
+            the encoder already pays for, no sketch is built), or a
+            quantile sketch fed that sorted array: ``"kll"`` (the
+            DataSketches stand-in), ``"gk"`` (Greenwald–Khanna) or
+            ``"tdigest"``.
         sketch_size: the sketch's size parameter (KLL ``k`` or GK
-            ``1/epsilon``); paper default 128.
+            ``1/epsilon``); paper default 128.  Unused by ``"exact"``.
         seed: PRNG seed for randomized sketches.
 
     Example:
@@ -149,7 +187,7 @@ class QuantileBucketQuantizer:
     def __init__(
         self,
         num_buckets: int = 256,
-        sketch: str = "kll",
+        sketch: str = "exact",
         sketch_size: int = 128,
         seed: int = 0,
     ) -> None:

@@ -33,7 +33,11 @@ byte).  Version 2 keeps the layout, drops what no decoder reads and
 codes what is left densely, so it is never larger than v1:
 
 * the bucket block loses ``splits`` (``num_buckets u16 | sign i8 |
-  means f64[q]``); decoded v2 buckets have ``splits=None``;
+  means f32[q] or f64[q]``); decoded v2 buckets have ``splits=None``.
+  The means ship as ``f32`` when that reproduces them exactly (the
+  quantizer rounds them toward zero to float32 values, so that is the
+  rule) and as ``f64`` otherwise; the reader takes the width from the
+  blob length (``4q`` or ``8q`` bytes, anything else is an error);
 * a kind-2 part's ``num_blobs u8`` is followed by a ``key_code u8``:
   1 when its group key blobs are block-adaptive Rice
   (:mod:`repro.core.rice`), 0 when they stay delta-binary — the encoder
@@ -70,7 +74,8 @@ bin placement without shipping the functions themselves.  It decodes
 every part's delta-coded keys once the parts are read, in one pass per
 key code (:func:`~repro.core.rice.decode_key_parts`), and checks the
 counts: each part's keys, values and indexes number its ``nnz``, and
-the parts' ``nnz`` sum to the message's.
+the parts' ``nnz`` sum to the message's.  At both versions it rejects
+bucket means that are non-finite, negative or decreasing.
 """
 
 from __future__ import annotations
@@ -92,7 +97,7 @@ from .minmax_sketch import (
     MinMaxSketch,
     _dtype_for_range,
 )
-from .quantizer import SignedBuckets
+from .quantizer import _F32_MAX, SignedBuckets
 from .rice import (
     KEY_CODE_DELTA,
     KEY_CODE_RICE,
@@ -317,7 +322,17 @@ def _write_buckets(w: _Writer, buckets: SignedBuckets, version: int) -> None:
                 "decoded from payload v2 and have none; serialize at v2"
             )
         w.array(np.asarray(buckets.splits, dtype="<f8"))
-    w.array(np.asarray(buckets.means, dtype="<f8"))
+    means = np.asarray(buckets.means, dtype="<f8")
+    if version >= PAYLOAD_VERSION_V2 and _f4_exact(means):
+        means = means.astype("<f4")
+    w.array(means)
+
+
+def _f4_exact(means: np.ndarray) -> bool:
+    """Whether narrowing ``means`` to f4 and widening back is exact."""
+    if means.size and not float(means.max()) <= _F32_MAX:
+        return False  # past float32's range (or NaN): the cast would warn
+    return bool((means.astype("<f4") == means).all())
 
 
 def _read_buckets(r: _Reader, version: int) -> SignedBuckets:
@@ -328,14 +343,39 @@ def _read_buckets(r: _Reader, version: int) -> SignedBuckets:
         splits = r.array("<f8").copy()
         if splits.size != num_buckets + 1:
             raise SerializationError("bucket table sizes are inconsistent")
-    means = r.array("<f8")
-    if means.size != num_buckets:
-        # At v2 this is also what a v1-style block (splits first) hits.
+    blob = r.blob()
+    # v2 means are f4 when that is exact (4 bytes a bucket), else f8;
+    # the blob length says which.  At v2 a v1-style block (splits
+    # first) fails here too.
+    widths = {8 * num_buckets: "<f8"}
+    if version >= PAYLOAD_VERSION_V2:
+        widths[4 * num_buckets] = "<f4"
+    dtype = widths.get(len(blob))
+    if dtype is None:
         raise SerializationError(
             f"bucket block declares {num_buckets} buckets but carries "
-            f"{means.size} means"
+            f"{len(blob) / 8:g} means of 8 bytes or {len(blob) / 4:g} of 4"
         )
-    return SignedBuckets(splits=splits, means=means.copy(), sign=sign)
+    means = np.frombuffer(blob, dtype=dtype).astype(np.float64)
+    # Decoded values are sign * means: a non-finite, negative or
+    # out-of-order mean would decode to garbage, flip the sign, or break
+    # the index-order = magnitude-order contract the sketch relies on.
+    # One pass accepts a valid table (NaN fails every comparison).
+    if means.size and not (
+        means[0] >= 0.0 and means[-1] < np.inf
+        and (means[1:] >= means[:-1]).all()
+    ):
+        if not np.isfinite(means).all():
+            raise SerializationError("bucket means must be finite")
+        if (means < 0).any():
+            raise SerializationError("bucket means must be non-negative")
+        raise SerializationError("bucket means must be non-decreasing")
+    if dtype == "<f8" and version >= PAYLOAD_VERSION_V2 and _f4_exact(means):
+        raise SerializationError(
+            "bucket means ship as f8 but are all f4-exact; the writer "
+            "ships those as f4"
+        )
+    return SignedBuckets(splits=splits, means=means, sign=sign)
 
 
 # ----------------------------------------------------------------------

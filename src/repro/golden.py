@@ -16,8 +16,10 @@ other keys/values than the manifest records, or a decode that does not
 re-serialize to the committed bytes (v1 → v1, v2 → v2, v1 → v2; not
 v2 → v1, since v2 drops the bucket splits that v1 ships).
 :func:`write_goldens` regenerates the fixture files and manifest
-deliberately — the only sanctioned way to change them (bump the
-payload version; never mutate v1 bytes).
+deliberately — the only sanctioned way to change them.  The v1
+*layout* is frozen: its bytes move only when the encoder's output
+moves (as when bucket means became float32 values), never because the
+v1 writer or reader changed.
 """
 
 from __future__ import annotations
@@ -50,8 +52,10 @@ GOLDEN_FORMAT = "repro-golden-wire/2"
 
 #: The canonical fixture matrix: a spread of codec configurations
 #: (sketch/quantization variants, hash families, packed indexes,
-#: one-sided gradients).  These parameters are the source of truth —
-#: the manifest and fixture files are derived from them.
+#: one-sided gradients, bucket means at both v2 widths).  ``scale`` is
+#: the gradient's Laplace scale (default 0.01).  These parameters are
+#: the source of truth — the manifest and fixture files are derived
+#: from them.
 CASE_SPECS: Tuple[Dict, ...] = (
     {"name": "full", "overrides": {}, "nnz": 5000,
      "dimension": 200000, "seed": 11, "sign_mode": "mixed"},
@@ -73,6 +77,10 @@ CASE_SPECS: Tuple[Dict, ...] = (
      "dimension": 1000, "seed": 18, "sign_mode": "mixed"},
     {"name": "one_sided_pos", "overrides": {}, "nnz": 1500,
      "dimension": 60000, "seed": 19, "sign_mode": "pos"},
+    # Magnitudes ~1e-302 round to zero in float32, so both bucket
+    # tables keep f8 means at v2; every other case ships f4 means.
+    {"name": "f8_means", "overrides": {}, "nnz": 2000,
+     "dimension": 80000, "seed": 20, "sign_mode": "mixed", "scale": 1e-300},
 )
 
 #: (decoded from, re-serialized at) pairs that must reproduce the
@@ -91,7 +99,7 @@ def regenerate_gradient(case: Dict) -> Tuple[np.ndarray, np.ndarray]:
     keys = np.sort(
         rng.choice(case["dimension"], size=case["nnz"], replace=False)
     )
-    values = rng.laplace(scale=0.01, size=case["nnz"])
+    values = rng.laplace(scale=case.get("scale", 0.01), size=case["nnz"])
     values[values == 0.0] = 1e-4
     if case["sign_mode"] == "pos":
         values = np.abs(values)

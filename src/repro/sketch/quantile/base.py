@@ -98,11 +98,11 @@ def exact_quantiles(
 ) -> np.ndarray:
     """Exact quantiles by full sort — the O(N log N) brute force of §2.3.
 
-    Used as ground truth in tests and for tiny inputs where a sketch is
-    overkill.  Uses the "lower" interpolation so results are actual data
-    points, matching sketch semantics.  Pass ``assume_sorted=True`` when
-    the caller already sorted ``values`` (the quantizer sorts once and
-    shares the array between this and the sketch batch builds).
+    The codec's default bucket fit, and ground truth in tests.  Uses
+    the "lower" interpolation so results are actual data points,
+    matching sketch semantics.  Pass ``assume_sorted=True`` when the
+    caller already sorted ``values`` (the quantizer sorts each sign's
+    magnitudes once to encode them, so its splits are one gather).
     """
     arr = np.asarray(values, dtype=np.float64)
     if not assume_sorted:

@@ -229,6 +229,10 @@ class TestFailureModes:
 # ----------------------------------------------------------------------
 # serializer-level contract
 # ----------------------------------------------------------------------
+def _f4_exact(means):
+    return bool(np.array_equal(means.astype(np.float32), means))
+
+
 def _index_message(indexes, layout):
     """A real Adam+Key+Quan message with its index streams replaced by
     ``indexes`` (split across the sign parts), held as ``u1``, ``u2``
@@ -281,10 +285,12 @@ class TestSerializerContract:
         v2 = serialize_message(message, version=2, entropy=True)
         assert len(v2) <= len(v2_plain) <= len(v1)
         # Plain v2 differs from v1 only by the splits arrays it drops
-        # (one u64 length prefix and q + 1 f64 per part) and by the key
+        # (one u64 length prefix and q + 1 f64 per part), by the means
+        # it ships at 4 bytes where they are f4-exact, and by the key
         # blob it Rice-codes where that is smaller than delta-binary.
         assert len(v1) - len(v2_plain) == sum(
             8 + 8 * (part.buckets.num_buckets + 1)
+            + 4 * part.buckets.num_buckets * _f4_exact(part.buckets.means)
             + len(encode_keys(part.group_keys.concat))
             - len(part.group_keys.blobs[0])
             for part in message.payload.parts

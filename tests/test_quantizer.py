@@ -94,6 +94,19 @@ class TestRoundtrip:
         assert np.all(decoded > 0)
         assert len(np.unique(decoded)) <= 2
 
+    def test_means_round_toward_zero_to_float32(self):
+        # float32(0.1) is just above 0.1: rounding to nearest would
+        # decode a bucket of 0.1s above the largest input.
+        quant = QuantileBucketQuantizer(num_buckets=4).fit(np.full(50, 0.1))
+        means = quant.positive.means
+        assert np.all((0 < means) & (means < 0.1))
+        assert np.array_equal(means.astype(np.float32), means)
+
+    @pytest.mark.parametrize("magnitude", [1e-300, 1e300])
+    def test_means_float32_cannot_carry_stay_float64(self, magnitude):
+        quant = QuantileBucketQuantizer(num_buckets=4).fit(np.full(50, magnitude))
+        assert np.array_equal(quant.positive.means, np.full(4, magnitude))
+
     def test_quantization_error_shrinks_with_buckets(self):
         values = laplace_values(n=20_000)
         errors = []

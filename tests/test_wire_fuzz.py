@@ -134,6 +134,11 @@ _V2_CONFIGS = {
 }
 
 
+#: Magnitudes at and past float32's limits (its largest finite value is
+#: ~3.4e38, its smallest subnormal ~1.4e-45), drawn with ties.
+_EXTREME_MAGNITUDES = (0.0, 1e-320, 1e-44, 1e-3, 3e38, 1e300)
+
+
 def _break_group_uniformity(grouped, how):
     """Swap the last group sketch for an empty one off the shared
     shape (``"shape"``) or seed stride (``"seed"``)."""
@@ -223,6 +228,40 @@ class TestRoundTripProperties:
             v1 = _serialize_at(message, 1)
             assert _serialize_at(deserialize_message(v1), 1) == v1
             grouped._sketches[:] = uniform
+
+    @FUZZ
+    @given(
+        magnitudes=st.lists(
+            st.sampled_from(_EXTREME_MAGNITUDES), min_size=1, max_size=400
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        config=st.sampled_from(["full", "quan", "quan_packed"]),
+    )
+    @example(magnitudes=[1e-320] * 40 + [3e38] * 3, seed=0, config="quan")
+    @example(magnitudes=[0.0, 1e-44, 1e300] * 30, seed=1, config="full")
+    def test_extreme_magnitudes_keep_sign_bound_and_version_parity(
+        self, magnitudes, seed, config
+    ):
+        """Tables float32 cannot carry keep f8 means; whatever the
+        width, decoding never flips a sign or amplifies past the
+        largest input, and v1 and v2 decode alike."""
+        rng = np.random.default_rng(seed)
+        values = np.asarray(magnitudes) * rng.choice([-1.0, 1.0], len(magnitudes))
+        dimension = 40 * values.size + 64
+        keys = np.sort(rng.choice(dimension, size=values.size, replace=False))
+        comp = SketchMLCompressor(
+            SketchMLConfig.full(seed=seed, **_V2_CONFIGS[config])
+        )
+        message = comp.compress(keys, values, dimension)
+        v1, v2 = (_serialize_at(message, v) for v in (1, 2))
+        assert len(v2) <= len(v1)
+        decoded = [comp.decompress(deserialize_message(d)) for d in (v1, v2)]
+        for a, b in zip(*decoded):
+            assert np.array_equal(_bits(a), _bits(b))
+        out_keys, out_values = decoded[1]
+        assert np.array_equal(out_keys, keys)
+        assert np.all(out_values * np.sign(values) >= 0)
+        assert np.all(np.abs(out_values) <= np.abs(values).max())
 
     @FUZZ
     @given(
@@ -332,10 +371,15 @@ def _base_messages():
     scan below hits at its old offset, so the seeded truncation and
     bit-flip positions drawn below, and the case ids they name, stay
     where they were.  (Offset 42, inside a delta-binary key blob's
-    count and flags, has no length-like counterpart in a Rice blob.)"""
+    count and flags, has no length-like counterpart in a Rice blob.)
+    Its magnitudes are scaled to ~1e-302, below float32's range, so
+    both bucket tables keep f8 means and that layout holds; the f4
+    tables are mutated in ``_bucket_means_cases``."""
+    keys, values = _gradient(1234, 1304, 245853, "mixed")
+    config = SketchMLConfig.full(seed=1234, **_VARIANTS[2])
     return {
         1: _compress(1234, 900, 40000, "mixed", 2),
-        2: _compress(1234, 1304, 245853, "mixed", 2),
+        2: SketchMLCompressor(config).compress(keys, values * 1e-300, 245853),
     }
 
 
@@ -463,11 +507,11 @@ def _forge_index_message(
     if rice_keys:  # the same keys as one Rice blob, key kind 2
         blob = rice_reference.encode_group(range(num_keys))
         w[keys_at:] = bytes([2]) + len(blob).to_bytes(8, "little") + blob
-    w += struct.pack("<Hb", 1, 1)  # repro: noqa[wire-format] — bucket count + sign
-    if version == 1:
-        w += struct.pack("<Qdd", 16, 0.0, 1.0)  # repro: noqa[wire-format] — splits (v1 only)
-    w += struct.pack("<Qd", 8, 0.5)  # repro: noqa[wire-format] — means
-    return bytes(w + block)
+    buckets = serialization._Writer()
+    serialization._write_buckets(buckets, SignedBuckets(
+        splits=np.array([0.0, 1.0]), means=np.array([0.5]), sign=1.0,
+    ), version)
+    return bytes(w + buckets.getvalue() + block)
 
 
 def _dense_block(origin, width, num_symbols, blob, marker=4):
@@ -823,12 +867,13 @@ def _writer_sections(message, version):
     ]
 
 
-def _sketch_length_lie_cases():
+def _sketch_length_lie_cases(message=None, label="sketch"):
     """Length lies in a full-SketchML v2 message, the layout payload-v2
     work keeps changing: each case is named by the writer section its
     field sits in plus an ordinal within that section, not by its byte
     offset, so a section that shrinks cannot rename the cases after it."""
-    message = _compress(1234, 2000, 40000, "mixed", 0)
+    if message is None:
+        message = _compress(1234, 2000, 40000, "mixed", 0)
     data = _serialize_at(message, 2)
     sections = _writer_sections(message, 2)
     cases = []
@@ -845,17 +890,121 @@ def _sketch_length_lie_cases():
             section = next(n for lo, hi, n in sections if lo <= offset < hi)
             ordinal = seen.get(section, 0)
             seen[section] = ordinal + 1
-            cases.append((f"lie-v2-sketch-{section}{ordinal}", bytes(mutated)))
+            cases.append((f"lie-v2-{label}-{section}{ordinal}", bytes(mutated)))
         if len(cases) >= 6:
             break
     return cases
 
+
+# ----------------------------------------------------------------------
+# bucket means
+# ----------------------------------------------------------------------
+def _f4_exact(means):
+    return bool(np.array_equal(means.astype(np.float32), means))
+
+
+def _mixed_width_message():
+    """A full-SketchML message with one table of each v2 width: the
+    positive part's means are f4-exact and ship at 4 bytes, the negative
+    part's, fitted to magnitudes ~1e-302 (below float32's range), keep
+    8 bytes."""
+    keys, values = _gradient(2468, 1500, 60000, "mixed")
+    values[values < 0] *= 1e-300
+    config = SketchMLConfig.full(seed=2468)
+    return SketchMLCompressor(config).compress(keys, values, 60000)
+
+
+_MIXED = _mixed_width_message()
+
+
+def _forge_means(part, width, change=None, *, version=2, extra=0):
+    """The mixed message at ``version`` with part ``part``'s means blob
+    replaced: its table after ``change`` (in place), shipped at ``width``
+    bytes a mean, ``extra`` bytes longer (or shorter)."""
+    data = _serialize_at(_MIXED, version)
+    end = [
+        hi for _, hi, name in _writer_sections(_MIXED, version)
+        if name == "bucket_means"
+    ][part]
+    means = _MIXED.payload.parts[part].buckets.means.copy()
+    shipped = 4 if version == 2 and _f4_exact(means) else 8
+    start = end - shipped * means.size - 8  # the length prefix
+    if change is not None:
+        change(means)
+    w = serialization._Writer()
+    w.array(means.astype(f"<f{width}"))
+    blob = w.pieces()[1]
+    blob = blob + bytes(extra) if extra >= 0 else blob[:extra]
+    return data[:start] + len(blob).to_bytes(8, "little") + blob + data[end:]
+
+
+def _set(index, value):
+    def change(means):
+        means[index] = value
+    return change
+
+
+def _negate(means):
+    means *= -1
+
+
+def _reverse(means):
+    means[:] = means[::-1].copy()
+
+
+def _bucket_means_cases():
+    """Forged bucket-means blobs in ``_MIXED`` (part 0 ships f4 means,
+    part 1 f8): every reader check of a bucket table's means, one
+    mutation each (the unmutated message decodes — see
+    ``test_mixed_width_means_decode``)."""
+    return [
+        ("means-v2-f4-nan", _forge_means(0, 4, _set(3, np.nan))),
+        ("means-v2-f8-inf", _forge_means(1, 8, _set(-1, np.inf))),
+        ("means-v2-f4-negative", _forge_means(0, 4, _set(0, -1.0))),
+        ("means-v2-f8-negative", _forge_means(1, 8, _negate)),
+        ("means-v1-negative", _forge_means(1, 8, _negate, version=1)),
+        ("means-v2-f4-decreasing", _forge_means(0, 4, _reverse)),
+        ("means-v2-f8-decreasing", _forge_means(1, 8, _reverse)),
+        ("means-v1-decreasing", _forge_means(0, 8, _reverse, version=1)),
+        ("means-v2-f4-blob-long", _forge_means(0, 4, extra=1)),
+        ("means-v2-f4-blob-short", _forge_means(0, 4, extra=-1)),
+        ("means-v2-f4-exact-as-f8", _forge_means(0, 8)),
+        ("means-v1-f4", _forge_means(0, 4, version=1)),
+    ]
+
+
+_BUCKET_MEANS_CASES = _bucket_means_cases()
+
+
+def _bucket_means_flips():
+    """Bit flips in each of ``_MIXED``'s v2 means blobs — a mantissa's
+    lowest bit, an exponent bit and the sign bit of the middle mean."""
+    data = _serialize_at(_MIXED, 2)
+    ends = [
+        hi for _, hi, name in _writer_sections(_MIXED, 2)
+        if name == "bucket_means"
+    ]
+    cases = []
+    for part, end in enumerate(ends):
+        means = _MIXED.payload.parts[part].buckets.means
+        width = 4 if _f4_exact(means) else 8
+        at = end - width * (means.size - means.size // 2)
+        for bit in (0, 8 * width - 2, 8 * width - 1):
+            mutated = bytearray(data)
+            mutated[at + bit // 8] ^= 1 << (bit % 8)
+            cases.append(
+                (f"flip-v2-mixed-means{part}-bit{bit}", bytes(mutated))
+            )
+    return cases
+
+
 MUST_FAIL_CASES = (
     _truncation_cases() + _length_lie_cases() + _sketch_length_lie_cases()
     + _blob_count_cases() + _DENSE_CASES + _SKETCH_CASES + _RICE_CASES
-    + _KEY_LIST_CASES
+    + _KEY_LIST_CASES + _BUCKET_MEANS_CASES
+    + _sketch_length_lie_cases(_MIXED, "mixed")
 )
-MAY_ACCEPT_CASES = _bitflip_cases()
+MAY_ACCEPT_CASES = _bitflip_cases() + _bucket_means_flips()
 
 
 @pytest.mark.parametrize("mode", ["scalar", "vectorised"])
@@ -1069,6 +1218,53 @@ def test_rice_keyed_key_lists_decode(kind):
 )
 def test_forged_key_lists_fail_on_the_intended_check(case, pattern):
     data = dict(_KEY_LIST_CASES)[case]
+    with pytest.raises(SerializationError, match=pattern):
+        deserialize_message(data)
+
+
+def test_mixed_width_means_decode():
+    """``_MIXED`` ships one f4 and one f8 table at v2 and f8 at v1; all
+    decode to the same values and re-serialize to themselves — the
+    cases below fail for the mutation."""
+    v1, v2 = (_serialize_at(_MIXED, v) for v in (1, 2))
+    sizes = [
+        hi - lo for lo, hi, name in _writer_sections(_MIXED, 2)
+        if name == "bucket_means"
+    ]
+    tables = [part.buckets.means for part in _MIXED.payload.parts]
+    assert [_f4_exact(m) for m in tables] == [True, False]
+    assert sizes == [11 + 4 * tables[0].size, 11 + 8 * tables[1].size]
+    for data, version in ((v1, 1), (v2, 2)):
+        decoded = deserialize_message(data)
+        for got, want in zip(decoded.payload.parts, _MIXED.payload.parts):
+            assert np.array_equal(_bits(got.buckets.means), _bits(want.buckets.means))
+        assert _serialize_at(decoded, version) == data
+    assert _serialize_at(deserialize_message(v1), 2) == v2
+    comp = SketchMLCompressor()
+    for a, b in zip(comp.decompress(deserialize_message(v1)),
+                    comp.decompress(deserialize_message(v2))):
+        assert np.array_equal(_bits(a), _bits(b))
+
+
+@pytest.mark.parametrize(
+    "case, pattern",
+    [
+        ("means-v2-f4-nan", "must be finite"),
+        ("means-v2-f8-inf", "must be finite"),
+        ("means-v2-f4-negative", "must be non-negative"),
+        ("means-v2-f8-negative", "must be non-negative"),
+        ("means-v1-negative", "must be non-negative"),
+        ("means-v2-f4-decreasing", "must be non-decreasing"),
+        ("means-v2-f8-decreasing", "must be non-decreasing"),
+        ("means-v1-decreasing", "must be non-decreasing"),
+        ("means-v2-f4-blob-long", r"buckets but carries [\d.]+ means of 8"),
+        ("means-v2-f4-blob-short", r"buckets but carries [\d.]+ means of 8"),
+        ("means-v2-f4-exact-as-f8", "all f4-exact"),
+        ("means-v1-f4", r"buckets but carries [\d.]+ means of 8"),
+    ],
+)
+def test_forged_bucket_means_fail_on_the_intended_check(case, pattern):
+    data = dict(_BUCKET_MEANS_CASES)[case]
     with pytest.raises(SerializationError, match=pattern):
         deserialize_message(data)
 
