@@ -23,12 +23,11 @@ from repro.compression.base import (
     validate_sparse_gradient,
 )
 from repro.core import SketchMLCompressor, SketchMLConfig
-from repro.core.quantizer import QuantileBucketQuantizer
+from repro.core.quantizer import QuantileBucketQuantizer, exact_quantiles
 from repro.distributed import DistributedTrainer, TrainerConfig, cluster1_like
 from repro.models import LogisticRegression
 from repro.optim import SGD, Adam
 from repro.sketch.frequency import CountMinSketch
-from repro.sketch.quantile import exact_quantiles
 
 
 class CountMinIndexCompressor(GradientCompressor):

@@ -67,21 +67,6 @@ def test_decompress_throughput(benchmark, name):
     assert out_keys.size > 0
 
 
-def test_quantile_sketch_insert_throughput(benchmark):
-    from repro.sketch.quantile import KLLSketch
-
-    rng = np.random.default_rng(2)
-    values = rng.laplace(size=200_000)
-
-    def run():
-        sk = KLLSketch(k=128, seed=0)
-        sk.insert_many(values)
-        return sk
-
-    sk = benchmark(run)
-    assert len(sk) == values.size
-
-
 def test_wire_serialization_throughput(benchmark):
     from repro.core import (
         SketchMLCompressor,

@@ -2,52 +2,34 @@
 
 Shows, on streaming data:
 
-* quantile sketches (GK and KLL) approximating the value distribution
-  in a single pass with a few hundred retained items;
+* equi-depth quantile buckets: exact splits read off one sort, each
+  bucket holding the same number of values (§3.2);
 * Count-Min always *over*-estimating frequencies — the one-sidedness
   that makes it unusable for bucket indexes (§3.3);
 * MinMaxSketch always *under*-estimating bucket indexes — the opposite
-  one-sidedness SGD tolerates;
-* mergeability: per-worker sketches combined at the driver.
+  one-sidedness SGD tolerates.
 
 Run:  python examples/sketch_playground.py
 """
 
 import numpy as np
 
-from repro.core import MinMaxSketch
-from repro.sketch import CountMinSketch, GKSummary, KLLSketch
+from repro.core import MinMaxSketch, QuantileBucketQuantizer
+from repro.sketch import CountMinSketch
 
 N = 200_000
 
 
 def quantile_demo(rng) -> None:
-    print("== quantile sketches on 200k Laplace-distributed values ==")
+    print("== equi-depth buckets on 200k Laplace-distributed values ==")
     values = rng.laplace(scale=0.01, size=N)
-    gk = GKSummary(epsilon=0.01)
-    gk.insert_many(values)
-    kll = KLLSketch(k=256, seed=0)
-    kll.insert_many(values)
-    print(f"{'phi':>6} {'exact':>10} {'GK':>10} {'KLL':>10}")
-    for phi in (0.01, 0.25, 0.5, 0.75, 0.99):
-        exact = np.quantile(values, phi)
-        print(f"{phi:>6} {exact:>10.5f} {gk.query(phi):>10.5f} {kll.query(phi):>10.5f}")
-    print(f"GK retains {gk.num_tuples} tuples; KLL retains "
-          f"{kll.retained_items} items — vs {N:,} inputs\n")
-
-
-def merge_demo(rng) -> None:
-    print("== mergeability: 8 worker sketches -> 1 driver sketch ==")
-    values = rng.normal(size=N)
-    driver = KLLSketch(k=256, seed=0)
-    for i, chunk in enumerate(np.array_split(values, 8)):
-        local = KLLSketch(k=256, seed=i + 1)
-        local.insert_many(chunk)
-        driver.merge(local)
-    for phi in (0.1, 0.5, 0.9):
-        print(f"  phi={phi}: merged={driver.query(phi):+.4f} "
-              f"exact={np.quantile(values, phi):+.4f}")
-    print()
+    quant = QuantileBucketQuantizer(num_buckets=8).fit(values)
+    signs, indexes = quant.encode(values)
+    for sign, buckets in ((+1, quant.positive), (-1, quant.negative)):
+        counts = np.bincount(indexes[signs == sign], minlength=buckets.num_buckets)
+        print(f"  sign {sign:+d}: splits {np.round(buckets.splits, 5).tolist()}")
+        print(f"           values per bucket {counts.tolist()}")
+    print("  -> equal counts, so buckets are narrow where values are dense\n")
 
 
 def frequency_vs_minmax_demo(rng) -> None:
@@ -76,7 +58,6 @@ def frequency_vs_minmax_demo(rng) -> None:
 def main() -> None:
     rng = np.random.default_rng(7)
     quantile_demo(rng)
-    merge_demo(rng)
     frequency_vs_minmax_demo(rng)
 
 

@@ -7,8 +7,9 @@ delta-binary encoding of keys.  This package implements the complete
 system plus every substrate the paper's evaluation depends on:
 
 * :mod:`repro.core` — the SketchML compressor and its components;
-* :mod:`repro.sketch` — quantile (GK, KLL) and frequency (Count-Min,
-  Count Sketch, Bloom) sketch substrates, built from scratch;
+* :mod:`repro.sketch` — hashing and frequency (Count-Min, Count
+  Sketch) sketch substrates, built from scratch (the bucket fit reads
+  exact quantiles off the encoder's sort, so no quantile sketch);
 * :mod:`repro.compression` — baseline codecs (Adam/identity, ZipML,
   1-bit SGD, top-k, float16, lossless key codecs);
 * :mod:`repro.data` — sparse structures, synthetic dataset generators

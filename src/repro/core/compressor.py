@@ -3,7 +3,7 @@
 Encode phase (for a sparse gradient ``{(k_j, v_j)}``):
 
 1. Fit a :class:`~repro.core.quantizer.QuantileBucketQuantizer` on the
-   values — separate pos/neg quantile sketches, ``q`` equi-depth
+   values — separate pos/neg exact quantile fits, ``q`` equi-depth
    buckets, indexes ordered by magnitude.
 2. Per sign, partition keys by bucket *group* (``r`` groups) and insert
    ``(key, within-group offset)`` into that group's
@@ -49,7 +49,7 @@ from ..compression.base import (
 )
 from .bitpack import pack_uint_array, unpack_uint_array
 from .config import SketchMLConfig
-from .minmax_sketch import GroupedMinMaxSketch
+from .minmax_sketch import NEGATIVE_SIGN_SEED_OFFSET, GroupedMinMaxSketch
 from .quantizer import QuantileBucketQuantizer, SignedBuckets
 from .rice import encode_key_groups_v2
 
@@ -149,13 +149,6 @@ class SketchMLCompressor(GradientCompressor):
 
     def __init__(self, config: Optional[SketchMLConfig] = None) -> None:
         self.config = config or SketchMLConfig()
-        self._cached_quantizer: Optional[QuantileBucketQuantizer] = None
-        self._compress_calls = 0
-
-    def reset(self) -> None:
-        """Drop the cached quantizer (used with ``refit_interval > 1``)."""
-        self._cached_quantizer = None
-        self._compress_calls = 0
 
     # ------------------------------------------------------------------
     # compression
@@ -206,45 +199,20 @@ class SketchMLCompressor(GradientCompressor):
         # an order of magnitude slower for large gradients.
         neg_sel = np.flatnonzero(values < 0)
         pos_sel = np.flatnonzero(values >= 0)
-        refit_due = (
-            self._cached_quantizer is None
-            or self._compress_calls % cfg.refit_interval == 0
-        )
-        self._compress_calls += 1
-        if not refit_due:
-            quantizer = self._cached_quantizer
-            if (pos_sel.size and quantizer.positive is None) or (
-                neg_sel.size and quantizer.negative is None
-            ):
-                # The cached splits can lack a sign the current gradient
-                # has (e.g. an all-positive fit followed by mixed
-                # signs); refit on demand.
-                refit_due = True
-        pos_enc: Optional[np.ndarray] = None
-        neg_enc: Optional[np.ndarray] = None
-        if refit_due:
-            with telemetry.span("codec.quantizer_fit"):
-                effective_buckets = min(cfg.num_buckets, max(8, keys.size // 8))
-                quantizer = QuantileBucketQuantizer(
-                    num_buckets=effective_buckets,
-                    sketch=cfg.quantile_sketch,
-                    sketch_size=cfg.quantile_sketch_size,
-                    seed=cfg.seed,
-                )
-                # Fitting sorts each sign's magnitudes anyway; take the
-                # bucket indexes as a byproduct instead of re-searching
-                # every value against the splits afterwards.
-                pos_enc, neg_enc = quantizer.fit_encode(
-                    values, pos_sel=pos_sel, neg_sel=neg_sel
-                )
-            self._cached_quantizer = quantizer
+        with telemetry.span("codec.quantizer_fit"):
+            quantizer = QuantileBucketQuantizer(
+                num_buckets=min(cfg.num_buckets, max(8, keys.size // 8))
+            )
+            # Fitting sorts each sign's magnitudes anyway; take the
+            # bucket indexes as a byproduct instead of re-searching
+            # every value against the splits afterwards.
+            pos_enc, neg_enc = quantizer.fit_encode(
+                values, pos_sel=pos_sel, neg_sel=neg_sel
+            )
         for sign, sel, enc in ((1, pos_sel, pos_enc), (-1, neg_sel, neg_enc)):
             if sel.size == 0:
                 continue
             buckets = quantizer.buckets_for_sign(sign)
-            if enc is None:
-                magnitudes = values.take(sel) if sign > 0 else -values.take(sel)
-                enc = buckets.encode(magnitudes)
             payload.parts.append(
                 self._compress_sign(
                     sign,
@@ -338,7 +306,7 @@ class SketchMLCompressor(GradientCompressor):
                 index_range=max(buckets.num_buckets, 1),
                 num_rows=cfg.minmax_rows,
                 total_bins=cfg.minmax_total_bins(keys.size),
-                seed=cfg.seed + (0 if sign > 0 else 7_919),
+                seed=cfg.seed + (0 if sign > 0 else NEGATIVE_SIGN_SEED_OFFSET),
                 hash_family=cfg.hash_family,
             )
             # Flat partition: the insert scatter and the key encoder both

@@ -13,7 +13,11 @@ Figure 8 ablation stack:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from typing import ClassVar
+
+from .minmax_sketch import GROUP_SEED_STRIDE, NEGATIVE_SIGN_SEED_OFFSET
 
 __all__ = ["SketchMLConfig"]
 
@@ -24,19 +28,17 @@ class SketchMLConfig:
 
     Attributes:
         num_buckets: quantile bucket count ``q`` (1 byte/value at 256).
-        quantile_sketch: ``"exact"`` (default: the bucket splits are
-            read off the sort the encoder already does, ε = 0), or the
-            quantile sketch that sorted array is fed instead: ``"kll"``
-            (the paper's DataSketches stand-in), ``"gk"`` or
-            ``"tdigest"``.
-        quantile_sketch_size: sketch size parameter (paper default 128;
-            unused by ``"exact"``).
-        minmax_rows: hash rows ``s`` per group sketch (default 2).
+            The bucket splits are exact quantiles read off the sort the
+            encoder already does (ε = 0), where the paper builds a
+            quantile sketch.
+        minmax_rows: hash rows ``s`` per group sketch (default 2; at
+            most 255, the sketch header's one-byte field).
         minmax_cols_factor: total bins ``t`` as a fraction of the
             gradient's nnz ``d`` (default 1/5, the paper's ``d/5``).
         minmax_min_cols: lower bound on total bins so tiny gradients
             still get a usable sketch.
-        num_groups: bucket groups ``r`` (default 8; max index error q/r).
+        num_groups: bucket groups ``r`` (default 8; max index error q/r;
+            at most 255, the grouped header's one-byte field).
         enable_delta_keys: compress keys with delta-binary encoding.
         enable_quantization: quantile-bucket quantify the values.
         enable_minmax: push bucket indexes through MinMaxSketches.
@@ -50,14 +52,10 @@ class SketchMLConfig:
             decoder can multiply it back.  §3.3's "compensate the
             vanishing of gradients" implemented at the codec layer
             instead of relying solely on Adam.
-        refit_interval: refit the quantile sketch every N compress
-            calls instead of every call (1 = paper behaviour).  Between
-            refits the cached splits are reused — gradient value
-            distributions drift slowly across adjacent mini-batches, so
-            this trades a small quantization-error increase for most of
-            the encode CPU (the dominant cost in Fig. 8(c)).
         hash_family: hash family for the MinMaxSketch rows.
-        seed: master seed shared by encoder and decoder.
+        seed: master seed shared by encoder and decoder.  Non-negative,
+            and small enough that every sketch seed derived from it
+            fits the sketch header's signed 64-bit field.
         sanitize: run the :mod:`repro.sanitize` invariant checks on
             every encode/decode through this compressor, regardless of
             the ``REPRO_SANITIZE`` environment variable (sign
@@ -65,9 +63,11 @@ class SketchMLConfig:
             strictly-ascending keys, decay-scale clamp).
     """
 
+    # The e2e probe reads these two; ROADMAP item 1's benchmark PR removes them.
+    quantile_sketch: ClassVar[str] = "exact"
+    quantile_sketch_size: ClassVar[int] = 128
+
     num_buckets: int = 128
-    quantile_sketch: str = "exact"
-    quantile_sketch_size: int = 128
     minmax_rows: int = 2
     minmax_cols_factor: float = 0.2
     minmax_min_cols: int = 64
@@ -77,7 +77,6 @@ class SketchMLConfig:
     enable_minmax: bool = True
     pack_index_bits: bool = False
     compensate_decay: bool = False
-    refit_interval: int = 1
     hash_family: str = "multiply_shift"
     seed: int = 0
     sanitize: bool = False
@@ -85,16 +84,22 @@ class SketchMLConfig:
     def __post_init__(self) -> None:
         if self.num_buckets < 2:
             raise ValueError("num_buckets must be >= 2")
-        if self.quantile_sketch not in ("kll", "gk", "tdigest", "exact"):
-            raise ValueError(f"unknown quantile_sketch {self.quantile_sketch!r}")
-        if self.minmax_rows <= 0:
-            raise ValueError("minmax_rows must be positive")
-        if self.minmax_cols_factor <= 0:
-            raise ValueError("minmax_cols_factor must be positive")
-        if self.num_groups <= 0:
-            raise ValueError("num_groups must be positive")
-        if self.refit_interval <= 0:
-            raise ValueError("refit_interval must be positive")
+        if not 0 < self.minmax_rows <= 255:
+            raise ValueError("minmax_rows must lie in [1, 255]")
+        if not (math.isfinite(self.minmax_cols_factor) and self.minmax_cols_factor > 0):
+            raise ValueError("minmax_cols_factor must be finite and positive")
+        if not 0 < self.num_groups <= 255:
+            raise ValueError("num_groups must lie in [1, 255]")
+        # The sketch header carries each seed as int64; the largest one
+        # is the negative sign's last group.
+        max_seed = 2**63 - 1 - NEGATIVE_SIGN_SEED_OFFSET - GROUP_SEED_STRIDE * (
+            self.num_groups - 1
+        )
+        if not 0 <= self.seed <= max_seed:
+            raise ValueError(
+                f"seed must lie in [0, {max_seed}] so every derived sketch "
+                "seed fits int64"
+            )
         if self.enable_minmax and not self.enable_quantization:
             raise ValueError(
                 "enable_minmax requires enable_quantization (the sketch "

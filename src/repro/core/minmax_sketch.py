@@ -32,13 +32,22 @@ import numpy as np
 from .. import sanitize
 from ..sketch.hashing import build_hash_family, hash_all_grouped
 
-__all__ = ["MinMaxSketch", "GroupedMinMaxSketch", "GROUP_SEED_STRIDE"]
+__all__ = [
+    "MinMaxSketch",
+    "GroupedMinMaxSketch",
+    "GROUP_SEED_STRIDE",
+    "NEGATIVE_SIGN_SEED_OFFSET",
+]
 
 #: Group ``g`` of a :class:`GroupedMinMaxSketch` hashes with seed
 #: ``seed + GROUP_SEED_STRIDE * g``.  Payload v2 ships only the group-0
 #: seed and rebuilds the others with this stride, so it is part of the
 #: wire format.
 GROUP_SEED_STRIDE = 1009
+
+#: The codec's negative-sign sketch takes ``seed + NEGATIVE_SIGN_SEED_OFFSET``
+#: as its base seed, so the two signs hash independently.
+NEGATIVE_SIGN_SEED_OFFSET = 7_919
 
 
 def _dtype_for_range(index_range: int) -> np.dtype:

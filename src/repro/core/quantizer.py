@@ -1,22 +1,22 @@
 """Quantile-bucket quantification (paper §3.2, with §3.3 Solution 1).
 
-A quantile sketch summarises gradient values into ``q`` equi-depth
-buckets (each bucket holds the same *number* of values, unlike the
-equi-width buckets of uniform quantizers such as ZipML).  Each value is
-then encoded by its bucket index — one byte for ``q <= 256`` — and
-decoded back to the bucket's mean value.
+Gradient values are summarised into ``q`` equi-depth buckets (each
+bucket holds the same *number* of values, unlike the equi-width buckets
+of uniform quantizers such as ZipML).  Each value is then encoded by its
+bucket index — one byte for ``q <= 256`` — and decoded back to the
+bucket's mean value.
 
-Positive and negative values get **separate** sketches and separate
+Positive and negative values get **separate** fits and separate
 bucket ranges (§3.3 Solution 1), so no bucket ever straddles zero and a
 decoded value can never change sign.  Within each sign, bucket indexes
 are ordered by *magnitude* (index 0 = bucket closest to zero); this is
 the ordering the MinMaxSketch's min-insert / max-query protocol relies
 on to guarantee one-sided, decaying error.
 
-The default fit is exact: the encoder sorts each sign's magnitudes
-anyway, so the ``q + 1`` equi-depth splits are one gather from that
-sorted array (ε = 0, so §2.3's ε-quantile guarantee holds trivially).
-The KLL, GK and t-digest sketches stay selectable.  Bucket means are
+The fit is exact, where the paper builds a quantile sketch: the
+encoder sorts each sign's magnitudes anyway, so the ``q + 1``
+equi-depth splits are one gather from that sorted array (ε = 0, so
+§2.3's ε-quantile guarantee holds trivially).  Bucket means are
 rounded *toward zero* to float32 values so payload v2 can ship them at
 4 bytes each; rounding down keeps every decoded magnitude at or below
 the bucket's midpoint ("decayed, never amplified", §3.3) and, being
@@ -28,22 +28,35 @@ its smallest subnormal) keeps its float64 means.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..sketch.quantile import GKSummary, KLLSketch, TDigest, exact_quantiles
-
-__all__ = ["SignedBuckets", "QuantileBucketQuantizer"]
+__all__ = ["SignedBuckets", "QuantileBucketQuantizer", "exact_quantiles"]
 
 
 _F32_MAX = float(np.finfo(np.float32).max)
 
-_SKETCH_BUILDERS = {
-    "kll": lambda size, seed: KLLSketch(k=max(int(size), 8), seed=seed),
-    "gk": lambda size, seed: GKSummary(epsilon=1.0 / max(int(size), 8)),
-    "tdigest": lambda size, seed: TDigest(delta=max(float(size), 10.0)),
-}
+
+def exact_quantiles(
+    values: Sequence[float], phis: Sequence[float], assume_sorted: bool = False
+) -> np.ndarray:
+    """Exact quantiles by full sort — the O(N log N) brute force of §2.3.
+
+    The codec's bucket fit, and ground truth in tests.  Uses the
+    "lower" interpolation so results are actual data points.  Pass
+    ``assume_sorted=True`` when the caller already sorted ``values``
+    (the quantizer sorts each sign's magnitudes once to encode them, so
+    its splits are one gather).
+    """
+    arr = np.asarray(values, dtype=np.float64)
+    if not assume_sorted:
+        arr = np.sort(arr)
+    if arr.size == 0:
+        raise ValueError("cannot take quantiles of an empty sequence")
+    phis = np.clip(np.asarray(phis, dtype=np.float64), 0.0, 1.0)
+    idx = np.minimum((phis * arr.size).astype(np.int64), arr.size - 1)
+    return arr[idx]
 
 
 @dataclass
@@ -91,30 +104,14 @@ class SignedBuckets:
         return self.sign * self.means[indexes]
 
 
-def _build_buckets(
-    ordered: np.ndarray,
-    num_buckets: int,
-    sign: float,
-    sketch: str,
-    sketch_size: int,
-    seed: int,
-) -> SignedBuckets:
-    """Fit equi-depth splits for one sign's *ascending* magnitudes."""
+def _build_buckets(ordered: np.ndarray, num_buckets: int, sign: float) -> SignedBuckets:
+    """Fit equi-depth splits for one sign's *ascending* magnitudes.
+
+    Exact quantiles are one gather from the sorted magnitudes (the
+    first and last splits are the extremes).
+    """
     phis = np.linspace(0.0, 1.0, num_buckets + 1)
-    if sketch == "exact" or ordered.size <= 4 * num_buckets:
-        # Exact quantiles are one gather from the sorted magnitudes (the
-        # first and last splits are the extremes).  For small inputs a
-        # sketch would be pure overhead and its rank error could exceed
-        # a bucket, so those always take this path.
-        splits = exact_quantiles(ordered, phis, assume_sorted=True)
-    else:
-        sk = _SKETCH_BUILDERS[sketch](sketch_size, seed)
-        sk.insert_sorted(ordered)
-        splits = np.asarray(sk.query_many(phis), dtype=np.float64)
-        splits[0] = float(ordered[0])
-        splits[-1] = float(ordered[-1])
-        # Monotonicity can be violated by sketch noise on heavy ties.
-        splits = np.maximum.accumulate(splits)
+    splits = exact_quantiles(ordered, phis, assume_sorted=True)
     means = _round_means(0.5 * (splits[:-1] + splits[1:]))
     return SignedBuckets(splits=splits, means=means, sign=sign)
 
@@ -165,14 +162,8 @@ class QuantileBucketQuantizer:
     Args:
         num_buckets: total bucket budget ``q`` across both signs
             (default 256 → one byte per encoded value).
-        sketch: ``"exact"`` (default: the splits are read off the sort
-            the encoder already pays for, no sketch is built), or a
-            quantile sketch fed that sorted array: ``"kll"`` (the
-            DataSketches stand-in), ``"gk"`` (Greenwald–Khanna) or
-            ``"tdigest"``.
-        sketch_size: the sketch's size parameter (KLL ``k`` or GK
-            ``1/epsilon``); paper default 128.  Unused by ``"exact"``.
-        seed: PRNG seed for randomized sketches.
+        sketch: must be ``"exact"``; ``sketch_size`` and ``seed`` are
+            ignored.
 
     Example:
         >>> rng = np.random.default_rng(0)
@@ -187,18 +178,16 @@ class QuantileBucketQuantizer:
     def __init__(
         self,
         num_buckets: int = 256,
+        # The e2e probe passes these three; ROADMAP item 1's benchmark PR removes them.
         sketch: str = "exact",
         sketch_size: int = 128,
         seed: int = 0,
     ) -> None:
         if num_buckets < 2:
             raise ValueError(f"num_buckets must be >= 2, got {num_buckets}")
-        if sketch not in ("kll", "gk", "tdigest", "exact"):
-            raise ValueError(f"unknown sketch type {sketch!r}")
+        if sketch != "exact":
+            raise ValueError(f"unknown sketch type {sketch!r} (only 'exact')")
         self.num_buckets = int(num_buckets)
-        self.sketch = sketch
-        self.sketch_size = int(sketch_size)
-        self.seed = int(seed)
         self.positive: Optional[SignedBuckets] = None
         self.negative: Optional[SignedBuckets] = None
 
@@ -226,18 +215,10 @@ class QuantileBucketQuantizer:
         neg = -values.take(neg_sel)
         q_pos, q_neg = self._split_budget(pos.size, neg.size)
         self.positive = (
-            _build_buckets(
-                np.sort(pos), q_pos, +1.0, self.sketch, self.sketch_size, self.seed
-            )
-            if pos.size
-            else None
+            _build_buckets(np.sort(pos), q_pos, +1.0) if pos.size else None
         )
         self.negative = (
-            _build_buckets(
-                np.sort(neg), q_neg, -1.0, self.sketch, self.sketch_size, self.seed + 1
-            )
-            if neg.size
-            else None
+            _build_buckets(np.sort(neg), q_neg, -1.0) if neg.size else None
         )
         return self
 
@@ -282,16 +263,12 @@ class QuantileBucketQuantizer:
         if pos.size:
             perm = np.argsort(pos)
             ordered = pos.take(perm)
-            self.positive = _build_buckets(
-                ordered, q_pos, +1.0, self.sketch, self.sketch_size, self.seed
-            )
+            self.positive = _build_buckets(ordered, q_pos, +1.0)
             pos_enc = _expand_sorted_indexes(ordered, perm, self.positive)
         if neg.size:
             perm = np.argsort(neg)
             ordered = neg.take(perm)
-            self.negative = _build_buckets(
-                ordered, q_neg, -1.0, self.sketch, self.sketch_size, self.seed + 1
-            )
+            self.negative = _build_buckets(ordered, q_neg, -1.0)
             neg_enc = _expand_sorted_indexes(ordered, perm, self.negative)
         return pos_enc, neg_enc
 
@@ -392,7 +369,4 @@ class QuantileBucketQuantizer:
         return values.size / (4.0 * self.num_buckets) * (phi_min**2 + phi_max**2)
 
     def __repr__(self) -> str:
-        return (
-            f"QuantileBucketQuantizer(q={self.num_buckets}, sketch={self.sketch!r}, "
-            f"fitted={self.is_fitted})"
-        )
+        return f"QuantileBucketQuantizer(q={self.num_buckets}, fitted={self.is_fitted})"

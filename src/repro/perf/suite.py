@@ -79,12 +79,7 @@ def _bench_quantizer_fit(
     neg_sel = np.flatnonzero(values < 0)
 
     def kernel():
-        quantizer = QuantileBucketQuantizer(
-            num_buckets=cfg.num_buckets,
-            sketch=cfg.quantile_sketch,
-            sketch_size=cfg.quantile_sketch_size,
-            seed=cfg.seed,
-        )
+        quantizer = QuantileBucketQuantizer(num_buckets=cfg.num_buckets)
         return quantizer.fit_encode(values, pos_sel=pos_sel, neg_sel=neg_sel)
 
     return time_kernel(
@@ -100,12 +95,7 @@ def _bench_quantizer_fit(
 def _minmax_operands(nnz: int, cfg: SketchMLConfig):
     keys, values, _ = _synthetic_gradient(nnz)
     # Bucket indexes from a real fit so insert sees realistic skew.
-    quantizer = QuantileBucketQuantizer(
-        num_buckets=cfg.num_buckets,
-        sketch=cfg.quantile_sketch,
-        sketch_size=cfg.quantile_sketch_size,
-        seed=cfg.seed,
-    )
+    quantizer = QuantileBucketQuantizer(num_buckets=cfg.num_buckets)
     pos_sel = np.flatnonzero(values >= 0)
     neg_sel = np.flatnonzero(values < 0)
     pos_enc, neg_enc = quantizer.fit_encode(

@@ -1,25 +1,11 @@
-"""Sketch substrates: hashing, quantile sketches, frequency sketches."""
+"""Sketch substrates: hashing and frequency sketches."""
 
-from .frequency import (
-    BloomFilter,
-    ConservativeCountMinSketch,
-    CountMinSketch,
-    CountSketch,
-    SpaceSaving,
-)
+from .frequency import CountMinSketch, CountSketch
 from .hashing import (
     HashFunction,
     MultiplyShiftHash,
     TabulationHash,
     build_hash_family,
-)
-from .quantile import (
-    GKSummary,
-    KLLSketch,
-    QuantileSketch,
-    TDigest,
-    exact_quantiles,
-    uniform_probabilities,
 )
 
 __all__ = [
@@ -27,15 +13,6 @@ __all__ = [
     "MultiplyShiftHash",
     "TabulationHash",
     "build_hash_family",
-    "QuantileSketch",
-    "GKSummary",
-    "KLLSketch",
-    "TDigest",
-    "exact_quantiles",
-    "uniform_probabilities",
-    "BloomFilter",
-    "ConservativeCountMinSketch",
     "CountMinSketch",
     "CountSketch",
-    "SpaceSaving",
 ]

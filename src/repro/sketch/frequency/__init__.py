@@ -1,15 +1,6 @@
-"""Frequency sketches and related multi-hash structures (§2.4)."""
+"""Frequency sketches (§2.4)."""
 
-from .bloom import BloomFilter
-from .conservative import ConservativeCountMinSketch
 from .count_min import CountMinSketch
 from .count_sketch import CountSketch
-from .space_saving import SpaceSaving
 
-__all__ = [
-    "BloomFilter",
-    "ConservativeCountMinSketch",
-    "CountMinSketch",
-    "CountSketch",
-    "SpaceSaving",
-]
+__all__ = ["CountMinSketch", "CountSketch"]

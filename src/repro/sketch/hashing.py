@@ -1,6 +1,6 @@
 """Seeded hash families used by every sketch in this library.
 
-Sketch error bounds (Count-Min, MinMaxSketch, Bloom filters) assume the
+Sketch error bounds (Count-Min, Count Sketch, MinMaxSketch) assume the
 hash functions of different rows are drawn independently from a pairwise
 independent family.  We provide two families:
 

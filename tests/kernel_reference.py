@@ -2,7 +2,7 @@
 
 The package has one numpy kernel per codec operation.  This module keeps
 the straight-line transcription of each: fit-then-encode quantization
-and the KLL/GK list builds and query scans (§3.2), the per-row
+(§3.2), the per-row
 ``np.minimum.at`` MinMaxSketch insert, the per-row query and the
 mask-loop group partition (§3.3), and per-group delta-binary key coding
 (§3.4).  The kernels must agree with it byte for byte, as
@@ -25,9 +25,6 @@ from repro.core import delta_encoding
 from repro.core.delta_encoding import encode_keys
 from repro.core.minmax_sketch import GroupedMinMaxSketch, MinMaxSketch
 from repro.core.quantizer import QuantileBucketQuantizer
-from repro.sketch.quantile.base import as_float_array
-from repro.sketch.quantile.gk import GKSummary, GKTuple
-from repro.sketch.quantile.kll import KLLSketch
 
 __all__ = ["reference_kernels", "kernel_path", "KERNEL_PATHS"]
 
@@ -51,92 +48,6 @@ def fit_encode(self, values, pos_sel=None, neg_sel=None):
         self.negative.encode(-values.take(neg_sel)) if neg_sel.size else None
     )
     return pos_enc, neg_enc
-
-
-def kll_insert_sorted(self, values):
-    """KLLSketch.insert_sorted: one list level 0, then ``_compress``."""
-    arr = as_float_array(values)
-    if arr.size == 0:
-        return
-    if self._count != 0:
-        self.insert_many(arr)
-        return
-    if np.isnan(arr).any():
-        raise ValueError("cannot insert NaN into a quantile sketch")
-    self._count = int(arr.size)
-    self._min = min(self._min, float(arr[0]))
-    self._max = max(self._max, float(arr[-1]))
-    self._levels = [arr.tolist()]
-    if len(self._levels[0]) >= self._capacity(0):
-        self._compress()
-
-
-def kll_query_many(self, phis) -> List[float]:
-    """KLLSketch.query_many: one cumulative-weight search per phi."""
-    if self._count == 0:
-        raise ValueError("cannot query an empty KLLSketch")
-    values, weights = self._weighted_items()
-    cum = np.cumsum(weights)
-    out: List[float] = []
-    for phi in phis:
-        phi = min(max(float(phi), 0.0), 1.0)
-        if phi <= 0.0:
-            out.append(self._min)
-        elif phi >= 1.0:
-            out.append(self._max)
-        else:
-            idx = int(np.searchsorted(cum, phi * cum[-1], side="left"))
-            out.append(float(values[min(idx, values.size - 1)]))
-    return out
-
-
-def gk_insert_sorted(self, values):
-    """GKSummary.insert_sorted: one exact tuple per value, then one
-    COMPRESS pass."""
-    arr = as_float_array(values)
-    if arr.size == 0:
-        return
-    if self._count != 0:
-        for value in arr:
-            self.insert(float(value))
-        return
-    if np.isnan(arr).any():
-        raise ValueError("cannot insert NaN into a quantile summary")
-    self._count = int(arr.size)
-    self._inserts_since_compress = 0
-    self._invalidate()
-    self._tuples = [GKTuple(float(v), 1, 0) for v in arr]
-    self._values = [t.value for t in self._tuples]
-    self._compress()
-
-
-def gk_query(self, phi: float) -> float:
-    """GKSummary.query: the first tuple within ``ε n`` on both sides."""
-    if self._count == 0:
-        raise ValueError("cannot query an empty GKSummary")
-    phi = min(max(float(phi), 0.0), 1.0)
-    target_rank = phi * self._count
-    bound = self.epsilon * self._count
-    rmin = 0
-    for t in self._tuples:
-        rmin += t.g
-        rmax = rmin + t.delta
-        if target_rank - rmin <= bound and rmax - target_rank <= bound:
-            return t.value
-    return self._tuples[-1].value
-
-
-def gk_rank(self, value: float) -> int:
-    """GKSummary.rank: rmin of the last tuple at or below ``value``."""
-    rmin = 0
-    last_below = 0
-    for t in self._tuples:
-        rmin += t.g
-        if t.value <= value:
-            last_below = rmin
-        else:
-            break
-    return last_below
 
 
 # ---------------------------------------------------------------------------
@@ -269,11 +180,6 @@ def encode_key_groups_flat(concat, sizes):
 # ---------------------------------------------------------------------------
 _METHOD_TWINS = (
     (QuantileBucketQuantizer, "fit_encode", fit_encode),
-    (KLLSketch, "insert_sorted", kll_insert_sorted),
-    (KLLSketch, "query_many", kll_query_many),
-    (GKSummary, "insert_sorted", gk_insert_sorted),
-    (GKSummary, "query", gk_query),
-    (GKSummary, "rank", gk_rank),
     (MinMaxSketch, "insert_many", minmax_insert_many),
     (MinMaxSketch, "query_many", minmax_query_many),
     (GroupedMinMaxSketch, "partition_flat", partition_flat),

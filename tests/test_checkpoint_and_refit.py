@@ -1,9 +1,8 @@
-"""Tests for checkpointing and the quantizer refit interval."""
+"""Tests for checkpointing."""
 
 import numpy as np
 import pytest
 
-from repro.core import SketchMLCompressor, SketchMLConfig
 from repro.distributed import load_checkpoint, save_checkpoint
 from repro.optim import Adam, AdaGrad, Momentum, SGD
 
@@ -117,82 +116,3 @@ class TestAtomicSave:
         assert epoch == 2
         leftovers = [p for p in tmp_path.iterdir() if ".tmp-" in p.name]
         assert leftovers == []
-
-
-class TestRefitInterval:
-    def make_gradient(self, seed):
-        rng = np.random.default_rng(seed)
-        keys = np.sort(rng.choice(100_000, size=3_000, replace=False))
-        values = rng.laplace(scale=0.01, size=3_000)
-        values[values == 0.0] = 1e-6
-        return keys, values
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SketchMLConfig(refit_interval=0)
-
-    def test_cached_quantizer_reused(self):
-        comp = SketchMLCompressor(SketchMLConfig.full(refit_interval=5))
-        keys, values = self.make_gradient(0)
-        comp.compress(keys, values, 100_000)
-        first = comp._cached_quantizer
-        keys2, values2 = self.make_gradient(1)
-        comp.compress(keys2, values2, 100_000)
-        assert comp._cached_quantizer is first  # reused, not refit
-
-    def test_refit_happens_on_schedule(self):
-        comp = SketchMLCompressor(SketchMLConfig.full(refit_interval=2))
-        quantizers = []
-        for seed in range(4):
-            keys, values = self.make_gradient(seed)
-            comp.compress(keys, values, 100_000)
-            quantizers.append(comp._cached_quantizer)
-        assert quantizers[0] is quantizers[1]
-        assert quantizers[1] is not quantizers[2]
-        assert quantizers[2] is quantizers[3]
-
-    def test_roundtrip_still_correct_between_refits(self):
-        comp = SketchMLCompressor(SketchMLConfig.full(refit_interval=10))
-        for seed in range(5):
-            keys, values = self.make_gradient(seed)
-            out_keys, out_values, _ = comp.roundtrip(keys, values, 100_000)
-            np.testing.assert_array_equal(out_keys, keys)
-            assert np.all(np.sign(out_values) == np.sign(values))
-
-    def test_sign_miss_triggers_on_demand_refit(self):
-        comp = SketchMLCompressor(SketchMLConfig.full(refit_interval=100))
-        rng = np.random.default_rng(9)
-        keys = np.sort(rng.choice(10_000, size=200, replace=False))
-        positive_only = np.abs(rng.laplace(scale=0.01, size=200)) + 1e-6
-        comp.compress(keys, positive_only, 10_000)
-        mixed = rng.laplace(scale=0.01, size=200)
-        mixed[mixed == 0.0] = -1e-6
-        out_keys, out_values, _ = comp.roundtrip(keys, mixed, 10_000)
-        np.testing.assert_array_equal(out_keys, keys)
-        assert np.all(np.sign(out_values) == np.sign(mixed))
-
-    def test_reset_clears_cache(self):
-        comp = SketchMLCompressor(SketchMLConfig.full(refit_interval=5))
-        keys, values = self.make_gradient(2)
-        comp.compress(keys, values, 100_000)
-        assert comp._cached_quantizer is not None
-        comp.reset()
-        assert comp._cached_quantizer is None
-
-    def test_refit_interval_reduces_encode_time(self):
-        import time
-
-        keys, values = self.make_gradient(3)
-
-        def encode_time(interval, repeats=20):
-            comp = SketchMLCompressor(
-                SketchMLConfig.full(refit_interval=interval)
-            )
-            t0 = time.perf_counter()
-            for _ in range(repeats):
-                comp.compress(keys, values, 100_000)
-            return time.perf_counter() - t0
-
-        # Warm both paths once, then compare.
-        encode_time(1, repeats=2)
-        assert encode_time(10) < encode_time(1)

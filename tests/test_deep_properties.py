@@ -9,7 +9,6 @@ from repro.core import GroupedMinMaxSketch, SketchMLCompressor, SketchMLConfig
 from repro.core.quantizer import QuantileBucketQuantizer
 from repro.data import SparseDataset
 from repro.distributed import aggregate_sparse_gradients
-from repro.sketch.quantile import KLLSketch
 
 
 # ----------------------------------------------------------------------
@@ -64,32 +63,6 @@ def test_aggregation_matches_dense_reference(num_workers, dimension, seed):
     rebuilt = np.zeros(dimension)
     rebuilt[keys] = values
     np.testing.assert_allclose(rebuilt[reference_keys], dense_mean[reference_keys])
-
-
-# ----------------------------------------------------------------------
-# KLL weight conservation under arbitrary merge trees
-# ----------------------------------------------------------------------
-@given(
-    chunk_sizes=st.lists(
-        st.integers(min_value=1, max_value=2_000), min_size=1, max_size=6
-    ),
-    seed=st.integers(min_value=0, max_value=100),
-)
-@settings(max_examples=25, deadline=None)
-def test_kll_merge_tree_conserves_weight(chunk_sizes, seed):
-    rng = np.random.default_rng(seed)
-    merged = KLLSketch(k=32, seed=seed)
-    total = 0
-    for i, size in enumerate(chunk_sizes):
-        local = KLLSketch(k=32, seed=seed + i + 1)
-        local.insert_many(rng.normal(size=size))
-        merged.merge(local)
-        total += size
-    assert len(merged) == total
-    weight = sum(
-        (1 << level) * len(items) for level, items in enumerate(merged._levels)
-    )
-    assert weight == total
 
 
 # ----------------------------------------------------------------------

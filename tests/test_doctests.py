@@ -8,16 +8,8 @@ import repro.compression.qsgd
 import repro.compression.zipml
 import repro.core.compressor
 import repro.core.quantizer
-import repro.sketch.frequency.space_saving
-import repro.sketch.quantile.gk
-import repro.sketch.quantile.kll
-import repro.sketch.quantile.tdigest
 
 MODULES = [
-    repro.sketch.quantile.gk,
-    repro.sketch.quantile.kll,
-    repro.sketch.quantile.tdigest,
-    repro.sketch.frequency.space_saving,
     repro.core.quantizer,
     repro.core.compressor,
     repro.compression.zipml,

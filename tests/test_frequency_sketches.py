@@ -1,9 +1,9 @@
-"""Tests for Count-Min, Count Sketch, and the Bloom filter."""
+"""Tests for Count-Min and Count Sketch."""
 
 import numpy as np
 import pytest
 
-from repro.sketch.frequency import BloomFilter, CountMinSketch, CountSketch
+from repro.sketch.frequency import CountMinSketch, CountSketch
 
 
 class TestCountMin:
@@ -113,54 +113,3 @@ class TestCountSketch:
             a.merge(CountSketch(num_rows=4, num_bins=128))
         with pytest.raises(TypeError):
             a.merge("nope")
-
-
-class TestBloomFilter:
-    def test_no_false_negatives(self):
-        bf = BloomFilter(num_bits=4_096, num_hashes=3, seed=1)
-        keys = np.arange(0, 500, dtype=np.int64)
-        bf.add_many(keys)
-        assert bf.contains_many(keys).all()
-        for key in keys[:50]:
-            assert int(key) in bf
-
-    def test_false_positive_rate_near_target(self):
-        target = 0.02
-        bf = BloomFilter.from_capacity(2_000, false_positive_rate=target, seed=2)
-        bf.add_many(np.arange(2_000))
-        probes = np.arange(1_000_000, 1_010_000)
-        fp_rate = bf.contains_many(probes).mean()
-        assert fp_rate < 5 * target
-
-    def test_from_capacity_validation(self):
-        with pytest.raises(ValueError):
-            BloomFilter.from_capacity(0)
-        with pytest.raises(ValueError):
-            BloomFilter.from_capacity(10, false_positive_rate=1.5)
-
-    def test_approximate_count(self):
-        bf = BloomFilter.from_capacity(5_000, seed=3)
-        bf.add_many(np.arange(3_000))
-        assert bf.approximate_count == pytest.approx(3_000, rel=0.1)
-
-    def test_merge_union(self):
-        a = BloomFilter(num_bits=2_048, num_hashes=3, seed=4)
-        b = BloomFilter(num_bits=2_048, num_hashes=3, seed=4)
-        a.add_many(np.arange(0, 100))
-        b.add_many(np.arange(100, 200))
-        a.merge(b)
-        assert a.contains_many(np.arange(0, 200)).all()
-
-    def test_merge_incompatible(self):
-        a = BloomFilter(num_bits=1_024, num_hashes=3)
-        with pytest.raises(ValueError):
-            a.merge(BloomFilter(num_bits=2_048, num_hashes=3))
-        with pytest.raises(TypeError):
-            a.merge(None)
-
-    def test_empty_operations(self):
-        bf = BloomFilter(num_bits=256, num_hashes=2)
-        assert bf.contains_many([]).size == 0
-        bf.add_many([])
-        assert bf.fill_ratio == 0.0
-        assert bf.expected_false_positive_rate == 0.0

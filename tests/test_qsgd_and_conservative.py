@@ -1,10 +1,9 @@
-"""Tests for the QSGD compressor and conservative-update Count-Min."""
+"""Tests for the QSGD compressor."""
 
 import numpy as np
 import pytest
 
 from repro.compression import QSGDCompressor, make_compressor
-from repro.sketch.frequency import ConservativeCountMinSketch, CountMinSketch
 
 
 def make_gradient(nnz=2_000, dimension=50_000, seed=0):
@@ -88,56 +87,3 @@ class TestQSGD:
             errors.append(np.sum((decoded - values) ** 2))
         bound = min(d / s**2, np.sqrt(d) / s) * float(np.dot(values, values))
         assert np.mean(errors) <= bound
-
-
-class TestConservativeCountMin:
-    def test_never_underestimates(self):
-        rng = np.random.default_rng(0)
-        keys = rng.integers(0, 500, size=10_000)
-        sk = ConservativeCountMinSketch(num_rows=3, num_bins=256, seed=1)
-        sk.insert_many(keys)
-        true_counts = np.bincount(keys, minlength=500)
-        for key in range(0, 500, 17):
-            assert sk.query(key) >= true_counts[key]
-
-    def test_tighter_than_plain_count_min(self):
-        """Conservative update never does worse than plain CM."""
-        rng = np.random.default_rng(1)
-        keys = rng.zipf(1.3, size=20_000) % 2_000
-        plain = CountMinSketch(num_rows=3, num_bins=256, seed=2)
-        conservative = ConservativeCountMinSketch(num_rows=3, num_bins=256, seed=2)
-        plain.insert_many(keys)
-        conservative.insert_many(keys)
-        probes = np.arange(0, 2_000, 13)
-        plain_est = plain.query_many(probes)
-        cons_est = conservative.query_many(probes)
-        assert np.all(cons_est <= plain_est)
-        assert cons_est.sum() < plain_est.sum()
-
-    def test_still_overestimates_under_pressure(self):
-        """Even conservative update keeps the upward bias MinMaxSketch
-        eliminates — §3.3's argument survives the stronger baseline."""
-        rng = np.random.default_rng(2)
-        keys = np.sort(rng.choice(10**6, size=3_000, replace=False))
-        indexes = rng.integers(1, 64, size=3_000)
-        sk = ConservativeCountMinSketch(num_rows=2, num_bins=256, seed=3)
-        for key, idx in zip(keys.tolist(), indexes.tolist()):
-            sk.insert(key, count=idx)
-        decoded = sk.query_many(keys)
-        assert (decoded > indexes).any()
-        assert not (decoded < indexes).any()
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ConservativeCountMinSketch(num_rows=0)
-        sk = ConservativeCountMinSketch()
-        with pytest.raises(ValueError):
-            sk.insert(1, count=0)
-
-    def test_query_many_and_sizes(self):
-        sk = ConservativeCountMinSketch(num_rows=2, num_bins=64, seed=0)
-        sk.insert_many([5, 5, 9])
-        assert sk.query_many([5, 9]).tolist() == [sk.query(5), sk.query(9)]
-        assert sk.total_count == 3
-        assert sk.size_bytes == 2 * 64 * 8
-        assert sk.query_many([]).size == 0

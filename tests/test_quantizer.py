@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.quantizer import QuantileBucketQuantizer, SignedBuckets
+from repro.core.quantizer import (
+    QuantileBucketQuantizer,
+    SignedBuckets,
+    exact_quantiles,
+)
 
 
 def laplace_values(n=5_000, scale=0.01, seed=0):
@@ -13,6 +17,34 @@ def laplace_values(n=5_000, scale=0.01, seed=0):
     values = rng.laplace(scale=scale, size=n)
     values[values == 0.0] = scale / 100
     return values
+
+
+class TestExactQuantiles:
+    def test_known_values(self):
+        values = list(range(10))
+        result = exact_quantiles(values, [0.0, 0.5, 1.0])
+        assert result[0] == 0
+        assert result[1] == 5
+        assert result[2] == 9  # clipped to the last element
+
+    def test_returns_data_points(self):
+        rng = np.random.default_rng(0)
+        values = rng.normal(size=100)
+        for phi in (0.1, 0.33, 0.77):
+            assert exact_quantiles(values, [phi])[0] in values
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            exact_quantiles([], [0.5])
+
+    def test_phis_clipped(self):
+        result = exact_quantiles([1.0, 2.0, 3.0], [-0.5, 1.5])
+        assert result[0] == 1.0
+        assert result[1] == 3.0
+
+    def test_single_value(self):
+        result = exact_quantiles([42.0], [0.0, 0.5, 1.0])
+        assert np.all(result == 42.0)
 
 
 class TestFit:
@@ -34,8 +66,9 @@ class TestFit:
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             QuantileBucketQuantizer(num_buckets=1)
-        with pytest.raises(ValueError):
-            QuantileBucketQuantizer(sketch="hdr-histogram")
+        for sketch in ("kll", "hdr-histogram"):
+            with pytest.raises(ValueError, match="exact"):
+                QuantileBucketQuantizer(sketch=sketch)
 
     def test_bucket_budget_split_by_counts(self):
         rng = np.random.default_rng(1)
@@ -55,11 +88,10 @@ class TestFit:
 
 
 class TestRoundtrip:
-    @pytest.mark.parametrize("sketch", ["exact", "kll", "gk"])
-    def test_sign_never_flips(self, sketch):
+    def test_sign_never_flips(self):
         """§3.3 Solution 1: pos/neg separation prevents reversed gradients."""
         values = laplace_values()
-        quant = QuantileBucketQuantizer(num_buckets=64, sketch=sketch).fit(values)
+        quant = QuantileBucketQuantizer(num_buckets=64).fit(values)
         decoded = quant.quantize(values)
         nonzero = values != 0
         assert np.all(np.sign(decoded[nonzero]) == np.sign(values[nonzero]))
@@ -67,7 +99,7 @@ class TestRoundtrip:
     def test_equi_depth_buckets(self):
         """Each bucket should receive roughly the same number of values."""
         values = laplace_values(n=20_000)
-        quant = QuantileBucketQuantizer(num_buckets=32, sketch="exact").fit(values)
+        quant = QuantileBucketQuantizer(num_buckets=32).fit(values)
         _, indexes = quant.encode(values[values > 0])
         counts = np.bincount(indexes, minlength=quant.positive.num_buckets)
         expected = counts.sum() / counts.size
@@ -76,7 +108,7 @@ class TestRoundtrip:
     def test_indexes_ordered_by_magnitude(self):
         """Index 0 must be the bucket nearest zero for both signs."""
         values = laplace_values()
-        quant = QuantileBucketQuantizer(num_buckets=64, sketch="exact").fit(values)
+        quant = QuantileBucketQuantizer(num_buckets=64).fit(values)
         signs, indexes = quant.encode(values)
         for sign in (1, -1):
             mask = signs == sign
@@ -89,7 +121,7 @@ class TestRoundtrip:
 
     def test_decode_is_bucket_mean(self):
         values = np.asarray([0.1, 0.2, 0.3, 0.4])
-        quant = QuantileBucketQuantizer(num_buckets=2, sketch="exact").fit(values)
+        quant = QuantileBucketQuantizer(num_buckets=2).fit(values)
         decoded = quant.quantize(values)
         assert np.all(decoded > 0)
         assert len(np.unique(decoded)) <= 2
@@ -111,7 +143,7 @@ class TestRoundtrip:
         values = laplace_values(n=20_000)
         errors = []
         for q in (8, 32, 128):
-            quant = QuantileBucketQuantizer(num_buckets=q, sketch="exact").fit(values)
+            quant = QuantileBucketQuantizer(num_buckets=q).fit(values)
             decoded = quant.quantize(values)
             errors.append(np.mean((decoded - values) ** 2))
         assert errors[0] > errors[1] > errors[2]
@@ -124,12 +156,12 @@ class TestRoundtrip:
 
     def test_zero_treated_as_positive(self):
         values = np.asarray([0.0, 0.5, -0.5, 1.0])
-        quant = QuantileBucketQuantizer(num_buckets=4, sketch="exact").fit(values)
+        quant = QuantileBucketQuantizer(num_buckets=4).fit(values)
         signs, _ = quant.encode(values)
         assert signs[0] == 1
 
     def test_encode_unseen_sign_raises(self):
-        quant = QuantileBucketQuantizer(num_buckets=8, sketch="exact").fit(
+        quant = QuantileBucketQuantizer(num_buckets=8).fit(
             np.asarray([0.1, 0.2, 0.3])
         )
         with pytest.raises(ValueError, match="negative"):
@@ -143,7 +175,7 @@ class TestVarianceBound:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_bound_holds(self, q, seed):
         values = laplace_values(n=4_000, seed=seed)
-        quant = QuantileBucketQuantizer(num_buckets=q, sketch="exact").fit(values)
+        quant = QuantileBucketQuantizer(num_buckets=q).fit(values)
         decoded = quant.quantize(values)
         actual = float(np.sum((decoded - values) ** 2))
         assert actual <= quant.variance_bound(values) * 1.0000001
@@ -161,7 +193,7 @@ class TestVarianceBound:
         equi-depth buckets keep resolving it."""
         values = laplace_values(n=20_000, scale=0.01, seed=9)
         q = 16
-        quant = QuantileBucketQuantizer(num_buckets=q, sketch="exact").fit(values)
+        quant = QuantileBucketQuantizer(num_buckets=q).fit(values)
         quantile_decoded = quant.quantize(values)
         # Uniform (equi-width) quantization over the same range.
         low, high = values.min(), values.max()
@@ -209,8 +241,47 @@ def test_roundtrip_properties(n, q, seed):
     rng = np.random.default_rng(seed)
     values = rng.normal(scale=0.1, size=n)
     values[values == 0.0] = 0.05
-    quant = QuantileBucketQuantizer(num_buckets=q, sketch="exact").fit(values)
+    quant = QuantileBucketQuantizer(num_buckets=q).fit(values)
     decoded = quant.quantize(values)
     # Signs preserved, magnitudes within the fitted range.
     assert np.all(np.sign(decoded) == np.sign(values))
     assert np.all(np.abs(decoded) <= np.abs(values).max() + 1e-12)
+
+
+@given(
+    n=st.integers(min_value=1, max_value=5_000),
+    q=st.integers(min_value=2, max_value=256),
+    distinct=st.sampled_from([1, 2, 7, None]),
+    signs=st.sampled_from(["mixed", "pos", "neg"]),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_fit_encode_matches_fit_then_encode(n, q, distinct, signs, seed):
+    """The encoder's fused fit (argsort, then run-length indexes) gives
+    the tables and indexes of a plain fit followed by a per-value
+    search, at every size from one value up and under heavy ties
+    (``distinct`` magnitudes; ``None`` = continuous)."""
+    rng = np.random.default_rng(seed)
+    if distinct is None:
+        values = rng.laplace(scale=0.01, size=n)
+    else:
+        levels = rng.uniform(1e-4, 1.0, size=distinct)
+        values = rng.choice(levels, size=n) * rng.choice([-1.0, 1.0], size=n)
+    if signs == "pos":
+        values = np.abs(values)
+    elif signs == "neg":
+        values = -np.abs(values) - 1e-6
+    fused = QuantileBucketQuantizer(num_buckets=q)
+    pos_enc, neg_enc = fused.fit_encode(values)
+    plain = QuantileBucketQuantizer(num_buckets=q).fit(values)
+    for sign, enc, got, want in (
+        (1, pos_enc, fused.positive, plain.positive),
+        (-1, neg_enc, fused.negative, plain.negative),
+    ):
+        if want is None:
+            assert got is None and enc is None
+            continue
+        np.testing.assert_array_equal(got.splits, want.splits)
+        np.testing.assert_array_equal(got.means, want.means)
+        magnitudes = sign * values[values >= 0 if sign > 0 else values < 0]
+        np.testing.assert_array_equal(enc, want.encode(magnitudes))

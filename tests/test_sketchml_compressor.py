@@ -47,8 +47,52 @@ class TestConfig:
             SketchMLConfig(minmax_rows=0)
         with pytest.raises(ValueError):
             SketchMLConfig(num_groups=0)
+        with pytest.raises(TypeError):
+            SketchMLConfig(quantile_sketch="bogus")  # a constant, not a field
+
+    # Values the sketch headers cannot carry must fail here, not as a
+    # raw ``struct.error`` inside ``compress``.
+    def _overrides_id(overrides):
+        return ",".join(f"{k}={v}" for k, v in overrides.items())
+
+    _SEED_LIMIT = 2**63 - 1 - 7_919 - 1_009 * 7  # default num_groups = 8
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(minmax_rows=256),
+            dict(num_groups=256),
+            dict(num_buckets=600, num_groups=300),
+            dict(seed=-1),
+            dict(seed=2**63),
+            dict(seed=_SEED_LIMIT + 1),
+            dict(seed=_SEED_LIMIT - 1_009 + 1, num_groups=9),
+            dict(minmax_cols_factor=float("inf")),
+            dict(minmax_cols_factor=float("nan")),
+        ],
+        ids=_overrides_id,
+    )
+    def test_rejects_values_the_wire_cannot_carry(self, overrides):
         with pytest.raises(ValueError):
-            SketchMLConfig(quantile_sketch="bogus")
+            SketchMLConfig(**overrides)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(minmax_rows=255),
+            dict(num_buckets=600, num_groups=255),
+            dict(seed=_SEED_LIMIT),
+        ],
+        ids=_overrides_id,
+    )
+    def test_wire_limits_themselves_roundtrip(self, overrides):
+        keys, values, dimension = make_gradient(nnz=20_000, dimension=400_000)
+        comp = SketchMLCompressor(SketchMLConfig(**overrides))
+        message = comp.compress(keys, values, dimension)
+        message = deserialize_message(serialize_message(message))
+        out_keys, out_values = comp.decompress(message)
+        np.testing.assert_array_equal(out_keys, keys)
+        assert np.all(np.sign(out_values) == np.sign(values))
 
     def test_ablation_labels(self):
         labels = [cfg.ablation_label for cfg in ABLATION_CONFIGS]

@@ -1,4 +1,4 @@
-"""Tests for Space-Saving and the heavy-hitter hybrid compressor."""
+"""Tests for the heavy-hitter hybrid compressor."""
 
 import numpy as np
 import pytest
@@ -8,92 +8,6 @@ from repro.compression import (
     make_compressor,
 )
 from repro.core import SketchMLCompressor, SketchMLConfig
-from repro.sketch.frequency import SpaceSaving
-
-
-class TestSpaceSaving:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SpaceSaving(capacity=0)
-        with pytest.raises(ValueError):
-            SpaceSaving().insert(1, count=0)
-        with pytest.raises(ValueError):
-            SpaceSaving().heavy_hitters(threshold_fraction=1.5)
-
-    def test_exact_when_under_capacity(self):
-        ss = SpaceSaving(capacity=10)
-        ss.insert_many([1, 1, 1, 2, 2, 3])
-        assert ss.query(1) == 3
-        assert ss.query(2) == 2
-        assert ss.query(3) == 1
-        assert ss.query(99) == 0
-        assert ss.error_bound(1) == 0
-
-    def test_never_underestimates_tracked(self):
-        rng = np.random.default_rng(0)
-        keys = rng.zipf(1.5, size=50_000) % 10_000
-        ss = SpaceSaving(capacity=100)
-        ss.insert_many(keys)
-        true_counts = np.bincount(keys, minlength=10_000)
-        for key, estimate in ss.heavy_hitters():
-            assert estimate >= true_counts[key]
-            assert estimate - ss.error_bound(key) <= true_counts[key]
-
-    def test_guarantee_items_above_threshold_are_tracked(self):
-        """Any item with frequency > N/k must survive."""
-        rng = np.random.default_rng(1)
-        background = rng.integers(1_000, 100_000, size=20_000)
-        hot = np.full(5_000, 7)  # one item with 20% of the stream
-        stream = rng.permutation(np.concatenate([background, hot]))
-        ss = SpaceSaving(capacity=64)
-        ss.insert_many(stream)
-        tracked = dict(ss.heavy_hitters())
-        assert 7 in tracked
-        assert tracked[7] >= 5_000
-
-    def test_heavy_hitters_sorted_and_thresholded(self):
-        ss = SpaceSaving(capacity=10)
-        ss.insert_many([1] * 50 + [2] * 30 + [3] * 20)
-        top = ss.heavy_hitters()
-        assert [k for k, _ in top] == [1, 2, 3]
-        assert ss.heavy_hitters(threshold_fraction=0.25) == [(1, 50), (2, 30)]
-
-    def test_guaranteed_heavy_hitters(self):
-        ss = SpaceSaving(capacity=4)
-        ss.insert_many([1] * 100 + list(range(10, 40)))
-        guaranteed = ss.guaranteed_heavy_hitters(0.5)
-        assert guaranteed and guaranteed[0][0] == 1
-
-    def test_merge(self):
-        a = SpaceSaving(capacity=8)
-        b = SpaceSaving(capacity=8)
-        a.insert_many([1] * 10 + [2] * 5)
-        b.insert_many([1] * 7 + [3] * 4)
-        a.merge(b)
-        assert a.query(1) >= 17
-        assert a.total_count == 26
-        with pytest.raises(TypeError):
-            a.merge("x")
-
-    def test_merge_truncates_to_capacity(self):
-        a = SpaceSaving(capacity=3)
-        b = SpaceSaving(capacity=3)
-        a.insert_many([1, 1, 2, 3])
-        b.insert_many([4, 4, 4, 5, 6])
-        a.merge(b)
-        assert a.tracked_count <= 3
-
-    def test_zipf_head_detection_on_dataset(self):
-        """Find the hot features of a synthetic dataset — the Fig. 11
-        saturation drivers."""
-        from repro.data import generate_profile
-
-        ds = generate_profile("kdd12-hothead", seed=0, scale=0.05)
-        ss = SpaceSaving(capacity=50)
-        ss.insert_many(ds.indices)
-        top_keys = [k for k, _ in ss.heavy_hitters()[:10]]
-        # The hot head lives at low feature ids (Zipf rank order).
-        assert np.median(top_keys) < 100
 
 
 class TestHybridCompressor:
