@@ -4,7 +4,7 @@ static-analysis tier.
 Two families share this package:
 
 * **Data analytics** — gradient profiling, dataset statistics, and
-  compressor comparison sweeps used by the experiment harness.
+  the compressor comparison used by the experiment harness.
 * **Whole-program static analysis** — the interprocedural tier behind
   ``python -m repro lint --deep``: a project call graph
   (:mod:`~repro.analysis.callgraph`), a forward dataflow engine
@@ -22,7 +22,6 @@ from .compression_report import (
 )
 from .dataset_stats import DatasetStats, dataset_stats
 from .gradient_stats import GradientProfile, histogram, profile_gradient
-from .sweeps import SweepCell, sweep_sketch_configs
 
 from .callgraph import (
     BlindSpot,
@@ -57,8 +56,6 @@ __all__ = [
     "format_report",
     "DatasetStats",
     "dataset_stats",
-    "SweepCell",
-    "sweep_sketch_configs",
     "BlindSpot",
     "CallSite",
     "ClassInfo",

@@ -904,8 +904,8 @@ def serialize_message(
 ) -> bytes:
     """Serialise a SketchML message into a self-describing byte string.
 
-    ``version`` selects the payload version negotiated for the
-    connection; the default (v1) byte stream is frozen by the golden
+    ``version`` selects the payload version (the runtime ships v2);
+    the default (v1) byte stream is frozen by the golden
     fixtures.  ``entropy`` (v2 only) lets each part swap its
     bucket-index stream for a dense radix-coded one when that is
     smaller.
@@ -930,7 +930,7 @@ def wire_sections(message: CompressedGradient) -> Dict[str, int]:
     ``sketch`` or ``values`` (raw values or bucket indexes), so the
     values sum to the wire length exactly.  This is how
     :class:`~repro.core.compressor.SketchMLCompressor` sizes its
-    messages: payload v2 is what every runtime backend negotiates.
+    messages: payload v2 is what every runtime backend ships.
     """
     return _build_message(message, PAYLOAD_VERSION_V2, False).sections()
 

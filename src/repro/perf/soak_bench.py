@@ -53,14 +53,13 @@ from .. import telemetry
 from ..core import SketchMLCompressor, SketchMLConfig, deserialize_message, serialize_message
 from ..runtime.aio import AioTransport
 from ..runtime.framing import (
-    DEFAULT_CAPS,
+    HELLO_PAYLOAD,
     KIND_ECHO,
     KIND_GRAD,
     KIND_HELLO,
     FrameAssembler,
     pack_ack,
     pack_frame,
-    pack_hello,
     unpack_frame,
     unpack_header,
 )
@@ -136,8 +135,8 @@ class WorkerSwarm:
     """``W`` simulated workers on one thread: real sockets, canned work.
 
     Each simulated worker connects to the transport's listener, opens
-    with the standard ``HELLO`` (default capabilities, header naming its
-    id), skips the driver's HELLO reply, and answers every request
+    with the standard ``HELLO`` (the one constant payload, header
+    naming its id), skips the driver's HELLO reply, and answers every request
     with a pre-packed ``GRAD`` frame after a seeded
     service delay.  Delays model the fan-in the soak exists to expose:
 
@@ -227,9 +226,7 @@ class WorkerSwarm:
                 sock.settimeout(None)
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 self._socks[worker_id] = sock
-                sock.sendall(
-                    pack_frame(KIND_HELLO, worker_id, pack_hello(DEFAULT_CAPS))
-                )
+                sock.sendall(pack_frame(KIND_HELLO, worker_id, HELLO_PAYLOAD))
                 sel.register(sock, selectors.EVENT_READ, worker_id)
                 assemblers[worker_id] = FrameAssembler()
             # (due_time, tiebreak, worker_id) replies pending their delay

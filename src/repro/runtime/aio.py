@@ -51,20 +51,14 @@ import time
 from typing import Deque, Dict, List, Optional, Sequence
 
 from .. import telemetry
-from .framing import (
-    FrameAssembler,
-    FrameError,
-    ProtocolCaps,
-    unpack_frame,
-)
+from .framing import FrameAssembler, FrameError, unpack_frame
 from .transport import (
     Transport,
     TransportBackpressure,
     TransportClosed,
     TransportError,
     TransportTimeout,
-    _caps_for,
-    _hello_caps,
+    _hello_reply,
 )
 
 __all__ = ["AioTransport"]
@@ -135,7 +129,6 @@ class AioTransport(Transport):
         spawn_workers: bool = True,
         max_inbox_frames: int = 1024,
         max_outbox_bytes: int = 32 * 1024 * 1024,
-        worker_caps: Optional[Dict[int, ProtocolCaps]] = None,
     ) -> None:
         super().__init__(num_workers)
         if max_inbox_frames <= 0 or max_outbox_bytes <= 0:
@@ -164,10 +157,7 @@ class AioTransport(Transport):
                 for worker_id in range(num_workers):
                     proc = ctx.Process(
                         target=worker_main.tcp_worker_entry,
-                        args=(
-                            host, self.port, worker_id,
-                            _caps_for(worker_caps, worker_id),
-                        ),
+                        args=(host, self.port, worker_id),
                         daemon=True,
                         name=f"repro-worker-{worker_id}",
                     )
@@ -277,11 +267,11 @@ class AioTransport(Transport):
             self._mark_closed(conn, f"bad hello from worker id {sender}")
             raise TransportError(f"bad hello from worker id {sender}")
         try:
-            reply = self._pin(sender, _hello_caps(sender, kind, payload))
-        except FrameError:
-            # NegotiationError (a FrameError): close the socket and let
-            # the structured error propagate out of the pump.
-            self._mark_closed(conn, f"no common version with {sender}")
+            reply = _hello_reply(sender, kind, payload)
+        except FrameError as exc:
+            # A refused or malformed HELLO: close the socket and let the
+            # structured error propagate out of the pump.
+            self._mark_closed(conn, f"hello from worker {sender}: {exc}")
             raise
         conn.outq.append(memoryview(reply))
         conn.out_bytes += len(reply)

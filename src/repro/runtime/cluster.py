@@ -47,7 +47,6 @@ from .framing import (
     KIND_SYNC,
     KIND_UPDATE,
     FrameError,
-    ProtocolCaps,
     iter_chunk_frames,
     pack_ack,
     pack_frame,
@@ -95,18 +94,14 @@ class RuntimeConfig:
         faults: optional seeded probabilistic fault rates.
         fault_schedule: optional exact fault triggers (tests).
         tcp_host: bind/connect host of the ``aio`` backend's sockets.
-        worker_caps: per-worker capability overrides — the
-            conformance tier pins frame-v1, ops-less and pre-v2 peers
-            with this (``None`` → every worker advertises what the
-            driver does, :data:`~repro.runtime.framing.DEFAULT_CAPS`:
-            frame v1–v2, payload v2).  A worker without payload v2
-            fails construction with
-            :class:`~repro.runtime.framing.NegotiationError`.
         entropy_coding: dense radix coding of bucket-index streams in
             every payload-v2 message the runtime ships, GRAD and UPDATE
             alike (``docs/wire.md``).
-        chunk_bytes: data bytes per ``CHUNK`` frame when a body larger
-            than this streams over a frame-v2 connection.
+        chunk_bytes: data bytes per ``CHUNK`` frame when a GRAD or
+            UPDATE body larger than this streams.
+
+    There is no protocol knob: every connection speaks frame v2 with
+    the ops plane on and payload v2 (``docs/wire.md``).
     """
 
     backend: str = "sim"
@@ -114,7 +109,6 @@ class RuntimeConfig:
     faults: Optional[FaultConfig] = None
     fault_schedule: Optional[FaultSchedule] = None
     tcp_host: str = "127.0.0.1"
-    worker_caps: Optional[Dict[int, ProtocolCaps]] = None
     entropy_coding: bool = False
     chunk_bytes: int = DEFAULT_CHUNK_BYTES
 
@@ -145,8 +139,8 @@ class RoundResult:
     gradient_nnz: int
     message: Optional[object]
     message_bytes: int
-    #: live-ops metric deltas that rode the GRAD reply (empty on
-    #: non-ops connections); folded into the metrics hub by ``step``.
+    #: live-ops metric deltas that rode the GRAD reply (empty from
+    #: in-process workers); folded into the metrics hub by ``step``.
     metrics: Dict[str, int] = field(default_factory=dict)
 
 
@@ -197,31 +191,17 @@ class RuntimeCluster:
         if backend == "sim":
             runtimes = [WorkerRuntime(spec) for spec in bootstraps]
             transport: Transport = SimTransport(
-                [runtime.handle_frame for runtime in runtimes],
-                worker_caps=self.config.worker_caps,
+                [runtime.handle_frame for runtime in runtimes]
             )
-            for worker_id, runtime in enumerate(runtimes):
-                runtime.set_wire(
-                    transport.negotiated[worker_id],
-                    ops=transport.ops_enabled(worker_id),
-                )
             # Simulated retries must not burn wall time.
             sleeper: Callable[[float], None] = lambda _s: None
         else:
             transport = make_transport(
-                backend, self.num_workers, tcp_host=self.config.tcp_host,
-                worker_caps=self.config.worker_caps,
+                backend, self.num_workers, tcp_host=self.config.tcp_host
             )
             import time
 
             sleeper = time.sleep
-        #: per-worker pinned frame version (the payload is always v2)
-        self.negotiated: Dict[int, int] = dict(
-            transport.negotiated
-        )
-        #: per-worker live-ops capability (both sides advertised it on
-        #: a frame-v2 connection); captured before any fault wrapper.
-        self.ops: Dict[int, bool] = dict(getattr(transport, "ops", {}))
         if self.config.faults is not None or self.config.fault_schedule is not None:
             transport = FaultyTransport(
                 transport,
@@ -418,20 +398,15 @@ class RuntimeCluster:
             else sorted(workers)
         )
         # Stamp the innermost open driver span (the trainer's round
-        # span) into STEP frames for ops-capable workers: their
-        # worker.step spans parent under it across the process
-        # boundary.  Context bytes never reach the training math.
+        # span) into STEP frames: the workers' worker.step spans parent
+        # under it across the process boundary.  Context bytes never
+        # reach the training math.
         span_ctx = telemetry.current_span_id()
-        base = pack_step(round_id, lr)
-        frame = pack_frame(KIND_STEP, DRIVER_SENDER, base)
-        frames: List[Union[bytes, List[bytes]]] = [frame] * self.num_workers
+        payload = pack_step(round_id, lr)
         if span_ctx is not None:
-            ops_frame = pack_frame(
-                KIND_STEP, DRIVER_SENDER, base + pack_ops(span_ctx)
-            )
-            for w in targets:
-                if self.ops.get(w, False):
-                    frames[w] = ops_frame
+            payload += pack_ops(span_ctx)
+        frame = pack_frame(KIND_STEP, DRIVER_SENDER, payload)
+        frames: List[Union[bytes, List[bytes]]] = [frame] * self.num_workers
         with telemetry.span("runtime.fanout", phase="step"):
             sent = self._send_all(frames, targets)
 
@@ -515,9 +490,9 @@ class RuntimeCluster:
 
         ``message_bytes`` is the update as :meth:`encode_update` wrote
         it; every target receives exactly these bytes.  ``message`` is
-        accepted for call-site compatibility and ignored.  Frame-v2
-        connections receive updates larger than ``config.chunk_bytes``
-        as a ``CHUNK``/``END`` stream.
+        accepted for call-site compatibility and ignored.  An update
+        larger than ``config.chunk_bytes`` streams as ``CHUNK``/``END``
+        frames.
 
         Returns the worker ids that acknowledged applying the update.
         """
@@ -527,32 +502,21 @@ class RuntimeCluster:
             sorted(self.supervisor.members) if workers is None
             else sorted(workers)
         )
-        header = pack_update_header(round_id, lr)
-        # Span context for ops-capable workers: worker.update spans
-        # parent under the driver's round span (see ``step``).
+        # Span context: worker.update spans parent under the driver's
+        # round span (see ``step``).
+        pieces = [pack_update_header(round_id, lr), message_bytes]
         span_ctx = telemetry.current_span_id()
-        ops_block = pack_ops(span_ctx) if span_ctx is not None else b""
-        frames: List[Union[bytes, List[bytes]]] = [b""] * self.num_workers
-        for w in targets:
-            pieces = [header, message_bytes]
-            if ops_block and self.ops.get(w, False):
-                pieces.insert(1, ops_block)
-            if (
-                self.negotiated[w] >= 2
-                and sum(len(p) for p in pieces) > self.config.chunk_bytes
-            ):
-                frames[w] = list(
-                    iter_chunk_frames(
-                        KIND_UPDATE,
-                        DRIVER_SENDER,
-                        pieces,
-                        chunk_bytes=self.config.chunk_bytes,
-                    )
-                )
-            else:
-                frames[w] = pack_frame(
-                    KIND_UPDATE, DRIVER_SENDER, b"".join(pieces)
-                )
+        if span_ctx is not None:
+            pieces.insert(1, pack_ops(span_ctx))
+        entry: Union[bytes, List[bytes]]
+        if sum(len(p) for p in pieces) > self.config.chunk_bytes:
+            entry = list(iter_chunk_frames(
+                KIND_UPDATE, DRIVER_SENDER, pieces,
+                chunk_bytes=self.config.chunk_bytes,
+            ))
+        else:
+            entry = pack_frame(KIND_UPDATE, DRIVER_SENDER, b"".join(pieces))
+        frames: List[Union[bytes, List[bytes]]] = [entry] * self.num_workers
         with telemetry.span("runtime.fanout", phase="update"):
             sent = self._send_all(frames, targets)
 

@@ -31,26 +31,24 @@ A frame that does not parse raises :class:`FrameError`; corrupted
 the frame layer deliberately carries no checksum that would mask that
 path.
 
-Frame version 2 (``docs/wire.md``) keeps the identical header layout
-and adds three kinds.  ``HELLO`` carries both peers' supported
-``{frame, payload}`` version ranges; every runtime connection opens
-with one, and the exchange pins the highest mutually supported pair
-(:func:`negotiate_versions`).  Runtime peers speak payload v2 only, so
-a peer without it fails the exchange with :class:`NegotiationError`.
-``CHUNK``/``END`` stream one oversized
+Every runtime connection speaks one protocol (``docs/wire.md``): frame
+v2 with the ops plane on, payload v2.  It opens with a ``HELLO`` each
+way carrying the constant :data:`HELLO_PAYLOAD`; :func:`check_hello`
+refuses anything else (a peer without payload v2 fails with
+:class:`NegotiationError`).  ``CHUNK``/``END`` stream one oversized
 logical frame as a bounded sequence (:func:`iter_chunk_frames` /
 :class:`ChunkReassembler`) so a multi-GB gradient never crosses the
-wire — or the reassembly buffer — as one contiguous allocation.
-``CHUNK``/``END`` frames are stamped with header version 2 and are
-only legal on connections that negotiated frame v2; everything else
-keeps header version 1, so a frame-v1 connection's byte stream is
-unchanged.
+wire — or the reassembly buffer — as one contiguous allocation.  The
+header version byte is a per-kind stamp, not a connection property:
+``CHUNK``/``END`` carry 2 and every other kind carries 1.  An ops block
+(:func:`pack_ops`) may follow a STEP / GRAD / UPDATE payload's fixed
+header and may open an ACK / HEARTBEAT payload; receivers peel it
+tolerantly (:func:`unpack_ops_prefix`).
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -58,8 +56,6 @@ __all__ = [
     "NegotiationError",
     "FrameAssembler",
     "ChunkReassembler",
-    "ProtocolCaps",
-    "DEFAULT_CAPS",
     "FRAME_MAGIC",
     "FRAME_VERSION",
     "FRAME_VERSION_V2",
@@ -92,17 +88,14 @@ __all__ = [
     "unpack_frame",
     "pack_step",
     "unpack_step",
-    "unpack_step_ex",
     "pack_grad_header",
     "unpack_grad",
     "pack_update_header",
     "unpack_update",
     "pack_ack",
     "unpack_ack",
-    "pack_hello",
-    "unpack_hello",
-    "negotiate_versions",
-    "negotiate_ops",
+    "HELLO_PAYLOAD",
+    "check_hello",
     "OPS_HEADER_SIZE",
     "pack_ops",
     "unpack_ops_prefix",
@@ -184,10 +177,6 @@ UPDATE_HEADER_SIZE = _UPDATE.size
 
 _HELLO_MAGIC = b"HELO"
 _HELLO = struct.Struct("<4sBBBB")
-#: HELLO capability extension: ``tag u8 | len u8 | value`` TLVs after
-#: the 8-byte base.  Tag 1 = live-ops plane (value: one non-zero byte).
-_HELLO_TLV = struct.Struct("<BBB")
-_HELLO_EXT_OPS = 1
 _CHUNK = struct.Struct("<IB")
 _CHUNK_END = struct.Struct("<IBQ")
 
@@ -380,130 +369,39 @@ def unpack_frame(data: bytes) -> Tuple[int, int, bytes]:
 
 
 # ----------------------------------------------------------------------
-# version negotiation (frame v2)
+# HELLO check
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ProtocolCaps:
-    """The ``{frame, payload}`` version ranges one peer supports.
-
-    A ``HELLO`` carries both ranges; :func:`negotiate_versions` pins
-    each axis to ``min(max_a, max_b)`` and fails when that falls below
-    either peer's minimum.  The defaults advertise what a runtime peer
-    speaks: frame v1 or v2, and payload v2 only (payload v1 is a
-    frozen on-disk format, read and written by
-    :mod:`repro.core.serialization` but never shipped).
-    """
-
-    frame_min: int = 1
-    frame_max: int = FRAME_VERSION_V2
-    payload_min: int = 2
-    payload_max: int = 2
-    #: live-ops plane capability: span-context + metrics ops blocks on
-    #: GRAD/UPDATE/STEP/HEARTBEAT payloads.  Advertised as a HELLO TLV
-    #: extension (absent => False), effective only when both peers
-    #: advertise it *and* the pinned frame version is >= 2.
-    ops: bool = True
-
-    def __post_init__(self) -> None:
-        for lo, hi, axis in (
-            (self.frame_min, self.frame_max, "frame"),
-            (self.payload_min, self.payload_max, "payload"),
-        ):
-            if not 1 <= lo <= hi <= 255:
-                raise ValueError(
-                    f"invalid {axis} version range [{lo}, {hi}]"
-                )
+#: The one HELLO payload every runtime peer sends: frame and payload
+#: ranges both ``[2, 2]`` (payload v2 is
+#: :data:`repro.core.serialization.PAYLOAD_VERSION_V2`).
+HELLO_PAYLOAD = _HELLO.pack(
+    _HELLO_MAGIC, FRAME_VERSION_V2, FRAME_VERSION_V2, 2, 2
+)
 
 
-DEFAULT_CAPS = ProtocolCaps()
-
-
-def negotiate_versions(
-    ours: ProtocolCaps, theirs: ProtocolCaps
-) -> Tuple[int, int]:
-    """Pin the highest mutually supported ``(frame, payload)`` versions.
+def check_hello(payload: bytes) -> None:
+    """Check a peer's HELLO payload against the one protocol spoken.
 
     Raises:
-        NegotiationError: when either axis has no overlap — the caller
-            turns this into a structured per-worker transport failure.
+        FrameError: a short payload, bad magic, or bytes after the
+            8-byte base (a malformed HELLO).
+        NegotiationError: a well-formed HELLO whose frame or payload
+            range does not contain version 2.
     """
-    pinned: List[int] = []
-    for lo_a, hi_a, lo_b, hi_b, axis in (
-        (ours.frame_min, ours.frame_max, theirs.frame_min,
-         theirs.frame_max, "frame"),
-        (ours.payload_min, ours.payload_max, theirs.payload_min,
-         theirs.payload_max, "payload"),
-    ):
-        chosen = min(hi_a, hi_b)
-        if chosen < max(lo_a, lo_b):
-            raise NegotiationError(
-                f"no common {axis} version: ours [{lo_a}, {hi_a}], "
-                f"theirs [{lo_b}, {hi_b}]"
-            )
-        pinned.append(chosen)
-    return pinned[0], pinned[1]
-
-
-def pack_hello(caps: ProtocolCaps) -> bytes:
-    """HELLO payload: magic + version ranges + capability TLVs.
-
-    The 8-byte base is the frozen v2 HELLO; capabilities beyond the
-    version axes append as ``tag u8 | len u8 | value`` TLVs (the
-    extension space the wire follow-ons reserved).  Readers skip
-    unknown tags, so future capabilities stay backward compatible; a
-    peer without the ops capability emits the bare 8-byte base —
-    byte-identical to the original v2 HELLO.
-    """
-    base = _HELLO.pack(
-        _HELLO_MAGIC, caps.frame_min, caps.frame_max,
-        caps.payload_min, caps.payload_max,
-    )
-    if caps.ops:
-        base += _HELLO_TLV.pack(_HELLO_EXT_OPS, 1, 1)
-    return base
-
-
-def unpack_hello(payload: bytes) -> ProtocolCaps:
     if len(payload) < _HELLO.size:
         raise FrameError(f"short HELLO payload ({len(payload)} bytes)")
-    try:
-        magic, f_lo, f_hi, p_lo, p_hi = _HELLO.unpack_from(payload)
-    except struct.error as exc:
-        raise FrameError(f"bad HELLO payload: {exc}") from None
+    magic, f_lo, f_hi, p_lo, p_hi = _HELLO.unpack_from(payload)
     if magic != _HELLO_MAGIC:
         raise FrameError("bad HELLO magic")
-    ops = False
-    offset = _HELLO.size
-    while offset < len(payload):
-        if offset + 2 > len(payload):
-            raise FrameError("truncated HELLO extension TLV")
-        tag = payload[offset]
-        tlen = payload[offset + 1]
-        offset += 2
-        if offset + tlen > len(payload):
-            raise FrameError(
-                f"HELLO TLV {tag} declares {tlen} bytes past the payload"
+    for lo, hi, axis in ((f_lo, f_hi, "frame"), (p_lo, p_hi, "payload")):
+        if not lo <= 2 <= hi:
+            raise NegotiationError(
+                f"no common {axis} version: ours [2, 2], theirs [{lo}, {hi}]"
             )
-        value = payload[offset:offset + tlen]
-        offset += tlen
-        if tag == _HELLO_EXT_OPS:
-            ops = bool(tlen >= 1 and value[0] != 0)
-        # Unknown tags are skipped: forward compatibility.
-    try:
-        return ProtocolCaps(
-            frame_min=f_lo, frame_max=f_hi,
-            payload_min=p_lo, payload_max=p_hi,
-            ops=ops,
+    if len(payload) > _HELLO.size:
+        raise FrameError(
+            f"{len(payload) - _HELLO.size} trailing bytes after HELLO"
         )
-    except ValueError as exc:
-        raise FrameError(f"bad HELLO payload: {exc}") from None
-
-
-def negotiate_ops(
-    ours: ProtocolCaps, theirs: ProtocolCaps, frame_version: int
-) -> bool:
-    """Effective ops capability: both advertise it, on a v2+ frame."""
-    return bool(ours.ops and theirs.ops and frame_version >= 2)
 
 
 # ----------------------------------------------------------------------
@@ -743,29 +641,18 @@ def pack_step(round_id: int, lr: float) -> bytes:
     return _STEP.pack(round_id, lr)
 
 
-def unpack_step(payload: bytes) -> Tuple[int, float]:
-    try:
-        round_id, lr = _STEP.unpack(payload)
-    except struct.error as exc:
-        raise FrameError(f"bad STEP payload: {exc}") from None
-    return int(round_id), float(lr)
-
-
-def unpack_step_ex(
+def unpack_step(
     payload: bytes,
 ) -> Tuple[int, float, Optional[int], Dict[str, int]]:
-    """Ops-tolerant STEP unpack: ``(round, lr, span_id, metrics)``.
+    """Split a STEP payload into ``(round, lr, span_id, metrics)``.
 
-    Accepts both the bare v1 12-byte payload (span ``None``, empty
-    metrics) and a payload followed by an ops block.  Trailing bytes
-    that are neither raise :class:`FrameError`.
+    Accepts the bare 12-byte payload (span ``None``, empty metrics)
+    and one followed by an ops block.  Trailing bytes that are neither
+    raise :class:`FrameError`.
     """
     if len(payload) < _STEP.size:
         raise FrameError(f"short STEP payload ({len(payload)} bytes)")
-    try:
-        round_id, lr = _STEP.unpack_from(payload)
-    except struct.error as exc:
-        raise FrameError(f"bad STEP payload: {exc}") from None
+    round_id, lr = _STEP.unpack_from(payload)
     span_id, metrics, rest = unpack_ops_prefix(payload[_STEP.size:])
     if rest:
         raise FrameError(

@@ -28,22 +28,18 @@ import collections
 import select
 import socket
 import threading
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Deque, Iterable, List, Optional, Sequence
 
 from .. import telemetry
 from .framing import (
-    DEFAULT_CAPS,
+    HELLO_PAYLOAD,
     KIND_HELLO,
     FrameAssembler,
     FrameError,
     NegotiationError,
-    ProtocolCaps,
-    negotiate_ops,
-    negotiate_versions,
+    check_hello,
     pack_frame,
-    pack_hello,
     unpack_frame,
-    unpack_hello,
 )
 
 __all__ = [
@@ -91,7 +87,11 @@ class Transport:
     """Driver-side frame pipe to ``W`` workers.
 
     Subclasses implement point-to-point byte delivery; they do not
-    retry, reorder, or interpret frames.
+    retry, reorder, or interpret frames.  A spawned worker's connection
+    opens with a ``HELLO`` each way, which the driver checks
+    (:func:`~repro.runtime.framing.check_hello`) before the transport
+    is returned; there is no per-connection wire state after it —
+    every connection speaks frame v2 with the ops plane on.
     """
 
     name: str = "abstract"
@@ -100,39 +100,6 @@ class Transport:
         if num_workers <= 0:
             raise ValueError("num_workers must be positive")
         self.num_workers = int(num_workers)
-        #: per-worker frame version pinned by the HELLO exchange every
-        #: connection opens with (the payload is always v2).
-        self.negotiated: Dict[int, int] = {}
-        #: per-worker live-ops capability (HELLO TLV extension): True
-        #: when both peers advertised ops on a frame-v2+ connection.
-        #: Kept separate from :attr:`negotiated` so that dict stays a
-        #: pure version map.
-        self.ops: Dict[int, bool] = {}
-
-    def ops_enabled(self, worker_id: int) -> bool:
-        """Whether the live-ops plane is active on this connection."""
-        return self.ops.get(worker_id, False)
-
-    def _pin(self, worker_id: int, theirs: ProtocolCaps) -> bytes:
-        """Pin one worker's versions and ops capability from its HELLO.
-
-        The driver advertises :data:`~repro.runtime.framing.DEFAULT_CAPS`,
-        so the pinned payload is always v2.  Returns the driver's HELLO
-        reply, which carries the choice as a degenerate range.
-
-        Raises:
-            NegotiationError: no common version (a peer without payload
-                v2) — a structured construction failure, never retried.
-        """
-        frame_v, payload_v = negotiate_versions(DEFAULT_CAPS, theirs)
-        ops = negotiate_ops(DEFAULT_CAPS, theirs, frame_v)
-        self.negotiated[worker_id] = frame_v
-        self.ops[worker_id] = ops
-        chosen = ProtocolCaps(
-            frame_min=frame_v, frame_max=frame_v,
-            payload_min=payload_v, payload_max=payload_v, ops=ops,
-        )
-        return pack_frame(KIND_HELLO, worker_id, pack_hello(chosen))
 
     def _check_worker(self, worker_id: int) -> None:
         if not 0 <= worker_id < self.num_workers:
@@ -167,26 +134,24 @@ class Transport:
         self.close()
 
 
-def _caps_for(
-    worker_caps: Optional[Dict[int, ProtocolCaps]], worker_id: int
-) -> ProtocolCaps:
-    """The capabilities one worker advertises (tests pin mixed fleets)."""
-    if worker_caps is None:
-        return DEFAULT_CAPS
-    return worker_caps.get(worker_id, DEFAULT_CAPS)
-
-
-def _hello_caps(worker_id: int, kind: int, payload: bytes) -> ProtocolCaps:
-    """The capabilities carried by a worker's opening frame.
+def _hello_reply(worker_id: int, kind: int, payload: bytes) -> bytes:
+    """Check a worker's opening frame; returns the driver's HELLO.
 
     Every connection opens with a ``HELLO``; any other opener is a
-    peer that cannot negotiate payload v2.
+    peer that does not speak payload v2.
+
+    Raises:
+        NegotiationError: the opener is not a HELLO, or its version
+            ranges exclude v2 — a structured construction failure,
+            never retried.
+        FrameError: a malformed HELLO payload.
     """
     if kind != KIND_HELLO:
         raise NegotiationError(
             f"worker {worker_id} opened with frame kind {kind}, not HELLO"
         )
-    return unpack_hello(payload)
+    check_hello(payload)
+    return pack_frame(KIND_HELLO, worker_id, HELLO_PAYLOAD)
 
 
 # ----------------------------------------------------------------------
@@ -210,17 +175,10 @@ class SimTransport(Transport):
     name = "sim"
 
     def __init__(
-        self,
-        handlers: Sequence[Callable[[bytes], Iterable[bytes]]],
-        *,
-        worker_caps: Optional[Dict[int, ProtocolCaps]] = None,
+        self, handlers: Sequence[Callable[[bytes], Iterable[bytes]]]
     ) -> None:
+        # No wire between in-process peers, so there is no HELLO.
         super().__init__(len(handlers))
-        # No wire between in-process peers, so the HELLO exchange is
-        # computed directly — same negotiation function, same result a
-        # byte exchange would pin.
-        for worker_id in range(len(handlers)):
-            self._pin(worker_id, _caps_for(worker_caps, worker_id))
         self._handlers = list(handlers)
         self._inboxes: List[Deque[bytes]] = [
             collections.deque() for _ in handlers
@@ -362,12 +320,7 @@ class MultiprocessTransport(Transport):
     #: (spawn + import numpy can take seconds on a loaded CI box).
     HELLO_TIMEOUT = 60.0
 
-    def __init__(
-        self,
-        num_workers: int,
-        *,
-        worker_caps: Optional[Dict[int, ProtocolCaps]] = None,
-    ) -> None:
+    def __init__(self, num_workers: int) -> None:
         super().__init__(num_workers)
         import multiprocessing
 
@@ -382,10 +335,7 @@ class MultiprocessTransport(Transport):
                 parent_conn, child_conn = ctx.Pipe(duplex=True)
                 proc = ctx.Process(
                     target=worker_main.pipe_worker_entry,
-                    args=(
-                        child_conn, worker_id,
-                        _caps_for(worker_caps, worker_id),
-                    ),
+                    args=(child_conn, worker_id),
                     daemon=True,
                     name=f"repro-worker-{worker_id}",
                 )
@@ -400,11 +350,8 @@ class MultiprocessTransport(Transport):
             raise
 
     def _negotiate(self, worker_id: int) -> None:
-        """HELLO exchange with one spawned worker.
-
-        The worker opens with a HELLO carrying its supported ranges;
-        the driver answers with the pinned choice.
-        """
+        """HELLO exchange with one spawned worker: the worker opens
+        with a HELLO, the driver checks it and answers with its own."""
         conn = self._conns[worker_id]
         try:
             if not conn.poll(self.HELLO_TIMEOUT):
@@ -422,9 +369,7 @@ class MultiprocessTransport(Transport):
             raise TransportError(
                 f"bad hello from worker {worker_id}: sender {sender}"
             )
-        conn.send_bytes(
-            self._pin(worker_id, _hello_caps(sender, kind, payload))
-        )
+        conn.send_bytes(_hello_reply(sender, kind, payload))
 
     def send(self, worker_id: int, frame: bytes) -> None:
         self._check_worker(worker_id)
@@ -499,30 +444,23 @@ def make_transport(
     *,
     handlers: Optional[Sequence[Callable[[bytes], Iterable[bytes]]]] = None,
     tcp_host: str = "127.0.0.1",
-    worker_caps: Optional[Dict[int, ProtocolCaps]] = None,
 ) -> Transport:
     """Build a transport by backend name.
 
     ``sim`` requires ``handlers`` (the in-process worker callables);
-    ``mp`` and ``aio`` spawn real worker processes that wait
-    for an ``INIT`` frame.  ``worker_caps`` pins the protocol versions
-    individual workers advertise in the HELLO exchange (the default,
-    and the driver, advertise :data:`~repro.runtime.framing.
-    DEFAULT_CAPS`); the result's ``negotiated`` maps each worker to its
-    pinned frame version.
+    ``mp`` and ``aio`` spawn real worker processes, check each one's
+    HELLO, and leave them waiting for an ``INIT`` frame.
     """
     if backend == "sim":
         if handlers is None:
             raise ValueError("sim backend requires in-process handlers")
-        return SimTransport(handlers, worker_caps=worker_caps)
+        return SimTransport(handlers)
     if backend == "mp":
-        return MultiprocessTransport(num_workers, worker_caps=worker_caps)
+        return MultiprocessTransport(num_workers)
     if backend == "aio":
         from .aio import AioTransport  # deferred: keeps import cheap
 
-        return AioTransport(
-            num_workers, host=tcp_host, worker_caps=worker_caps
-        )
+        return AioTransport(num_workers, host=tcp_host)
     raise ValueError(
         f"unknown backend {backend!r}; expected one of {TRANSPORT_BACKENDS}"
     )

@@ -1,6 +1,6 @@
 """Entry points for spawned worker processes (``mp`` and ``aio``).
 
-Both entries open with the HELLO exchange (:func:`negotiate_as_worker`)
+Both entries open with the HELLO check (:func:`negotiate_as_worker`)
 and then run the same :func:`serve` loop over a worker-side endpoint:
 block on the next frame, dispatch it, send the replies.
 The first substantive frame must be ``INIT`` (a pickled
@@ -35,7 +35,9 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .. import telemetry
+from ..telemetry.metrics import SpoolHub
 from .framing import (
+    HELLO_PAYLOAD,
     KIND_ECHO,
     KIND_ERROR,
     KIND_HEARTBEAT,
@@ -44,16 +46,12 @@ from .framing import (
     KIND_READY,
     KIND_STOP,
     FrameError,
-    ProtocolCaps,
-    negotiate_ops,
-    negotiate_versions,
+    check_hello,
     pack_frame,
-    pack_hello,
     pack_metrics,
     pack_ops,
     unpack_frame,
     unpack_header,
-    unpack_hello,
 )
 from .transport import PipeEndpoint, SocketEndpoint
 from .worker_runtime import WorkerBootstrap, WorkerRuntime
@@ -93,12 +91,10 @@ def heartbeat_delays(
 class _Heartbeat:
     """Daemon thread pushing HEARTBEAT frames on a jittered schedule.
 
-    With a :class:`~repro.telemetry.metrics.WorkerMetrics` source
-    attached (live-ops connections), each beat drains the accumulated
-    metric deltas and piggybacks them as an ops block in the HEARTBEAT
-    payload — the driver's supervisor folds them into the metrics hub.
-    Without one, the frame is packed once and re-sent: the exact
-    pre-ops byte stream.
+    Each beat drains the worker's accumulated
+    :class:`~repro.telemetry.metrics.WorkerMetrics` deltas and
+    piggybacks them as an ops block in the HEARTBEAT payload — the
+    driver's supervisor folds them into the metrics hub.
     """
 
     def __init__(
@@ -106,10 +102,10 @@ class _Heartbeat:
         endpoint,
         worker_id: int,
         interval: float,
+        metrics,
         *,
         jitter: float = 0.0,
         seed: int = 0,
-        metrics=None,
     ) -> None:
         self._endpoint = endpoint
         self._worker_id = worker_id
@@ -129,7 +125,6 @@ class _Heartbeat:
         self._thread.start()
 
     def _run(self) -> None:
-        plain = pack_frame(KIND_HEARTBEAT, self._worker_id)
         delays = heartbeat_delays(
             self._interval, self._jitter, self._seed, self._worker_id
         )
@@ -137,20 +132,15 @@ class _Heartbeat:
             t0 = time.perf_counter()
             if self._stop.wait(delay):
                 return
-            if self._metrics is None:
-                frame = plain
-            else:
-                lag = (time.perf_counter() - t0) - delay
-                if lag > 0:
-                    self._metrics.add(
-                        "worker.heartbeat_lag_ns", int(lag * 1e9)
-                    )
-                self._metrics.add("worker.heartbeats", 1)
-                frame = pack_frame(
-                    KIND_HEARTBEAT,
-                    self._worker_id,
-                    pack_ops(None, pack_metrics(self._metrics.take())),
-                )
+            lag = (time.perf_counter() - t0) - delay
+            if lag > 0:
+                self._metrics.add("worker.heartbeat_lag_ns", int(lag * 1e9))
+            self._metrics.add("worker.heartbeats", 1)
+            frame = pack_frame(
+                KIND_HEARTBEAT,
+                self._worker_id,
+                pack_ops(None, pack_metrics(self._metrics.take())),
+            )
             try:
                 self._endpoint.send(frame)
             except OSError:
@@ -160,29 +150,21 @@ class _Heartbeat:
         self._stop.set()
 
 
-def negotiate_as_worker(endpoint, worker_id: int, caps: ProtocolCaps):
-    """Worker side of the HELLO exchange.
+def negotiate_as_worker(endpoint, worker_id: int) -> None:
+    """Worker side of the HELLO check.
 
-    Sends this worker's supported version ranges and blocks for the
-    driver's reply, which carries the pinned choice as a degenerate
-    range.  Running the same :func:`negotiate_versions` over the reply
-    both validates the choice against our caps and returns it.
-
-    Returns ``(frame_version, ops)`` — ``ops`` is the live-ops
-    capability the driver echoed in its HELLO TLV (only honoured when
-    we advertised it too); the pinned payload version is always v2,
-    since the driver refuses anything else.  Raises
-    :class:`~repro.runtime.framing.NegotiationError` when the driver
-    pinned something outside our range, and ``ConnectionError`` when
-    the driver hung up mid-handshake (it saw no common version).
+    Sends the one HELLO every runtime peer sends and blocks for the
+    driver's, which :func:`~repro.runtime.framing.check_hello` checks.
+    Raises :class:`~repro.runtime.framing.NegotiationError` or
+    :class:`~repro.runtime.framing.FrameError` when the driver's HELLO
+    is refused, and ``ConnectionError`` when the driver hung up
+    mid-handshake (it refused ours).
     """
-    endpoint.send(pack_frame(KIND_HELLO, worker_id, pack_hello(caps)))
+    endpoint.send(pack_frame(KIND_HELLO, worker_id, HELLO_PAYLOAD))
     while True:
         frame = endpoint.recv()
         if frame is None:
-            raise ConnectionError(
-                "driver hung up during version negotiation"
-            )
+            raise ConnectionError("driver hung up during the HELLO check")
         kind, _, payload = unpack_frame(frame)
         if kind == KIND_HEARTBEAT:
             continue
@@ -190,31 +172,26 @@ def negotiate_as_worker(endpoint, worker_id: int, caps: ProtocolCaps):
             raise FrameError(
                 f"expected HELLO reply, got frame kind {kind}"
             )
-        theirs = unpack_hello(payload)
-        frame_v, _ = negotiate_versions(caps, theirs)
-        return frame_v, negotiate_ops(caps, theirs, frame_v)
+        check_hello(payload)
+        return
 
 
-def serve(
-    endpoint,
-    worker_id: int,
-    *,
-    frame_version: int,
-    ops: bool = False,
-) -> None:
-    """Receive loop of one worker process.
+def serve(endpoint, worker_id: int) -> None:
+    """Receive loop of one worker process, after the HELLO check.
 
     Runs until a ``STOP`` frame, driver hang-up, or a fatal error
     (reported back as an ``ERROR`` frame before exiting).  ``INIT``
-    builds the :class:`WorkerRuntime` with the negotiated
-    ``frame_version`` and ``ops`` capability; every
-    later frame goes to :meth:`WorkerRuntime.handle_frame`, the same
-    dispatch the in-process ``sim`` transport calls (``CHUNK``/``END``
-    reassembly included).  On a live-ops connection the heartbeat
-    thread piggybacks drained metric deltas on every beat.
+    builds the :class:`WorkerRuntime` and installs a
+    :class:`~repro.telemetry.metrics.SpoolHub` over its metrics (the
+    previous hub is restored on exit); every later frame goes to
+    :meth:`WorkerRuntime.handle_frame`, the same dispatch the
+    in-process ``sim`` transport calls (``CHUNK``/``END`` reassembly
+    included).  The heartbeat thread piggybacks drained metric deltas
+    on every beat.
     """
     runtime: Optional[WorkerRuntime] = None
     heartbeat: Optional[_Heartbeat] = None
+    previous_hub = telemetry.metrics_hub()
     try:
         while True:
             frame = endpoint.recv()
@@ -231,22 +208,18 @@ def serve(
                         bootstrap.trace_dir, worker_id, bootstrap.run_id
                     )
                 runtime = WorkerRuntime(bootstrap)
-                runtime.set_wire(frame_version, ops=ops)
-                if ops:
-                    # This process exists for exactly one worker, so
-                    # the recorder tee can spool *every* counter it
-                    # sees — codec instrumentation included — for wire
-                    # delivery to the driver's hub.
-                    from ..telemetry.metrics import SpoolHub
-
-                    telemetry.set_metrics_hub(SpoolHub(runtime.metrics))
+                # This process exists for exactly one worker, so the
+                # recorder tee can spool *every* counter it sees —
+                # codec instrumentation included — for wire delivery
+                # to the driver's hub.
+                telemetry.set_metrics_hub(SpoolHub(runtime.metrics))
                 heartbeat = _Heartbeat(
                     endpoint,
                     worker_id,
                     bootstrap.heartbeat_interval,
+                    runtime.metrics,
                     jitter=bootstrap.heartbeat_jitter,
                     seed=bootstrap.seed,
-                    metrics=runtime.metrics if ops else None,
                 )
                 heartbeat.start()
                 endpoint.send(pack_frame(KIND_READY, worker_id))
@@ -277,18 +250,17 @@ def serve(
     finally:
         if heartbeat is not None:
             heartbeat.stop()
+        telemetry.set_metrics_hub(previous_hub)
         telemetry.close_worker_recorder()
         endpoint.close()
 
 
-def pipe_worker_entry(conn, worker_id: int, caps: ProtocolCaps) -> None:
+def pipe_worker_entry(conn, worker_id: int) -> None:
     """``mp`` backend child target: HELLO, then serve frames over a pipe."""
-    _negotiate_and_serve(PipeEndpoint(conn), worker_id, caps)
+    _hello_and_serve(PipeEndpoint(conn), worker_id)
 
 
-def tcp_worker_entry(
-    host: str, port: int, worker_id: int, caps: ProtocolCaps
-) -> None:
+def tcp_worker_entry(host: str, port: int, worker_id: int) -> None:
     """``aio`` backend child target: connect back over TCP, HELLO, serve.
 
     The name is the socket's protocol, not a backend: this is the
@@ -300,9 +272,9 @@ def tcp_worker_entry(
 
     sock = socket.create_connection((host, port), timeout=30.0)
     sock.settimeout(None)
-    _negotiate_and_serve(SocketEndpoint(sock), worker_id, caps)
+    _hello_and_serve(SocketEndpoint(sock), worker_id)
 
 
-def _negotiate_and_serve(endpoint, worker_id: int, caps: ProtocolCaps) -> None:
-    frame_v, ops = negotiate_as_worker(endpoint, worker_id, caps)
-    serve(endpoint, worker_id, frame_version=frame_v, ops=ops)
+def _hello_and_serve(endpoint, worker_id: int) -> None:
+    negotiate_as_worker(endpoint, worker_id)
+    serve(endpoint, worker_id)

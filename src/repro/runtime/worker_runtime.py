@@ -38,7 +38,7 @@ from typing import List, Optional
 import numpy as np
 
 from .. import telemetry
-from ..telemetry.metrics import WorkerMetrics
+from ..telemetry.metrics import SpoolHub, WorkerMetrics
 from ..compression.base import GradientCompressor
 from ..core.serialization import (
     PAYLOAD_VERSION_V2,
@@ -63,7 +63,6 @@ from .framing import (
     KIND_STOP,
     KIND_SYNC,
     KIND_UPDATE,
-    SUPPORTED_FRAME_VERSIONS,
     UPDATE_HEADER_SIZE,
     ChunkReassembler,
     FrameError,
@@ -78,7 +77,7 @@ from .framing import (
     unpack_ack,
     unpack_frame,
     unpack_ops_prefix,
-    unpack_step_ex,
+    unpack_step,
     unpack_update,
 )
 
@@ -131,7 +130,7 @@ class WorkerBootstrap:
         entropy_coding: request dense radix coding of the bucket-index
             stream in the payload-v2 GRAD bytes (``docs/wire.md``).
         chunk_bytes: data bytes per ``CHUNK`` frame when a GRAD body
-            larger than this streams over a frame-v2 connection.
+            larger than this streams.
     """
 
     worker_id: int
@@ -216,13 +215,18 @@ class WorkerRuntime:
         self.optimizer.prepare(bootstrap.model.num_parameters)
         self._cache = _StepCache()
         self._reassembler = ChunkReassembler()
-        self._frame_version = 1
-        self._ops = False
-        self._spool = False
         #: live-ops metric deltas, drained by GRAD replies, UPDATE acks
-        #: and the heartbeat thread (only fed on spawned-process ops
-        #: connections — see :meth:`_metric`).
+        #: and the heartbeat thread (only fed in spawned worker
+        #: processes — see :meth:`_metric`).
         self.metrics = WorkerMetrics()
+        # Attach ops blocks (drained metric deltas) to replies unless a
+        # driver-side MetricsHub lives in this process: spawned workers
+        # spool (worker_main installs a SpoolHub so the recorder tee
+        # captures every counter for wire delivery), ``sim`` workers
+        # beside a driver hub rely on the tee reaching it directly —
+        # spooling there too would double count.
+        hub = telemetry.metrics_hub()
+        self._spool = hub is None or isinstance(hub, SpoolHub)
         self._entropy = bool(bootstrap.entropy_coding)
         self._chunk_bytes = int(bootstrap.chunk_bytes)
         if self._chunk_bytes <= 0:
@@ -232,41 +236,12 @@ class WorkerRuntime:
 
             sanitize.set_enabled(True)
 
-    def set_wire(self, frame_version: int, ops: bool = False) -> None:
-        """Adopt the connection's negotiated frame version and ops plane.
-
-        Called once after the HELLO exchange (spawned workers) or
-        directly by the cluster (``sim``).  The payload needs no
-        setting: runtime peers always ship payload v2.  Frame v2 lets
-        an oversized GRAD stream as ``CHUNK``/``END``; ``ops`` turns on
-        the live-ops plane for this connection: GRAD replies carry
-        metric deltas and adopt the driver's propagated span context.
-        """
-        if frame_version not in SUPPORTED_FRAME_VERSIONS:
-            raise FrameError(f"unsupported frame version {frame_version}")
-        if ops and frame_version < 2:
-            raise FrameError("live-ops requires a frame-v2 connection")
-        self._frame_version = int(frame_version)
-        self._ops = bool(ops)
-        # Attach ops blocks (drained metric deltas) to replies only when
-        # no driver-side MetricsHub lives in this process: spawned
-        # workers spool (worker_main installs a SpoolHub so the recorder
-        # tee captures every counter for wire delivery), ``sim`` workers
-        # rely on the tee reaching the driver's hub directly — spooling
-        # there too would double count.
-        from ..telemetry.metrics import SpoolHub
-
-        hub = telemetry.metrics_hub()
-        self._spool = self._ops and (
-            hub is None or isinstance(hub, SpoolHub)
-        )
-
     def _metric(self, name: str, value: int) -> None:
         """Record one worker counter delta.
 
         Always emitted as a trace counter event; the process metrics
         hub tee (driver MetricsHub for in-process workers, SpoolHub
-        for spawned live-ops workers) is what keeps exporter totals
+        for spawned workers) is what keeps exporter totals
         and trace sums bit-exactly in step.
         """
         telemetry.counter(name, value, worker=self.worker_id)
@@ -296,7 +271,7 @@ class WorkerRuntime:
         The worker's single frame dispatch: the ``sim`` transport calls
         it directly and a spawned worker's ``serve()`` loop delegates
         every post-``INIT`` frame to it.  ``ECHO`` is answered,
-        ``STOP`` / ``HEARTBEAT`` need no reply, and a frame-v2
+        ``STOP`` / ``HEARTBEAT`` need no reply, and a
         ``CHUNK``/``END`` stream (a broadcast ``UPDATE`` larger than
         ``chunk_bytes``) is reassembled with bounded accounting before
         :meth:`handle_chunks`.  A supervised retry re-sends a whole
@@ -333,15 +308,15 @@ class WorkerRuntime:
         return [pack_frame(KIND_ACK, self.worker_id, pack_ack(epoch))]
 
     def _handle_step(self, payload: bytes) -> List[bytes]:
-        round_id, _lr, span_id, _ = unpack_step_ex(payload)
+        round_id, _lr, span_id, _ = unpack_step(payload)
         if round_id == self._cache.round_id and self._cache.frames:
             # Retried STEP: re-send the cached reply, don't recompute.
             self._metric("worker.step_retries", 1)
             return list(self._cache.frames)
         # Only the first (computing) service of a round is spanned, so a
         # retried STEP never double-counts worker busy time.  The
-        # driver's propagated span context (ops connections) parents
-        # this span across the process boundary.
+        # driver's propagated span context parents this span across the
+        # process boundary.
         with telemetry.context(
             worker=self.worker_id, round=round_id, phase="step"
         ), telemetry.remote_parent(span_id), telemetry.span(
@@ -376,11 +351,11 @@ class WorkerRuntime:
         return list(frames)
 
     def _grad_frames(self, round_id: int, result) -> List[bytes]:
-        """Serialize one step result at payload v2 for this connection.
+        """Serialize one step result at payload v2.
 
-        The message may be entropy coded; on frame v2 a body larger
-        than ``chunk_bytes`` streams as ``CHUNK``/``END`` frames without
-        ever being joined contiguously.
+        The message may be entropy coded; a body larger than
+        ``chunk_bytes`` streams as ``CHUNK``/``END`` frames without ever
+        being joined contiguously.
         """
         data = list(iter_serialize_message(
             result.message, version=PAYLOAD_VERSION_V2,
@@ -409,10 +384,7 @@ class WorkerRuntime:
             # magic, so the driver peels it tolerantly.
             pieces.append(self._ops_block())
         pieces.extend(data)
-        if (
-            self._frame_version >= 2
-            and sum(len(p) for p in pieces) > self._chunk_bytes
-        ):
+        if sum(len(p) for p in pieces) > self._chunk_bytes:
             return list(
                 iter_chunk_frames(
                     KIND_GRAD, self.worker_id, pieces,
@@ -427,7 +399,7 @@ class WorkerRuntime:
         return self._apply_update(round_id, lr, data, span_id)
 
     def handle_chunks(self, inner_kind: int, chunks: List[bytes]) -> List[bytes]:
-        """Service a reassembled ``CHUNK``/``END`` stream (frame v2).
+        """Service a reassembled ``CHUNK``/``END`` stream.
 
         Only ``UPDATE`` streams: the aggregate is the one driver-to-
         worker payload that scales with the model.  The fixed UPDATE
@@ -481,11 +453,11 @@ class WorkerRuntime:
         return [self._pack_ack_reply(round_id)]
 
     def _pack_ack_reply(self, round_id: int) -> bytes:
-        """ACK with a drained ops prefix on spooling connections.
+        """ACK with a drained ops prefix when this worker spools.
 
         A plain ack payload is shorter than the ops header, so the
-        driver peels the prefix tolerantly and acks on connections
-        without the ops plane are unchanged.
+        driver peels the prefix tolerantly and bare acks (``sim``
+        workers beside a driver hub) parse the same way.
         """
         body = pack_ack(round_id)
         if self._spool:

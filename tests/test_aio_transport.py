@@ -18,11 +18,10 @@ import pytest
 from repro.perf.soak_bench import SOAK_MODES, run_soak_bench
 from repro.runtime.aio import AioTransport
 from repro.runtime.framing import (
-    DEFAULT_CAPS,
+    HELLO_PAYLOAD,
     KIND_ECHO,
     KIND_HELLO,
     pack_frame,
-    pack_hello,
     unpack_frame,
 )
 from repro.runtime.supervision import (
@@ -40,7 +39,7 @@ from repro.runtime.worker_main import heartbeat_delays
 def _client(port, worker_id):
     sock = socket.create_connection(("127.0.0.1", port), timeout=10.0)
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    sock.sendall(pack_frame(KIND_HELLO, worker_id, pack_hello(DEFAULT_CAPS)))
+    sock.sendall(pack_frame(KIND_HELLO, worker_id, HELLO_PAYLOAD))
     return sock
 
 

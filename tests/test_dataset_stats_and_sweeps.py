@@ -1,15 +1,9 @@
-"""Tests for dataset statistics and the config sweep utility."""
+"""Tests for dataset statistics."""
 
 import numpy as np
 import pytest
 
-from repro.analysis import (
-    DatasetStats,
-    SweepCell,
-    dataset_stats,
-    sweep_sketch_configs,
-)
-from repro.core import SketchMLConfig
+from repro.analysis import DatasetStats, dataset_stats
 from repro.data import SparseDataset, generate_profile
 
 
@@ -49,45 +43,3 @@ class TestDatasetStats:
         )
         with pytest.raises(ValueError, match="empty"):
             dataset_stats(empty)
-
-
-class TestSweeps:
-    def make_gradient(self):
-        rng = np.random.default_rng(0)
-        keys = np.sort(rng.choice(100_000, size=5_000, replace=False))
-        values = rng.laplace(scale=0.01, size=5_000)
-        values[values == 0.0] = 1e-6
-        return keys, values
-
-    def test_grid_order_and_labels(self):
-        keys, values = self.make_gradient()
-        grid = [{}, {"num_buckets": 32}, {"minmax_rows": 4}]
-        cells = sweep_sketch_configs(keys, values, 100_000, grid)
-        assert len(cells) == 3
-        assert cells[0].label() == "default"
-        assert cells[1].label() == "num_buckets=32"
-        assert all(isinstance(c, SweepCell) for c in cells)
-
-    def test_bucket_sweep_error_monotone(self):
-        keys, values = self.make_gradient()
-        grid = [{"num_buckets": q} for q in (8, 32, 128)]
-        cells = sweep_sketch_configs(keys, values, 100_000, grid)
-        errors = [c.mean_abs_error for c in cells]
-        assert errors[0] > errors[1] > errors[2]
-
-    def test_rows_sweep_size_monotone(self):
-        keys, values = self.make_gradient()
-        grid = [{"minmax_rows": s} for s in (1, 2, 4)]
-        cells = sweep_sketch_configs(keys, values, 100_000, grid)
-        sizes = [c.num_bytes for c in cells]
-        assert sizes[0] < sizes[1] < sizes[2]
-
-    def test_custom_base_config(self):
-        keys, values = self.make_gradient()
-        base = SketchMLConfig.keys_and_quantization()
-        cells = sweep_sketch_configs(
-            keys, values, 100_000, [{}], base=base
-        )
-        # Quan-only path: error is the quantization error, no sketch.
-        assert cells[0].mean_abs_error < 0.001
-        assert cells[0].compression_rate > 2

@@ -35,7 +35,6 @@ from repro.distributed.network import infinite_bandwidth
 from repro.models import make_model
 from repro.optim import SGD
 from repro.runtime import RuntimeConfig, SupervisionConfig
-from repro.runtime.framing import ProtocolCaps
 from repro.telemetry import recorder as recorder_module
 from repro.telemetry.critical_path import (
     causal_edges,
@@ -205,12 +204,10 @@ class TestExporterTraceParity:
     def test_bytes_out_meters_the_shipped_message(self, tmp_path):
         # worker.bytes_out counts the serialized message as sent, not
         # the codec's num_bytes (its plain payload-v2 length): both workers
-        # ship dense-coded v2 indexes; worker 0 has no ops plane.
+        # ship dense-coded v2 indexes.
         _, events, history = run_ops(
             "mp", str(tmp_path / "bytes.jsonl"),
-            runtime=clean_runtime(
-                "mp", entropy_coding=True, worker_caps={0: ProtocolCaps(ops=False)}
-            ),
+            runtime=clean_runtime("mp", entropy_coding=True),
             config=SketchMLConfig.keys_and_quantization(seed=SEED),
         )
         sums = trace_counter_sums(events)
@@ -293,25 +290,6 @@ class TestSpanCausality:
         ]
         assert updates, "chunked run recorded no worker.update spans"
         assert all(e.get("parent") in rounds for e in updates)
-
-    def test_opsless_peer_negotiates_ops_off_and_matches(self, tmp_path):
-        # A v2+ops driver against a worker that does not advertise the
-        # ops capability.  The ops plane must disable itself on that
-        # connection and the math must not notice.
-        base_theta, _, _ = run_ops("mp", "", runtime=clean_runtime("mp"))
-        hub = MetricsHub()
-        theta, _, _ = run_ops(
-            "mp", str(tmp_path / "opsless.jsonl"), hub=hub,
-            runtime=clean_runtime(
-                "mp", worker_caps={0: ProtocolCaps(ops=False)}
-            ),
-        )
-        np.testing.assert_array_equal(theta, base_theta)
-        # Worker 0 (ops-less) shipped nothing; worker 1 (v2+ops) did.
-        assert "worker.steps" not in hub.snapshot()["counters"].get(
-            "0", {}
-        )
-        assert hub.counter_total("worker.steps", worker=1) > 0
 
     def test_ops_plane_keeps_backends_bit_identical(self, tmp_path):
         thetas = {}

@@ -5,14 +5,19 @@ import pytest
 from repro.runtime.framing import (
     FRAME_MAGIC,
     HEADER_SIZE,
+    HELLO_PAYLOAD,
     KIND_ACK,
     KIND_GRAD,
     KIND_NAMES,
     KIND_STEP,
     FrameError,
+    NegotiationError,
+    check_hello,
     pack_ack,
     pack_frame,
     pack_grad_header,
+    pack_metrics,
+    pack_ops,
     pack_step,
     pack_update_header,
     unpack_ack,
@@ -77,9 +82,13 @@ class TestFrameRoundtrip:
 
 class TestTypedPayloads:
     def test_step_roundtrip(self):
-        assert unpack_step(pack_step(41, 0.125)) == (41, 0.125)
-        with pytest.raises(FrameError):
+        assert unpack_step(pack_step(41, 0.125)) == (41, 0.125, None, {})
+        with_ops = pack_step(41, 0.125) + pack_ops(7, pack_metrics({"a": 3}))
+        assert unpack_step(with_ops) == (41, 0.125, 7, {"a": 3})
+        with pytest.raises(FrameError, match="short STEP"):
             unpack_step(b"\x00")
+        with pytest.raises(FrameError, match="trailing bytes"):
+            unpack_step(pack_step(41, 0.125) + b"junk")
 
     def test_grad_roundtrip_with_message_bytes(self):
         body = pack_grad_header(9, True, 0.5, 0.01, 0.002, 1234) + b"WIRE"
@@ -99,3 +108,182 @@ class TestTypedPayloads:
         assert unpack_ack(pack_ack(77)) == 77
         with pytest.raises(FrameError):
             unpack_ack(b"\x01\x02")
+
+
+class TestHelloCheck:
+    """``check_hello`` is the whole HELLO handshake: every peer sends
+    the one constant payload and refuses anything else."""
+
+    @staticmethod
+    def _hello(frame_lo=2, frame_hi=2, payload_lo=2, payload_hi=2):
+        return b"HELO" + bytes((frame_lo, frame_hi, payload_lo, payload_hi))
+
+    def test_constant_payload_layout(self):
+        assert HELLO_PAYLOAD == self._hello()
+        check_hello(HELLO_PAYLOAD)
+
+    def test_ranges_containing_v2_pass(self):
+        check_hello(self._hello(1, 3, 2, 4))
+
+    @pytest.mark.parametrize("payload", [b"", b"HELO", HELLO_PAYLOAD[:-1]])
+    def test_short_payload_is_frame_error(self, payload):
+        with pytest.raises(FrameError, match="short HELLO") as err:
+            check_hello(payload)
+        assert not isinstance(err.value, NegotiationError)
+
+    def test_bad_magic_is_frame_error(self):
+        with pytest.raises(FrameError, match="magic") as err:
+            check_hello(b"HELX" + HELLO_PAYLOAD[4:])
+        assert not isinstance(err.value, NegotiationError)
+
+    def test_trailing_bytes_are_frame_error(self):
+        # The retired ops TLV extension, among any other trailer.
+        with pytest.raises(FrameError, match="trailing") as err:
+            check_hello(HELLO_PAYLOAD + b"\x01\x01\x01")
+        assert not isinstance(err.value, NegotiationError)
+
+    @pytest.mark.parametrize("axis, ranges", [
+        ("frame", (1, 1, 2, 2)),
+        ("frame", (3, 4, 2, 2)),
+        ("payload", (2, 2, 1, 1)),
+        ("payload", (1, 2, 3, 3)),
+    ])
+    def test_range_without_v2_is_negotiation_error(self, axis, ranges):
+        with pytest.raises(NegotiationError, match=f"no common {axis} version"):
+            check_hello(self._hello(*ranges))
+
+
+class TestSessionFrameStream:
+    """Pin the frames one fixed-seed ``sim`` session puts on the wire.
+
+    A 2-worker cluster runs three rounds with entropy coding and
+    4096-byte chunks, so every broadcast UPDATE streams as CHUNK/END.
+    A wrapper over the transport records each frame sent and received
+    as ``(direction, kind, header version, sender, payload length)``
+    and, per logical GRAD/UPDATE body (reassembled when streamed), the
+    sha256 of its serialized-message section.  GRAD timing floats and
+    span ids are fixed-width, so the lengths are deterministic; the
+    digests below change only when a frame or a message byte does.
+    The traced run opens a span around the rounds, so STEP and UPDATE
+    carry the driver's span context.
+    """
+
+    #: sha256 of the recorded frame rows, untraced and traced.
+    FRAMES = {
+        False: "ba10c696cb8c89b80e07f81f0f6641f66ba19826115592d644482e0ca3455db3",
+        True: "d813938597bbbc5f6f227db2f0e59bbc1af39c7f75315020ac06ef2d17bfbe36",
+    }
+    #: sha256 of the message-section digests: spans never reach them.
+    MESSAGES = "20e7d8fd2f0b1e7fb38c9e7a2c441dc2fd4e24f559836e2e47d455d257fcafba"
+
+    @staticmethod
+    def _record(traced, tmp_path):
+        import hashlib
+
+        from repro import telemetry
+        from repro.core import SketchMLCompressor, SketchMLConfig
+        from repro.data import kdd10_like
+        from repro.distributed.driver import aggregate_sparse_gradients
+        from repro.runtime import RuntimeCluster, RuntimeConfig
+        from repro.runtime.framing import (
+            GRAD_HEADER_SIZE,
+            KIND_CHUNK,
+            KIND_END,
+            KIND_UPDATE,
+            UPDATE_HEADER_SIZE,
+            ChunkReassembler,
+            unpack_ops_prefix,
+        )
+        from repro.telemetry.recorder import TraceRecorder
+        from tests.test_runtime_faults import SEED, make_bootstraps
+
+        frames, messages = [], []
+        streams = {}
+
+        def note(direction, worker_id, frame):
+            kind, sender, payload = unpack_frame(frame)
+            frames.append(
+                (direction, KIND_NAMES[kind], frame[4], sender, len(payload))
+            )
+            if kind == KIND_CHUNK:
+                streams.setdefault(
+                    (direction, worker_id), ChunkReassembler()
+                ).feed(payload)
+                return
+            if kind == KIND_END:
+                kind, chunks = streams[(direction, worker_id)].finish(payload)
+                payload = b"".join(chunks)
+            if kind not in (KIND_GRAD, KIND_UPDATE):
+                return
+            header = GRAD_HEADER_SIZE if kind == KIND_GRAD else UPDATE_HEADER_SIZE
+            _, _, message = unpack_ops_prefix(payload[header:])
+            if message:
+                messages.append((
+                    direction, KIND_NAMES[kind],
+                    hashlib.sha256(message).hexdigest(),
+                ))
+
+        dataset = kdd10_like(seed=SEED, scale=0.1)
+        config = RuntimeConfig(
+            backend="sim", entropy_coding=True, chunk_bytes=4096
+        )
+        driver_codec = SketchMLCompressor(SketchMLConfig.full(seed=SEED))
+        # No metrics hub: in-process workers then attach (empty) ops
+        # blocks to their replies, whatever earlier tests installed.
+        previous_hub = telemetry.set_metrics_hub(None)
+        previous = telemetry.set_recorder(
+            TraceRecorder(str(tmp_path / "session.jsonl")) if traced else None
+        )
+        try:
+            with RuntimeCluster(make_bootstraps(dataset), config) as cluster:
+                transport = cluster.transport
+                send, recv = transport.send, transport.recv
+
+                def recording_send(worker_id, frame):
+                    note("send", worker_id, frame)
+                    send(worker_id, frame)
+
+                def recording_recv(worker_id, timeout):
+                    frame = recv(worker_id, timeout)
+                    note("recv", worker_id, frame)
+                    return frame
+
+                transport.send = recording_send
+                transport.recv = recording_recv
+                with telemetry.span("test.session"):
+                    cluster.start_epoch(0)
+                    for round_id in range(3):
+                        results = cluster.step(round_id, 0.1)
+                        grads = [
+                            driver_codec.decompress(r.message)
+                            for r in results.values() if r.has_batch
+                        ]
+                        keys, values = aggregate_sparse_gradients(grads)
+                        update = cluster.encode_update(driver_codec.compress(
+                            keys, values, dataset.num_features
+                        ))
+                        assert len(update) > config.chunk_bytes
+                        cluster.broadcast(round_id, 0.1, update)
+        finally:
+            recorder = telemetry.set_recorder(previous)
+            if recorder is not None:
+                recorder.close()
+            telemetry.set_metrics_hub(previous_hub)
+        return frames, messages
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["plain", "traced"])
+    def test_frame_stream_is_pinned(self, traced, tmp_path):
+        import hashlib
+
+        frames, messages = self._record(traced, tmp_path)
+        # Header versions are per-kind stamps: CHUNK/END carry 2, every
+        # other kind 1; the UPDATEs streamed.
+        kinds = {kind for _, kind, _, _, _ in frames}
+        assert {"chunk", "end", "step", "grad", "ack"} <= kinds
+        for _, kind, version, _, _ in frames:
+            assert version == (2 if kind in ("chunk", "end") else 1)
+        def digest(rows):
+            return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+        assert digest(messages) == self.MESSAGES
+        assert digest(frames) == self.FRAMES[traced]

@@ -22,8 +22,8 @@ import pytest
 
 from repro.runtime.aio import AioTransport
 from repro.runtime.framing import (
-    DEFAULT_CAPS,
     HEADER_SIZE,
+    HELLO_PAYLOAD,
     KIND_ACK,
     KIND_ECHO,
     KIND_ERROR,
@@ -35,11 +35,9 @@ from repro.runtime.framing import (
     FrameAssembler,
     FrameError,
     NegotiationError,
-    ProtocolCaps,
     iter_chunk_frames,
     pack_ack,
     pack_frame,
-    pack_hello,
     unpack_frame,
     unpack_header,
 )
@@ -63,11 +61,9 @@ def _echo_handler(worker_id):
     return handler
 
 
-def _build(backend, worker_caps=None):
+def _build(backend):
     handlers = [_echo_handler(i) for i in range(NUM_WORKERS)]  # sim only
-    return make_transport(
-        backend, NUM_WORKERS, handlers=handlers, worker_caps=worker_caps
-    )
+    return make_transport(backend, NUM_WORKERS, handlers=handlers)
 
 
 def _shutdown(transport):
@@ -165,36 +161,32 @@ class TestConformance:
 
 
 # ----------------------------------------------------------------------
-# Version negotiation: the HELLO exchange over every backend.
+# The HELLO check over every backend.
 #
-# Every worker opens with a HELLO carrying its supported ranges; the
-# driver pins the highest mutually supported pair and replies.  Runtime
-# peers speak payload v2 only, so a pre-v2 peer (``V1_CAPS``) is a
-# structured construction failure on every backend, not a hang.
+# Every spawned worker opens with the one HELLO every runtime peer
+# sends; the driver checks it and answers with its own.  A peer whose
+# HELLO excludes frame v2 or payload v2 is a structured construction
+# failure, not a hang.  ``sim`` has no wire, so no HELLO.
 # ----------------------------------------------------------------------
-#: A pre-v2 peer: frame v1 and payload v1 only, no ops plane.
-V1_CAPS = ProtocolCaps(frame_max=1, payload_min=1, payload_max=1, ops=False)
-#: A payload-v2 peer that cannot stream: frame v1, so no CHUNK/END and
-#: no ops plane.
-FRAME_V1_CAPS = ProtocolCaps(frame_max=1, ops=False)
+def _hello(frame_lo=2, frame_hi=2, payload_lo=2, payload_hi=2):
+    return pack_frame(
+        KIND_HELLO, 0,
+        b"HELO" + bytes((frame_lo, frame_hi, payload_lo, payload_hi)),
+    )
 
-_FLEETS = {
-    "v2-only": ({0: DEFAULT_CAPS, 1: DEFAULT_CAPS}, {0: 2, 1: 2}),
-    # Mixed on the frame axis, the one that still negotiates per peer.
-    "mixed": ({0: FRAME_V1_CAPS, 1: DEFAULT_CAPS}, {0: 1, 1: 2}),
-}
+
+#: The one fleet left: every worker sends the default HELLO.
+_FLEETS = ("v2-only",)
 
 
 class TestVersionNegotiation:
-    @pytest.mark.parametrize("fleet", sorted(_FLEETS))
+    @pytest.mark.parametrize("fleet", _FLEETS)
     @pytest.mark.parametrize("backend", TRANSPORT_BACKENDS)
     def test_negotiation_matrix(self, backend, fleet):
-        worker_caps, expected = _FLEETS[fleet]
-        t = _build(backend, worker_caps)
+        # The connection still moves frames after its handshake: the
+        # serve loop passed the HELLO check and is back in dispatch.
+        t = _build(backend)
         try:
-            assert dict(t.negotiated) == expected
-            # The negotiated connection still moves frames: the serve
-            # loop answered the HELLO exchange and is back in dispatch.
             for worker_id in range(NUM_WORKERS):
                 t.send(worker_id, pack_frame(KIND_ECHO, 0, b"post-hello"))
                 kind, sender, payload = unpack_frame(t.recv(worker_id, 20.0))
@@ -206,22 +198,15 @@ class TestVersionNegotiation:
 
     @pytest.mark.parametrize("backend", TRANSPORT_BACKENDS)
     def test_default_fleet_negotiates_v2(self, backend):
+        # The default HELLO advertises frame v2 and payload v2 and
+        # nothing else, and a default fleet passes the check: the
+        # transport constructs and every worker is up.
+        assert _hello() == pack_frame(KIND_HELLO, 0, HELLO_PAYLOAD)
         t = _build(backend)
         try:
-            assert dict(t.negotiated) == {0: 2, 1: 2}
+            assert all(t.alive(w) for w in range(NUM_WORKERS))
         finally:
             _shutdown(t)
-
-    @pytest.mark.parametrize("backend", TRANSPORT_BACKENDS)
-    def test_no_common_version_is_structured_failure(self, backend):
-        # A pre-v2 worker shares no payload version with the runtime:
-        # construction must fail with NegotiationError (a FrameError),
-        # promptly, never hang or train on garbage.
-        start = time.monotonic()
-        with pytest.raises(NegotiationError, match="no common payload"):
-            t = _build(backend, {1: V1_CAPS})
-            _shutdown(t)  # pragma: no cover - construction must raise
-        assert time.monotonic() - start < 30.0
 
     def test_hello_less_opener_is_refused(self, raw_stream):
         t, sock = raw_stream
@@ -229,19 +214,40 @@ class TestVersionNegotiation:
         with pytest.raises(NegotiationError, match="not HELLO"):
             t.wait_connected(10.0)
 
+    @pytest.mark.parametrize("axis, hello", [
+        ("payload", _hello(payload_lo=1, payload_hi=1)),
+        ("frame", _hello(frame_lo=1, frame_hi=1)),
+    ], ids=["payload-v1", "frame-v1"])
+    def test_v1_hello_is_refused(self, raw_stream, axis, hello):
+        # A peer without payload v2 or frame v2 fails construction with
+        # NegotiationError, promptly, and its socket is closed.
+        t, sock = raw_stream
+        start = time.monotonic()
+        sock.sendall(hello)
+        with pytest.raises(NegotiationError, match=f"no common {axis}"):
+            t.wait_connected(10.0)
+        assert time.monotonic() - start < 5.0
+        assert sock.recv(64) == b""
+
+    def test_malformed_hello_is_frame_error_not_negotiation(self, raw_stream):
+        t, sock = raw_stream
+        sock.sendall(pack_frame(KIND_HELLO, 0, HELLO_PAYLOAD + b"\x01"))
+        with pytest.raises(FrameError, match="trailing") as err:
+            t.wait_connected(10.0)
+        assert not isinstance(err.value, NegotiationError)
+
     def test_negotiation_error_is_frame_error(self):
         assert issubclass(NegotiationError, FrameError)
 
 
-class TestNegotiatedTraining:
-    """Fleet composition and wire settings must not change the math.
+class TestWireSettingsTraining:
+    """Wire settings must not change the math.
 
     The same fixed-seed logistic regression must land on bit-identical
-    parameters on a plain v2 fleet, on one with entropy coding and
-    streamed frames, and on a mixed one whose worker 0 is pinned at
-    frame v1 (it never streams) — the message is the same, so theta
-    cannot move.  The mp cell is the acceptance bar; the aio cell pins
-    the socket backend.
+    parameters with plain frames and with entropy coding plus
+    CHUNK/END-streamed frames — the decoded messages are the same, so
+    theta cannot move.  The mp cell is the acceptance bar; the aio cell
+    pins the socket backend.
     """
 
     @pytest.fixture(scope="class")
@@ -250,10 +256,8 @@ class TestNegotiatedTraining:
 
         return train_test_split(kdd10_like(seed=7, scale=0.02), seed=7)
 
-    #: Entropy coding and 4096-byte CHUNK/END streaming; MIXED adds a
-    #: worker 0 pinned at frame v1 (the rest default).
+    #: Entropy coding and 4096-byte CHUNK/END streaming.
     STREAMED = dict(entropy_coding=True, chunk_bytes=4096)
-    MIXED = dict(STREAMED, worker_caps={0: FRAME_V1_CAPS})
 
     def _theta(self, split, backend, **cfg):
         from repro.runtime import RuntimeConfig
@@ -265,22 +269,19 @@ class TestNegotiatedTraining:
         trainer.train(*split)
         return trainer.theta
 
-    def test_mixed_fleet_trains_bit_identical_on_mp(self, split):
-        plain = self._theta(split, "mp")
-        for cfg in (self.MIXED, self.STREAMED):
-            theta = self._theta(split, "mp", **cfg)
-            np.testing.assert_array_equal(theta, plain)
+    def test_streamed_trains_bit_identical_on_mp(self, split):
+        streamed = self._theta(split, "mp", **self.STREAMED)
+        np.testing.assert_array_equal(self._theta(split, "mp"), streamed)
 
     @pytest.mark.parametrize("backend", ["aio"])
-    def test_mixed_fleet_matches_plain_sockets(self, split, backend):
-        mixed = self._theta(split, backend, **self.MIXED)
-        np.testing.assert_array_equal(self._theta(split, backend), mixed)
+    def test_streamed_matches_plain_sockets(self, split, backend):
+        streamed = self._theta(split, backend, **self.STREAMED)
+        np.testing.assert_array_equal(self._theta(split, backend), streamed)
 
     def test_sim_cluster_streams_chunked_updates(self):
-        """The default sim fleet negotiates frame v2, so an update
-        larger than ``chunk_bytes`` broadcasts as a CHUNK/END stream
-        straight into the in-process handler — regression for the sim
-        frame dispatch forwarding chunk frames to
+        """An update larger than ``chunk_bytes`` broadcasts as a
+        CHUNK/END stream straight into the in-process handler —
+        regression for the sim frame dispatch forwarding chunk frames to
         ``WorkerRuntime.handle`` and crashing the run."""
         from repro.data import kdd10_like
         from repro.runtime import RuntimeCluster, RuntimeConfig
@@ -351,11 +352,13 @@ class TestServeChunkRecovery:
         from repro.runtime import worker_main
         from repro.runtime.framing import ChunkReassembler
         from repro.runtime.worker_runtime import WorkerRuntime
+        from repro.telemetry.metrics import WorkerMetrics
 
         class StubRuntime(WorkerRuntime):
             def __init__(self, bootstrap):
                 self.worker_id = 1
                 self._reassembler = ChunkReassembler()
+                self.metrics = WorkerMetrics()
 
             def handle(self, kind, payload):
                 raise AssertionError(
@@ -393,7 +396,7 @@ class TestServeChunkRecovery:
         frames += stream[:3]  # the send died after three chunks...
         frames += stream      # ...and the supervisor re-sent it all
         endpoint = _ScriptedEndpoint(frames)
-        worker_main.serve(endpoint, 1, frame_version=2)
+        worker_main.serve(endpoint, 1)
         assert calls == [(KIND_UPDATE, body)]
         kinds = [unpack_frame(f)[0] for f in endpoint.sent]
         assert kinds == [KIND_READY, KIND_ACK]
@@ -410,7 +413,7 @@ class TestServeChunkRecovery:
         frames += stream[2:]  # stale mid-stream tail incl. its END
         frames += stream      # the full retried stream
         endpoint = _ScriptedEndpoint(frames)
-        worker_main.serve(endpoint, 1, frame_version=2)
+        worker_main.serve(endpoint, 1)
         assert calls == [(KIND_UPDATE, body)]
         kinds = [unpack_frame(f)[0] for f in endpoint.sent]
         assert kinds == [KIND_READY, KIND_ACK]
@@ -425,7 +428,7 @@ class TestServeChunkRecovery:
 # client socket (spawn_workers=False) plays the worker so the tests
 # control the exact write boundaries.
 # ----------------------------------------------------------------------
-_HELLO = pack_frame(KIND_HELLO, 0, pack_hello(DEFAULT_CAPS))
+_HELLO = pack_frame(KIND_HELLO, 0, HELLO_PAYLOAD)
 
 
 def _dribble(sock, chunks, delay=0.002):
