@@ -10,11 +10,12 @@ transport.Transport` and perturbs the frame stream on its way through:
   exercising the timeout path without killing the worker.
 * **duplicate** — a received frame is delivered twice; round-numbered
   idempotency on both sides must make the second copy harmless.
-* **corrupt** — payload bytes of a received frame are flipped.  The
-  frame header is left intact on purpose: the frame still *parses*, so
-  the corruption must be caught downstream by ``deserialize_message``
-  / the ``REPRO_SANITIZE`` invariant checks, not masked by the frame
-  layer.
+* **corrupt** — payload bytes of a received frame (or, when a
+  :class:`FaultSchedule` names the ``send`` direction, of a sent one)
+  are flipped.  The frame header is left intact on purpose: the frame
+  still *parses*, so the corruption must be caught downstream by
+  ``deserialize_message`` / the ``REPRO_SANITIZE`` invariant checks,
+  not masked by the frame layer.
 
 Faults fire from a seeded RNG (:class:`FaultConfig`) or an explicit
 :class:`FaultSchedule` (exact ``(direction, worker, frame_index)``
@@ -211,6 +212,12 @@ class FaultyTransport(Transport):
                 "fault.drop", worker=worker_id, direction="send", index=index
             )
             return  # the frame never reaches the worker
+        if "corrupt" in faults:
+            self.stats["corrupts"] += 1
+            telemetry.event(
+                "fault.corrupt", worker=worker_id, direction="send", index=index
+            )
+            frame = self._corrupt(frame)
         self.inner.send(worker_id, frame)
 
     def recv(self, worker_id: int, timeout: float) -> bytes:
