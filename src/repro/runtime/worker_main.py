@@ -181,7 +181,8 @@ def serve(endpoint, worker_id: int) -> None:
 
     Runs until a ``STOP`` frame, driver hang-up, or a fatal error
     (reported back as an ``ERROR`` frame before exiting).  ``INIT``
-    builds the :class:`WorkerRuntime` and installs a
+    builds a spooling :class:`WorkerRuntime` (its GRAD replies and ACKs
+    carry drained metric deltas) and installs a
     :class:`~repro.telemetry.metrics.SpoolHub` over its metrics (the
     previous hub is restored on exit); every later frame goes to
     :meth:`WorkerRuntime.handle_frame`, the same dispatch the
@@ -207,7 +208,7 @@ def serve(endpoint, worker_id: int) -> None:
                     telemetry.enable_worker_recorder(
                         bootstrap.trace_dir, worker_id, bootstrap.run_id
                     )
-                runtime = WorkerRuntime(bootstrap)
+                runtime = WorkerRuntime(bootstrap, spool=True)
                 # This process exists for exactly one worker, so the
                 # recorder tee can spool *every* counter it sees —
                 # codec instrumentation included — for wire delivery

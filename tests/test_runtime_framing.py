@@ -170,8 +170,8 @@ class TestSessionFrameStream:
 
     #: sha256 of the recorded frame rows, untraced and traced.
     FRAMES = {
-        False: "ba10c696cb8c89b80e07f81f0f6641f66ba19826115592d644482e0ca3455db3",
-        True: "d813938597bbbc5f6f227db2f0e59bbc1af39c7f75315020ac06ef2d17bfbe36",
+        False: "cb59b367f735280029a1a2ac5368f1b5ba4906ade8abc77441959417cbbe3ddf",
+        True: "20d975eb320e1d1676cf030c0d26b82c8992a4c6801240e844ed290c93f93e12",
     }
     #: sha256 of the message-section digests: spans never reach them.
     MESSAGES = "20e7d8fd2f0b1e7fb38c9e7a2c441dc2fd4e24f559836e2e47d455d257fcafba"
@@ -228,8 +228,8 @@ class TestSessionFrameStream:
             backend="sim", entropy_coding=True, chunk_bytes=4096
         )
         driver_codec = SketchMLCompressor(SketchMLConfig.full(seed=SEED))
-        # No metrics hub: in-process workers then attach (empty) ops
-        # blocks to their replies, whatever earlier tests installed.
+        # No metrics hub, whatever earlier tests installed; in-process
+        # workers never spool, so their replies carry no ops block.
         previous_hub = telemetry.set_metrics_hub(None)
         previous = telemetry.set_recorder(
             TraceRecorder(str(tmp_path / "session.jsonl")) if traced else None
@@ -282,6 +282,8 @@ class TestSessionFrameStream:
         assert {"chunk", "end", "step", "grad", "ack"} <= kinds
         for _, kind, version, _, _ in frames:
             assert version == (2 if kind in ("chunk", "end") else 1)
+        # In-process workers do not spool: every ACK is the bare 4 bytes.
+        assert {n for _, kind, _, _, n in frames if kind == "ack"} == {4}
         def digest(rows):
             return hashlib.sha256(repr(rows).encode()).hexdigest()
 

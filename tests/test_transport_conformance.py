@@ -355,7 +355,8 @@ class TestServeChunkRecovery:
         from repro.telemetry.metrics import WorkerMetrics
 
         class StubRuntime(WorkerRuntime):
-            def __init__(self, bootstrap):
+            def __init__(self, bootstrap, *, spool):
+                assert spool  # a spawned worker's replies carry metrics
                 self.worker_id = 1
                 self._reassembler = ChunkReassembler()
                 self.metrics = WorkerMetrics()
