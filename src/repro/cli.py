@@ -748,15 +748,10 @@ def _run_perf(args: argparse.Namespace) -> int:
         )
     for nnz, row in wire_section["sizes"].items():
         print(
-            f"wire v2 entropy @nnz={nnz}: {row['v1_bytes']} -> "
-            f"{row['v2_bytes']} bytes ({row['reduction_pct']}% smaller, "
-            f"coded {row['entropy']['coded_bytes']} of "
-            f"{row['entropy']['plain_bytes']} plain index bytes)"
-        )
-        sketch = row["sketch"]
-        print(
-            f"wire v2 sketch @nnz={nnz}: {sketch['v1_bytes']} -> "
-            f"{sketch['v2_bytes']} bytes ({sketch['reduction_pct']}% smaller)"
+            f"wire v2 entropy @nnz={nnz}: {row['v2_bytes']} bytes "
+            f"(coded {row['entropy']['coded_bytes']} of "
+            f"{row['entropy']['plain_bytes']} plain index bytes); "
+            f"sketch: {row['sketch']['v2_bytes']} bytes"
         )
     out = args.out or BENCH_FILENAME
     if out != "-":
@@ -808,7 +803,8 @@ def _cmd_golden(args: argparse.Namespace) -> int:
             return 2
         print(
             f"wrote {len(manifest['cases'])} cases "
-            f"(v1 + v2 fixtures) and manifest.json to {wire_dir}"
+            f"(v2 fixtures; the v1 files stay frozen) and manifest.json "
+            f"to {wire_dir}"
         )
         return 0
     problems = check_goldens(wire_dir)

@@ -12,10 +12,8 @@ Encode phase (for a sparse gradient ``{(k_j, v_j)}``):
    paper's delta-binary code (§3.4) or a block-adaptive Rice code
    (:mod:`repro.core.rice`, near the ``log2(D/n) + 1.44`` bits/key
    bound), whichever is smaller for the sign's keys — both sizes are
-   computed before either is coded.  The blobs are in payload v2's
-   code; a payload-v1 write transcodes Rice blobs to delta-binary.
-   The ablation's sketch-free parts code their one key list the same
-   way.
+   computed before either is coded.  The ablation's sketch-free parts
+   code their one key list the same way.
 4. Ship: per-group key blobs + per-group sketch tables + bucket means.
 
 Decode phase reverses it: recover keys from the key blobs (a part
@@ -62,23 +60,20 @@ class GroupKeys:
 
     ``concat`` holds every group's ascending keys back to back
     (``counts[g]`` of them for group ``g``; a part without a sketch is
-    one group); ``blobs`` code them, one per
-    group, in ``code``: a payload-v2 key code
-    (:data:`~repro.core.rice.KEY_CODE_RICE` / ``KEY_CODE_DELTA``), or
-    ``None`` for delta-binary blobs whose v2 code was never chosen (a
-    payload-v1 decode).
+    one group); ``blobs`` code them, one per group, in ``code``
+    (:data:`~repro.core.rice.KEY_CODE_RICE` / ``KEY_CODE_DELTA``).
     """
 
     concat: np.ndarray
     counts: np.ndarray
-    code: Optional[int]
+    code: int
     blobs: List[bytes]
 
     @classmethod
     def coded(
         cls, concat: np.ndarray, counts: Optional[np.ndarray] = None
     ) -> "GroupKeys":
-        """Keys with their payload-v2 blobs, coded once; ``counts``
+        """Keys with their wire blobs, coded once; ``counts``
         defaults to one group."""
         if counts is None:
             counts = np.array([concat.size], dtype=np.int64)

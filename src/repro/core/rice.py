@@ -1,11 +1,11 @@
 """Block-adaptive Rice code for the ascending keys of payload v2.
 
 Every delta-keyed part ships ascending key lists: one per group for a
-MinMaxSketch part, one for a raw-value or bucket-index part.  Payload
-v1 codes each list delta-binary (§3.4: one byte minimum plus a 2-bit
-flag, ≥ 10 bits per key); payload v2 codes them with a Rice code whose
-parameter adapts per block of 64 keys, which lands near the
-order-statistics bound ``log2(D/n) + 1.44`` bits per key.
+MinMaxSketch part, one for a raw-value or bucket-index part.  The
+paper's delta-binary code (§3.4) spends one byte minimum plus a 2-bit
+flag, ≥ 10 bits per key; a Rice code whose parameter adapts per block
+of 64 keys lands near the order-statistics bound ``log2(D/n) + 1.44``
+bits per key.
 
 The code, per group of ``n`` ascending keys ``k_0 < k_1 < …``:
 
@@ -59,7 +59,7 @@ same code.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -370,7 +370,7 @@ def encode_key_groups_v2(
 
     Both candidate sizes are computed from the gaps before anything is
     coded; Rice is used only when strictly smaller than delta-binary,
-    so a v2 part's keys are never larger than its v1 keys.
+    so a part's keys are never larger than their delta-binary code.
     """
     plan = _RicePlan(*_layout_and_gaps(concat, counts))
     if _rice_wins(plan):
@@ -594,19 +594,16 @@ def _check_choice(
 _DECODERS = {
     KEY_CODE_RICE: decode_rice_groups_flat,
     KEY_CODE_DELTA: decode_key_groups_flat,
-    None: decode_key_groups_flat,
 }
 
 
 def decode_key_parts(
-    parts: Sequence[Tuple[Optional[int], Sequence[bytes]]]
+    parts: Sequence[Tuple[int, Sequence[bytes]]]
 ) -> List[Tuple[np.ndarray, np.ndarray]]:
     """Decode the key blobs of a message's parts: ``(concat, counts)``
     per ``(key_code, blobs)``.
 
-    ``key_code`` ``None`` marks delta-binary blobs of a payload-v1
-    message, which has no code to check.  The blobs of every part in
-    one code are decoded in one call (one pass for a message's Rice
+    The blobs of every part in one code are decoded in one call (one pass for a message's Rice
     blobs, whatever its parts), and then each part's code must be the
     one :func:`encode_key_groups_v2` picks for its keys.  A decode
     error names the failing blob by its position among all of the
@@ -636,8 +633,7 @@ def decode_key_parts(
             end = group + len(blobs)
             part_keys = keys[bounds[group]:bounds[end]]
             part_counts = counts[group:end]
-            if key_code is not None:
-                _check_choice(key_code, part_keys, part_counts, sum(map(len, blobs)))
+            _check_choice(key_code, part_keys, part_counts, sum(map(len, blobs)))
             out[i] = (part_keys, part_counts)
             group = end
     return out

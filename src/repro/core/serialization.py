@@ -11,50 +11,42 @@ It is also the only place that knows the layout's size: a message's
 ``num_bytes`` / ``breakdown`` are its payload-v2 length and that
 length's per-section split (:func:`wire_sections`).
 
-The version 1 layout (all integers little-endian)::
+The layout is payload version 2 (all integers little-endian)::
 
     header:   magic "SKML" | version u8 | flags u8 | dimension u64 | nnz u64
-              | num_parts u8
+              | [decay_scale f64 if flag DECAY] | num_parts u8
     per part: sign i8 | nnz u64 | kind u8
-      kind 0 (raw values):      key_kind u8, keys, values f64[]
-      kind 1 (indexes):         key_kind u8, keys, bucket block, index
-                                marker u8, indexes
-      (key_kind 0: u4[] keys; 1: one delta-binary blob, length-prefixed)
-      kind 2 (grouped sketch):  bucket block, num_blobs u8 + one key blob
-                                per group (delta-binary, length-prefixed),
-                                num_groups u8 | index_range u32, then one
-                                sketch block per group
-    bucket block:  num_buckets u16 | sign i8 | splits f64[q+1] | means f64[q]
-    sketch block:  rows u8 | bins u32 | index_range u32 | seed i64 |
-                   hash_family u8 | cell_width u8 | table bytes
+      kind 0 (raw values):      key block, values f64[]
+      kind 1 (indexes):         key block, bucket block, index marker u8,
+                                indexes
+      kind 2 (grouped sketch):  bucket block, num_blobs u8 | key_code u8 +
+                                one length-prefixed key blob per group,
+                                num_groups u8 | index_range u32, one
+                                shared sketch header, coded cells
+    key block:     key_kind u8 + u4[] keys (0), one delta-binary blob (1)
+                   or one Rice blob (2), length-prefixed
+    bucket block:  num_buckets u16 | sign i8 | means f32[q] or f64[q]
+    sketch header: rows u8 | bins u32 | group index_range u32 | seed i64 |
+                   hash_family u8 | cell_width u8
 
-Version 1 is frozen (the committed golden fixtures pin it byte for
-byte).  Version 2 keeps the layout, drops what no decoder reads and
-codes what is left densely, so it is never larger than v1:
+Bucket means ship as ``f32`` when that is exact (the quantizer rounds
+them toward zero to float32 values) and as ``f64`` otherwise; the blob
+length says which.  No decoder reads the bucket splits, so they are
+not shipped and decoded buckets have ``splits=None``.  Keys are
+delta-binary (§3.4) or block-adaptive Rice (:mod:`repro.core.rice`),
+Rice exactly when strictly smaller, and the decoder rejects any other
+choice.  Group ``g`` of a sketch hashes with ``seed +
+GROUP_SEED_STRIDE * g``; its cells are in-group offsets below ``gir``
+or ``gir`` for the empty sentinel, all groups coded as one dense radix
+stream.  With flag ``ENTROPY``, index marker 4 dense-codes a kind-1
+part's index stream when that beats the plain (marker 1/2 = itemsize)
+or bit-packed (marker 0) block; marker 3 (rANS) is retired.
 
-* the bucket block loses ``splits`` (``num_buckets u16 | sign i8 |
-  means f32[q] or f64[q]``); decoded v2 buckets have ``splits=None``.
-  The means ship as ``f32`` when that reproduces them exactly (the
-  quantizer rounds them toward zero to float32 values, so that is the
-  rule) and as ``f64`` otherwise; the reader takes the width from the
-  blob length (``4q`` or ``8q`` bytes, anything else is an error);
-* a kind-2 part's ``num_blobs u8`` is followed by a ``key_code u8``:
-  1 when its group key blobs are block-adaptive Rice
-  (:mod:`repro.core.rice`), 0 when they stay delta-binary — the encoder
-  picks Rice exactly when it is strictly smaller, and the decoder
-  rejects any other choice;
-* a kind-0/1 part's key block takes the same choice for its one key
-  list: ``key_kind`` 2 is one length-prefixed Rice blob, and a part
-  that keeps delta-binary (``key_kind`` 1) is byte-identical to v1;
-* a kind-2 part ships one shared sketch header (group 0's seed; group
-  ``g`` hashes with ``seed + GROUP_SEED_STRIDE * g``) and then every
-  group's cells as one dense radix stream over the ``gir + 1`` symbols
-  ``0 … gir - 1`` plus ``gir`` for the empty sentinel, where ``gir`` is
-  the per-group index range;
-* optionally (flag ``ENTROPY``) index marker 4 dense-codes a kind-1
-  part's bucket-index stream, chosen per part only when it beats the
-  plain/bit-packed encoding.  Marker 3 (the rANS block it replaced) is
-  retired and rejected by name.
+Payload version 1 (bucket splits, one sketch block per group,
+delta-binary keys only) is retired too: the reader rejects it by name
+and nothing here writes it.  Its golden fixtures
+(``tests/golden/wire/*.bin``) stay as frozen data, reproduced by the
+test-side reference writer ``tests/payload_v1_reference.py``.
 
 The dense radix code is :mod:`repro.core.entropy` (base-``b`` digits
 packed ``k`` to a ``wb``-byte word, no model on the wire).  See
@@ -74,8 +66,8 @@ bin placement without shipping the functions themselves.  It decodes
 every part's delta-coded keys once the parts are read, in one pass per
 key code (:func:`~repro.core.rice.decode_key_parts`), and checks the
 counts: each part's keys, values and indexes number its ``nnz``, and
-the parts' ``nnz`` sum to the message's.  At both versions it rejects
-bucket means that are non-finite, negative or decreasing.
+the parts' ``nnz`` sum to the message's.  It rejects bucket means that
+are non-finite, negative or decreasing.
 """
 
 from __future__ import annotations
@@ -90,7 +82,6 @@ from ..compression.base import CompressedGradient
 from . import entropy as _entropy
 from .bitpack import pack_uint_array, packed_size_bytes, unpack_uint_array
 from .compressor import GroupKeys, SketchMLPayload, SignPart
-from .delta_encoding import encode_key_groups_flat
 from .minmax_sketch import (
     GROUP_SEED_STRIDE,
     GroupedMinMaxSketch,
@@ -99,11 +90,7 @@ from .minmax_sketch import (
 )
 from .quantizer import _F32_MAX, SignedBuckets
 from .rice import (
-    KEY_CODE_DELTA,
-    KEY_CODE_RICE,
-    decode_key_parts,
-    encode_key_groups_v2,
-    rice_key_count,
+    KEY_CODE_DELTA, KEY_CODE_RICE, decode_key_parts, rice_key_count,
 )
 
 __all__ = [
@@ -113,19 +100,14 @@ __all__ = [
     "deserialize_message",
     "deserialize_message_chunks",
     "SerializationError",
-    "PAYLOAD_VERSION_V1",
     "PAYLOAD_VERSION_V2",
-    "SUPPORTED_PAYLOAD_VERSIONS",
     "MAX_MESSAGE_BYTES",
     "DEFAULT_CHUNK_BYTES",
 ]
 
 _MAGIC = b"SKML"
 
-PAYLOAD_VERSION_V1 = 1
 PAYLOAD_VERSION_V2 = 2
-SUPPORTED_PAYLOAD_VERSIONS = (PAYLOAD_VERSION_V1, PAYLOAD_VERSION_V2)
-_VERSION = PAYLOAD_VERSION_V1  # encode default; v1 bytes are frozen
 
 #: Default ceiling on a decoded message (and on any single declared
 #: length inside one) — a corrupted u64 length field must fail fast,
@@ -143,16 +125,16 @@ _KIND_RAW = 0
 _KIND_INDEXES = 1
 _KIND_SKETCH = 2
 
-#: A kind-0/1 part's ``key_kind``: raw keys, or one blob in a v2 key
-#: code (``key_kind - 1``; Rice is payload v2 only).
+#: A kind-0/1 part's ``key_kind``: raw keys, or one blob in a key code
+#: (``key_kind - 1``).
 _KEY_KIND_RAW = 0
 _KEY_KIND_DELTA = 1 + KEY_CODE_DELTA
 _KEY_KIND_RICE = 1 + KEY_CODE_RICE
 
 #: Index markers inside a kind-1 part.  1 and 2 double as the array
-#: itemsize, a v1 layout quirk kept for compatibility.
+#: itemsize.
 _MARKER_PACKED = 0
-_MARKER_RANS_RETIRED = 3  # the v2 rANS block; rejected by name
+_MARKER_RANS_RETIRED = 3  # the rANS block; rejected by name
 _MARKER_ENTROPY = 4
 _ENTROPY_ORIGIN_PLAIN = 0
 _ENTROPY_ORIGIN_PACKED = 1
@@ -310,22 +292,12 @@ class _Reader:
 # ----------------------------------------------------------------------
 # buckets
 # ----------------------------------------------------------------------
-def _write_buckets(w: _Writer, buckets: SignedBuckets, version: int) -> None:
+def _write_buckets(w: _Writer, buckets: SignedBuckets) -> None:
     w.section("bucket_means")
     w.pack(_U16, buckets.num_buckets)
     w.pack(_I8, 1 if buckets.sign > 0 else -1)
-    if version < PAYLOAD_VERSION_V2:
-        # Only v1 ships the splits; no decoder reads them.
-        if buckets.splits is None:
-            raise SerializationError(
-                "payload v1 ships bucket splits, but these buckets were "
-                "decoded from payload v2 and have none; serialize at v2"
-            )
-        w.array(np.asarray(buckets.splits, dtype="<f8"))
     means = np.asarray(buckets.means, dtype="<f8")
-    if version >= PAYLOAD_VERSION_V2 and _f4_exact(means):
-        means = means.astype("<f4")
-    w.array(means)
+    w.array(means.astype("<f4") if _f4_exact(means) else means)
 
 
 def _f4_exact(means: np.ndarray) -> bool:
@@ -335,28 +307,20 @@ def _f4_exact(means: np.ndarray) -> bool:
     return bool((means.astype("<f4") == means).all())
 
 
-def _read_buckets(r: _Reader, version: int) -> SignedBuckets:
+def _read_buckets(r: _Reader) -> SignedBuckets:
     num_buckets = r.unpack(_U16)
     sign = float(r.unpack(_I8))
-    splits = None
-    if version < PAYLOAD_VERSION_V2:
-        splits = r.array("<f8").copy()
-        if splits.size != num_buckets + 1:
-            raise SerializationError("bucket table sizes are inconsistent")
     blob = r.blob()
-    # v2 means are f4 when that is exact (4 bytes a bucket), else f8;
-    # the blob length says which.  At v2 a v1-style block (splits
-    # first) fails here too.
-    widths = {8 * num_buckets: "<f8"}
-    if version >= PAYLOAD_VERSION_V2:
-        widths[4 * num_buckets] = "<f4"
-    dtype = widths.get(len(blob))
+    # Means are f4 when that is exact (4 bytes a bucket), else f8; the
+    # blob length says which.  A block that leads with splits fails here.
+    dtype = {8 * num_buckets: "<f8", 4 * num_buckets: "<f4"}.get(len(blob))
     if dtype is None:
         raise SerializationError(
             f"bucket block declares {num_buckets} buckets but carries "
             f"{len(blob) / 8:g} means of 8 bytes or {len(blob) / 4:g} of 4"
         )
-    means = np.frombuffer(blob, dtype=dtype).astype(np.float64)
+    with np.errstate(invalid="ignore"):  # a forged f4 NaN; rejected below
+        means = np.frombuffer(blob, dtype=dtype).astype(np.float64)
     # Decoded values are sign * means: a non-finite, negative or
     # out-of-order mean would decode to garbage, flip the sign, or break
     # the index-order = magnitude-order contract the sketch relies on.
@@ -370,77 +334,25 @@ def _read_buckets(r: _Reader, version: int) -> SignedBuckets:
         if (means < 0).any():
             raise SerializationError("bucket means must be non-negative")
         raise SerializationError("bucket means must be non-decreasing")
-    if dtype == "<f8" and version >= PAYLOAD_VERSION_V2 and _f4_exact(means):
+    if dtype == "<f8" and _f4_exact(means):
         raise SerializationError(
             "bucket means ship as f8 but are all f4-exact; the writer "
             "ships those as f4"
         )
-    return SignedBuckets(splits=splits, means=means, sign=sign)
+    return SignedBuckets(splits=None, means=means, sign=sign)
 
 
 # ----------------------------------------------------------------------
 # sketches
 # ----------------------------------------------------------------------
-def _write_minmax(w: _Writer, sketch: MinMaxSketch) -> None:
-    # Row hash functions derive deterministically from the master seed,
-    # so shipping (rows, bins, seed, family) reconstructs them exactly.
-    itemsize = sketch._table.dtype.itemsize
-    w.pack(_SKETCH_HEADER, sketch.num_rows, sketch.num_bins, sketch.index_range,
-           sketch._master_seed, _HASH_FAMILIES.index(sketch._hash_family_name),
-           itemsize)
-    w.array(np.asarray(sketch._table, dtype=f"<u{itemsize}"))
-
-
-def _read_minmax(r: _Reader) -> MinMaxSketch:
-    rows, bins, index_range, master_seed, family_id, itemsize = r.unpack(
-        _SKETCH_HEADER
-    )
-    if family_id >= len(_HASH_FAMILIES):
-        raise SerializationError(f"unknown hash family id {family_id}")
-    family = _HASH_FAMILIES[family_id]
-    dtype = {1: "u1", 2: "<u2", 4: "<u4"}.get(itemsize)
-    if dtype is None:
-        raise SerializationError(f"unknown sketch cell width {itemsize}")
-    # Validate the declared table dimensions against the bytes that can
-    # still follow *before* constructing the sketch — the constructor
-    # allocates rows×bins cells, so a lying header must fail here, not
-    # drive the allocation.
-    if rows < 1 or bins < 1:
-        raise SerializationError(f"invalid sketch shape {rows}x{bins}")
-    if rows * bins * itemsize > r.remaining_bound():
-        raise SerializationError(
-            f"declared sketch table ({rows}x{bins}) larger than the "
-            f"remaining message"
-        )
-    table = r.array(dtype)
-    if table.size != rows * bins:
-        raise SerializationError("sketch table size mismatch")
-    try:
-        # The sketch adopts the wire table (one writable copy) instead
-        # of filling a sentinel table only to throw it away.
-        return MinMaxSketch(
-            num_rows=rows, num_bins=bins, index_range=index_range,
-            seed=master_seed, hash_family=family,
-            table=table.reshape(rows, bins).copy(),
-        )
-    except ValueError as exc:
-        raise SerializationError(f"invalid sketch header: {exc}") from None
-
-
 def _write_grouped(w: _Writer, grouped: GroupedMinMaxSketch) -> None:
-    w.pack(_GROUPED_HEADER, grouped.num_groups, grouped.index_range)
-    for sketch in grouped.sketches:
-        _write_minmax(w, sketch)
-
-
-def _write_grouped_v2(w: _Writer, grouped: GroupedMinMaxSketch) -> None:
     # One shared header, then every group's cells (group-major, then
     # row-major) as one dense radix stream: a cell is an in-group
     # offset below ``gir`` or the empty sentinel, coded as ``gir``.
     if not grouped._fusable():
         raise SerializationError(
-            "group sketches differ in shape; payload v2 ships one header "
-            "per grouped sketch (use v1)"
+            "group sketches differ in shape; the wire ships one header "
+            "per grouped sketch"
         )
     sketches = grouped.sketches
     ref = sketches[0]
@@ -448,7 +360,7 @@ def _write_grouped_v2(w: _Writer, grouped: GroupedMinMaxSketch) -> None:
     if seeds != [seeds[0] + GROUP_SEED_STRIDE * g for g in range(len(seeds))]:
         raise SerializationError(
             f"group seeds {seeds} are off the {GROUP_SEED_STRIDE} stride; "
-            "payload v2 rebuilds them from group 0's (use v1)"
+            "the reader rebuilds them from group 0's"
         )
     gir = ref.index_range
     cells = np.concatenate([sk._table.reshape(-1) for sk in sketches])
@@ -465,7 +377,7 @@ def _write_grouped_v2(w: _Writer, grouped: GroupedMinMaxSketch) -> None:
     ))
 
 
-def _read_grouped_header(r: _Reader) -> GroupedMinMaxSketch:
+def _read_grouped(r: _Reader) -> GroupedMinMaxSketch:
     num_groups, index_range = r.unpack(_GROUPED_HEADER)
     if num_groups < 1 or index_range < 1:
         raise SerializationError(
@@ -476,17 +388,6 @@ def _read_grouped_header(r: _Reader) -> GroupedMinMaxSketch:
     grouped.num_groups = num_groups
     grouped.index_range = index_range
     grouped.group_width = -(-index_range // num_groups)
-    return grouped
-
-
-def _read_grouped(r: _Reader) -> GroupedMinMaxSketch:
-    grouped = _read_grouped_header(r)
-    grouped._sketches = [_read_minmax(r) for _ in range(grouped.num_groups)]
-    return grouped
-
-
-def _read_grouped_v2(r: _Reader) -> GroupedMinMaxSketch:
-    grouped = _read_grouped_header(r)
     rows, bins, gir, seed, family_id, cell_width = r.unpack(_SKETCH_HEADER)
     if family_id >= len(_HASH_FAMILIES):
         raise SerializationError(f"unknown hash family id {family_id}")
@@ -532,7 +433,7 @@ def _read_grouped_v2(r: _Reader) -> GroupedMinMaxSketch:
 
 
 # ----------------------------------------------------------------------
-# dense-coded indexes (payload v2 only)
+# dense-coded indexes
 # ----------------------------------------------------------------------
 def _entropy_block(
     symbols: np.ndarray, itemsize: int, fallback_len: int
@@ -654,69 +555,48 @@ def _read_entropy_indexes(r: _Reader, part: SignPart) -> None:
 # ----------------------------------------------------------------------
 # parts
 # ----------------------------------------------------------------------
-def _write_part(w: _Writer, part: SignPart, version: int, entropy: bool) -> None:
+def _write_part(w: _Writer, part: SignPart, entropy: bool) -> None:
     w.section("header")
     w.pack(_I8, part.sign)
     w.pack(_U64, part.nnz)
     if part.raw_values is not None:
         w.pack(_U8, _KIND_RAW)
-        _write_keys(w, part, version)
+        _write_keys(w, part)
         w.section("values")
         w.array(np.asarray(part.raw_values, dtype="<f8"))
     elif part.sketch is not None:
         w.pack(_U8, _KIND_SKETCH)
-        _write_buckets(w, part.buckets, version)
+        _write_buckets(w, part.buckets)
         w.section("keys")
-        key_code, blobs = _key_blobs(part.group_keys, version)
-        w.pack(_U8, len(blobs))
-        if version >= PAYLOAD_VERSION_V2:
-            w.pack(_U8, key_code)
-        for blob in blobs:
+        # ``compress`` (or the reader) coded the blobs once; copy them.
+        w.pack(_U8, len(part.group_keys.blobs))
+        w.pack(_U8, part.group_keys.code)
+        for blob in part.group_keys.blobs:
             w.blob(blob)
         w.section("sketch")
-        if version < PAYLOAD_VERSION_V2:
-            _write_grouped(w, part.sketch)
-        else:
-            _write_grouped_v2(w, part.sketch)
+        _write_grouped(w, part.sketch)
     else:
         w.pack(_U8, _KIND_INDEXES)
-        _write_keys(w, part, version)
-        _write_buckets(w, part.buckets, version)
+        _write_keys(w, part)
+        _write_buckets(w, part.buckets)
         w.section("values")
         _write_index_stream(w, part, entropy)
 
 
-def _key_blobs(keys: GroupKeys, version: int) -> Tuple[Optional[int], List[bytes]]:
-    """A part's key code and blobs in ``version``'s code.
-
-    ``compress`` codes them once, in v2's code, and the v2 writer copies
-    them; v1 ships delta-binary (code ``None``), so Rice blobs are
-    transcoded.  Delta-binary blobs whose v2 code was never chosen (a
-    v1 decode) get it chosen for a v2 write.
-    """
-    if version < PAYLOAD_VERSION_V2:
-        if keys.code == KEY_CODE_RICE:
-            return None, encode_key_groups_flat(keys.concat, keys.counts)
-        return None, keys.blobs
-    if keys.code is not None:
-        return keys.code, keys.blobs
-    return encode_key_groups_v2(keys.concat, keys.counts)
-
-
-def _write_keys(w: _Writer, part: SignPart, version: int) -> None:
+def _write_keys(w: _Writer, part: SignPart) -> None:
     w.section("keys")
     if part.group_keys is None:
         w.pack(_U8, _KEY_KIND_RAW)
         w.array(np.asarray(part.raw_keys, dtype="<u4"))
         return
-    key_code, (blob,) = _key_blobs(part.group_keys, version)
-    w.pack(_U8, _KEY_KIND_DELTA if key_code is None else 1 + key_code)
+    (blob,) = part.group_keys.blobs
+    w.pack(_U8, 1 + part.group_keys.code)
     w.blob(blob)
 
 
 #: A message's delta-coded key blocks as read, ``(part, key code,
 #: blobs)`` each; :func:`_decode_keys` decodes them once all parts are in.
-_PendingKeys = List[Tuple[SignPart, Optional[int], List[bytes]]]
+_PendingKeys = List[Tuple[SignPart, int, List[bytes]]]
 
 
 def _delta_key_count(blob: bytes) -> int:
@@ -732,9 +612,7 @@ def _delta_key_count(blob: bytes) -> int:
     return n
 
 
-def _read_keys(
-    r: _Reader, part: SignPart, version: int, pending: _PendingKeys
-) -> None:
+def _read_keys(r: _Reader, part: SignPart, pending: _PendingKeys) -> None:
     """Read a kind-0/1 part's key block.
 
     Its key count must be the part's nnz.  The count comes from bytes
@@ -747,10 +625,6 @@ def _read_keys(
         part.raw_keys = r.array("<u4").astype(np.int64)
         count, what = part.raw_keys.size, "raw keys"
     elif key_kind in (_KEY_KIND_DELTA, _KEY_KIND_RICE):
-        if key_kind == _KEY_KIND_RICE and version < PAYLOAD_VERSION_V2:
-            raise SerializationError(
-                "key kind 2 (Rice-coded keys) is not valid in a v1 message"
-            )
         blob = r.blob()
         if key_kind == _KEY_KIND_RICE:
             try:
@@ -760,8 +634,7 @@ def _read_keys(
             what = "Rice-coded keys"
         else:
             count, what = _delta_key_count(blob), "delta-binary keys"
-        code = key_kind - 1 if version >= PAYLOAD_VERSION_V2 else None
-        pending.append((part, code, [blob]))
+        pending.append((part, key_kind - 1, [blob]))
     else:
         raise SerializationError(f"unknown key kind {key_kind}")
     if count != part.nnz:
@@ -785,7 +658,7 @@ def _decode_keys(pending: _PendingKeys) -> None:
         part.group_keys = GroupKeys(concat, counts, code, blobs)
 
 
-def _read_index_stream(r: _Reader, part: SignPart, version: int) -> None:
+def _read_index_stream(r: _Reader, part: SignPart) -> None:
     marker = r.unpack(_U8)
     if marker == _MARKER_PACKED:
         part.index_bits = r.unpack(_U8)
@@ -800,17 +673,13 @@ def _read_index_stream(r: _Reader, part: SignPart, version: int) -> None:
                 f"{len(part.packed_indexes)}-byte stream of "
                 f"{part.index_bits}-bit indexes"
             )
-    elif marker in (_MARKER_ENTROPY, _MARKER_RANS_RETIRED):
-        if version < PAYLOAD_VERSION_V2:
-            raise SerializationError(
-                "entropy-coded indexes are not valid in a v1 message"
-            )
-        if marker == _MARKER_RANS_RETIRED:
-            raise SerializationError(
-                "index marker 3 (rANS-coded indexes) is retired; "
-                "the peer must send marker 4 (dense radix)"
-            )
+    elif marker == _MARKER_ENTROPY:
         _read_entropy_indexes(r, part)
+    elif marker == _MARKER_RANS_RETIRED:
+        raise SerializationError(
+            "index marker 3 (rANS-coded indexes) is retired; "
+            "the peer must send marker 4 (dense radix)"
+        )
     else:
         dtype = {1: "u1", 2: "<u2"}.get(marker)
         if dtype is None:
@@ -823,9 +692,7 @@ def _read_index_stream(r: _Reader, part: SignPart, version: int) -> None:
             )
 
 
-def _read_part(
-    r: _Reader, version: int, nnz_left: int, pending: _PendingKeys
-) -> SignPart:
+def _read_part(r: _Reader, nnz_left: int, pending: _PendingKeys) -> SignPart:
     sign = r.unpack(_I8)
     nnz = r.unpack(_U64)
     kind = r.unpack(_U8)
@@ -836,7 +703,7 @@ def _read_part(
         )
     part = SignPart(sign=sign, nnz=nnz)
     if kind == _KIND_RAW:
-        _read_keys(r, part, version, pending)
+        _read_keys(r, part, pending)
         part.raw_values = r.array("<f8").copy()
         if part.raw_values.size != nnz:
             raise SerializationError(
@@ -844,14 +711,10 @@ def _read_part(
                 f"{part.raw_values.size} values"
             )
     elif kind == _KIND_SKETCH:
-        part.buckets = _read_buckets(r, version)
-        num_blobs = r.unpack(_U8)
-        code = r.unpack(_U8) if version >= PAYLOAD_VERSION_V2 else None
+        part.buckets = _read_buckets(r)
+        num_blobs, code = r.unpack(_U8), r.unpack(_U8)
         pending.append((part, code, [r.blob() for _ in range(num_blobs)]))
-        part.sketch = (
-            _read_grouped(r) if version < PAYLOAD_VERSION_V2
-            else _read_grouped_v2(r)
-        )
+        part.sketch = _read_grouped(r)
         if num_blobs != part.sketch.num_groups:
             # One key blob per group sketch: a surplus blob has no
             # sketch to query, a missing one drops that group's keys.
@@ -860,9 +723,9 @@ def _read_part(
                 f"{part.sketch.num_groups} group sketches"
             )
     elif kind == _KIND_INDEXES:
-        _read_keys(r, part, version, pending)
-        part.buckets = _read_buckets(r, version)
-        _read_index_stream(r, part, version)
+        _read_keys(r, part, pending)
+        part.buckets = _read_buckets(r)
+        _read_index_stream(r, part)
     else:
         raise SerializationError(f"unknown part kind {kind}")
     return part
@@ -871,59 +734,54 @@ def _read_part(
 # ----------------------------------------------------------------------
 # public API
 # ----------------------------------------------------------------------
-def _build_message(
-    message: CompressedGradient, version: int, entropy: bool
-) -> _Writer:
+def _build_message(message: CompressedGradient, entropy: bool) -> _Writer:
     payload = message.payload
     if not isinstance(payload, SketchMLPayload):
         raise TypeError("only SketchML messages can be serialised here")
-    if version not in SUPPORTED_PAYLOAD_VERSIONS:
-        raise ValueError(f"unsupported payload version {version}")
-    if entropy and version < PAYLOAD_VERSION_V2:
-        raise ValueError("entropy coding requires payload version 2")
     w = _Writer()
     w.raw(_MAGIC)
     flags = _FLAG_DECAY if payload.decay_scale != 1.0 else 0
     if entropy:
         flags |= _FLAG_ENTROPY
-    w.pack(_VERSION_FLAGS, version, flags)
+    w.pack(_VERSION_FLAGS, PAYLOAD_VERSION_V2, flags)
     w.pack(_DIMENSION_NNZ, message.dimension, message.nnz)
     if flags & _FLAG_DECAY:
         w.pack(_F64, payload.decay_scale)
     w.pack(_U8, len(payload.parts))
     for part in payload.parts:
-        _write_part(w, part, version, entropy)
+        _write_part(w, part, entropy)
     return w
 
 
 def serialize_message(
     message: CompressedGradient,
     *,
-    version: int = PAYLOAD_VERSION_V1,
+    version: int = PAYLOAD_VERSION_V2,
     entropy: bool = False,
 ) -> bytes:
     """Serialise a SketchML message into a self-describing byte string.
 
-    ``version`` selects the payload version (the runtime ships v2);
-    the default (v1) byte stream is frozen by the golden
-    fixtures.  ``entropy`` (v2 only) lets each part swap its
-    bucket-index stream for a dense radix-coded one when that is
-    smaller.
+    ``entropy`` lets each part swap its bucket-index stream for a dense
+    radix-coded one when that is smaller.  ``version`` accepts only
+    :data:`PAYLOAD_VERSION_V2`; it stays for callers that still name
+    it (the e2e benchmark's probes) and goes with the next benchmark
+    change.
 
     Raises:
         TypeError: if the message was not produced by
             :class:`~repro.core.compressor.SketchMLCompressor`.
-        ValueError: for an unsupported version/flag combination.
-        SerializationError: at v1, for buckets decoded from v2 (they
-            carry no splits); at v2, for a grouped sketch whose groups
-            differ in shape or seed stride, or that holds a cell
-            outside ``[0, index_range)`` other than the empty sentinel.
+        ValueError: for any other ``version``.
+        SerializationError: for a grouped sketch whose groups differ in
+            shape or seed stride, or that holds a cell outside
+            ``[0, index_range)`` other than the empty sentinel.
     """
-    return _build_message(message, version, entropy).getvalue()
+    if version != PAYLOAD_VERSION_V2:
+        raise ValueError(f"unsupported payload version {version}")
+    return _build_message(message, entropy).getvalue()
 
 
 def wire_sections(message: CompressedGradient) -> Dict[str, int]:
-    """Bytes per section of ``serialize_message(message, version=2)``.
+    """Bytes per section of ``serialize_message(message)``.
 
     The writer tallies every piece it emits under ``header`` (message
     and part headers, decay scale), ``keys``, ``bucket_means``,
@@ -932,13 +790,12 @@ def wire_sections(message: CompressedGradient) -> Dict[str, int]:
     :class:`~repro.core.compressor.SketchMLCompressor` sizes its
     messages: payload v2 is what every runtime backend ships.
     """
-    return _build_message(message, PAYLOAD_VERSION_V2, False).sections()
+    return _build_message(message, False).sections()
 
 
 def iter_serialize_message(
     message: CompressedGradient,
     *,
-    version: int = PAYLOAD_VERSION_V1,
     entropy: bool = False,
     chunk_bytes: int = DEFAULT_CHUNK_BYTES,
 ) -> Iterator[bytes]:
@@ -952,7 +809,7 @@ def iter_serialize_message(
     """
     if chunk_bytes <= 0:
         raise ValueError("chunk_bytes must be positive")
-    w = _build_message(message, version, entropy)
+    w = _build_message(message, entropy)
     buf = bytearray()
     for piece in w.pieces():
         start = 0
@@ -973,15 +830,14 @@ def _read_message(
     if r.raw(4) != _MAGIC:
         raise SerializationError("bad magic; not a SketchML message")
     version, flags = r.unpack(_VERSION_FLAGS)
-    if version not in SUPPORTED_PAYLOAD_VERSIONS:
-        raise SerializationError(f"unsupported version {version}")
-    known = _FLAG_DECAY
-    if version >= PAYLOAD_VERSION_V2:
-        known |= _FLAG_ENTROPY
-    if flags & ~known:
+    if version == 1:
         raise SerializationError(
-            f"unknown flags 0x{flags:02x} for version {version}"
+            "payload v1 is retired; only payload v2 is decoded"
         )
+    if version != PAYLOAD_VERSION_V2:
+        raise SerializationError(f"unsupported version {version}")
+    if flags & ~(_FLAG_DECAY | _FLAG_ENTROPY):
+        raise SerializationError(f"unknown flags 0x{flags:02x}")
     dimension, nnz = r.unpack(_DIMENSION_NNZ)
     if nnz > r._budget:
         raise SerializationError(f"message nnz {nnz} exceeds the byte budget")
@@ -995,7 +851,7 @@ def _read_message(
     pending: _PendingKeys = []
     nnz_left = nnz
     for _ in range(num_parts):
-        payload.parts.append(_read_part(r, version, nnz_left, pending))
+        payload.parts.append(_read_part(r, nnz_left, pending))
         nnz_left -= payload.parts[-1].nnz
     if nnz_left:
         raise SerializationError(

@@ -31,7 +31,7 @@ from typing import Callable, Iterator, List, Optional, Sequence
 import numpy as np
 
 from .. import telemetry
-from ..core.serialization import PAYLOAD_VERSION_V2, serialize_message
+from ..core.serialization import serialize_message
 from ..telemetry.epoch import EpochAccumulator
 from .driver import Driver, DriverStepResult
 from .metrics import EpochRecord, TrainingHistory
@@ -63,7 +63,7 @@ def prepare_runtime(runtime, backend: str, compressor_factory, dimension: int):
         dimension,
     )
     try:
-        serialize_message(message, version=PAYLOAD_VERSION_V2)
+        serialize_message(message)
     except TypeError as exc:
         raise ValueError(
             f"backend {backend!r} requires a compressor "

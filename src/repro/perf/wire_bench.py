@@ -1,25 +1,22 @@
-"""Wire serialization bench: payload v1 vs v2 dense index coding.
+"""Wire serialization bench: payload v2 with dense index coding.
 
-Times ``serialize_message``/``deserialize_message`` at payload version
-1 (the frozen legacy encoding) and at version 2 with ``entropy=True``
-(dense fixed-radix coding of the bucket-index streams), over the
-suite's gradient sizes, and records the measured bytes-on-wire of each
-version so the v2 reduction is a number in ``BENCH_codec.json`` rather
-than a claim.
+Times ``serialize_message``/``deserialize_message`` with
+``entropy=True`` (dense fixed-radix coding of the bucket-index
+streams) over the suite's gradient sizes, plus a chunked streaming
+round trip, and records the measured bytes on the wire so they are a
+number in ``BENCH_codec.json`` rather than a claim.
 
 The byte accounting comes from the codec's own telemetry counters
 (``codec.entropy.plain_bytes`` / ``codec.entropy.coded_bytes``,
 emitted where the serializer chooses the index block): the bench
-installs a summing probe recorder around one v2 serialize per size, so
+installs a summing probe recorder around one serialize per size, so
 the JSON reflects exactly what the encoder metered on the wire path.
 
 The main rows use the quantization-only configuration
 (``enable_minmax=False``) — the only payload kind with a bucket-index
-stream.  The ``_sketch`` rows time the full configuration, whose v2
-sketch parts drop the bucket splits, radix-code every group's cells as
-one stream and ship Rice-coded keys (both readers decode the keys); its
-bytes at both versions are recorded under ``sketch`` in the summary
-section.
+stream.  The ``_sketch`` rows time the full configuration, whose parts
+radix-code every group's cells as one stream and ship Rice-coded keys;
+its bytes are recorded under ``sketch`` in the summary section.
 """
 
 from __future__ import annotations
@@ -41,7 +38,7 @@ from .suite import FULL_SIZES, QUICK_SIZES, _synthetic_gradient
 __all__ = ["WIRE_SCHEMA", "run_wire_bench"]
 
 #: schema tag of the ``wire`` section written next to ``kernels``
-WIRE_SCHEMA = "repro-bench-wire/1"
+WIRE_SCHEMA = "repro-bench-wire/2"
 
 #: chunk size for the streaming-encode kernel (matches the runtime
 #: default ``RuntimeConfig.chunk_bytes``)
@@ -87,11 +84,11 @@ class _CounterProbe:
 
 
 def _entropy_counters(message) -> Dict[str, int]:
-    """One v2 serialize under a summing probe → the codec's byte meters."""
+    """One serialize under a summing probe → the codec's byte meters."""
     probe = _CounterProbe()
     previous = telemetry.set_recorder(probe)  # type: ignore[arg-type]
     try:
-        serialize_message(message, version=2, entropy=True)
+        serialize_message(message, entropy=True)
     finally:
         telemetry.set_recorder(previous)
     return {
@@ -109,37 +106,28 @@ def _wire_message(nnz: int, enable_minmax: bool = False):
 def _sketch_rows(
     nnz: int, warmup: int, repeats: int
 ) -> Tuple[List[BenchResult], Dict[str, Any]]:
-    """Encode/decode of a full-SketchML message at both versions."""
+    """Encode/decode of a full-SketchML message."""
     message = _wire_message(nnz, enable_minmax=True)
-    wires = {
-        "v1": serialize_message(message),
-        "v2": serialize_message(message, version=2),
-    }
-    results = []
-    for tag, wire in wires.items():
-        version = int(tag[1])
-        results.append(time_kernel(
-            f"wire_encode_{tag}_sketch/{nnz}",
-            lambda v=version: serialize_message(message, version=v),
+    wire = serialize_message(message)
+    results = [
+        time_kernel(
+            f"wire_encode_v2_sketch/{nnz}",
+            lambda: serialize_message(message),
             elements=nnz,
             bytes_processed=len(wire),
             warmup=warmup,
             repeats=repeats,
-        ))
-        results.append(time_kernel(
-            f"wire_decode_{tag}_sketch/{nnz}",
-            lambda d=wire: deserialize_message(d),
+        ),
+        time_kernel(
+            f"wire_decode_v2_sketch/{nnz}",
+            lambda: deserialize_message(wire),
             elements=nnz,
             bytes_processed=len(wire),
             warmup=warmup,
             repeats=repeats,
-        ))
-    v1_len, v2_len = len(wires["v1"]), len(wires["v2"])
-    return results, {
-        "v1_bytes": v1_len,
-        "v2_bytes": v2_len,
-        "reduction_pct": round(100.0 * (1.0 - v2_len / v1_len), 2),
-    }
+        ),
+    ]
+    return results, {"v2_bytes": len(wire)}
 
 
 def run_wire_bench(
@@ -149,13 +137,13 @@ def run_wire_bench(
     warmup: Optional[int] = None,
     repeats: Optional[int] = None,
 ) -> Tuple[List[BenchResult], Dict[str, Any]]:
-    """Time the wire codec at both payload versions.
+    """Time the wire codec.
 
     Returns the timed results (merged into the main kernel table) and
     the ``wire`` summary section: per size, the measured serialized
-    bytes at v1 and at v2-with-entropy, the percentage reduction, the
-    encoder's own plain/coded telemetry byte counters, and the same
-    v1/v2 byte comparison for a full-SketchML message (``sketch``).
+    bytes with entropy coding, the encoder's own plain/coded telemetry
+    byte counters, and the bytes of a full-SketchML message
+    (``sketch``).
     """
     if sizes is None:
         sizes = QUICK_SIZES if quick else FULL_SIZES
@@ -168,30 +156,13 @@ def run_wire_bench(
     for nnz in sizes:
         nnz = int(nnz)
         message = _wire_message(nnz)
-        v1 = serialize_message(message)
-        v2 = serialize_message(message, version=2, entropy=True)
+        v2 = serialize_message(message, entropy=True)
         counters = _entropy_counters(message)
         results.append(time_kernel(
-            f"wire_encode_v1/{nnz}",
-            lambda m=message: serialize_message(m),
-            elements=nnz,
-            bytes_processed=len(v1),
-            warmup=warmup,
-            repeats=repeats,
-        ))
-        results.append(time_kernel(
             f"wire_encode_v2/{nnz}",
-            lambda m=message: serialize_message(m, version=2, entropy=True),
+            lambda m=message: serialize_message(m, entropy=True),
             elements=nnz,
             bytes_processed=len(v2),
-            warmup=warmup,
-            repeats=repeats,
-        ))
-        results.append(time_kernel(
-            f"wire_decode_v1/{nnz}",
-            lambda d=v1: deserialize_message(d),
-            elements=nnz,
-            bytes_processed=len(v1),
             warmup=warmup,
             repeats=repeats,
         ))
@@ -209,8 +180,7 @@ def run_wire_bench(
             f"wire_stream_v2/{nnz}",
             lambda m=message: deserialize_message_chunks(
                 iter_serialize_message(
-                    m, version=2, entropy=True,
-                    chunk_bytes=_STREAM_CHUNK_BYTES,
+                    m, entropy=True, chunk_bytes=_STREAM_CHUNK_BYTES,
                 )
             ),
             elements=nnz,
@@ -220,11 +190,8 @@ def run_wire_bench(
         ))
         sketch_results, sketch_bytes = _sketch_rows(nnz, warmup, repeats)
         results.extend(sketch_results)
-        reduction = (1.0 - len(v2) / len(v1)) if len(v1) else 0.0
         per_size[str(nnz)] = {
-            "v1_bytes": len(v1),
             "v2_bytes": len(v2),
-            "reduction_pct": round(100.0 * reduction, 2),
             "entropy": {
                 "plain_bytes": counters["plain_bytes"],
                 "coded_bytes": counters["coded_bytes"],

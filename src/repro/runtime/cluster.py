@@ -26,7 +26,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Union
 
 from .. import telemetry
 from ..core.serialization import (
-    PAYLOAD_VERSION_V2,
     deserialize_message,
     deserialize_message_chunks,
     serialize_message,
@@ -487,8 +486,7 @@ class RuntimeCluster:
         :meth:`broadcast`.
         """
         return serialize_message(
-            message, version=PAYLOAD_VERSION_V2,
-            entropy=bool(self.config.entropy_coding),
+            message, entropy=bool(self.config.entropy_coding)
         )
 
     def broadcast(

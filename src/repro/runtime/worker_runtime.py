@@ -35,8 +35,9 @@ from __future__ import annotations
 
 import pickle
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -44,7 +45,6 @@ from .. import telemetry
 from ..telemetry.metrics import WorkerMetrics
 from ..compression.base import GradientCompressor
 from ..core.serialization import (
-    PAYLOAD_VERSION_V2,
     deserialize_message,
     deserialize_message_chunks,
     iter_serialize_message,
@@ -182,6 +182,21 @@ class _StepCache:
     synced_round: int = -1
     generation: int = -1
     acks: List[bytes] = field(default_factory=list)
+
+
+class _Rejected(Exception):
+    """A driver frame whose bytes do not parse or decode."""
+
+
+@contextmanager
+def _parsing() -> Iterator[None]:
+    """Parse or decode driver bytes: any ``ValueError`` — a
+    ``FrameError``, ``SerializationError`` or ``SanitizerError`` —
+    rejects the frame (:meth:`WorkerRuntime.handle_frame`)."""
+    try:
+        yield
+    except ValueError as exc:
+        raise _Rejected() from exc
 
 
 class UpdateMemo:
@@ -329,9 +344,21 @@ class WorkerRuntime:
         :meth:`handle_chunks`.  A supervised retry re-sends a whole
         stream from seq 0; a reassembly protocol error drops the partial
         stream instead of failing the worker, and the driver's retry
-        delivers a fresh copy.
+        delivers a fresh copy.  A frame that does not parse or decode
+        (a corrupted or forged ``UPDATE``, say) is dropped the same way,
+        unanswered and counted as ``worker.rejected_frames``; nothing
+        of it was applied, so the retry applies the update once.
+        Errors from compute or the optimizer still propagate.
         """
-        kind, _, payload = unpack_frame(frame)
+        try:
+            return self._dispatch(frame)
+        except _Rejected:
+            self._metric("worker.rejected_frames", 1)
+            return []
+
+    def _dispatch(self, frame: bytes) -> List[bytes]:
+        with _parsing():
+            kind, _, payload = unpack_frame(frame)
         if kind == KIND_ECHO:
             return [pack_frame(KIND_ECHO, self.worker_id, payload)]
         if kind in (KIND_STOP, KIND_HEARTBEAT):
@@ -355,12 +382,14 @@ class WorkerRuntime:
 
     # ------------------------------------------------------------------
     def _handle_epoch(self, payload: bytes) -> List[bytes]:
-        epoch = unpack_ack(payload)
+        with _parsing():
+            epoch = unpack_ack(payload)
         self.worker.start_epoch()
         return [pack_frame(KIND_ACK, self.worker_id, pack_ack(epoch))]
 
     def _handle_step(self, payload: bytes) -> List[bytes]:
-        round_id, _lr, span_id, _ = unpack_step(payload)
+        with _parsing():
+            round_id, _lr, span_id, _ = unpack_step(payload)
         if round_id == self._cache.round_id and self._cache.frames:
             # Retried STEP: re-send the cached reply, don't recompute.
             self._metric("worker.step_retries", 1)
@@ -410,8 +439,8 @@ class WorkerRuntime:
         being joined contiguously.
         """
         data = list(iter_serialize_message(
-            result.message, version=PAYLOAD_VERSION_V2,
-            entropy=self._entropy, chunk_bytes=self._chunk_bytes,
+            result.message, entropy=self._entropy,
+            chunk_bytes=self._chunk_bytes,
         ))
         # The serialized message bytes as shipped, metered *before* the
         # ops block is drained so the delta rides this very reply —
@@ -446,8 +475,9 @@ class WorkerRuntime:
         return [pack_frame(KIND_GRAD, self.worker_id, b"".join(pieces))]
 
     def _handle_update(self, payload: bytes) -> List[bytes]:
-        round_id, lr, data = unpack_update(payload)
-        span_id, _, data = unpack_ops_prefix(data)
+        with _parsing():
+            round_id, lr, data = unpack_update(payload)
+            span_id, _, data = unpack_ops_prefix(data)
         return self._apply_update(round_id, lr, data, span_id)
 
     def handle_chunks(self, inner_kind: int, chunks: List[bytes]) -> List[bytes]:
@@ -462,9 +492,10 @@ class WorkerRuntime:
             raise FrameError(
                 f"worker cannot service chunked frame kind {inner_kind}"
             )
-        head, rest = split_chunk_prefix(chunks, UPDATE_HEADER_SIZE)
-        round_id, lr, _ = unpack_update(head)
-        span_id, _, rest = split_ops_prefix_chunks(rest)
+        with _parsing():
+            head, rest = split_chunk_prefix(chunks, UPDATE_HEADER_SIZE)
+            round_id, lr, _ = unpack_update(head)
+            span_id, _, rest = split_ops_prefix_chunks(rest)
         return self._apply_update(round_id, lr, rest, span_id)
 
     def _apply_update(
@@ -492,13 +523,13 @@ class WorkerRuntime:
                 upd_span.set_attrs(decode_s=0.0, shared=True)
             else:
                 t0 = time.perf_counter()
-                if isinstance(data, list):
-                    message = deserialize_message_chunks(data)
-                else:
-                    message = deserialize_message(data)
-                keys, values = self._updates.put(
-                    data, *self.worker.compressor.decompress(message)
-                )
+                with _parsing():
+                    if isinstance(data, list):
+                        message = deserialize_message_chunks(data)
+                    else:
+                        message = deserialize_message(data)
+                    decoded = self.worker.compressor.decompress(message)
+                keys, values = self._updates.put(data, *decoded)
                 decode_ns = int((time.perf_counter() - t0) * 1e9)
                 upd_span.set_attrs(decode_s=decode_ns / 1e9)
             self.optimizer.learning_rate = lr

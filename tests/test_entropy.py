@@ -1,6 +1,7 @@
 """Unit tests for the dense fixed-radix index coder (`core/entropy.py`)
 and the serializer contract it carries: v2-with-entropy is never larger
-than v2-without or v1, and deserialize → serialize is the identity."""
+than v2-without or the retired v1, and deserialize → serialize is the
+identity."""
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from repro.core.entropy import (
     radix_params,
 )
 from repro.core.serialization import deserialize_message, serialize_message
+from tests.payload_v1_reference import serialize_v1
 
 #: The published (k, wb) table (ISSUE 15 / docs/wire.md).
 PINNED = {
@@ -280,9 +282,9 @@ class TestSerializerContract:
     @settings(max_examples=120, deadline=None)
     def test_entropy_never_larger_and_reencode_is_identity(self, indexes, layout):
         message = _index_message(indexes, layout)
-        v1 = serialize_message(message)
-        v2_plain = serialize_message(message, version=2)
-        v2 = serialize_message(message, version=2, entropy=True)
+        v1 = serialize_v1(message)
+        v2_plain = serialize_message(message)
+        v2 = serialize_message(message, entropy=True)
         assert len(v2) <= len(v2_plain) <= len(v1)
         # Plain v2 differs from v1 only by the splits arrays it drops
         # (one u64 length prefix and q + 1 f64 per part), by the means
@@ -296,11 +298,10 @@ class TestSerializerContract:
             for part in message.payload.parts
         )
         decoded = deserialize_message(v2)
-        assert serialize_message(decoded, version=2, entropy=True) == v2
-        assert serialize_message(decoded, version=2) == v2_plain
-        assert serialize_message(deserialize_message(v1)) == v1
+        assert serialize_message(decoded, entropy=True) == v2
+        assert serialize_message(decoded) == v2_plain
         assert serialize_message(
-            deserialize_message(v1), version=2, entropy=True
+            deserialize_message(v2_plain), entropy=True
         ) == v2
 
     def test_wide_alphabet_keeps_the_plain_block(self):
@@ -308,14 +309,14 @@ class TestSerializerContract:
         indexes = np.arange(2000, dtype=np.int64) % 200
         message = _index_message(indexes, "u1")
         assert serialize_message(
-            message, version=2, entropy=True
-        )[6:] == serialize_message(message, version=2)[6:]
+            message, entropy=True
+        )[6:] == serialize_message(message)[6:]
 
     def test_narrow_alphabet_takes_the_dense_block(self):
         indexes = np.arange(2000, dtype=np.int64) % 57
         message = _index_message(indexes, "u1")
-        plain = serialize_message(message, version=2)
-        dense = serialize_message(message, version=2, entropy=True)
+        plain = serialize_message(message)
+        dense = serialize_message(message, entropy=True)
         # 8 → 6 bits per index, minus the 4-byte block header per part.
         saved = len(plain) - len(dense)
         assert 2000 // 4 - 16 <= saved <= 2000 // 4

@@ -158,7 +158,7 @@ class TestStaleEquivalence:
         np.testing.assert_array_equal(mp_trainer.theta, sim_trainer.theta)
         # The update log is written once per update, at payload v2, and
         # replayed to every worker unchanged.
-        assert written and {kw["version"] for kw, _ in written} == {2}
+        assert written and {data[4] for _, data in written} == {2}
         assert all(received[w] == [d for _, d in written] for w in range(3))
 
 
@@ -172,7 +172,8 @@ class TestOneSerializePerBroadcast:
         # One entropy-coded v2 write per aggregated round, and every
         # worker applies exactly the bytes written (and metered).
         assert len(written) == len(trainer.round_weights) > 0
-        assert all(kw == {"version": 2, "entropy": True} for kw, _ in written)
+        assert all(kw == {"entropy": True} for kw, _ in written)
+        assert {data[4] for _, data in written} == {2}
         assert all(received[w] == [d for _, d in written] for w in range(3))
 
 

@@ -5,9 +5,10 @@ Two layers of protection:
 * **Golden digests** — ``tests/golden/codec_golden.json`` stores the
   SHA-256 of the serialized wire bytes (and of the decoded output) for
   288 configuration/size/seed combinations, captured from the
-  pre-vectorisation seed tree.  Any change to the bytes a compressor
-  emits — however small — fails here, so perf work can't silently bend
-  the format.
+  pre-vectorisation seed tree in the payload-v1 layout (written here by
+  ``tests/payload_v1_reference.py``), plus each message's payload-v2
+  length.  Any change to the bytes a compressor emits — however small —
+  fails here, so perf work can't silently bend the format.
 * **Reference equivalence** — every codec kernel has a scalar twin in
   ``tests/kernel_reference.py``; these tests assert byte identity
   between the two on the same inputs, from individual hash rows all
@@ -30,6 +31,7 @@ from repro.core.serialization import serialize_message
 from repro.sketch.hashing import build_hash_family, hash_all_grouped
 from tests import kernel_reference
 from tests.kernel_reference import reference_kernels
+from tests.payload_v1_reference import serialize_v1
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden", "codec_golden.json")
 
@@ -100,7 +102,7 @@ class TestGoldenDigests:
             keys, values = golden_gradient(nnz, dimension, seed, sign_mode)
             compressor = SketchMLCompressor(cfg)
             message = compressor.compress(keys, values, dimension)
-            wire = serialize_message(message)
+            wire = serialize_v1(message)
             assert hashlib.sha256(wire).hexdigest() == entry["wire_sha256"], name
             assert len(wire) == entry["wire_bytes"], name
             assert message.num_bytes == entry["num_bytes"], name

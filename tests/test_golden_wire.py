@@ -2,21 +2,20 @@
 
 ``tests/golden/wire/`` holds committed ``serialize_message`` outputs
 for a spread of configurations (sketch/quantization variants, hash
-families, packed indexes, one-sided gradients), at *both* payload
-versions: ``<name>.bin`` is the frozen v1 encoding, ``<name>.v2.bin``
-the v2 encoding with entropy coding requested.  Invariants:
+families, packed indexes, one-sided gradients): ``<name>.v2.bin`` is
+the payload-v2 encoding with entropy coding requested, ``<name>.bin``
+the frozen bytes of the retired payload v1.  Invariants:
 
 * **encode** — re-compressing the deterministically regenerated
-  gradient and serializing it at each payload version reproduces the
-  committed bytes exactly (every dtype on the wire is explicitly
-  little-endian, so this holds on any host);
-* **decode** — deserializing the committed bytes of either version
-  and decompressing yields exactly the keys/values recorded at
-  capture time;
-* **cross-version** — the v2 bytes decode to the *same keys/values* as
-  the v1 bytes, and re-serializing a decode reproduces the committed
-  bytes v1 → v1, v2 → v2 and v1 → v2.  Not v2 → v1: v2 drops the
-  bucket splits that v1 ships (no decoder reads them).
+  gradient and serializing it reproduces the committed v2 bytes
+  exactly, and the test-side reference writer
+  (``tests/payload_v1_reference.py``) reproduces the committed v1
+  bytes (every dtype on the wire is explicitly little-endian, so this
+  holds on any host);
+* **decode** — deserializing the committed v2 bytes and decompressing
+  yields exactly the keys/values recorded at capture time, and
+  re-serializing the decode reproduces the bytes; the v1 bytes are
+  rejected as retired.
 
 A diff here means the wire format changed: bump the payload version
 and regenerate the fixtures deliberately with ``repro golden
@@ -34,16 +33,22 @@ import pytest
 
 from repro.core.compressor import SketchMLCompressor
 from repro.core.config import SketchMLConfig
-from repro.core.serialization import deserialize_message, serialize_message
+from repro.core.serialization import (
+    SerializationError,
+    deserialize_message,
+    serialize_message,
+)
 from repro.golden import (
     CASE_SPECS,
     GOLDEN_FORMAT,
-    case_payloads,
+    case_message,
+    case_payload,
     check_goldens,
     regenerate_gradient,
     write_goldens,
 )
 from tests.kernel_reference import KERNEL_PATHS, kernel_path
+from tests.payload_v1_reference import serialize_v1
 
 WIRE_DIR = os.path.join(os.path.dirname(__file__), "golden", "wire")
 
@@ -62,8 +67,8 @@ def fixture_bytes(case, version=1):
 
 def serialize_at(message, version):
     if version == 1:
-        return serialize_message(message)
-    return serialize_message(message, version=2, entropy=True)
+        return serialize_v1(message)
+    return serialize_message(message, entropy=True)
 
 
 def test_manifest_format_and_coverage():
@@ -112,7 +117,7 @@ def decoded_digests(case, data):
     return keys_digest, values_digest
 
 
-@pytest.mark.parametrize("version", VERSIONS)
+@pytest.mark.parametrize("version", (2,))
 @pytest.mark.parametrize("case", CASES, ids=lambda c: c["name"])
 def test_decode_is_value_identical(case, version):
     assert decoded_digests(case, fixture_bytes(case, version)) == (
@@ -121,19 +126,16 @@ def test_decode_is_value_identical(case, version):
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: c["name"])
+def test_v1_fixture_is_rejected_as_retired(case):
+    with pytest.raises(SerializationError, match="payload v1 is retired"):
+        deserialize_message(fixture_bytes(case, 1))
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda c: c["name"])
 def test_serialize_roundtrip_of_fixture(case):
-    # deserialize → serialize is the identity on committed bytes at each
-    # version, and a v1 decode re-serializes to the v2 fixture.  A v2
-    # decode has no bucket splits, so instead of v2 → v1 bytes the v2
-    # fixture must decode to the digests recorded from the v1 bytes.
-    v1 = fixture_bytes(case, 1)
+    # deserialize → serialize is the identity on the committed bytes.
     v2 = fixture_bytes(case, 2)
-    assert serialize_at(deserialize_message(v1), 1) == v1
     assert serialize_at(deserialize_message(v2), 2) == v2
-    assert decoded_digests(case, v2) == decoded_digests(case, v1) == (
-        case["decoded_keys_sha256"], case["decoded_values_sha256"]
-    )
-    assert serialize_at(deserialize_message(v1), 2) == v2
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: c["name"])
@@ -148,13 +150,15 @@ def test_goldens_pinned_under_both_kernel_paths(case, mode):
     *and* for their scalar twins in ``tests/kernel_reference.py``.
 
     Re-encode the regenerated gradient on one path; each must
-    reproduce the committed bytes of both payload versions exactly, so
-    neither the kernels nor the reference can drift from the format.
+    reproduce the committed v2 bytes, and the v1 reference writer the
+    committed v1 bytes, so neither the kernels nor the reference can
+    drift from the format.
     """
     with kernel_path(mode):
-        payloads = case_payloads(case)
-    assert payloads[1] == fixture_bytes(case, 1)
-    assert payloads[2] == fixture_bytes(case, 2)
+        v1 = serialize_v1(case_message(case))
+        v2 = case_payload(case)
+    assert v1 == fixture_bytes(case, 1)
+    assert v2 == fixture_bytes(case, 2)
 
 
 class TestGoldenTool:
@@ -175,7 +179,7 @@ class TestGoldenTool:
     def test_check_fails_closed_on_missing_file(self, tmp_path):
         scratch = tmp_path / "wire"
         shutil.copytree(WIRE_DIR, scratch)
-        os.remove(scratch / (CASES[1]["name"] + ".bin"))
+        os.remove(scratch / (CASES[1]["name"] + ".v2.bin"))
         problems = check_goldens(str(scratch))
         assert any("cannot read" in p for p in problems)
 
@@ -185,13 +189,21 @@ class TestGoldenTool:
 
     def test_write_reproduces_committed_fixtures(self, tmp_path):
         """Regeneration is deterministic: a fresh ``--write`` into an
-        empty directory reproduces the committed tree byte-for-byte."""
+        empty directory reproduces the committed v2 fixtures
+        byte-for-byte and writes no v1 file, and a ``--write`` over the
+        committed tree leaves it byte-identical, frozen v1 digests
+        included."""
         scratch = tmp_path / "wire"
         manifest = write_goldens(str(scratch))
         assert manifest["format"] == GOLDEN_FORMAT
         assert check_goldens(str(scratch)) == []
         for case in CASES:
-            for version in VERSIONS:
-                suffix = ".bin" if version == 1 else ".v2.bin"
-                fresh = (scratch / (case["name"] + suffix)).read_bytes()
-                assert fresh == fixture_bytes(case, version)
+            fresh = (scratch / (case["name"] + ".v2.bin")).read_bytes()
+            assert fresh == fixture_bytes(case, 2)
+            assert not (scratch / (case["name"] + ".bin")).exists()
+        committed = tmp_path / "committed"
+        shutil.copytree(WIRE_DIR, committed)
+        write_goldens(str(committed))
+        for name in os.listdir(WIRE_DIR):
+            with open(os.path.join(WIRE_DIR, name), "rb") as f:
+                assert (committed / name).read_bytes() == f.read(), name

@@ -25,14 +25,10 @@ EXPECTED_KERNELS = {
 
 #: serialization kernels timed by the wire bench (repro.perf.wire_bench)
 WIRE_KERNELS = {
-    "wire_encode_v1",
     "wire_encode_v2",
-    "wire_decode_v1",
     "wire_decode_v2",
     "wire_stream_v2",
-    "wire_encode_v1_sketch",
     "wire_encode_v2_sketch",
-    "wire_decode_v1_sketch",
     "wire_decode_v2_sketch",
 }
 
@@ -109,9 +105,9 @@ def test_cli_perf_quick(tmp_path, capsys):
     assert set(payload["kernels"]) == codec_names | transport_names
     # The wire bench also writes its bytes-on-wire summary section.
     wire = payload["wire"]
-    assert wire["schema"] == "repro-bench-wire/1"
+    assert wire["schema"] == "repro-bench-wire/2"
     row = wire["sizes"]["512"]
-    assert row["v2_bytes"] <= row["v1_bytes"]
+    assert row["v2_bytes"] > 0
     assert row["entropy"]["coded_bytes"] <= row["entropy"]["plain_bytes"]
 
 
@@ -133,25 +129,30 @@ def test_cli_perf_transports_none_skips_transport_bench(tmp_path):
 
 
 class TestWireBench:
-    def test_measures_both_versions_and_counters(self):
+    def test_measures_bytes_and_counters(self):
+        from repro.core.serialization import serialize_message
         from repro.perf import run_wire_bench
+        from repro.perf.wire_bench import _wire_message
 
         results, section = run_wire_bench(sizes=[2048], warmup=0, repeats=1)
         assert {r.name for r in results} == {
             f"{k}/2048" for k in WIRE_KERNELS
         }
         row = section["sizes"]["2048"]
-        # The encoder only swaps in the dense block when it is strictly
-        # smaller, so v2 can never be larger than v1 — and the
+        # The recorded bytes are the wire lengths.  The encoder only
+        # swaps in the dense block when it is strictly smaller, and the
         # telemetry counters must agree with that choice.
-        assert 0 < row["v2_bytes"] <= row["v1_bytes"]
+        assert row["v2_bytes"] == len(
+            serialize_message(_wire_message(2048), entropy=True)
+        )
         assert row["entropy"]["plain_bytes"] > 0
         assert row["entropy"]["coded_bytes"] <= row["entropy"]["plain_bytes"]
         assert row["entropy"]["saved_bytes"] == (
             row["entropy"]["plain_bytes"] - row["entropy"]["coded_bytes"]
         )
-        # Full SketchML: v2 drops the splits and radix-codes the cells.
-        assert 0 < row["sketch"]["v2_bytes"] < row["sketch"]["v1_bytes"]
+        assert row["sketch"]["v2_bytes"] == len(
+            serialize_message(_wire_message(2048, enable_minmax=True))
+        )
 
     def test_probe_does_not_leak_recorder(self):
         from repro import telemetry

@@ -7,8 +7,8 @@ share one read-only decode through the process's
 that a broadcast is decoded exactly once, that the shared arrays are
 read-only, that streamed (``CHUNK``/``END``) updates share too, that
 theta stays bit-identical across backends, and that a corrupted or
-forged delivery is decoded on its own, fails alone and is never
-cached.
+forged delivery is decoded on its own, is dropped unanswered by the
+worker that got it (the supervisor retries) and is never cached.
 """
 
 import dataclasses
@@ -27,13 +27,13 @@ from repro.models import make_model
 from repro.optim import SGD, Adam
 from repro.runtime import (
     FaultSchedule,
+    RetryExhaustedError,
     RuntimeCluster,
     RuntimeConfig,
     SupervisionConfig,
 )
 from repro.runtime import worker_runtime
-from repro.runtime.worker_runtime import UpdateMemo
-from repro.sanitize import SanitizerError
+from repro.runtime.worker_runtime import UpdateMemo, WorkerRuntime
 from repro.telemetry.merge import read_trace
 from repro.telemetry.recorder import TraceRecorder
 from tests.test_runtime_faults import SEED, make_bootstraps
@@ -51,11 +51,11 @@ def driver_codec():
     return SketchMLCompressor(SketchMLConfig.full(seed=SEED))
 
 
-def make_cluster(dataset, schedule=None, **cfg):
+def make_cluster(dataset, schedule=None, backend="sim", timeout=5.0, **cfg):
     config = RuntimeConfig(
-        backend="sim",
+        backend=backend,
         supervision=SupervisionConfig(
-            message_timeout=5.0, max_retries=3,
+            message_timeout=timeout, max_retries=3,
             backoff_base=0.0, backoff_jitter=0.0, seed=SEED,
         ),
         fault_schedule=schedule,
@@ -190,42 +190,94 @@ def test_update_spans_report_shared_decodes(dataset, tmp_path):
     assert len(updates) == NUM_WORKERS
 
 
+def record_rejections(monkeypatch):
+    """The worker ids of every ``worker.rejected_frames`` count, in
+    order (in-process runtimes only)."""
+    rejected = []
+    metric = WorkerRuntime._metric
+
+    def recording(runtime, name, value):
+        if name == "worker.rejected_frames":
+            rejected.extend([runtime.worker_id] * value)
+        return metric(runtime, name, value)
+
+    monkeypatch.setattr(WorkerRuntime, "_metric", recording)
+    return rejected
+
+
+def corrupted_round(dataset, schedule=None, counts=None, **cluster):
+    """One round whose UPDATE may be corrupted on its way to a worker,
+    then the next round's GRADs, which read every replica's theta.
+    Returns those GRADs and the cluster's fault and retry counts."""
+    with make_cluster(dataset, schedule=schedule, **cluster) as cluster:
+        cluster.start_epoch(0)
+        _, update = aggregate(cluster, cluster.step(0, LR), dataset)
+        acked = (
+            counts.broadcast(cluster, 0, LR, update) if counts
+            else cluster.broadcast(0, LR, update)
+        )
+        assert acked == list(range(NUM_WORKERS))
+        after = cluster.step(1, LR)
+        faults = (
+            cluster.transport.stats["corrupts"] if schedule else 0,
+            cluster.supervisor.stats["retries"],
+        )
+    grads = {
+        w: (r.local_loss, r.gradient_nnz, r.message_bytes)
+        for w, r in after.items()
+    }
+    return grads, faults
+
+
 def test_corrupted_delivery_misses_and_leaves_the_memo(dataset, monkeypatch):
     """Worker 1's copy of the round-0 UPDATE (its send index 2, after
-    EPOCH and STEP) is corrupted.  It misses the memo and fails alone;
-    worker 0's good decode stays, so the re-sent round is all hits and
-    every replica lands where the fault-free run does."""
-
-    def run(schedule, counts=None):
-        with make_cluster(dataset, schedule=schedule) as cluster:
-            cluster.start_epoch(0)
-            _, update = aggregate(cluster, cluster.step(0, LR), dataset)
-            if schedule is not None:
-                with pytest.raises(ValueError):
-                    counts.broadcast(cluster, 0, LR, update)
-                assert cluster.transport.stats["corrupts"] == 1
-                # One good decode (worker 0) and one failed (worker 1).
-                assert (counts.deserialize, counts.stored) == (2, 1)
-                failed = counts.totals()
-            acked = (
-                counts.broadcast(cluster, 0, LR, update) if counts
-                else cluster.broadcast(0, LR, update)
-            )
-            assert acked == list(range(NUM_WORKERS))
-            if counts is not None:
-                # The retry decoded nothing: worker 0 re-acked, workers
-                # 1 and 2 applied the decode the corruption left alone.
-                assert counts.totals() == failed
-            after = cluster.step(1, LR)
-        return {
-            w: (r.local_loss, r.gradient_nnz, r.message_bytes)
-            for w, r in after.items()
-        }
-
-    clean = run(None)
+    EPOCH and STEP) is corrupted.  It misses the memo, fails to decode
+    and is dropped unanswered, while the fan-out goes on to worker 2;
+    the supervisor's retry then hits worker 0's decode, so every
+    replica applies the update once and lands where the fault-free run
+    does."""
+    clean, faults = corrupted_round(dataset)
+    assert faults == (0, 0)
     counts = DecodeCounter(monkeypatch)
-    faulty = run(FaultSchedule().add("corrupt", "send", 1, 2), counts)
+    rejected = record_rejections(monkeypatch)
+    schedule = FaultSchedule().add("corrupt", "send", 1, 2)
+    faulty, faults = corrupted_round(dataset, schedule, counts)
+    assert faults == (1, 1)
+    assert rejected == [1]
+    # One good decode (worker 0) and one failed (worker 1); worker 2
+    # and worker 1's retry hit the memo.
+    assert (counts.deserialize, counts.stored) == (2, 1)
     assert faulty == clean
+
+
+def test_corrupted_delivery_leaves_a_spawned_worker_alive(dataset):
+    """On ``mp`` the same corruption (send index 3 there: INIT comes
+    first) is dropped by the worker process, which stays up and applies
+    the retried copy."""
+    clean, _ = corrupted_round(dataset, backend="mp", timeout=2.0)
+    schedule = FaultSchedule().add("corrupt", "send", 1, 3)
+    faulty, faults = corrupted_round(
+        dataset, schedule, backend="mp", timeout=2.0
+    )
+    assert faults == (1, 1)
+    assert faulty == clean
+
+
+def test_optimizer_errors_still_propagate(dataset, monkeypatch):
+    """Only bytes that do not parse or decode are dropped; an error
+    from applying a decoded update is the worker's own and raises."""
+
+    def failing_step(optimizer, theta, keys, values):
+        raise ValueError("optimizer failure")
+
+    rejected = record_rejections(monkeypatch)
+    with make_cluster(dataset) as cluster:
+        cluster.start_epoch(0)
+        _, update = aggregate(cluster, cluster.step(0, LR), dataset)
+        monkeypatch.setattr(SGD, "step", failing_step)
+        with pytest.raises(ValueError, match="optimizer failure"):
+            cluster.broadcast(0, LR, update)
+    assert rejected == []
 
 
 def forged_update(cluster, dataset):
@@ -241,20 +293,29 @@ def forged_update(cluster, dataset):
 
 
 def test_forged_update_rejected_by_every_worker(dataset, monkeypatch):
+    """Every worker the forgery reaches drops it unanswered.  The
+    fan-out reaches all three; worker 0's retries fail alike and end in
+    the supervisor's structured error; the genuine update then applies
+    everywhere with one decode."""
     monkeypatch.setenv("REPRO_SANITIZE", "1")
     assert sanitize.enabled()
     counts = DecodeCounter(monkeypatch)
+    rejected = record_rejections(monkeypatch)
     with make_cluster(dataset) as cluster:
         update, forged = forged_update(cluster, dataset)
-        for worker_id in range(NUM_WORKERS):
-            with pytest.raises(SanitizerError):
-                counts.broadcast(cluster, 0, LR, forged, workers=[worker_id])
-        # Each worker decoded the forgery itself: a failure is never
+        with pytest.raises(RetryExhaustedError) as error:
+            counts.broadcast(cluster, 0, LR, forged)
+        assert (error.value.worker_id, error.value.phase) == (0, "update")
+        attempts = error.value.attempts
+        assert attempts == 4
+        # Each delivery decoded the forgery itself: a failure is never
         # stored, so nothing was there to hit.
-        assert counts.totals() == (NUM_WORKERS, NUM_WORKERS, 0)
+        decodes = NUM_WORKERS + attempts - 1
+        assert counts.totals() == (decodes, decodes, 0)
+        assert rejected == list(range(NUM_WORKERS)) + [0] * (attempts - 1)
         acked = counts.broadcast(cluster, 0, LR, update)
         assert acked == list(range(NUM_WORKERS))
-        assert counts.totals() == (NUM_WORKERS + 1, NUM_WORKERS + 1, 1)
+        assert counts.totals() == (decodes + 1, decodes + 1, 1)
 
 
 def _fleet_theta(split, backend, config):

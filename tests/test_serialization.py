@@ -13,6 +13,7 @@ from repro.core import (
     deserialize_message,
     serialize_message,
 )
+from tests.payload_v1_reference import serialize_v1
 
 
 def make_gradient(nnz=3_000, dimension=100_000, seed=0):
@@ -64,12 +65,12 @@ class TestWireRoundtrip:
         assert rebuilt.nnz == message.nnz
 
     def test_wire_size_close_to_accounting(self, config):
-        """num_bytes is the payload-v2 wire length, with no tolerance;
-        the frozen v1 layout is never smaller."""
+        """num_bytes is the wire length, with no tolerance; the retired
+        v1 layout is never smaller."""
         keys, values, dim = make_gradient(nnz=8_000, seed=3)
         message = SketchMLCompressor(config).compress(keys, values, dim)
-        assert len(serialize_message(message, version=2)) == message.num_bytes
-        assert len(serialize_message(message)) >= message.num_bytes
+        assert len(serialize_message(message)) == message.num_bytes
+        assert len(serialize_v1(message)) >= message.num_bytes
 
 
 class TestWireErrors:
@@ -97,8 +98,12 @@ class TestWireErrors:
             deserialize_message(bytes(wire))
 
     def test_truncation(self):
+        # Half the message cuts into the sketch cells, whose exact coded
+        # length the reader checks against what is left before reading.
         wire = self._wire()
-        with pytest.raises(SerializationError, match="truncated"):
+        with pytest.raises(
+            SerializationError, match="truncated|larger than the remaining"
+        ):
             deserialize_message(wire[: len(wire) // 2])
 
     def test_trailing_bytes(self):

@@ -12,6 +12,7 @@ from repro.compression.base import CompressedGradient
 from repro.core import SketchMLCompressor, SketchMLConfig
 from repro.core.compressor import GroupKeys
 from repro.core.delta_encoding import decode_keys
+from repro.core.rice import KEY_CODE_DELTA
 from repro.core.serialization import (
     SerializationError,
     deserialize_message,
@@ -293,7 +294,7 @@ class TestDecodedKeysBelongToTheMessage:
         comp = SketchMLCompressor(SketchMLConfig.full(**config))
         message = comp.compress(keys, values, 1_000)
         message.dimension = 100
-        wire = serialize_message(message, version=2)
+        wire = serialize_message(message)
         with pytest.raises(SerializationError, match=r"key \d+ .*dimension 100"):
             comp.decompress(deserialize_message(wire))
 
@@ -305,7 +306,7 @@ class TestDecodedKeysBelongToTheMessage:
         message = comp.compress(keys, values, dim)
         message.payload.parts = [pos, neg]
         message.nnz = pos.nnz + neg.nnz  # parts must sum to the message nnz
-        wire = serialize_message(message, version=2)
+        wire = serialize_message(message)
         # The sanitizer reports it first when on; this is the path without.
         with sanitize.sanitized(False), pytest.raises(
             SerializationError, match=rf"key {keys[0]} appears in two parts.*dimension {dim}"
@@ -354,7 +355,7 @@ def test_merge_matches_the_stable_argsort(config, nnz, span, seed):
     values[values == 0.0] = 1e-4
     comp = SketchMLCompressor(MERGE_CONFIGS[config])
     message = comp.compress(keys, values, dimension)
-    for msg in (message, deserialize_message(serialize_message(message, version=2))):
+    for msg in (message, deserialize_message(serialize_message(message))):
         got_keys, got_values = comp.decompress(msg)
         want_keys, want_values = _stable_argsort_merge(comp, msg)
         assert got_keys.dtype == want_keys.dtype == np.int64
@@ -378,8 +379,8 @@ def test_forged_key_past_two_to_the_32_still_fails_the_dimension_check():
     """A delta-binary key blob that decodes past ``2**32``, in a forged
     three-part message (three runs, so the packed merge is considered),
     falls back to the stable argsort and fails the dimension check.
-    The message is payload v1, which has no key code whose choice would
-    reject the blob before ``decompress``."""
+    On the wire the reader's key-code check rejects the blob first, so
+    ``decompress`` gets the forged message directly."""
     rng = np.random.default_rng(16)
     dimension = 2**32
     keys = np.unique(rng.integers(dimension - 10**6, dimension, 3_000))
@@ -393,15 +394,18 @@ def test_forged_key_past_two_to_the_32_still_fails_the_dimension_check():
     blob = _delta_blob(deltas)
     forged_keys = decode_keys(blob)
     assert forged_keys[-1] >= 2**32
-    pos.group_keys = GroupKeys(forged_keys, pos.group_keys.counts, None, [blob])
+    pos.group_keys = GroupKeys(
+        forged_keys, pos.group_keys.counts, KEY_CODE_DELTA, [blob]
+    )
     message.payload.parts.append(dataclasses.replace(neg))
     message.nnz += neg.nnz
-    wire = serialize_message(message)
+    with pytest.raises(SerializationError, match=r"keys must lie in \[0, 2\*\*32"):
+        deserialize_message(serialize_message(message))
     # The sanitizer reports the repeated part first when on.
     with sanitize.sanitized(False), pytest.raises(
         SerializationError, match=r"key \d+ is outside .*dimension 4294967296"
     ):
-        comp.decompress(deserialize_message(wire))
+        comp.decompress(message)
 
 
 @given(

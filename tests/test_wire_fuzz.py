@@ -4,8 +4,9 @@ Two tiers lock the protocol down:
 
 * **Property tier** (hypothesis): randomly generated compressed
   gradients must round-trip bit-identically through
-  ``serialize_message``/``deserialize_message`` at *both* payload
-  versions, contiguous and streamed, and the scalar twins of
+  ``serialize_message``/``deserialize_message``, contiguous and
+  streamed, must never be larger than the retired payload v1
+  (``tests/payload_v1_reference.py``), and the scalar twins of
   ``tests/kernel_reference.py`` must encode the same bytes; their
   ``num_bytes`` must be the payload-v2 wire length exactly; random
   frames must survive arbitrary re-chunking through
@@ -16,7 +17,7 @@ Two tiers lock the protocol down:
   mutations of valid wire bytes — truncations, bit-flips, length-field
   lies, forged index, sketch and Rice key blocks, one-list key blocks
   and count mismatches, duplicated/reordered/dropped chunks, lying
-  ``END`` trailers —
+  ``END`` trailers, and payload-v1 messages, which are retired —
   must always surface as a structured :class:`SerializationError` /
   :class:`FrameError`; never a hang, an allocation bomb, or a
   silently-wrong tensor.  A mutant the decoder *accepts* (a bit flip
@@ -82,6 +83,7 @@ from repro.runtime.framing import (
 )
 from tests import rice_reference
 from tests.kernel_reference import kernel_path, reference_kernels
+from tests.payload_v1_reference import serialize_v1, v1_pieces
 
 MAX_EXAMPLES = int(os.environ.get("REPRO_FUZZ_EXAMPLES", "30"))
 FUZZ = settings(
@@ -118,8 +120,8 @@ def _compress(seed, nnz, dimension, sign_mode, variant):
 
 def _serialize_at(message, version):
     if version == 1:
-        return serialize_message(message)
-    return serialize_message(message, version=2, entropy=True)
+        return serialize_v1(message)
+    return serialize_message(message, entropy=True)
 
 
 #: The configurations the v2-against-v1 property sweeps.
@@ -180,12 +182,8 @@ class TestRoundTripProperties:
             assert (_serialize_at(reference, 1), _serialize_at(reference, 2)) == (
                 v1, v2
             )
-        # deserialize → serialize is the identity at both versions, and
-        # a v1 decode carries everything v2 ships (not the reverse: v2
-        # drops the bucket splits).
-        assert _serialize_at(deserialize_message(v1), 1) == v1
+        # deserialize → serialize is the identity.
         assert _serialize_at(deserialize_message(v2), 2) == v2
-        assert _serialize_at(deserialize_message(v1), 2) == v2
 
     @FUZZ
     @given(
@@ -193,7 +191,7 @@ class TestRoundTripProperties:
         nnz=st.integers(1, 20_000),
         config=st.sampled_from(sorted(_V2_CONFIGS)),
     )
-    def test_v2_is_never_larger_and_decodes_like_v1(self, seed, nnz, config):
+    def test_v2_is_never_larger_than_v1(self, seed, nnz, config):
         dimension = max(nnz * 40, 64)
         keys, values = _gradient(seed, nnz, dimension, "mixed")
         cfg = SketchMLConfig.full(seed=seed, **_V2_CONFIGS[config])
@@ -202,17 +200,16 @@ class TestRoundTripProperties:
         v1, v2 = (_serialize_at(message, v) for v in (1, 2))
         assert len(v2) <= len(v1)
         assert _serialize_at(deserialize_message(v2), 2) == v2
-        from_v1 = comp.decompress(deserialize_message(v1))
-        from_v2 = comp.decompress(deserialize_message(v2))
-        for a, b in zip(from_v1, from_v2):
+        for a, b in zip(comp.decompress(deserialize_message(v2)),
+                        comp.decompress(message)):
             assert np.array_equal(_bits(a), _bits(b))
         with reference_kernels():
             reference = SketchMLCompressor(cfg).compress(keys, values, dimension)
             assert (_serialize_at(reference, 1), _serialize_at(reference, 2)) == (
                 v1, v2
             )
-        # A grouped sketch off the shared shape or seed stride has no v2
-        # layout: it must raise at v2 and still round-trip at v1.
+        # A grouped sketch off the shared shape or seed stride has no
+        # layout: it must raise.
         grouped = next(
             (p.sketch for p in message.payload.parts
              if p.sketch is not None and p.sketch.num_groups > 1),
@@ -225,8 +222,6 @@ class TestRoundTripProperties:
             _break_group_uniformity(grouped, how)
             with pytest.raises(SerializationError, match=how):
                 _serialize_at(message, 2)
-            v1 = _serialize_at(message, 1)
-            assert _serialize_at(deserialize_message(v1), 1) == v1
             grouped._sketches[:] = uniform
 
     @FUZZ
@@ -239,12 +234,12 @@ class TestRoundTripProperties:
     )
     @example(magnitudes=[1e-320] * 40 + [3e38] * 3, seed=0, config="quan")
     @example(magnitudes=[0.0, 1e-44, 1e300] * 30, seed=1, config="full")
-    def test_extreme_magnitudes_keep_sign_bound_and_version_parity(
+    def test_extreme_magnitudes_keep_sign_bound_and_v2_never_larger(
         self, magnitudes, seed, config
     ):
         """Tables float32 cannot carry keep f8 means; whatever the
         width, decoding never flips a sign or amplifies past the
-        largest input, and v1 and v2 decode alike."""
+        largest input, and v2 is never larger than v1."""
         rng = np.random.default_rng(seed)
         values = np.asarray(magnitudes) * rng.choice([-1.0, 1.0], len(magnitudes))
         dimension = 40 * values.size + 64
@@ -255,10 +250,7 @@ class TestRoundTripProperties:
         message = comp.compress(keys, values, dimension)
         v1, v2 = (_serialize_at(message, v) for v in (1, 2))
         assert len(v2) <= len(v1)
-        decoded = [comp.decompress(deserialize_message(d)) for d in (v1, v2)]
-        for a, b in zip(*decoded):
-            assert np.array_equal(_bits(a), _bits(b))
-        out_keys, out_values = decoded[1]
+        out_keys, out_values = comp.decompress(deserialize_message(v2))
         assert np.array_equal(out_keys, keys)
         assert np.all(out_values * np.sign(values) >= 0)
         assert np.all(np.abs(out_values) <= np.abs(values).max())
@@ -274,7 +266,7 @@ class TestRoundTripProperties:
         keys, values = _gradient(seed, nnz, dimension, "mixed")
         cfg = SketchMLConfig.full(seed=seed, **_V2_CONFIGS[config])
         message = SketchMLCompressor(cfg).compress(keys, values, dimension)
-        wire = serialize_message(message, version=2)
+        wire = serialize_message(message)
         assert message.num_bytes == len(wire)
         assert sum(message.breakdown.values()) == message.num_bytes
 
@@ -283,32 +275,29 @@ class TestRoundTripProperties:
         seed=st.integers(0, 2**32 - 1),
         nnz=st.integers(1, 400),
         variant=st.integers(0, len(_VARIANTS) - 1),
-        version=st.sampled_from([1, 2]),
+        entropy=st.booleans(),
         chunk_bytes=st.integers(16, 4096),
     )
     def test_streaming_encode_decode_matches_contiguous(
-        self, seed, nnz, variant, version, chunk_bytes
+        self, seed, nnz, variant, entropy, chunk_bytes
     ):
         dimension = max(nnz * 40, 64)
         message = _compress(seed, nnz, dimension, "mixed", variant)
-        contiguous = _serialize_at(message, version)
+        contiguous = serialize_message(message, entropy=entropy)
         pieces = list(
             iter_serialize_message(
-                message,
-                version=version,
-                entropy=(version == 2),
-                chunk_bytes=chunk_bytes,
+                message, entropy=entropy, chunk_bytes=chunk_bytes
             )
         )
         assert all(len(p) <= chunk_bytes for p in pieces)
         assert b"".join(pieces) == contiguous
         streamed = deserialize_message_chunks(pieces)
-        assert _serialize_at(streamed, version) == contiguous
+        assert serialize_message(streamed, entropy=entropy) == contiguous
 
     def test_200k_nnz_streams_in_64k_chunks_bit_identical(self):
         """The acceptance-scale case, pinned deterministically: a
         200k-nnz gradient streamed in ≤64 KiB chunks decodes to the
-        exact contiguous v1 encoding."""
+        exact contiguous encoding."""
         message = _compress(97, 200_000, 2_000_000, "mixed", 0)
         contiguous = serialize_message(message)
         chunk_bytes = 64 * 1024
@@ -362,7 +351,10 @@ class TestRoundTripProperties:
 def _base_messages():
     """Two fixed, deterministic messages whose wire bytes are mutated:
     the packed quantization config at v1 and at v2 (the v2 bytes exercise the
-    dense-coded index block, marker 4).
+    dense-coded index block, marker 4).  The v1 bytes come from the
+    reference writer; every mutation of them must fail, and they keep
+    drawing their truncation and bit-flip positions first, so the v2
+    positions below stay where they were.
 
     The v2 base is a larger gradient than the v1 base, and its parts
     ship Rice-coded keys (key kind 2): 1 304 nnz over 245 853 keys code
@@ -414,8 +406,11 @@ def _bitflip_cases():
 def _u64_fields(message, version):
     """Offsets of the 8-byte fields the writer emits after the message
     header: part nnz and length prefixes."""
-    w = serialization._build_message(message, version, version == 2)
-    ends = np.cumsum([0] + [len(piece) for piece in w.pieces()]).tolist()
+    if version == 1:
+        pieces = v1_pieces(message)
+    else:
+        pieces = serialization._build_message(message, True).pieces()
+    ends = np.cumsum([0] + [len(piece) for piece in pieces]).tolist()
     return [lo for lo, hi in zip(ends, ends[1:]) if hi - lo == 8 and lo >= 23]
 
 
@@ -475,7 +470,7 @@ def _blob_count_cases():
         # Forged blobs in the code each version's writer copies: the v2
         # blobs as coded, delta-binary ones for v1.
         forged = {
-            1: replace(keys, code=None, blobs=forge(
+            1: replace(keys, code=KEY_CODE_DELTA, blobs=forge(
                 encode_key_groups_flat(keys.concat, keys.counts))),
             2: replace(keys, blobs=forge(list(keys.blobs))),
         }
@@ -488,8 +483,7 @@ def _blob_count_cases():
 
 
 def _forge_index_message(
-    block, nnz, *, version=2, flags=2, num_keys=None, message_nnz=None,
-    rice_keys=False,
+    block, nnz, *, flags=2, num_keys=None, message_nnz=None, rice_keys=False,
 ):
     """A one-part kind-1 message around a hand-built index block:
     ``num_keys`` keys (default: one per index), raw or, with
@@ -498,7 +492,7 @@ def _forge_index_message(
     num_keys = nnz if num_keys is None else num_keys
     message_nnz = nnz if message_nnz is None else message_nnz
     w = bytearray()
-    w += b"SKML" + struct.pack("<BB", version, flags)  # repro: noqa[wire-format] — forging adversarial index blocks is the point of this corpus
+    w += b"SKML" + struct.pack("<BB", 2, flags)  # repro: noqa[wire-format] — forging adversarial index blocks is the point of this corpus
     w += struct.pack("<QQB", 1 << 31, message_nnz, 1)  # repro: noqa[wire-format] — dimension, message nnz, one part
     w += struct.pack("<bQB", 1, nnz, 1)  # repro: noqa[wire-format] — sign, part nnz, kind=indexes
     keys_at = len(w)
@@ -509,8 +503,8 @@ def _forge_index_message(
         w[keys_at:] = bytes([2]) + len(blob).to_bytes(8, "little") + blob
     buckets = serialization._Writer()
     serialization._write_buckets(buckets, SignedBuckets(
-        splits=np.array([0.0, 1.0]), means=np.array([0.5]), sign=1.0,
-    ), version)
+        splits=None, means=np.array([0.5]), sign=1.0,
+    ))
     return bytes(w + buckets.getvalue() + block)
 
 
@@ -569,7 +563,6 @@ def _dense_block_cases():
         ("dense-empty-stream", forge(b"", nnz=0)),
         ("dense-part-nnz-over-message", forge(message_nnz=n - 1)),
         ("rans-marker-retired", forge(marker=3)),
-        ("dense-marker-in-v1", forge(version=1, flags=0)),
     ]
 
 
@@ -612,7 +605,7 @@ def _sketch_message():
 
 #: The coded cell stream (three 2-byte words) the v2 writer emits for
 #: ``_sketch_message``; it ends the message.
-_SKETCH_CELLS = serialize_message(_sketch_message(), version=2)[-6:]
+_SKETCH_CELLS = serialize_message(_sketch_message())[-6:]
 
 _V1_BUCKETS = (
     struct.pack("<HbQ", 16, 1, 17 * 8)  # repro: noqa[wire-format] — forging a v1 bucket block: count, sign, splits length
@@ -793,7 +786,7 @@ def _forge_key_list(kind, mutate):
     at v2 (plain indexes, no ``ENTROPY`` flag)."""
     message = _key_list_message(kind)
     mutate(message, message.payload.parts[0])
-    return serialize_message(message, version=2)
+    return serialize_message(message)
 
 
 def _set_keys(code, blob_of):
@@ -814,8 +807,6 @@ def _key_list_cases():
     one-list key block and of the parts' nnz, one mutation each (the
     unmutated messages decode — see
     ``test_rice_keyed_key_lists_decode``)."""
-    v2_raw = bytearray(serialize_message(_key_list_message("raw"), version=2))
-    v2_raw[4] = 1  # the same bytes, declared payload v1
     # Four keys whose Rice blob is no smaller than their delta-binary one.
     tiny = _compress(5, 4, 4_000, "mixed", 3)
     assert tiny.payload.parts[0].group_keys.code == KEY_CODE_DELTA
@@ -834,8 +825,7 @@ def _key_list_cases():
     sketch = _compress(1234, 2000, 40000, "mixed", 0)
     _grow_nnz(sketch, sketch.payload.parts[0])
     return [
-        ("keys-rice-kind-in-v1", bytes(v2_raw)),
-        ("keys-rice-not-smaller", serialize_message(tiny, version=2)),
+        ("keys-rice-not-smaller", serialize_message(tiny)),
         ("keys-delta-where-rice-smaller",
          _forge_key_list("raw", _set_keys(KEY_CODE_DELTA, encode_keys))),
         ("keys-rice-truncated", _forge_key_list("indexes", _set_keys(
@@ -845,7 +835,7 @@ def _key_list_cases():
         ("raw-values-short", _forge_key_list("raw", drop_value)),
         ("indexes-short", _forge_key_list("indexes", drop_index)),
         ("raw-part-nnz-lie", _forge_key_list("raw", _grow_nnz)),
-        ("sketch-part-nnz-lie", serialize_message(sketch, version=2)),
+        ("sketch-part-nnz-lie", serialize_message(sketch)),
         ("parts-short-of-message-nnz", _forge_key_list(
             "indexes", lambda message, _: setattr(message, "nnz", message.nnz + 1))),
     ]
@@ -854,10 +844,10 @@ def _key_list_cases():
 _KEY_LIST_CASES = _key_list_cases()
 
 
-def _writer_sections(message, version):
+def _writer_sections(message):
     """``(first byte, end byte, section)`` of every run of the message's
     bytes the writer tallies under one section."""
-    w = serialization._build_message(message, version, version == 2)
+    w = serialization._build_message(message, True)
     ends = np.cumsum([0] + [len(piece) for piece in w.pieces()])
     marks = w._marks + [(len(w.pieces()), None)]
     return [
@@ -875,7 +865,7 @@ def _sketch_length_lie_cases(message=None, label="sketch"):
     if message is None:
         message = _compress(1234, 2000, 40000, "mixed", 0)
     data = _serialize_at(message, 2)
-    sections = _writer_sections(message, 2)
+    sections = _writer_sections(message)
     cases = []
     seen = {}
     for offset in range(23, len(data) - 8):
@@ -917,17 +907,17 @@ def _mixed_width_message():
 _MIXED = _mixed_width_message()
 
 
-def _forge_means(part, width, change=None, *, version=2, extra=0):
-    """The mixed message at ``version`` with part ``part``'s means blob
-    replaced: its table after ``change`` (in place), shipped at ``width``
-    bytes a mean, ``extra`` bytes longer (or shorter)."""
-    data = _serialize_at(_MIXED, version)
+def _forge_means(part, width, change=None, *, extra=0):
+    """The mixed message with part ``part``'s means blob replaced: its
+    table after ``change`` (in place), shipped at ``width`` bytes a
+    mean, ``extra`` bytes longer (or shorter)."""
+    data = _serialize_at(_MIXED, 2)
     end = [
-        hi for _, hi, name in _writer_sections(_MIXED, version)
+        hi for _, hi, name in _writer_sections(_MIXED)
         if name == "bucket_means"
     ][part]
     means = _MIXED.payload.parts[part].buckets.means.copy()
-    shipped = 4 if version == 2 and _f4_exact(means) else 8
+    shipped = 4 if _f4_exact(means) else 8
     start = end - shipped * means.size - 8  # the length prefix
     if change is not None:
         change(means)
@@ -962,14 +952,11 @@ def _bucket_means_cases():
         ("means-v2-f8-inf", _forge_means(1, 8, _set(-1, np.inf))),
         ("means-v2-f4-negative", _forge_means(0, 4, _set(0, -1.0))),
         ("means-v2-f8-negative", _forge_means(1, 8, _negate)),
-        ("means-v1-negative", _forge_means(1, 8, _negate, version=1)),
         ("means-v2-f4-decreasing", _forge_means(0, 4, _reverse)),
         ("means-v2-f8-decreasing", _forge_means(1, 8, _reverse)),
-        ("means-v1-decreasing", _forge_means(0, 8, _reverse, version=1)),
         ("means-v2-f4-blob-long", _forge_means(0, 4, extra=1)),
         ("means-v2-f4-blob-short", _forge_means(0, 4, extra=-1)),
         ("means-v2-f4-exact-as-f8", _forge_means(0, 8)),
-        ("means-v1-f4", _forge_means(0, 4, version=1)),
     ]
 
 
@@ -981,7 +968,7 @@ def _bucket_means_flips():
     lowest bit, an exponent bit and the sign bit of the middle mean."""
     data = _serialize_at(_MIXED, 2)
     ends = [
-        hi for _, hi, name in _writer_sections(_MIXED, 2)
+        hi for _, hi, name in _writer_sections(_MIXED)
         if name == "bucket_means"
     ]
     cases = []
@@ -998,11 +985,25 @@ def _bucket_means_flips():
     return cases
 
 
+def _retired_cases():
+    """Payload v1 is retired: a committed v1 golden fixture, and v2
+    bytes whose header declares v1, are rejected at the version byte."""
+    with open(os.path.join(
+        os.path.dirname(__file__), "golden", "wire", "quan_packed.bin"
+    ), "rb") as f:
+        golden = f.read()
+    forged = bytearray(_serialize_at(_MIXED, 2))
+    forged[4] = 1
+    return [("v1-golden-fixture", golden), ("v1-forged-header", bytes(forged))]
+
+
+_RETIRED_CASES = _retired_cases()
+
 MUST_FAIL_CASES = (
     _truncation_cases() + _length_lie_cases() + _sketch_length_lie_cases()
     + _blob_count_cases() + _DENSE_CASES + _SKETCH_CASES + _RICE_CASES
     + _KEY_LIST_CASES + _BUCKET_MEANS_CASES
-    + _sketch_length_lie_cases(_MIXED, "mixed")
+    + _sketch_length_lie_cases(_MIXED, "mixed") + _RETIRED_CASES
 )
 MAY_ACCEPT_CASES = _bitflip_cases() + _bucket_means_flips()
 
@@ -1027,17 +1028,12 @@ def test_bit_flips_never_decode_silently_wrong(data, mode):
     """A flipped bit either raises the structured error or lands in
     value data — in which case the decode must be a *faithful* reading:
     re-serializing it reproduces the mutated bytes exactly."""
-    version = data[4] if len(data) > 4 else 1
     with kernel_path(mode):
         try:
             message = deserialize_message(data)
         except SerializationError:
             return
-        if version in (1, 2):
-            entropy = bool(version == 2 and (data[5] & 2))
-            assert serialize_message(
-                message, version=version, entropy=entropy
-            ) == data
+        assert serialize_message(message, entropy=bool(data[5] & 2)) == data
 
 
 def test_forged_dense_baseline_decodes():
@@ -1066,7 +1062,6 @@ def test_forged_dense_baseline_decodes():
         ("dense-nnz-lie", "code to"),
         ("dense-empty-stream", "wider than"),
         ("rans-marker-retired", "marker 3.*retired"),
-        ("dense-marker-in-v1", "not valid in a v1 message"),
     ],
 )
 def test_forged_dense_blocks_fail_on_the_intended_check(case, pattern):
@@ -1082,7 +1077,7 @@ def test_forged_sketch_baseline_decodes():
     because the forgery is broken."""
     original = _sketch_message()
     data = _forge_sketch_message()
-    assert data == serialize_message(original, version=2)
+    assert data == serialize_message(original)
     message = deserialize_message(data)
     decoded = message.payload.parts[0].sketch
     assert message.payload.parts[0].buckets.splits is None
@@ -1093,7 +1088,7 @@ def test_forged_sketch_baseline_decodes():
     expected_keys, expected_values = SketchMLCompressor().decompress(original)
     assert np.array_equal(keys, expected_keys)
     assert np.array_equal(values, expected_values)
-    assert serialize_message(message, version=2) == data
+    assert serialize_message(message) == data
 
 
 @pytest.mark.parametrize(
@@ -1118,14 +1113,12 @@ def test_forged_sketch_blocks_fail_on_the_intended_check(case, pattern):
 
 def test_v2_writer_rejects_a_cell_outside_the_group_range():
     """A cell that is neither an in-group offset nor the empty sentinel
-    has no v2 symbol; v1 still ships the raw table."""
+    has no symbol in the cell stream."""
     message = _compress(1234, 2000, 40000, "mixed", 0)
     sketch = message.payload.parts[0].sketch.sketches[0]
     sketch._table[0, 0] = sketch.index_range
     with pytest.raises(SerializationError, match="outside"):
         _serialize_at(message, 2)
-    v1 = _serialize_at(message, 1)
-    assert _serialize_at(deserialize_message(v1), 1) == v1
 
 
 def test_rice_baseline_decodes():
@@ -1182,20 +1175,18 @@ def test_rice_count_is_bounded_before_allocation():
 @pytest.mark.parametrize("kind", sorted(_KEY_LIST_VARIANTS))
 def test_rice_keyed_key_lists_decode(kind):
     """Kind-0/1 parts ship their one key list as a Rice blob (key kind
-    2) at v2 and delta-binary (key kind 1) at v1; both decode to the
-    compressed keys and re-serialize to themselves — the cases below
+    2), smaller than v1's delta-binary one (key kind 1); it decodes to
+    the compressed keys and re-serializes to itself — the cases below
     fail for the mutation."""
     message = _key_list_message(kind)
-    data = serialize_message(message, version=2)
+    data = serialize_message(message)
     decoded = deserialize_message(data)
     for got_part, part in zip(decoded.payload.parts, message.payload.parts):
         got, want = got_part.group_keys, part.group_keys
         assert np.array_equal(got.concat, want.concat)
         assert (got.code, got.blobs) == (KEY_CODE_RICE, want.blobs)
-    assert serialize_message(decoded, version=2) == data
-    v1 = serialize_message(message)
-    assert len(data) < len(v1)
-    assert serialize_message(deserialize_message(v1), version=2) == data
+    assert serialize_message(decoded) == data
+    assert len(data) < len(serialize_v1(message))
     comp = SketchMLCompressor()
     for a, b in zip(comp.decompress(decoded), comp.decompress(message)):
         assert np.array_equal(_bits(a), _bits(b))
@@ -1204,7 +1195,6 @@ def test_rice_keyed_key_lists_decode(kind):
 @pytest.mark.parametrize(
     "case, pattern",
     [
-        ("keys-rice-kind-in-v1", "key kind 2 .* not valid in a v1 message"),
         ("keys-rice-not-smaller", "not smaller than delta-binary"),
         ("keys-delta-where-rice-smaller", r"\(delta-binary\) for keys whose Rice"),
         ("keys-rice-truncated", "terminators for"),
@@ -1223,26 +1213,23 @@ def test_forged_key_lists_fail_on_the_intended_check(case, pattern):
 
 
 def test_mixed_width_means_decode():
-    """``_MIXED`` ships one f4 and one f8 table at v2 and f8 at v1; all
-    decode to the same values and re-serialize to themselves — the
-    cases below fail for the mutation."""
-    v1, v2 = (_serialize_at(_MIXED, v) for v in (1, 2))
+    """``_MIXED`` ships one f4 and one f8 table; both decode to the
+    encoder's means and re-serialize to themselves — the cases below
+    fail for the mutation."""
+    data = _serialize_at(_MIXED, 2)
     sizes = [
-        hi - lo for lo, hi, name in _writer_sections(_MIXED, 2)
+        hi - lo for lo, hi, name in _writer_sections(_MIXED)
         if name == "bucket_means"
     ]
     tables = [part.buckets.means for part in _MIXED.payload.parts]
     assert [_f4_exact(m) for m in tables] == [True, False]
     assert sizes == [11 + 4 * tables[0].size, 11 + 8 * tables[1].size]
-    for data, version in ((v1, 1), (v2, 2)):
-        decoded = deserialize_message(data)
-        for got, want in zip(decoded.payload.parts, _MIXED.payload.parts):
-            assert np.array_equal(_bits(got.buckets.means), _bits(want.buckets.means))
-        assert _serialize_at(decoded, version) == data
-    assert _serialize_at(deserialize_message(v1), 2) == v2
+    decoded = deserialize_message(data)
+    for got, want in zip(decoded.payload.parts, _MIXED.payload.parts):
+        assert np.array_equal(_bits(got.buckets.means), _bits(want.buckets.means))
+    assert _serialize_at(decoded, 2) == data
     comp = SketchMLCompressor()
-    for a, b in zip(comp.decompress(deserialize_message(v1)),
-                    comp.decompress(deserialize_message(v2))):
+    for a, b in zip(comp.decompress(decoded), comp.decompress(_MIXED)):
         assert np.array_equal(_bits(a), _bits(b))
 
 
@@ -1253,20 +1240,31 @@ def test_mixed_width_means_decode():
         ("means-v2-f8-inf", "must be finite"),
         ("means-v2-f4-negative", "must be non-negative"),
         ("means-v2-f8-negative", "must be non-negative"),
-        ("means-v1-negative", "must be non-negative"),
         ("means-v2-f4-decreasing", "must be non-decreasing"),
         ("means-v2-f8-decreasing", "must be non-decreasing"),
-        ("means-v1-decreasing", "must be non-decreasing"),
         ("means-v2-f4-blob-long", r"buckets but carries [\d.]+ means of 8"),
         ("means-v2-f4-blob-short", r"buckets but carries [\d.]+ means of 8"),
         ("means-v2-f4-exact-as-f8", "all f4-exact"),
-        ("means-v1-f4", r"buckets but carries [\d.]+ means of 8"),
     ],
 )
 def test_forged_bucket_means_fail_on_the_intended_check(case, pattern):
     data = dict(_BUCKET_MEANS_CASES)[case]
     with pytest.raises(SerializationError, match=pattern):
         deserialize_message(data)
+
+
+@pytest.mark.parametrize("case", [name for name, _ in _RETIRED_CASES])
+def test_payload_v1_fails_as_retired(case):
+    with pytest.raises(SerializationError, match="payload v1 is retired"):
+        deserialize_message(dict(_RETIRED_CASES)[case])
+
+
+def test_serialize_refuses_any_version_but_v2():
+    message = _sketch_message()
+    assert serialize_message(message, version=2) == serialize_message(message)
+    for version in (1, 3):
+        with pytest.raises(ValueError, match=f"unsupported payload version {version}"):
+            serialize_message(message, version=version)
 
 
 def _key_groups(seed, nnz, num_groups, shape):
@@ -1314,8 +1312,8 @@ class TestRiceKeyProperties:
         ((keys, got_counts),) = decode_key_parts([(key_code, blobs)])
         assert np.array_equal(keys, concat)
         assert np.array_equal(got_counts, counts)
-        v1 = encode_key_groups_flat(concat, counts)
-        assert sum(map(len, blobs)) <= sum(map(len, v1))
+        delta = encode_key_groups_flat(concat, counts)
+        assert sum(map(len, blobs)) <= sum(map(len, delta))
         assert encode_key_groups_v2(keys, got_counts) == (key_code, blobs)
         assert (key_code, blobs) == rice_reference.encode_groups_v2(
             [g.tolist() for g in groups]
@@ -1532,13 +1530,13 @@ class TestLengthBudgetRegressions:
             unpack_header(header, max_frame_bytes=1 << 62)
 
     def test_deserialize_rejects_lying_message_nnz(self):
-        data = bytearray(_BASES[1])
+        data = bytearray(_BASES[2])
         data[14:22] = struct.pack("<Q", 1 << 40)  # repro: noqa[wire-format] — forging the nnz field under test
         with pytest.raises(SerializationError):
             deserialize_message(bytes(data))
 
     def test_deserialize_honours_configured_budget(self):
-        data = _BASES[1]
+        data = _BASES[2]
         with pytest.raises(SerializationError):
             deserialize_message(data, max_message_bytes=64)
         assert deserialize_message(
