@@ -117,6 +117,44 @@ def _feature_popularity(profile: SyntheticProfile) -> np.ndarray:
     return weights / weights.sum()
 
 
+#: rows per block of :func:`_dedupe_rows`' sort, bounding its transient
+#: arrays to a few MiB
+_DEDUPE_BLOCK_ROWS = 2048
+
+
+def _dedupe_rows(row_nnz, sampled, values, num_features):
+    """CSR rows of the sampled ``(column, value)`` pairs, ``row_nnz``
+    pairs per row, keeping each column's first occurrence in its row
+    and sorting each row's columns.
+
+    One stable sort of ``row * num_features + column`` per block of
+    rows; equal to ``np.unique(cols, return_index=True)`` row by row.
+    """
+    num_rows = row_nnz.size
+    ends = np.cumsum(row_nnz)
+    counts = np.zeros(num_rows, dtype=np.int64)
+    indices_chunks = []
+    data_chunks = []
+    for lo in range(0, num_rows, _DEDUPE_BLOCK_ROWS):
+        hi = min(lo + _DEDUPE_BLOCK_ROWS, num_rows)
+        start = int(ends[lo - 1]) if lo else 0
+        stop = int(ends[hi - 1])
+        rows = np.repeat(np.arange(hi - lo, dtype=np.int64), row_nnz[lo:hi])
+        order = np.argsort(
+            rows * num_features + sampled[start:stop], kind="stable"
+        )
+        cols = sampled[start:stop][order]
+        rows = rows[order]
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = (cols[1:] != cols[:-1]) | (rows[1:] != rows[:-1])
+        indices_chunks.append(cols[first])
+        data_chunks.append(values[start:stop][order[first]])
+        counts[lo:hi] = np.bincount(rows[first], minlength=hi - lo)
+    indptr = np.zeros(num_rows + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr, np.concatenate(indices_chunks), np.concatenate(data_chunks)
+
+
 def generate_dataset(
     profile: SyntheticProfile, seed: int = 0, scale: float = 1.0
 ) -> SparseDataset:
@@ -155,20 +193,9 @@ def generate_dataset(
     sampled = rng.choice(profile.num_features, size=total_nnz, p=popularity)
     values = rng.lognormal(mean=0.0, sigma=0.5, size=total_nnz)
 
-    indptr = np.zeros(num_rows + 1, dtype=np.int64)
-    indices_chunks = []
-    data_chunks = []
-    cursor = 0
-    for i, nnz in enumerate(row_nnz):
-        cols = sampled[cursor:cursor + nnz]
-        vals = values[cursor:cursor + nnz]
-        cursor += nnz
-        cols, first = np.unique(cols, return_index=True)
-        indices_chunks.append(cols)
-        data_chunks.append(vals[first])
-        indptr[i + 1] = indptr[i] + cols.size
-    indices = np.concatenate(indices_chunks)
-    data = np.concatenate(data_chunks)
+    indptr, indices, data = _dedupe_rows(
+        row_nnz, sampled, values, profile.num_features
+    )
 
     # Normalise rows so scores stay O(1) regardless of nnz.
     scores = np.zeros(num_rows)

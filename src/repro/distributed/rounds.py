@@ -23,7 +23,6 @@ here.
 from __future__ import annotations
 
 import contextlib
-import copy
 import dataclasses
 import time
 from typing import Callable, Iterator, List, Optional, Sequence
@@ -88,7 +87,11 @@ def make_bootstraps(
 
     Each ``shards`` entry holds the per-worker fields (data, batch
     size, seed); everything else is common to the fleet.  Every worker
-    gets its own optimizer copy and compressor instance.
+    gets its own compressor instance and its own *unprepared* copy of
+    ``optimizer`` (:meth:`~repro.optim.Optimizer.unprepared`), whatever
+    state the caller's optimizer is in: a worker allocates its replica
+    state itself, so a bootstrap never carries (or pickles into an
+    ``INIT`` frame) the driver's state arrays.
     """
     from .. import sanitize
     from ..runtime import WorkerBootstrap
@@ -106,7 +109,7 @@ def make_bootstraps(
     return [
         WorkerBootstrap(
             worker_id=worker_id,
-            optimizer=copy.deepcopy(optimizer),
+            optimizer=optimizer.unprepared(),
             compressor=compressor_factory(),
             **common,
             **shard,

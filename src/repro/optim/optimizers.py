@@ -13,6 +13,8 @@ touched on active keys, the standard lazy sparse-update scheme.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 __all__ = ["Optimizer", "SGD", "Momentum", "AdaGrad", "Adam", "make_optimizer"]
@@ -26,6 +28,9 @@ class Optimizer:
     """
 
     name = "abstract"
+    #: attributes holding per-parameter state: :meth:`prepare`
+    #: allocates them and :meth:`unprepared` leaves them out
+    _state_attrs: tuple = ()
 
     def __init__(self, learning_rate: float = 0.1) -> None:
         if learning_rate <= 0:
@@ -34,6 +39,15 @@ class Optimizer:
 
     def prepare(self, num_parameters: int) -> None:
         """Allocate state for a parameter vector of the given size."""
+
+    def unprepared(self) -> "Optimizer":
+        """A copy with this optimizer's hyper-parameters and none of its
+        per-parameter state, as it was before :meth:`prepare`; the
+        state arrays are never copied."""
+        clone = copy.copy(self)
+        for name in self._state_attrs:
+            setattr(clone, name, None)
+        return copy.deepcopy(clone)
 
     def step(self, theta: np.ndarray, keys: np.ndarray, values: np.ndarray) -> None:
         """Apply one sparse update to ``theta`` in place."""
@@ -59,6 +73,7 @@ class Momentum(Optimizer):
     """Heavy-ball momentum (Polyak) with optional Nesterov correction."""
 
     name = "momentum"
+    _state_attrs = ("_velocity",)
 
     def __init__(
         self, learning_rate: float = 0.1, beta: float = 0.9, nesterov: bool = False
@@ -93,6 +108,7 @@ class AdaGrad(Optimizer):
     """Per-dimension adaptive learning rate from accumulated squares."""
 
     name = "adagrad"
+    _state_attrs = ("_accum",)
 
     def __init__(self, learning_rate: float = 0.1, epsilon: float = 1e-8) -> None:
         super().__init__(learning_rate)
@@ -133,6 +149,7 @@ class Adam(Optimizer):
     """
 
     name = "adam"
+    _state_attrs = ("_m", "_v", "_steps", "_denominators")
 
     def __init__(
         self,
