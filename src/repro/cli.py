@@ -323,15 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--list-rules", action="store_true",
                       help="print the registered rules and exit")
     lint.add_argument("--deep", action="store_true",
-                      help="also run the interprocedural tier (call-graph "
-                           "reachability, seed-flow, lock-order)")
-    lint.add_argument("--baseline", default="analysis-baseline.json",
-                      help="findings baseline for --deep; only findings "
-                           "not in it fail (default: "
-                           "analysis-baseline.json)")
-    lint.add_argument("--update-baseline", action="store_true",
-                      help="with --deep: accept the current findings as "
-                           "the new baseline and exit 0")
+                      help="also run the call-graph checks (reachability, "
+                           "seed-flow, lock-order)")
     return parser
 
 
@@ -826,16 +819,13 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     import json
     import os
 
-    from .lint import LintError, lint_paths, rule_descriptions
+    from .lint import LintError, lint_tree, rule_descriptions
     from .lint.policy import verify_policy
 
     if args.list_rules:
         for rule_id, severity, description in rule_descriptions():
             print(f"{rule_id:<22} {severity:<8} {description}")
         return 0
-    if args.update_baseline and not args.deep:
-        print("error: --update-baseline requires --deep", file=sys.stderr)
-        return 2
     missing = verify_policy()
     if missing:
         print(
@@ -848,40 +838,15 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     select = None
     if args.select:
         select = [r.strip() for r in args.select.split(",") if r.strip()]
-    stats = None
-    absorbed = 0
     try:
-        findings = lint_paths(paths, select=select)
-        if args.deep:
-            from .analysis import (
-                analyze_paths,
-                load_baseline,
-                subtract_baseline,
-                write_baseline,
-            )
-
-            deep_findings, stats, _ = analyze_paths(paths, select=select)
-            findings = sorted(
-                findings + deep_findings,
-                key=lambda f: (f.path, f.line, f.col, f.rule_id),
-            )
-            if args.update_baseline:
-                write_baseline(args.baseline, findings)
-                print(
-                    f"wrote {args.baseline} "
-                    f"({len(findings)} accepted findings)"
-                )
-                return 0
-            findings, absorbed = subtract_baseline(
-                findings, load_baseline(args.baseline)
-            )
+        findings, project = lint_tree(paths, select=select, deep=args.deep)
     except (LintError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":
         print(json.dumps([f.to_dict() for f in findings], indent=2))
     elif args.format == "sarif":
-        from .analysis import render_sarif
+        from .lint.sarif import render_sarif
 
         print(render_sarif(findings, rule_descriptions()))
     else:
@@ -889,9 +854,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             print(f"{f.location}: {f.severity}[{f.rule_id}] {f.message}")
         noun = "finding" if len(findings) == 1 else "findings"
         print(f"{len(findings)} {noun}")
-    if stats is not None:
-        tail = f" ({absorbed} baselined)" if absorbed else ""
-        print(f"deep: {stats.summary()}{tail}", file=sys.stderr)
+    if project is not None:
+        print(f"deep: {project.coverage()}", file=sys.stderr)
     return 1 if findings else 0
 
 

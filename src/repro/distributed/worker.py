@@ -124,16 +124,6 @@ class Worker:
             return int((indptr[rows + 1] - indptr[rows]).sum())
         return int(rows.size * self.dataset.num_features)
 
-    def apply_update(
-        self, theta: np.ndarray, keys: np.ndarray, values: np.ndarray, optimizer
-    ) -> None:
-        """Apply the broadcast update to a local model replica.
-
-        Used by tests exercising per-worker replicas; the trainer keeps
-        a single shared ``theta`` since all replicas evolve identically.
-        """
-        optimizer.step(theta, keys, values)
-
     def __repr__(self) -> str:
         return (
             f"Worker(id={self.worker_id}, rows={self.dataset.num_rows}, "

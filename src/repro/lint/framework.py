@@ -4,7 +4,13 @@ Design:
 
 * A :class:`Rule` inspects one :class:`ModuleSource` (parsed AST plus
   precomputed import tables and the package-relative path) and yields
-  :class:`Finding` records.
+  :class:`Finding` records; a rule with ``uses_call_graph`` also
+  inspects the whole-program call graph (:mod:`repro.lint.callgraph`)
+  when the run is ``deep``.
+* One driver (:func:`lint_tree`) parses each file once, runs the
+  module checks, builds the call graph from the same modules when a
+  selected rule needs it, and applies one suppression pass to every
+  finding.
 * Rules self-register via :func:`register_rule`; ids are stable strings
   (``hot-loop``, ``rng-discipline``, ...) that double as the noqa
   keys and the ``--select`` vocabulary.
@@ -35,12 +41,12 @@ __all__ = [
     "Suppression",
     "ModuleSource",
     "Rule",
-    "ProjectRule",
     "register_rule",
     "all_rule_ids",
     "build_rules",
     "lint_source",
     "lint_paths",
+    "lint_tree",
     "iter_python_files",
     "dotted_name",
 ]
@@ -146,9 +152,7 @@ class ModuleSource:
                         module,
                         alias.name,
                     )
-        self.suppressions, self.noqa_findings = _parse_noqa(
-            text, self.path, known_rule_ids=None
-        )
+        self.suppressions, self.noqa_findings = _parse_noqa(text, self.path)
 
     # ------------------------------------------------------------------
     def resolve_call(self, node: ast.Call) -> Optional[str]:
@@ -184,13 +188,12 @@ def _infer_relpath(path: str) -> str:
 
 
 def _parse_noqa(
-    text: str, path: str, known_rule_ids: Optional[Sequence[str]]
+    text: str, path: str
 ) -> Tuple[Dict[int, Suppression], List[Finding]]:
     """Extract suppression comments and policy findings for them.
 
     Unknown-rule validation happens later in :func:`_apply_suppressions`
-    (the registry may not be fully populated at parse time), so
-    ``known_rule_ids`` is accepted for future use but unused here.
+    (the registry may not be fully populated at parse time).
     """
     suppressions: Dict[int, Suppression] = {}
     findings: List[Finding] = []
@@ -235,14 +238,24 @@ def _parse_noqa(
 # rule registry
 # ----------------------------------------------------------------------
 class Rule:
-    """Base class: subclass, set the class attributes, implement check."""
+    """Base class: subclass, set the class attributes, implement
+    :meth:`check` (per module, every run) and/or :meth:`check_project`
+    (over the call graph, ``repro lint --deep`` only)."""
 
     rule_id: str = ""
     severity: str = SEVERITY_ERROR
     description: str = ""
+    #: True when :meth:`check_project` has work to do; the driver builds
+    #: the call graph only under ``deep`` and only for such a rule.
+    uses_call_graph: bool = False
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
-        raise NotImplementedError
+        """Findings inside one module."""
+        return iter(())
+
+    def check_project(self, project) -> Iterator[Finding]:
+        """Findings over a :class:`repro.lint.callgraph.Project`."""
+        return iter(())
 
     def finding(
         self, module: ModuleSource, node: object, message: str
@@ -254,24 +267,6 @@ class Rule:
             line = getattr(node, "lineno", 1)
             col = getattr(node, "col_offset", 0)
         return Finding(self.rule_id, self.severity, module.path, line, col, message)
-
-
-class ProjectRule(Rule):
-    """Whole-program rule: sees the project call graph, not one module.
-
-    Project rules register into the same registry as per-module rules
-    (same ids, same noqa machinery, same ``--select`` vocabulary), but
-    they only produce findings when driven by the interprocedural tier
-    (``repro lint --deep``, :mod:`repro.analysis.driver`).  Under the
-    shallow per-module driver they are inert.
-    """
-
-    def check(self, module: ModuleSource) -> Iterator[Finding]:
-        return iter(())
-
-    def check_project(self, project) -> Iterator[Finding]:
-        """Yield findings over a :class:`repro.analysis.callgraph.Project`."""
-        raise NotImplementedError
 
 
 _REGISTRY: Dict[str, Type[Rule]] = {}
@@ -325,38 +320,48 @@ def build_rules(select: Optional[Sequence[str]] = None) -> List[Rule]:
 # driver
 # ----------------------------------------------------------------------
 def _apply_suppressions(
-    module: ModuleSource, findings: Iterable[Finding]
+    modules: Sequence[ModuleSource], findings: Iterable[Finding]
 ) -> List[Finding]:
+    """Drop the findings a justified noqa on their line names, then add
+    each module's ``noqa-justification`` findings once."""
+    by_path = {module.path: module for module in modules}
     kept: List[Finding] = []
     for finding in findings:
-        supp = module.suppressions.get(finding.line)
+        module = by_path.get(finding.path)
+        supp = module.suppressions.get(finding.line) if module else None
         if supp is not None and finding.rule_id in supp.rule_ids:
             continue
         kept.append(finding)
     # Suppressions naming unknown rules are findings themselves.
     known = set(all_rule_ids())
-    for supp in module.suppressions.values():
-        for rule_id in supp.rule_ids:
-            if rule_id not in known:
-                kept.append(
-                    Finding(
-                        NOQA_RULE_ID, SEVERITY_ERROR, module.path, supp.line, 0,
-                        f"noqa names unknown rule id {rule_id!r}",
+    for module in modules:
+        for supp in module.suppressions.values():
+            for rule_id in supp.rule_ids:
+                if rule_id not in known:
+                    kept.append(
+                        Finding(
+                            NOQA_RULE_ID, SEVERITY_ERROR, module.path,
+                            supp.line, 0,
+                            f"noqa names unknown rule id {rule_id!r}",
+                        )
                     )
-                )
-    kept.extend(module.noqa_findings)
+        kept.extend(module.noqa_findings)
     return kept
 
 
-def lint_module(
-    module: ModuleSource, rules: Optional[Sequence[Rule]] = None
-) -> List[Finding]:
-    """Run ``rules`` over one parsed module, suppressions applied."""
-    active = list(rules) if rules is not None else build_rules()
-    raw: List[Finding] = []
-    for rule in active:
-        raw.extend(rule.check(module))
-    return _apply_suppressions(module, raw)
+def _lint(
+    modules: Sequence[ModuleSource], rules: Sequence[Rule], deep: bool
+) -> Tuple[List[Finding], object]:
+    """Run ``rules`` over parsed modules; the call graph only if ``deep``."""
+    findings = [f for m in modules for rule in rules for f in rule.check(m)]
+    project = None
+    if deep and any(rule.uses_call_graph for rule in rules):
+        from .callgraph import build_project
+
+        project = build_project(modules)
+        for rule in rules:
+            findings.extend(rule.check_project(project))
+    return _apply_suppressions(modules, findings), project
 
 
 def lint_source(
@@ -367,7 +372,7 @@ def lint_source(
 ) -> List[Finding]:
     """Lint an in-memory snippet (the per-rule fixture-test entry point)."""
     module = ModuleSource(path, text, relpath=relpath)
-    return lint_module(module, build_rules(select))
+    return _lint([module], build_rules(select), deep=False)[0]
 
 
 def iter_python_files(paths: Sequence[str]) -> Iterator[str]:
@@ -387,26 +392,44 @@ def iter_python_files(paths: Sequence[str]) -> Iterator[str]:
             raise LintError(f"no such file or directory: {path}")
 
 
-def lint_paths(
-    paths: Sequence[str], select: Optional[Sequence[str]] = None
-) -> List[Finding]:
-    """Lint every ``.py`` file under ``paths``; returns sorted findings."""
+def lint_tree(
+    paths: Sequence[str],
+    select: Optional[Sequence[str]] = None,
+    deep: bool = False,
+) -> Tuple[List[Finding], object]:
+    """Lint every ``.py`` file under ``paths``, each read and parsed once.
+
+    ``deep`` adds the call-graph passes of the selected rules.  Returns
+    the location-sorted findings and the call-graph ``Project`` (``None``
+    when no call graph was built), whose ``coverage()`` says how much of
+    the program it resolved.
+    """
     rules = build_rules(select)
-    findings: List[Finding] = []
+    modules: List[ModuleSource] = []
+    unparsable: List[Finding] = []
     for filename in iter_python_files(paths):
         with open(filename, "r", encoding="utf-8") as handle:
             text = handle.read()
         try:
-            module = ModuleSource(filename, text)
+            modules.append(ModuleSource(filename, text))
         except SyntaxError as exc:
-            findings.append(
+            unparsable.append(
                 Finding(
                     SYNTAX_RULE_ID, SEVERITY_ERROR, filename,
                     exc.lineno or 1, exc.offset or 0,
                     f"cannot parse: {exc.msg}",
                 )
             )
-            continue
-        findings.extend(lint_module(module, rules))
+    findings, project = _lint(modules, rules, deep)
+    findings.extend(unparsable)
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
-    return findings
+    return findings, project
+
+
+def lint_paths(
+    paths: Sequence[str],
+    select: Optional[Sequence[str]] = None,
+    deep: bool = False,
+) -> List[Finding]:
+    """The findings of :func:`lint_tree`."""
+    return lint_tree(paths, select, deep)[0]

@@ -14,7 +14,6 @@ __all__ = [
     "DTYPE_STRICT_MODULES",
     "WIRE_MODULES",
     "ASYNC_MODULES",
-    "OBSERVABILITY_MODULES",
     "CORE_PREFIXES",
     "HOT_PATH_PREFIXES",
     "ENDIANNESS_PREFIXES",
@@ -73,23 +72,6 @@ WIRE_MODULES = frozenset(
 #: call there would silently turn the replay engine into wall-clock
 #: code.
 ASYNC_MODULES = frozenset({"runtime/aio.py", "fleet/simulator.py"})
-
-#: The live-ops plane (PR 10): the metrics hub + wire spool, the HTTP
-#: exporter, critical-path attribution, and the ``repro top`` renderer.
-#: Named explicitly so :func:`verify_policy` refuses to run if one is
-#: renamed away — they are endianness-scoped via
-#: :data:`ENDIANNESS_PREFIXES` and lock-order-scoped via
-#: :data:`LOCK_SCOPE_PREFIXES` (the hub is mutated by the trainer
-#: thread, the supervisor's heartbeat ingestion, and every exporter
-#: HTTP thread concurrently).
-OBSERVABILITY_MODULES = frozenset(
-    {
-        "telemetry/metrics.py",
-        "telemetry/export.py",
-        "telemetry/critical_path.py",
-        "telemetry/top.py",
-    }
-)
 
 #: Package prefixes that make up the paper-facing codec surface.
 CORE_PREFIXES = ("core/", "sketch/")
@@ -171,7 +153,6 @@ def all_policy_relpaths() -> "frozenset[str]":
         | DTYPE_STRICT_MODULES
         | WIRE_MODULES
         | ASYNC_MODULES
-        | OBSERVABILITY_MODULES
     )
 
 
@@ -179,7 +160,7 @@ def verify_policy(package_root: str = None) -> "list[str]":
     """Check that every listed relpath exists; return the missing ones.
 
     ``package_root`` defaults to the installed ``repro`` package
-    directory.  The lint drivers call this at startup and refuse to run
+    directory.  ``repro lint`` calls this at startup and refuses to run
     when a policy list names a file that is gone — a rename must update
     the policy (and ``docs/static_analysis.md``), not quietly shrink a
     rule's scope to nothing.

@@ -10,8 +10,9 @@ modules listed in :data:`~repro.lint.policy.WIRE_MODULES`.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Set
 
+from .callgraph import Project, format_call_path
 from .framework import (
     Finding,
     ModuleSource,
@@ -25,6 +26,21 @@ from .policy import WIRE_MODULES, is_endianness_scoped
 __all__ = ["WireFormatRule", "WireEndiannessRule"]
 
 
+def _byte_primitive(name: Optional[str], method: Optional[str]) -> str:
+    """What a call does with raw bytes, or '' if it is no byte primitive.
+
+    ``name`` is the call's resolved dotted name, ``method`` the
+    attribute it calls, if any.
+    """
+    if name is not None and name.startswith("struct."):
+        return f"{name}() call"
+    if name == "numpy.frombuffer":
+        return "np.frombuffer() reinterprets raw bytes"
+    if method == "tobytes":
+        return ".tobytes() emits raw wire bytes"
+    return ""
+
+
 @register_rule
 class WireFormatRule(Rule):
     """struct / frombuffer / tobytes only inside serialization modules.
@@ -36,6 +52,17 @@ class WireFormatRule(Rule):
     * ``np.frombuffer(...)`` — reinterpreting raw bytes;
     * ``.tobytes()`` method calls — emitting raw bytes.
 
+    Under ``--deep`` it also flags, outside the wire modules:
+
+    * a call into the *escape set* — the fixpoint of non-wire functions
+      that use a byte primitive directly or call another escape-set
+      function — so a caller that launders a primitive through a
+      helper is caught too.  Calls into public wire-module functions
+      do not propagate: that is the sanctioned path;
+    * a call to an underscore-private function or method of a wire
+      module — the codec API is its public names; private helpers may
+      assume caller invariants the golden tests never see violated.
+
     New wire needs should extend :mod:`repro.core.serialization` (or a
     new allowlisted codec module) so the format stays versioned, golden-
     tested, and in one place.
@@ -43,9 +70,11 @@ class WireFormatRule(Rule):
 
     rule_id = "wire-format"
     severity = SEVERITY_ERROR
+    uses_call_graph = True
     description = (
         "byte-format primitives (struct, frombuffer, tobytes) only in "
-        "designated serialization modules"
+        "designated serialization modules (--deep: also helpers that "
+        "reach them and private wire helpers)"
     )
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
@@ -66,27 +95,70 @@ class WireFormatRule(Rule):
                         "from struct import ... outside a serialization module",
                     )
             elif isinstance(node, ast.Call):
-                name = module.resolve_call(node)
-                if name is not None and name.startswith("struct."):
+                method = (
+                    node.func.attr
+                    if isinstance(node.func, ast.Attribute) else None
+                )
+                what = _byte_primitive(module.resolve_call(node), method)
+                if what:
                     yield self.finding(
                         module, node,
-                        f"{name}() call outside a serialization module",
+                        f"{what} outside a serialization module",
                     )
-                elif name == "numpy.frombuffer":
-                    yield self.finding(
-                        module, node,
-                        "np.frombuffer() reinterprets raw bytes outside a "
-                        "serialization module",
-                    )
-                elif (
-                    isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "tobytes"
-                ):
-                    yield self.finding(
-                        module, node,
-                        ".tobytes() emits raw wire bytes outside a "
-                        "serialization module",
-                    )
+
+    def _escape_set(self, project: Project) -> Set[str]:
+        escaped: Set[str] = set()
+        for qualname, fn in project.functions.items():
+            if fn.relpath in WIRE_MODULES:
+                continue
+            if any(
+                _byte_primitive(s.external, s.method) for s in fn.call_sites
+            ):
+                escaped.add(qualname)
+        # Propagate to callers: a non-wire function whose callee is in
+        # the escape set escapes too (the callee is not a sanctioned
+        # codec entry point, by construction).
+        changed = True
+        while changed:
+            changed = False
+            for qualname, targets in project.edges.items():
+                fn = project.functions[qualname]
+                if fn.relpath in WIRE_MODULES or qualname in escaped:
+                    continue
+                if any(t in escaped for t in targets):
+                    escaped.add(qualname)
+                    changed = True
+        return escaped
+
+    def check_project(self, project: Project) -> Iterator[Finding]:
+        escaped = self._escape_set(project)
+        for qualname in sorted(project.functions):
+            fn = project.functions[qualname]
+            if fn.relpath in WIRE_MODULES:
+                continue
+            for site in fn.call_sites:
+                for target in site.targets:
+                    callee = project.functions.get(target)
+                    if callee is None:
+                        continue
+                    if target in escaped:
+                        yield self.finding(
+                            fn.module, site.node,
+                            f"call into {format_call_path([target])}, "
+                            "which reaches byte-format primitives outside "
+                            "the designated wire modules",
+                        )
+                    elif (
+                        callee.relpath in WIRE_MODULES
+                        and callee.name.startswith("_")
+                        and not callee.name.startswith("__")
+                    ):
+                        yield self.finding(
+                            fn.module, site.node,
+                            f"call to private wire helper "
+                            f"{format_call_path([target])} bypasses the "
+                            "public codec API",
+                        )
 
 
 #: numpy scalar-type names whose byte layout depends on host

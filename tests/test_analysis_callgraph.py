@@ -2,7 +2,7 @@
 
 Synthetic module trees are fed through
 ``build_project_from_sources({relpath: source})`` — the same entry the
-deep rules use — so every resolution feature (aliased imports,
+call-graph checks use — so every resolution feature (aliased imports,
 ``from x import y as z``, relative imports, re-exports, method lookup
 through the MRO, subclass override dispatch, recursion, cycles) is
 pinned by a small readable fixture.  A hypothesis test checks the
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import (
+from repro.lint.callgraph import (
     Project,
     build_project_from_sources,
     module_name_for_relpath,

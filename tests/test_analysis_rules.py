@@ -1,22 +1,38 @@
-"""Seeded-defect fixtures for the four deep (whole-program) rules.
+"""Seeded-defect fixtures for the call-graph checks (``--deep``).
 
-Each rule gets the defect the ISSUE names — a transitively-blocking
-reactor call, a wire-primitive escape via helper, an unseeded RNG
-flowing into runtime code, a cyclic lock order — plus a negative twin
-showing the sanctioned idiom stays silent, so the rules pin behaviour
-in both directions.
+Each check gets a seeded defect — a transitively-blocking reactor call,
+a wire-primitive escape via helper, an unseeded RNG flowing into
+runtime code, a cyclic lock order — plus a negative twin showing the
+sanctioned idiom stays silent, so the rules pin behaviour in both
+directions.
 """
+
+import os
 
 import pytest
 
-from repro.analysis import build_project_from_sources, deep_rules
-from repro.analysis.driver import analyze_paths
+from repro.lint import build_rules, lint_paths, lint_tree
+from repro.lint.callgraph import build_project_from_sources
 
 
 def run_rule(sources, rule_id):
+    """One rule's findings over an in-memory tree, both passes."""
     project = build_project_from_sources(sources)
-    (rule,) = [r for r in deep_rules() if r.rule_id == rule_id]
-    return list(rule.check_project(project))
+    (rule,) = build_rules([rule_id])
+    findings = [
+        f for module in project.modules.values() for f in rule.check(module)
+    ]
+    return findings + list(rule.check_project(project))
+
+
+def deep_lint(tmp_path, sources, rule_id):
+    """``repro lint --deep --select rule_id`` over a written package."""
+    root = tmp_path / "repro"
+    for relpath, text in sources.items():
+        path = root / relpath
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return lint_paths([str(root)], select=[rule_id], deep=True)
 
 
 class TestReactorReachability:
@@ -33,7 +49,7 @@ class TestReactorReachability:
                 "def backoff():\n"
                 "    time.sleep(0.1)\n"
             ),
-        }, "reactor-reachability")
+        }, "async-discipline")
         assert len(findings) == 1
         assert "time.sleep" in findings[0].message
         # the message names the chain from the reactor entry point
@@ -53,7 +69,7 @@ class TestReactorReachability:
                 "def a():\n    b()\n\n"
                 "def b():\n    subprocess.run(['x'])\n"
             ),
-        }, "reactor-reachability")
+        }, "async-discipline")
         assert len(findings) == 1
         assert "subprocess.run" in findings[0].message
 
@@ -63,7 +79,7 @@ class TestReactorReachability:
             "util.py": (
                 "import time\n\ndef backoff():\n    time.sleep(0.1)\n"
             ),
-        }, "reactor-reachability")
+        }, "async-discipline")
         assert findings == []
 
     def test_finding_inside_async_module_left_to_shallow_rule(self):
@@ -71,8 +87,54 @@ class TestReactorReachability:
             "runtime/aio.py": (
                 "import time\n\ndef pump():\n    time.sleep(0.1)\n"
             ),
-        }, "reactor-reachability")
-        assert findings == []  # shallow async-discipline reports this one
+        }, "async-discipline")
+        # the per-module pass reports it; the call-graph pass does not
+        # report it again
+        assert len(findings) == 1
+        assert "time.sleep" in findings[0].message
+
+    def test_blocking_waits_written_in_reactor_are_reported(self, tmp_path):
+        findings = deep_lint(tmp_path, {
+            "runtime/aio.py": (
+                "import os\nimport subprocess\n\n"
+                "def pump(pid):\n"
+                "    subprocess.run(['x'])\n"
+                "    os.waitpid(pid, 0)\n"
+            ),
+        }, "async-discipline")
+        assert [(f.line, f.message.split("(")[0]) for f in findings] == [
+            (5, "subprocess.run"), (6, "os.waitpid"),
+        ]
+
+    def test_sleep_in_reactor_reported_once(self, tmp_path):
+        findings = deep_lint(tmp_path, {
+            "runtime/aio.py": (
+                "import time\n\n"
+                "class AioTransport:\n"
+                "    def _pump(self):\n"
+                "        self._settle()\n\n"
+                "    def _settle(self):\n"
+                "        time.sleep(0.1)\n"
+            ),
+        }, "async-discipline")
+        assert [(f.line, f.rule_id) for f in findings] == [
+            (8, "async-discipline")
+        ]
+
+    def test_subprocess_one_helper_away_reported_once(self, tmp_path):
+        findings = deep_lint(tmp_path, {
+            "runtime/aio.py": (
+                "from ..util import spawn\n\n"
+                "def pump():\n    spawn()\n"
+            ),
+            "util.py": (
+                "import subprocess\n\n"
+                "def spawn():\n    subprocess.run(['x'])\n"
+            ),
+        }, "async-discipline")
+        assert len(findings) == 1
+        assert findings[0].path.endswith("util.py")
+        assert "runtime.aio.pump -> util.spawn" in findings[0].message
 
 
 class TestWireEscape:
@@ -88,7 +150,7 @@ class TestWireEscape:
                 "def send(x):\n"
                 "    return pack_header(x)\n"
             ),
-        }, "wire-escape")
+        }, "wire-format")
         assert any(
             "util.pack_header" in f.message and f.path.endswith("trainer.py")
             for f in findings
@@ -105,7 +167,7 @@ class TestWireEscape:
                 "from .core.serialization import _raw\n\n"
                 "def sneak(x):\n    return _raw(x)\n"
             ),
-        }, "wire-escape")
+        }, "wire-format")
         assert len(findings) == 1
         assert "bypasses the public codec API" in findings[0].message
         assert findings[0].path.endswith("trainer.py")
@@ -120,7 +182,7 @@ class TestWireEscape:
                 "from .core.serialization import encode\n\n"
                 "def send(x):\n    return encode(x)\n"
             ),
-        }, "wire-escape")
+        }, "wire-format")
         assert findings == []
 
 
@@ -354,8 +416,8 @@ class TestDeepNoqa:
             "            self._sock.sendall(frame)"
             "  # repro: noqa[lock-order] — serialises whole-frame writes\n"
         )
-        findings, stats, _ = analyze_paths([str(pkg)])
-        assert [f for f in findings if f.rule_id == "lock-order"] == []
+        findings = lint_paths([str(pkg)], select=["lock-order"], deep=True)
+        assert findings == []
         # drop the noqa and the finding comes back
         (pkg / "runtime" / "endpoint.py").write_text(
             "import threading\n\n"
@@ -367,20 +429,18 @@ class TestDeepNoqa:
             "        with self._lock:\n"
             "            self._sock.sendall(frame)\n"
         )
-        findings, stats, _ = analyze_paths([str(pkg)])
+        findings = lint_paths([str(pkg)], select=["lock-order"], deep=True)
         assert [f.rule_id for f in findings] == ["lock-order"]
 
 
 class TestRealTree:
     def test_deep_rules_clean_on_src(self):
-        import os
-
         src = os.path.join(
             os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
             "src", "repro",
         )
-        findings, stats, project = analyze_paths([src])
+        findings, project = lint_tree([src], deep=True)
         assert findings == []
         # coverage sanity: the graph actually got built
-        assert stats.functions > 500
-        assert stats.edges > 500
+        assert len(project.functions) > 500
+        assert project.edge_count() > 500
